@@ -24,9 +24,7 @@ from .mcmc import (
     FitError,
     MhConfig,
     diagnostics,
-    fit_bpm,
-    fit_dm5,
-    fit_dm_static,
+    fit_variant,
     posterior_summary,
     with_intercept,
 )
@@ -356,13 +354,7 @@ def _fit_draws(cfg, series, covariates, rng):
     )
     priors = _prior_from_config(cfg)
     config = _mh_from_config(cfg["mcmc"], cfg["seed"])
-    smooth = bool(cfg["smooth"])
-    if variant == "DM5":
-        draws = fit_dm5(series, design, priors, config, rng, smooth=smooth)
-    elif variant == "BPM":
-        draws = fit_bpm(series, design, priors, config, rng)
-    else:
-        draws = fit_dm_static(series, design, spec, priors, config, rng, smooth=smooth)
+    draws = fit_variant(spec, series, design, priors, config, rng, smooth=bool(cfg["smooth"]))
     return draws, spec, design, priors, config
 
 

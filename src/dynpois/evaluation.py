@@ -10,9 +10,10 @@ import numpy as np
 from scipy import special
 from scipy.special import logsumexp
 
-from .filtering import filter_core, one_step_predictive, predict_step
+from .filtering import filter_draws, one_step_predictive, predict_step
 from .kernels import (
     DomainError,
+    GammaParams,
     NegBinParams,
     PoissonParams,
     RngStream,
@@ -21,9 +22,7 @@ from .mcmc import (
     FitError,
     MhConfig,
     PosteriorDraws,
-    fit_bpm,
-    fit_dm5,
-    fit_dm_static,
+    fit_variant,
     with_intercept,
 )
 from .model import (
@@ -32,7 +31,6 @@ from .model import (
     ModelSpec,
     PriorConfig,
     build_design,
-    linear_predictor,
 )
 
 
@@ -44,16 +42,14 @@ class ForecastDistribution:
     components: tuple
     point_forecast: float = field(init=False)
     interval: tuple = field(init=False)
+    # NegBin (r, p) and Poisson rates of the components, built once for cdf/pmf
+    _nb_r: np.ndarray = field(init=False, repr=False, compare=False)
+    _nb_p: np.ndarray = field(init=False, repr=False, compare=False)
+    _po: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.components:
             raise DomainError("forecast mixture needs at least one component")
-        object.__setattr__(self, "point_forecast", self.mean())
-        object.__setattr__(
-            self, "interval", (float(self.quantile(0.025)), float(self.quantile(0.975)))
-        )
-
-    def _split(self):
         nb_r, nb_p, po = [], [], []
         for c in self.components:
             if isinstance(c, NegBinParams):
@@ -63,13 +59,19 @@ class ForecastDistribution:
                 po.append(c.rate)
             else:
                 raise DomainError(f"unsupported mixture component {type(c).__name__}")
-        return np.asarray(nb_r), np.asarray(nb_p), np.asarray(po)
+        object.__setattr__(self, "_nb_r", np.asarray(nb_r))
+        object.__setattr__(self, "_nb_p", np.asarray(nb_p))
+        object.__setattr__(self, "_po", np.asarray(po))
+        object.__setattr__(self, "point_forecast", self.mean())
+        object.__setattr__(
+            self, "interval", (float(self.quantile(0.025)), float(self.quantile(0.975)))
+        )
 
     def mean(self) -> float:
         return float(np.mean([c.mean() for c in self.components]))
 
     def pmf(self, n: int) -> float:
-        nb_r, nb_p, po = self._split()
+        nb_r, nb_p, po = self._nb_r, self._nb_p, self._po
         total = 0.0
         if len(nb_r):
             total += float(
@@ -90,7 +92,7 @@ class ForecastDistribution:
     def cdf(self, n) -> float:
         if n < 0:
             return 0.0
-        nb_r, nb_p, po = self._split()
+        nb_r, nb_p, po = self._nb_r, self._nb_p, self._po
         k = math.floor(n)
         total = 0.0
         if len(nb_r):
@@ -222,14 +224,6 @@ def _check_window(window, T: int):
     return start, end
 
 
-def _fit_for_variant(spec, train_series, train_design, priors, config, rng):
-    if spec.variant == "DM5":
-        return fit_dm5(train_series, train_design, priors, config, rng, smooth=False)
-    if spec.variant == "BPM":
-        return fit_bpm(train_series, train_design, priors, config, rng)
-    return fit_dm_static(train_series, train_design, spec, priors, config, rng, smooth=False)
-
-
 def _forecast_distribution_at(
     spec: ModelSpec,
     draws: PosteriorDraws,
@@ -248,12 +242,10 @@ def _forecast_distribution_at(
         return ForecastDistribution(origin=origin, components=comps)
 
     states = []
-    for j in range(draws.S):
-        multipliers = linear_predictor(train_design, draws.beta[j])
-        traj = filter_core(
-            train_series.counts, multipliers, float(draws.gamma[j]), priors.a0, priors.b0
-        )
-        states.append(traj.state(traj.T))
+    for _, traj in filter_draws(
+        train_series.counts, train_design, draws.beta, draws.gamma, priors.a0, priors.b0
+    ):
+        states.extend(map(GammaParams, traj.a[:, -1].tolist(), traj.b[:, -1].tolist()))
     beta_next = None
     if spec.variant == "DM5":
         # coefficients follow a random walk: propagate one step past the train window
@@ -290,7 +282,9 @@ def sequential_harness(
         train_series = series.head(o - 1)
         train_design = design.head(o - 1)
         try:
-            draws = _fit_for_variant(spec, train_series, train_design, priors, config, sub)
+            draws = fit_variant(
+                spec, train_series, train_design, priors, config, sub, smooth=False
+            )
             dist = _forecast_distribution_at(
                 spec, draws, train_series, train_design, design, o, priors, sub.substream(1)
             )
@@ -432,12 +426,12 @@ def per_draw_log_predictives(
         full = with_intercept(design)
         eta = draws.beta @ full.rows.T  # (S, T)
         return counts * eta - np.exp(eta) - special.gammaln(counts + 1.0)
-    out = np.empty((draws.S, series.T))
-    for j in range(draws.S):
-        multipliers = linear_predictor(design, draws.beta[j])
-        traj = filter_core(counts, multipliers, float(draws.gamma[j]), priors.a0, priors.b0)
-        out[j] = traj.log_predictive
-    return out
+    return np.concatenate(
+        [
+            traj.log_predictive
+            for _, traj in filter_draws(counts, design, draws.beta, draws.gamma, priors.a0, priors.b0)
+        ]
+    )
 
 
 def compare_models(
@@ -459,7 +453,7 @@ def compare_models(
         if spec.variant in names:
             raise DomainError(f"duplicate model {spec.variant} in the roster")
         design = build_design(raw_covariates, spec, series.T, start_month=start_month)
-        draws = _fit_for_variant(spec, series, design, priors, config, rng.substream(k))
+        draws = fit_variant(spec, series, design, priors, config, rng.substream(k), smooth=False)
         L = per_draw_log_predictives(series, design, draws, priors)
         names.append(spec.variant)
         logml[spec.variant] = harmonic_mean_logml(L.sum(axis=1))

@@ -20,6 +20,7 @@ from scipy.special import gammaln
 from .filtering import (
     ffbs_sample,
     filter_core,
+    filter_draws,
     gamma_grid_posterior,
 )
 from .kernels import (
@@ -317,13 +318,12 @@ def _smooth_paths(
     priors: PriorConfig,
     rng: RngStream,
 ) -> np.ndarray:
-    S = len(gammas)
-    theta = np.empty((S, len(counts)))
-    for j in range(S):
-        multipliers = linear_predictor(design, betas[j]) if design.p else np.ones(len(counts))
-        traj = filter_core(counts, multipliers, gammas[j], priors.a0, priors.b0)
-        theta[j] = ffbs_sample(traj, rng)
-    return theta
+    return np.concatenate(
+        [
+            ffbs_sample(traj, rng)
+            for _, traj in filter_draws(counts, design, betas, gammas, priors.a0, priors.b0)
+        ]
+    )
 
 
 def fit_dm_static(
@@ -341,8 +341,8 @@ def fit_dm_static(
     posterior is summed exactly on the grid and draws are taken from it with
     no Metropolis step. Otherwise a joint random-walk chain runs over
     (beta, logit gamma) with the logit Jacobian included, calibrated by the
-    inverse negative Hessian at the mode. Smoothing paths are drawn by
-    backward sampling per retained draw when ``smooth`` is set.
+    inverse negative Hessian at the mode. When ``smooth`` is set, one
+    smoothing path per retained draw comes from batched backward sampling.
     """
     if spec.variant not in ("DM1", "DM2", "DM3", "DM4"):
         raise DomainError(f"fit_dm_static does not handle variant {spec.variant}")
@@ -574,6 +574,23 @@ def fit_bpm(
         beta_names=full.column_names,
         variant="BPM",
     )
+
+
+def fit_variant(
+    spec: ModelSpec,
+    series: CountSeries,
+    design: DesignMatrix,
+    priors: PriorConfig,
+    config: MhConfig,
+    rng: RngStream,
+    smooth: bool = True,
+) -> PosteriorDraws:
+    """Fit any likelihood-based variant: DM5, the BPM benchmark, or a static DM."""
+    if spec.variant == "DM5":
+        return fit_dm5(series, design, priors, config, rng, smooth=smooth)
+    if spec.variant == "BPM":
+        return fit_bpm(series, design, priors, config, rng)
+    return fit_dm_static(series, design, spec, priors, config, rng, smooth=smooth)
 
 
 def posterior_summary(draws: PosteriorDraws) -> list[dict]:

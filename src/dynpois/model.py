@@ -24,6 +24,16 @@ from .kernels import (
 MODEL_VARIANTS = ("DM1", "DM2", "DM3", "DM4", "DM5", "BPM", "EWMA")
 
 
+def _integers(values, name: str) -> np.ndarray:
+    """Cast to int, rejecting values a plain cast would truncate (2.7 to 2)."""
+    arr = np.asarray(values)
+    # NaN and inf leave a NaN remainder
+    with np.errstate(invalid="ignore"):
+        if arr.dtype.kind not in "iu" and not np.all(np.mod(arr, 1) == 0):
+            raise DomainError(f"{name} must be integers")
+    return arr.astype(int)
+
+
 @dataclass(frozen=True)
 class CountSeries:
     """Observed monthly default counts, months indexed 1..T."""
@@ -32,8 +42,8 @@ class CountSeries:
     counts: np.ndarray
 
     def __post_init__(self):
-        months = np.asarray(self.months, dtype=int)
-        counts = np.asarray(self.counts, dtype=int)
+        months = _integers(self.months, "months")
+        counts = _integers(self.counts, "counts")
         object.__setattr__(self, "months", months)
         object.__setattr__(self, "counts", counts)
         if months.ndim != 1 or counts.ndim != 1:

@@ -286,8 +286,12 @@ def test_10_dm5_tracks_drifting_coefficients():
             f"tau conditional exact: {tau_ok}; DM5 beats DM2 in {wins}/10 (>=8); {elapsed:.0f}s")
 
 
-def test_11_cli_reproducibility(tmp_path):
-    """Every command with a fixed seed produces byte-identical output directories."""
+def cli_gate_commands(tmp_path):
+    """The gate-11 CLI runs, in order, as (name, argv builder taking the output dir).
+
+    Writes the configs into ``tmp_path``; every command after simulate reads
+    the cohort that simulate writes to ``tmp_path / "simulate_a"``.
+    """
     sim_cfg = tmp_path / "sim.json"
     sim_cfg.write_text(json.dumps({
         "simulate": {"T": 40, "gamma": 0.6, "beta": [0.4], "n_covariates": 1},
@@ -301,11 +305,26 @@ def test_11_cli_reproducibility(tmp_path):
                      "mcmc": {"iterations": 300, "burn_in": 50, "thinning": 1, "proposal_scale": 1.0}},
         "compare": {"models": ["DM1", "DM2"]},
     }))
+    data = str(tmp_path / "simulate_a" / "cohort.csv")
+    return [
+        ("simulate", lambda out: ["simulate", "--config", str(sim_cfg), "--model", "DM2",
+                                  "--seed", "5", "--out", str(out)]),
+        ("fit", lambda out: ["fit", "--config", str(fit_cfg), "--model", "DM2", "--seed", "7",
+                             "--data", data, "--out", str(out)]),
+        ("forecast", lambda out: ["forecast", "--config", str(fit_cfg), "--model", "DM1",
+                                  "--seed", "8", "--data", data, "--out", str(out)]),
+        ("compare", lambda out: ["compare", "--config", str(fit_cfg), "--seed", "9",
+                                 "--data", data, "--out", str(out)]),
+    ]
 
-    def run_twice(argv_fn):
+
+def test_11_cli_reproducibility(tmp_path):
+    """Every command with a fixed seed produces byte-identical output directories."""
+
+    def run_twice(name, argv_fn):
         dirs = []
         for tag in ("a", "b"):
-            out = tmp_path / f"{argv_fn.__name__}_{tag}"
+            out = tmp_path / f"{name}_{tag}"
             code, _ = run_command(argv_fn(out))
             assert code == 0
             dirs.append(out)
@@ -313,24 +332,6 @@ def test_11_cli_reproducibility(tmp_path):
         assert names == sorted(p.name for p in dirs[1].iterdir())
         return all((dirs[0] / n).read_bytes() == (dirs[1] / n).read_bytes() for n in names)
 
-    def simulate(out):
-        return ["simulate", "--config", str(sim_cfg), "--model", "DM2", "--seed", "5", "--out", str(out)]
-
-    identical = run_twice(simulate)
-    data = tmp_path / "simulate_a" / "cohort.csv"
-
-    def fit(out):
-        return ["fit", "--config", str(fit_cfg), "--model", "DM2", "--seed", "7",
-                "--data", str(data), "--out", str(out)]
-
-    def forecast(out):
-        return ["forecast", "--config", str(fit_cfg), "--model", "DM1", "--seed", "8",
-                "--data", str(data), "--out", str(out)]
-
-    def compare(out):
-        return ["compare", "--config", str(fit_cfg), "--seed", "9",
-                "--data", str(data), "--out", str(out)]
-
-    identical = identical and run_twice(fit) and run_twice(forecast) and run_twice(compare)
+    identical = all(run_twice(name, argv_fn) for name, argv_fn in cli_gate_commands(tmp_path))
     _report(11, "CLI byte-identical reruns (simulate/fit/forecast/compare)", identical,
             "4 commands x 2 runs compared byte-for-byte")

@@ -8,11 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import special
 
+from dynpois.evaluation import per_draw_log_predictives
 from dynpois.filtering import (
+    FILTER_BLOCK,
     SmoothingDraws,
     exceedance_probability,
     ffbs_sample,
     filter_core,
+    filter_draws,
     filter_pass,
     gamma_grid_posterior,
     one_step_predictive,
@@ -25,13 +28,72 @@ from dynpois.kernels import (
     RngStream,
     log_pmf_negbin,
 )
-from dynpois.model import CountSeries, DesignMatrix, ModelSpec, PriorConfig, build_design
+from dynpois.mcmc import PosteriorDraws, _smooth_paths
+from dynpois.model import (
+    CountSeries,
+    DesignMatrix,
+    ModelSpec,
+    PriorConfig,
+    build_design,
+    linear_predictor,
+)
 from oracles import density_mean_var, grid_filter, grid_smoother, tv_distance
 
 
 def _series(counts):
     counts = list(counts)
     return CountSeries(np.arange(1, len(counts) + 1), counts)
+
+
+# Per-month numpy loops: the original scalar implementations, kept as the
+# reference that the batched filter and backward sampler must match bit for bit.
+
+
+def _loop_filter(counts, multipliers, gamma, a0, b0):
+    T = len(counts)
+    a = np.empty(T + 1)
+    b = np.empty(T + 1)
+    a[0], b[0] = a0, b0
+    for t in range(1, T + 1):
+        a[t] = gamma * a[t - 1] + counts[t - 1]
+        b[t] = gamma * b[t - 1] + multipliers[t - 1]
+    r = gamma * a[:-1]
+    gb = gamma * b[:-1]
+    n = np.asarray(counts).astype(float)
+    log_pred = (
+        special.gammaln(r + n)
+        - special.gammaln(n + 1.0)
+        - special.gammaln(r)
+        + r * (np.log(gb) - np.log(gb + multipliers))
+        + n * (np.log(multipliers) - np.log(gb + multipliers))
+    )
+    return a, b, log_pred
+
+
+def _loop_ffbs(a, b, gamma, rng):
+    T = len(a) - 1
+    gen = rng.generator
+    path = np.empty(T)
+    path[T - 1] = gen.gamma(shape=a[T], scale=1.0 / b[T])
+    for n in range(T - 1, 0, -1):
+        if gamma == 1.0:
+            path[n - 1] = path[n]
+            continue
+        increment = gen.gamma(shape=(1.0 - gamma) * a[n], scale=1.0 / b[n])
+        path[n - 1] = gamma * path[n] + increment
+    return path
+
+
+def _draw_set(S, T=30, p=2, seed=0):
+    """Counts, a p-column design and S (beta, gamma) draws, with gamma = 1 in row 1."""
+    gen = np.random.default_rng(seed)
+    counts = gen.poisson(20.0, size=T)
+    design = DesignMatrix(tuple(f"z{i}" for i in range(p)), gen.normal(size=(T, p)))
+    betas = gen.normal(0.0, 0.3, size=(S, p))
+    gammas = gen.uniform(0.3, 0.999, size=S)
+    if S > 1:
+        gammas[1] = 1.0
+    return counts, design, betas, gammas
 
 
 class TestPredictStep:
@@ -287,3 +349,97 @@ class TestExceedance:
         draws = SmoothingDraws(np.ones((10, 3)))
         with pytest.raises(DomainError):
             exceedance_probability(draws, 0, 1)
+
+
+class TestBatchedFilter:
+    """Batched filter and backward sampler against the per-month reference loops."""
+
+    GAMMAS = np.array([0.3, 0.7, 0.95, 0.999, 1.0])
+
+    def test_scalar_call_matches_reference_loop(self):
+        counts, design, betas, _ = _draw_set(1)
+        mult = linear_predictor(design, betas[0])
+        for g in self.GAMMAS:
+            traj = filter_core(counts, mult, float(g), 50.0, 2.0)
+            a, b, log_pred = _loop_filter(counts, mult, g, 50.0, 2.0)
+            assert np.array_equal(traj.a, a) and np.array_equal(traj.b, b)
+            assert np.array_equal(traj.log_predictive, log_pred)
+            assert traj.total_log_predictive == float(log_pred.sum())
+
+    def test_batched_rows_equal_scalar_calls(self):
+        counts, design, betas, _ = _draw_set(len(self.GAMMAS), seed=1)
+        mult = np.stack([linear_predictor(design, beta) for beta in betas])
+        traj = filter_core(counts, mult, self.GAMMAS, 50.0, 2.0)
+        assert traj.a.shape == (5, 31) and traj.log_predictive.shape == (5, 30) and traj.T == 30
+        totals = traj.total_log_predictive
+        for j, g in enumerate(self.GAMMAS):
+            one = filter_core(counts, mult[j], float(g), 50.0, 2.0)
+            assert np.array_equal(traj.a[j], one.a) and np.array_equal(traj.b[j], one.b)
+            assert np.array_equal(traj.log_predictive[j], one.log_predictive)
+            assert totals[j] == one.total_log_predictive
+
+    def test_batched_shape_mismatch_rejected(self):
+        with pytest.raises(DomainError):
+            filter_core([1, 2], np.ones((3, 2)), np.full(2, 0.5), 1.0, 1.0)
+        with pytest.raises(DomainError):
+            filter_core([1, 2], np.ones(2), np.full(2, 0.5), 1.0, 1.0)
+        with pytest.raises(DomainError):
+            filter_core([1, 2], np.ones((2, 2)), np.array([0.5, 1.5]), 1.0, 1.0)
+
+    def test_filter_draws_crosses_block_boundary(self):
+        S = FILTER_BLOCK + 3
+        counts, design, betas, gammas = _draw_set(S, seed=2)
+        blocks = list(filter_draws(counts, design, betas, gammas, 50.0, 2.0))
+        assert [blk.start for blk, _ in blocks] == [0, FILTER_BLOCK]
+        log_pred = np.concatenate([traj.log_predictive for _, traj in blocks])
+        for j in (0, 1, FILTER_BLOCK - 1, FILTER_BLOCK, S - 1):
+            ref = _loop_filter(counts, linear_predictor(design, betas[j]), gammas[j], 50.0, 2.0)
+            assert np.array_equal(log_pred[j], ref[2])
+
+    def test_per_draw_log_predictives_match_per_draw_loop(self):
+        S = FILTER_BLOCK + 5
+        counts, design, betas, gammas = _draw_set(S, seed=3)
+        draws = PosteriorDraws(beta=betas, gamma=gammas, acceptance_rate=0.3, variant="DM2")
+        L = per_draw_log_predictives(_series(counts), design, draws, PriorConfig(a0=50.0, b0=2.0))
+        ref = np.array(
+            [
+                _loop_filter(counts, linear_predictor(design, betas[j]), gammas[j], 50.0, 2.0)[2]
+                for j in range(S)
+            ]
+        )
+        assert np.array_equal(L, ref)
+
+    def test_scalar_ffbs_matches_reference_loop(self):
+        counts, design, betas, _ = _draw_set(1, seed=4)
+        mult = linear_predictor(design, betas[0])
+        for g in self.GAMMAS:
+            traj = filter_core(counts, mult, float(g), 50.0, 2.0)
+            assert np.array_equal(
+                ffbs_sample(traj, RngStream(11)), _loop_ffbs(traj.a, traj.b, g, RngStream(11))
+            )
+
+    def test_smooth_paths_reproduce_per_draw_loop(self):
+        S = FILTER_BLOCK + 3
+        counts, design, betas, gammas = _draw_set(S, seed=5)
+        priors = PriorConfig(a0=50.0, b0=2.0)
+        rng = RngStream(7, 1)
+        paths = _smooth_paths(counts, design, betas, gammas, priors, rng)
+        ref_rng = RngStream(7, 1)
+        ref = np.empty((S, len(counts)))
+        for j in range(S):
+            a, b, _ = _loop_filter(counts, linear_predictor(design, betas[j]), gammas[j], 50.0, 2.0)
+            ref[j] = _loop_ffbs(a, b, gammas[j], ref_rng)
+        assert np.array_equal(paths, ref)
+        assert np.all(paths[1] == paths[1, -1])  # the gamma = 1 row is static
+        # both left the stream at the same point
+        assert rng.generator.random() == ref_rng.generator.random()
+
+    def test_gamma_grid_posterior_matches_per_gamma_loop(self):
+        counts = np.random.default_rng(6).poisson(8.0, size=25)
+        priors = PriorConfig(a0=3.0, b0=1.0, gamma_grid_step=0.001)
+        post = gamma_grid_posterior(_series(counts), DesignMatrix.empty(25), np.zeros(0), priors)
+        assert len(post.grid) > FILTER_BLOCK
+        log_post = np.array(
+            [_loop_filter(counts, np.ones(25), g, 3.0, 1.0)[2].sum() for g in post.grid]
+        )
+        assert np.array_equal(post.probs, np.exp(log_post - special.logsumexp(log_post)))

@@ -29,6 +29,19 @@ class TestCountSeries:
         with pytest.raises(DomainError):
             CountSeries([1, 2], [1, -2])
 
+    def test_non_integer_count_rejected(self):
+        with pytest.raises(DomainError):
+            CountSeries([1, 2], [1, 2.7])
+        with pytest.raises(DomainError):
+            CountSeries([1, 2], [1, np.nan])
+        with pytest.raises(DomainError):
+            CountSeries([1, 2], [1, np.inf])
+        assert CountSeries([1, 2], [1.0, 3.0]).counts.tolist() == [1, 3]
+
+    def test_non_integer_month_rejected(self):
+        with pytest.raises(DomainError):
+            CountSeries([1, 2.5, 3.9], [1, 2, 3])
+
     def test_head(self):
         s = CountSeries([1, 2, 3, 4], [5, 0, 2, 7])
         assert np.array_equal(s.head(2).counts, [5, 0])
