@@ -38,17 +38,12 @@ from .kernels import (
     NegBinParams,
     NotPositiveDefiniteError,
     NumericDegeneracyError,
-    PoissonParams,
     RngStream,
-    TruncatedGammaParams,
     log_pdf_gamma,
     log_pmf_negbin,
     log_pmf_poisson,
-    negbin_quantile,
     sample_beta,
     sample_gamma,
-    sample_mv_normal,
-    sample_truncated_gamma,
 )
 from .mcmc import (
     ChainDiagnostics,

@@ -10,14 +10,8 @@ import numpy as np
 from scipy import special
 from scipy.special import logsumexp
 
-from .filtering import filter_draws, one_step_predictive, predict_step
-from .kernels import (
-    DomainError,
-    GammaParams,
-    NegBinParams,
-    PoissonParams,
-    RngStream,
-)
+from .filtering import filter_draws
+from .kernels import DomainError, RngStream
 from .mcmc import (
     FitError,
     MhConfig,
@@ -36,70 +30,67 @@ from .model import (
 
 @dataclass(frozen=True)
 class ForecastDistribution:
-    """Equal-weight mixture of per-draw one-step predictive distributions."""
+    """Equal-weight mixture of per-draw one-step predictive distributions.
+
+    ``components`` holds one row per draw: an (S, 2) array of negative
+    binomial ``(r, p)`` pairs, or an (S,) array of Poisson rates.
+    """
 
     origin: int
-    components: tuple
+    components: np.ndarray = field(compare=False)
     point_forecast: float = field(init=False)
     interval: tuple = field(init=False)
-    # NegBin (r, p) and Poisson rates of the components, built once for cdf/pmf
-    _nb_r: np.ndarray = field(init=False, repr=False, compare=False)
-    _nb_p: np.ndarray = field(init=False, repr=False, compare=False)
-    _po: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not self.components:
-            raise DomainError("forecast mixture needs at least one component")
-        nb_r, nb_p, po = [], [], []
-        for c in self.components:
-            if isinstance(c, NegBinParams):
-                nb_r.append(c.r)
-                nb_p.append(c.p)
-            elif isinstance(c, PoissonParams):
-                po.append(c.rate)
-            else:
-                raise DomainError(f"unsupported mixture component {type(c).__name__}")
-        object.__setattr__(self, "_nb_r", np.asarray(nb_r))
-        object.__setattr__(self, "_nb_p", np.asarray(nb_p))
-        object.__setattr__(self, "_po", np.asarray(po))
+        comps = np.asarray(self.components, dtype=float)
+        if comps.ndim not in (1, 2) or comps.shape[1:] not in ((), (2,)) or not comps.size:
+            raise DomainError("forecast mixture needs (S, 2) negbin rows or (S,) poisson rates")
+        # min/max reductions: NaN fails every comparison
+        if comps.ndim == 1:
+            ok = 0.0 <= comps.min() and comps.max() < np.inf
+        else:
+            r, p = comps[:, 0], comps[:, 1]
+            ok = 0.0 < r.min() and r.max() < np.inf and 0.0 < p.min() and p.max() < 1.0
+        if not ok:
+            raise DomainError("forecast mixture component outside its parameter domain")
+        object.__setattr__(self, "components", comps)
         object.__setattr__(self, "point_forecast", self.mean())
         object.__setattr__(
             self, "interval", (float(self.quantile(0.025)), float(self.quantile(0.975)))
         )
 
     def mean(self) -> float:
-        return float(np.mean([c.mean() for c in self.components]))
+        c = self.components
+        if c.ndim == 1:
+            return float(np.mean(c))
+        r, p = c[:, 0], c[:, 1]
+        return float(np.mean(r * (1.0 - p) / p))
 
     def pmf(self, n: int) -> float:
-        nb_r, nb_p, po = self._nb_r, self._nb_p, self._po
-        total = 0.0
-        if len(nb_r):
-            total += float(
-                np.sum(
-                    np.exp(
-                        special.gammaln(nb_r + n)
-                        - special.gammaln(n + 1.0)
-                        - special.gammaln(nb_r)
-                        + nb_r * np.log(nb_p)
-                        + n * np.log1p(-nb_p)
-                    )
-                )
+        c = self.components
+        if c.ndim == 1:
+            log_pmf = n * np.log(c) - c - special.gammaln(n + 1.0)
+        else:
+            r, p = c[:, 0], c[:, 1]
+            log_pmf = (
+                special.gammaln(r + n)
+                - special.gammaln(n + 1.0)
+                - special.gammaln(r)
+                + r * np.log(p)
+                + n * np.log1p(-p)
             )
-        if len(po):
-            total += float(np.sum(np.exp(n * np.log(po) - po - special.gammaln(n + 1.0))))
-        return total / len(self.components)
+        return float(np.sum(np.exp(log_pmf))) / len(c)
 
     def cdf(self, n) -> float:
         if n < 0:
             return 0.0
-        nb_r, nb_p, po = self._nb_r, self._nb_p, self._po
+        c = self.components
         k = math.floor(n)
-        total = 0.0
-        if len(nb_r):
-            total += float(np.sum(special.betainc(nb_r, k + 1.0, nb_p)))
-        if len(po):
-            total += float(np.sum(special.pdtr(k, po)))
-        return total / len(self.components)
+        if c.ndim == 1:
+            probs = special.pdtr(k, c)
+        else:
+            probs = special.betainc(c[:, 0], k + 1.0, c[:, 1])
+        return float(np.sum(probs)) / len(c)
 
     def quantile(self, q: float) -> int:
         """Smallest integer n with mixture CDF(n) >= q."""
@@ -151,34 +142,30 @@ class ComparisonReport:
 
 def forecast_one_step(
     draws: PosteriorDraws,
-    states: list,
+    a: np.ndarray,
+    b: np.ndarray,
     z_next: np.ndarray,
     origin: int,
     beta_next: np.ndarray | None = None,
 ) -> ForecastDistribution:
     """Mix the per-draw negative binomial one-step predictives at one origin.
 
-    ``states`` holds the filtered gamma state at origin-1 for each retained
-    draw; ``beta_next`` overrides the coefficient vector used for month
-    ``origin`` (needed when coefficients follow a random walk).
+    ``a`` and ``b`` hold each retained draw's filtered gamma state (shape,
+    rate) at origin-1, shape (S,); ``beta_next`` overrides the (S, p)
+    coefficients used for month ``origin`` (needed when coefficients follow a
+    random walk).
     """
-    if draws.S == 0 or not states:
-        raise DomainError("empty draw set")
+    if draws.S == 0 or len(a) != draws.S or len(b) != draws.S:
+        raise DomainError("need one filtered state per retained draw")
     z_next = np.asarray(z_next, dtype=float)
     betas = draws.beta if beta_next is None else beta_next
-    comps = []
-    for j in range(draws.S):
-        gamma = float(draws.gamma[j])
-        predicted = predict_step(states[j], gamma)
-        if z_next.size:
-            b = betas[j]
-            if b.ndim == 2:  # per-month path without an override: use the last month
-                b = b[-1]
-            mult = float(np.exp(z_next @ b))
-        else:
-            mult = 1.0
-        comps.append(one_step_predictive(predicted, mult))
-    return ForecastDistribution(origin=origin, components=tuple(comps))
+    if betas.ndim != 2:
+        raise DomainError("per-month coefficient paths need beta_next")
+    # one dot product per draw: a matrix product changes the last bits
+    m = np.exp([z_next @ beta for beta in betas]) if z_next.size else 1.0
+    g = draws.gamma
+    gb = g * b
+    return ForecastDistribution(origin=origin, components=np.column_stack([g * a, gb / (gb + m)]))
 
 
 def forecast_metrics(
@@ -237,21 +224,21 @@ def _forecast_distribution_at(
     z_next = design.rows[origin - 1]
     if spec.variant == "BPM":
         full_next = np.concatenate([[1.0], z_next])
-        rates = np.exp(draws.beta @ full_next)
-        comps = tuple(PoissonParams(float(r)) for r in rates)
-        return ForecastDistribution(origin=origin, components=comps)
+        return ForecastDistribution(origin=origin, components=np.exp(draws.beta @ full_next))
 
-    states = []
-    for _, traj in filter_draws(
+    # keep only the end states: the (S, T+1) trajectories would add to peak memory
+    a, b = np.empty(draws.S), np.empty(draws.S)
+    for block, traj in filter_draws(
         train_series.counts, train_design, draws.beta, draws.gamma, priors.a0, priors.b0
     ):
-        states.extend(map(GammaParams, traj.a[:, -1].tolist(), traj.b[:, -1].tolist()))
+        a[block] = traj.a[:, -1]
+        b[block] = traj.b[:, -1]
     beta_next = None
     if spec.variant == "DM5":
         # coefficients follow a random walk: propagate one step past the train window
         steps = rng.generator.standard_normal((draws.S, design.p)) / np.sqrt(draws.tau)
         beta_next = draws.beta[:, -1, :] + steps
-    return forecast_one_step(draws, states, z_next, origin, beta_next=beta_next)
+    return forecast_one_step(draws, a, b, z_next, origin, beta_next=beta_next)
 
 
 def sequential_harness(

@@ -129,49 +129,6 @@ class NegBinParams:
     def log_pmf(self, n) -> np.ndarray | float:
         return log_pmf_negbin(n, self)
 
-    def cdf(self, n) -> np.ndarray | float:
-        """P(N <= n); regularized incomplete beta I_p(r, n+1)."""
-        n = np.asarray(n)
-        out = np.where(n < 0, 0.0, special.betainc(self.r, np.floor(n) + 1.0, self.p))
-        return out if out.ndim else float(out)
-
-
-@dataclass(frozen=True)
-class PoissonParams:
-    """Poisson(rate). Used for the predictive mixtures of the static regression benchmark."""
-
-    rate: float
-
-    def __post_init__(self):
-        if not (self.rate >= 0 and np.isfinite(self.rate)):
-            raise DomainError(f"poisson rate must be nonnegative, got {self.rate}")
-
-    def mean(self) -> float:
-        return self.rate
-
-    def variance(self) -> float:
-        return self.rate
-
-    def log_pmf(self, n) -> np.ndarray | float:
-        return log_pmf_poisson(n, self.rate)
-
-    def cdf(self, n) -> np.ndarray | float:
-        n = np.asarray(n)
-        out = np.where(n < 0, 0.0, special.pdtr(np.floor(n), self.rate))
-        return out if out.ndim else float(out)
-
-
-@dataclass(frozen=True)
-class TruncatedGammaParams:
-    """Gamma law restricted to the open tail (lower, inf)."""
-
-    base: GammaParams
-    lower: float = 0.0
-
-    def __post_init__(self):
-        if not (self.lower >= 0 and np.isfinite(self.lower)):
-            raise DomainError(f"truncation point must be nonnegative, got {self.lower}")
-
 
 def log_pmf_poisson(n, rate) -> np.ndarray | float:
     """log Poisson pmf: n*log(rate) - rate - lgamma(n+1). rate = 0 is the point mass at 0."""
@@ -237,104 +194,6 @@ def sample_beta(params: BetaParams, rng: RngStream, size=None):
     return rng.generator.beta(params.alpha, params.beta, size=size)
 
 
-def sample_poisson(rate, rng: RngStream, size=None):
-    if np.any(np.asarray(rate) < 0):
-        raise DomainError("poisson rate must be nonnegative")
-    return rng.generator.poisson(rate, size=size)
-
-
-# Tail mass below which inverse-CDF truncated sampling is abandoned for the
-# rejection envelope (the inverse incomplete gamma loses precision there).
-_TRUNC_TAIL_EPS = 1e-12
-_TRUNC_MAX_REJECT = 10_000
-
-
-def sample_truncated_gamma(params: TruncatedGammaParams, rng: RngStream, size=None):
-    """Draw from Gamma(shape, rate) restricted to (lower, inf).
-
-    Uses inverse-CDF sampling on the renormalized tail. When the tail mass
-    above ``lower`` is below 1e-12 the inversion becomes unreliable and a
-    shifted-exponential rejection envelope is used instead; if even that
-    cannot produce draws, a NumericDegeneracyError is raised rather than
-    looping forever.
-    """
-    a, b, lo = params.base.shape, params.base.rate, params.lower
-    scalar = size is None
-    n = 1 if scalar else int(np.prod(size))
-    if lo == 0.0:
-        out = rng.generator.gamma(shape=a, scale=1.0 / b, size=size)
-        return out
-
-    tail = special.gammaincc(a, b * lo)  # regularized upper incomplete gamma
-    if tail >= _TRUNC_TAIL_EPS:
-        u = rng.generator.random(size=n)
-        # invert the survival function: sf(x) = tail * (1 - u)
-        x = special.gammainccinv(a, tail * (1.0 - u)) / b
-        # inversion can land exactly on the boundary at float precision
-        x = np.maximum(x, np.nextafter(lo, np.inf))
-    else:
-        x = _tail_rejection_gamma(a, b, lo, rng, n)
-    if not np.all(np.isfinite(x)):
-        raise NumericDegeneracyError(
-            "truncated gamma sampling produced non-finite values",
-            context={"shape": a, "rate": b, "lower": lo, "tail_mass": float(tail)},
-        )
-    if scalar:
-        return float(x[0])
-    return x.reshape(size)
-
-
-def _tail_rejection_gamma(a, b, lo, rng: RngStream, n: int) -> np.ndarray:
-    """Rejection sampler for the deep gamma tail, proposal lo + Exp(lam).
-
-    For a <= 1 the density is dominated by lam = b; for a > 1 by
-    lam = b - (a-1)/lo, which is positive whenever lo is beyond the mode
-    (guaranteed when the tail mass underflows). Acceptance probability
-    exp((a-1) * (log(x/lo) - (x-lo)/lo)) <= 1 in the a > 1 case.
-    """
-    gen = rng.generator
-    if a > 1.0:
-        lam = b - (a - 1.0) / lo
-        if lam <= 0:
-            raise NumericDegeneracyError(
-                "truncation point is below the gamma mode but the tail mass underflowed",
-                context={"shape": a, "rate": b, "lower": lo},
-            )
-    else:
-        lam = b
-    out = np.empty(n)
-    filled = 0
-    for _ in range(_TRUNC_MAX_REJECT):
-        m = n - filled
-        x = lo + gen.exponential(scale=1.0 / lam, size=m)
-        if a > 1.0:
-            log_acc = (a - 1.0) * (np.log(x / lo) - (x - lo) / lo)
-        else:
-            log_acc = (a - 1.0) * np.log(x / lo)
-        keep = np.log(gen.random(size=m)) < log_acc
-        k = int(keep.sum())
-        out[filled : filled + k] = x[keep]
-        filled += k
-        if filled == n:
-            return out
-    raise NumericDegeneracyError(
-        "truncated gamma rejection sampler failed to accept",
-        context={"shape": a, "rate": b, "lower": lo},
-    )
-
-
-def sample_mv_normal(mean, covariance, rng: RngStream, size=None):
-    """Draw from N(mean, covariance); covariance must be symmetric positive definite."""
-    mean = np.asarray(mean, dtype=float)
-    covariance = np.asarray(covariance, dtype=float)
-    root = cholesky_or_raise(covariance)
-    d = mean.shape[0]
-    if size is None:
-        return mean + root @ rng.generator.standard_normal(d)
-    z = rng.generator.standard_normal((int(size), d))
-    return mean + z @ root.T
-
-
 def cholesky_or_raise(matrix: np.ndarray) -> np.ndarray:
     try:
         return np.linalg.cholesky(matrix)
@@ -342,31 +201,6 @@ def cholesky_or_raise(matrix: np.ndarray) -> np.ndarray:
         raise NotPositiveDefiniteError(
             "covariance matrix is not positive definite", matrix=np.array(matrix)
         ) from None
-
-
-def negbin_cdf(n, params: NegBinParams):
-    return params.cdf(n)
-
-
-def negbin_quantile(q: float, params: NegBinParams) -> int:
-    """Smallest n with CDF(n) >= q."""
-    if not (0.0 < q < 1.0):
-        raise DomainError(f"quantile level must lie in (0, 1), got {q}")
-    if params.cdf(0) >= q:
-        return 0
-    # exponential bracketing then bisection on the integer CDF;
-    # invariant: cdf(lo) < q <= cdf(hi)
-    lo, hi = 0, 1
-    while params.cdf(hi) < q:
-        lo = hi
-        hi *= 2
-    while lo + 1 < hi:
-        mid = (lo + hi) // 2
-        if params.cdf(mid) >= q:
-            hi = mid
-        else:
-            lo = mid
-    return hi
 
 
 def logit(x):

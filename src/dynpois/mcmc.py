@@ -168,7 +168,8 @@ def log_target_static(
     if not np.isfinite(lp):
         return -np.inf
     multipliers = linear_predictor(design, beta)
-    if not np.all(np.isfinite(multipliers)):
+    # exp(eta) overflows to inf or underflows to 0 for extreme proposals: out of support
+    if not (0.0 < multipliers.min() and multipliers.max() < np.inf):
         return -np.inf
     ll = filter_core(series.counts, multipliers, gamma, priors.a0, priors.b0).total_log_predictive
     # extreme proposals can overflow the rate recursion; treat as out of support

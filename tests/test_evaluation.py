@@ -28,11 +28,9 @@ from dynpois.kernels import (
     DomainError,
     GammaParams,
     NegBinParams,
-    PoissonParams,
     RngStream,
     log_pmf_negbin,
     log_pmf_poisson,
-    negbin_quantile,
 )
 from dynpois.mcmc import MhConfig, PosteriorDraws, fit_bpm
 from dynpois.model import (
@@ -49,19 +47,26 @@ def _series(counts):
     return CountSeries(np.arange(1, len(counts) + 1), list(counts))
 
 
+def _mixture(*components):
+    """Forecast mixture of the given negbin components, one (r, p) row each."""
+    return ForecastDistribution(origin=1, components=np.array([[c.r, c.p] for c in components]))
+
+
 class TestForecastDistribution:
     def test_single_component_reduces_to_negbin(self):
         nb = NegBinParams(2.5, 0.4)
-        dist = ForecastDistribution(origin=3, components=(nb,))
+        dist = _mixture(nb)
         for n in range(0, 30):
             assert dist.pmf(n) == pytest.approx(math.exp(log_pmf_negbin(n, nb)), rel=1e-12)
-        assert dist.quantile(0.975) == negbin_quantile(0.975, nb)
+        # the 97.5% quantile by a linear scan of the negbin cdf
+        cdf = np.cumsum(np.exp(log_pmf_negbin(np.arange(1_000), nb)))
+        assert dist.quantile(0.975) == int(np.searchsorted(cdf, 0.975))
         assert dist.point_forecast == pytest.approx(nb.mean(), rel=1e-14)
 
     def test_identical_components_idempotent(self):
         nb = NegBinParams(3.0, 0.5)
-        one = ForecastDistribution(origin=1, components=(nb,))
-        two = ForecastDistribution(origin=1, components=(nb, nb))
+        one = _mixture(nb)
+        two = _mixture(nb, nb)
         for n in range(20):
             assert one.pmf(n) == pytest.approx(two.pmf(n), rel=1e-14)
         assert one.interval == two.interval
@@ -69,7 +74,7 @@ class TestForecastDistribution:
     def test_mixture_pmf_is_hand_average(self):
         a = NegBinParams(2.0, 0.3)
         b = NegBinParams(5.0, 0.6)
-        dist = ForecastDistribution(origin=1, components=(a, b))
+        dist = _mixture(a, b)
         for n in range(25):
             expected = 0.5 * (math.exp(log_pmf_negbin(n, a)) + math.exp(log_pmf_negbin(n, b)))
             assert dist.pmf(n) == pytest.approx(expected, rel=1e-12)
@@ -77,12 +82,11 @@ class TestForecastDistribution:
     def test_mixture_mean_is_average_of_means(self):
         a = NegBinParams(2.0, 0.3)
         b = NegBinParams(5.0, 0.6)
-        dist = ForecastDistribution(origin=1, components=(a, b))
+        dist = _mixture(a, b)
         assert dist.point_forecast == pytest.approx(0.5 * (a.mean() + b.mean()), rel=1e-14)
 
     def test_cdf_monotone_and_interval_ordered(self):
-        comps = (NegBinParams(2.0, 0.3), PoissonParams(4.0), NegBinParams(1.0, 0.7))
-        dist = ForecastDistribution(origin=1, components=comps)
+        dist = _mixture(NegBinParams(2.0, 0.3), NegBinParams(4.0, 0.5), NegBinParams(1.0, 0.7))
         cdf_vals = [dist.cdf(n) for n in range(50)]
         assert all(b >= a for a, b in zip(cdf_vals, cdf_vals[1:]))
         lo, hi = dist.interval
@@ -91,7 +95,14 @@ class TestForecastDistribution:
 
     def test_empty_components_rejected(self):
         with pytest.raises(DomainError):
-            ForecastDistribution(origin=1, components=())
+            ForecastDistribution(origin=1, components=np.zeros((0, 2)))
+        with pytest.raises(DomainError):
+            ForecastDistribution(origin=1, components=np.zeros(0))
+
+    def test_out_of_domain_components_rejected(self):
+        for comps in ([[2.0, 1.0]], [[0.0, 0.5]], [[np.nan, 0.5]], [-1.0], [np.inf]):
+            with pytest.raises(DomainError):
+                ForecastDistribution(origin=1, components=np.array(comps))
 
 
 class TestForecastOneStep:
@@ -105,11 +116,15 @@ class TestForecastOneStep:
             variant="DM2",
         )
         z_next = np.array([1.0])
-        dist = forecast_one_step(draws, states, z_next, origin=9)
+        a = np.array([s.shape for s in states])
+        b = np.array([s.rate for s in states])
+        dist = forecast_one_step(draws, a, b, z_next, origin=9)
         comps = []
         for j in range(2):
             pred = predict_step(states[j], float(draws.gamma[j]))
-            comps.append(one_step_predictive(pred, math.exp(float(draws.beta[j, 0]))))
+            comps.append(one_step_predictive(pred, float(np.exp(z_next @ draws.beta[j]))))
+        # the array arithmetic repeats the per-draw kernels bit for bit
+        assert dist.components.tolist() == [[c.r, c.p] for c in comps]
         for n in range(15):
             expected = np.mean([math.exp(log_pmf_negbin(n, c)) for c in comps])
             assert dist.pmf(n) == pytest.approx(expected, rel=1e-12)
@@ -122,9 +137,18 @@ class TestForecastOneStep:
             acceptance_rate=1.0,
             variant="DM1",
         )
-        states = [GammaParams(2.0, 1.0), GammaParams(3.0, 1.0)]
-        dist = forecast_one_step(draws, states, np.zeros(0), origin=2)
+        dist = forecast_one_step(draws, np.array([2.0, 3.0]), np.ones(2), np.zeros(0), origin=2)
         assert dist.point_forecast == pytest.approx(0.5 * (2.0 + 3.0), rel=1e-14)
+
+    def test_coefficient_paths_need_beta_next(self):
+        draws = PosteriorDraws(
+            beta=np.zeros((2, 5, 1)),
+            gamma=np.array([0.5, 0.6]),
+            acceptance_rate=1.0,
+            variant="DM5",
+        )
+        with pytest.raises(DomainError):
+            forecast_one_step(draws, np.ones(2), np.ones(2), np.array([1.0]), origin=6)
 
 
 class TestForecastMetrics:

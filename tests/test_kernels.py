@@ -8,23 +8,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate, special, stats
 
+from dynpois.evaluation import ForecastDistribution
 from dynpois.kernels import (
     BetaParams,
     DomainError,
     GammaParams,
     NegBinParams,
     NotPositiveDefiniteError,
-    PoissonParams,
     RngStream,
-    TruncatedGammaParams,
+    cholesky_or_raise,
     log_pdf_gamma,
     log_pmf_negbin,
     log_pmf_poisson,
-    negbin_quantile,
     sample_beta,
     sample_gamma,
-    sample_mv_normal,
-    sample_truncated_gamma,
 )
 from oracles import negbin_pmf_binomial_coefficient
 
@@ -80,7 +77,7 @@ class TestNegBinLogPmf:
 
     def test_sums_to_one(self):
         params = NegBinParams(3.7, 0.2)
-        k = negbin_quantile(1.0 - 1e-12, params) + 10
+        k = int(stats.nbinom.ppf(1.0 - 1e-12, params.r, params.p)) + 10
         total = np.exp(log_pmf_negbin(np.arange(k + 1), params)).sum()
         assert total >= 1.0 - 1e-9
 
@@ -134,70 +131,6 @@ class TestGammaSampler:
             GammaParams(1.0, -2.0)
 
 
-class TestTruncatedGammaSampler:
-    def test_no_truncation_matches_gamma_bitwise(self):
-        params = GammaParams(2.5, 1.5)
-        a = sample_gamma(params, RngStream(5), size=100)
-        b = sample_truncated_gamma(TruncatedGammaParams(params, 0.0), RngStream(5), size=100)
-        assert np.array_equal(a, b)
-
-    def test_support_above_high_quantile(self):
-        base = GammaParams(2.0, 1.0)
-        lower = special.gammaincinv(2.0, 0.99) / 1.0
-        rng = RngStream(11)
-        draws = sample_truncated_gamma(TruncatedGammaParams(base, lower), rng, size=10_000)
-        assert np.all(draws > lower)
-
-    def test_mean_matches_quadrature(self):
-        base = GammaParams(3.0, 2.0)
-        lower = 2.2
-        rng = RngStream(31)
-        draws = sample_truncated_gamma(TruncatedGammaParams(base, lower), rng, size=400_000)
-
-        pdf = lambda x: np.exp(log_pdf_gamma(x, base))
-        mass, _ = integrate.quad(pdf, lower, np.inf)
-        mean_num, _ = integrate.quad(lambda x: x * pdf(x), lower, np.inf)
-        expected = mean_num / mass
-        se = draws.std() / math.sqrt(len(draws))
-        assert abs(draws.mean() - expected) < 3.5 * se
-
-    def test_ks_against_renormalized_cdf(self):
-        base = GammaParams(1.4, 0.8)
-        lower = 1.0
-        rng = RngStream(17)
-        draws = sample_truncated_gamma(TruncatedGammaParams(base, lower), rng, size=100_000)
-        tail = special.gammaincc(1.4, 0.8 * lower)
-
-        def cdf(x):
-            return (special.gammainc(1.4, 0.8 * np.maximum(x, lower)) - (1.0 - tail)) / tail
-
-        stat = stats.kstest(draws, cdf).statistic
-        assert stat < KS_CRITICAL_5PCT / math.sqrt(len(draws))
-
-    def test_deep_tail_uses_rejection_and_stays_in_support(self):
-        base = GammaParams(5.0, 2.0)
-        lower = 60.0  # tail mass ~ 1e-43, far past inverse-cdf territory
-        assert special.gammaincc(5.0, 2.0 * lower) < 1e-12
-        rng = RngStream(23)
-        draws = sample_truncated_gamma(TruncatedGammaParams(base, lower), rng, size=5_000)
-        assert np.all(draws > lower)
-        # conditional density near the cut decays like exp(-lam (x-lo)); check
-        # the empirical mean against quadrature using mpmath for the tiny mass
-        import mpmath
-
-        mpmath.mp.dps = 60
-        a, b, lo = mpmath.mpf(5.0), mpmath.mpf(2.0), mpmath.mpf(60.0)
-        mass = mpmath.gammainc(a, b * lo) / mpmath.gamma(a)
-        mean_num = mpmath.gammainc(a + 1, b * lo) / mpmath.gamma(a) / b
-        expected = float(mean_num / mass)
-        se = draws.std() / math.sqrt(len(draws))
-        assert abs(draws.mean() - expected) < 4 * se
-
-    def test_negative_lower_rejected(self):
-        with pytest.raises(DomainError):
-            TruncatedGammaParams(GammaParams(1.0, 1.0), -0.1)
-
-
 class TestBetaSampler:
     def test_symmetric_mean(self):
         rng = RngStream(3)
@@ -219,31 +152,11 @@ class TestBetaSampler:
         assert stat < KS_CRITICAL_5PCT / math.sqrt(len(draws))
 
 
-class TestMvNormalSampler:
-    def test_univariate_standard(self):
-        rng = RngStream(8)
-        draws = np.array([sample_mv_normal([0.0], [[1.0]], rng)[0] for _ in range(20_000)])
-        assert abs(draws.mean()) < 3 / math.sqrt(len(draws))
-        assert abs(draws.var() - 1.0) < 0.05
-
-    def test_identity_covariance_independent(self):
-        rng = RngStream(9)
-        draws = sample_mv_normal(np.zeros(3), np.eye(3), rng, size=100_000)
-        corr = np.corrcoef(draws.T)
-        off = corr[np.triu_indices(3, 1)]
-        assert np.all(np.abs(off) < 0.02)
-
-    def test_correlation_recovered(self):
-        rng = RngStream(10)
-        cov = np.array([[1.0, 0.8], [0.8, 1.0]])
-        draws = sample_mv_normal(np.zeros(2), cov, rng, size=200_000)
-        corr = np.corrcoef(draws.T)[0, 1]
-        assert corr == pytest.approx(0.8, abs=0.01)
-
+class TestCholeskyOrRaise:
     def test_non_pd_raises_with_matrix(self):
         bad = np.array([[1.0, 2.0], [2.0, 1.0]])
         with pytest.raises(NotPositiveDefiniteError) as exc:
-            sample_mv_normal(np.zeros(2), bad, RngStream(1))
+            cholesky_or_raise(bad)
         assert np.array_equal(exc.value.matrix, bad)
 
 
@@ -268,12 +181,18 @@ class TestGammaLogPdf:
         assert log_pdf_gamma(-1.0, GammaParams(2.0, 1.0)) == -np.inf
 
 
+def _negbin_quantile(q: float, params: NegBinParams) -> int:
+    """Quantile of one negative binomial through a one-row forecast mixture."""
+    dist = ForecastDistribution(origin=1, components=np.array([[params.r, params.p]]))
+    return dist.quantile(q)
+
+
 class TestNegBinQuantile:
     def test_small_q_gives_zero(self):
-        assert negbin_quantile(1e-12, NegBinParams(2.0, 0.3)) == 0
+        assert _negbin_quantile(1e-12, NegBinParams(2.0, 0.3)) == 0
 
     def test_geometric_median(self):
-        assert negbin_quantile(0.5, NegBinParams(1.0, 0.5)) == 0
+        assert _negbin_quantile(0.5, NegBinParams(1.0, 0.5)) == 0
 
     def test_matches_linear_scan(self):
         rng = np.random.default_rng(42)
@@ -284,7 +203,7 @@ class TestNegBinQuantile:
             pmfs = np.exp(log_pmf_negbin(np.arange(100_000), params))
             cdf = np.cumsum(pmfs)
             expected = int(np.searchsorted(cdf, q))
-            got = negbin_quantile(q, params)
+            got = _negbin_quantile(q, params)
             if got != expected:
                 # the two cdf evaluations can disagree in the last ulp when q
                 # falls exactly on a cdf value; only a genuine tie is allowed
@@ -296,7 +215,7 @@ class TestNegBinQuantile:
 
     def test_invalid_q(self):
         with pytest.raises(DomainError):
-            negbin_quantile(0.0, NegBinParams(1.0, 0.5))
+            _negbin_quantile(0.0, NegBinParams(1.0, 0.5))
 
 
 class TestDeterminism:
@@ -326,7 +245,9 @@ class TestDeterminism:
 
 class TestPoissonParams:
     def test_cdf_and_pmf_consistent(self):
-        p = PoissonParams(3.5)
-        pmfs = np.exp([p.log_pmf(n) for n in range(20)])
-        assert p.cdf(19) == pytest.approx(pmfs.sum(), rel=1e-12)
-        assert p.cdf(-1) == 0.0
+        # a one-row Poisson forecast mixture is the Poisson law itself
+        dist = ForecastDistribution(origin=1, components=np.array([3.5]))
+        pmfs = np.array([dist.pmf(n) for n in range(20)])
+        assert pmfs == pytest.approx(np.exp(log_pmf_poisson(np.arange(20), 3.5)), rel=1e-12)
+        assert dist.cdf(19) == pytest.approx(pmfs.sum(), rel=1e-12)
+        assert dist.cdf(-1) == 0.0

@@ -83,6 +83,12 @@ class TestLogTargetStatic:
         series = _series([1])
         assert log_target_static(np.zeros(0), 1.5, series, DesignMatrix.empty(1), PriorConfig()) == -np.inf
 
+    def test_underflowing_multipliers_out_of_support(self):
+        # eta = -800 < -745: exp(eta) underflows to 0.0, which the filter rejects
+        series = _series([2, 0, 5])
+        design = DesignMatrix(("x",), np.ones((3, 1)))
+        assert log_target_static(np.array([-800.0]), 0.5, series, design, PriorConfig()) == -np.inf
+
 
 class TestFindModeAndHessian:
     def test_gaussian_quadratic(self):
