@@ -69,6 +69,7 @@ from .model import (
     build_design,
     simulate_cohort,
     simulate_dm5_coefficients,
+    standardize_covariates,
 )
 
 __version__ = "0.1.0"

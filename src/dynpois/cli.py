@@ -26,7 +26,6 @@ from .mcmc import (
     diagnostics,
     fit_variant,
     posterior_summary,
-    with_intercept,
 )
 from .model import (
     MODEL_VARIANTS,
@@ -35,6 +34,7 @@ from .model import (
     build_design,
     simulate_cohort,
     simulate_dm5_coefficients,
+    standardize_covariates,
 )
 
 DEFAULT_CONFIG = {
@@ -194,33 +194,29 @@ def _mh_from_config(block: dict, seed: int) -> MhConfig:
         raise io.ValidationError(f"mcmc config: {exc}") from None
 
 
-def spec_for_variant(variant: str, covariate_names) -> ModelSpec:
-    covariate_names = tuple(covariate_names)
-    if variant == "DM1" or variant == "EWMA":
-        return ModelSpec(variant)
-    if variant == "DM3":
-        return ModelSpec(variant, covariate_names, trend_order=2)
-    if variant == "DM4":
-        return ModelSpec(variant, covariate_names, seasonal=True)
-    return ModelSpec(variant, covariate_names)
-
-
-def _selected_covariates(cfg: dict, available: dict, variant: str) -> tuple:
+def _selected_covariates(cfg: dict, available: dict, variant: str) -> ModelSpec:
     if variant in ("DM1", "EWMA"):
-        return ()
+        return ModelSpec(variant)
     requested = tuple(cfg["covariate_columns"])
-    if not requested:
-        return tuple(available.keys())
     for name in requested:
         if name not in available:
             raise io.ValidationError(f"covariate column {name!r} not present in the data")
-    return requested
+    return ModelSpec(variant, requested or tuple(available))
+
+
+def _standardized(cfg, covariates: dict) -> dict:
+    return standardize_covariates(covariates) if cfg["standardize_covariates"] else covariates
 
 
 def _load_data(args, cfg):
     if not args.data:
         raise io.ValidationError("this command requires --data <csv>")
-    return io.ingest_csv(args.data)
+    series, covariates = io.ingest_csv(args.data)
+    return series, _standardized(cfg, covariates)
+
+
+def _design(cfg, covariates, spec, T):
+    return build_design(covariates, spec, T, start_month=int(cfg["start_month"]))
 
 
 def run_command(argv) -> tuple:
@@ -291,8 +287,7 @@ def _cmd_simulate(args, cfg, out_dir) -> RunArtifacts:
         n_cov = 0
     elif n_cov is None:
         # whatever beta leaves over after trend/seasonal terms
-        fixed = (2 if variant == "DM3" else 0) + (11 if variant == "DM4" else 0)
-        n_cov = len(beta) - fixed
+        n_cov = len(beta) - ModelSpec(variant).p
     n_cov = int(n_cov)
     if n_cov < 0:
         raise io.ValidationError("simulate.beta is shorter than the trend/seasonal terms require")
@@ -302,11 +297,9 @@ def _cmd_simulate(args, cfg, out_dir) -> RunArtifacts:
         name: cov_rng.generator.normal(0.0, float(sim["covariate_sd"]), size=T)
         for name in cov_names
     }
-    spec = spec_for_variant(variant, cov_names)
-    design = build_design(
-        covariates, spec, T, start_month=int(cfg["start_month"]),
-        standardize=bool(cfg["standardize_covariates"]),
-    )
+    spec = ModelSpec(variant, cov_names)
+    # cohort.csv keeps the raw covariates
+    design = _design(cfg, _standardized(cfg, covariates), spec, T)
     if variant != "DM1" and len(beta) != design.p:
         raise io.ValidationError(
             f"simulate.beta has {len(beta)} entries but the design needs {design.p}"
@@ -346,12 +339,8 @@ def _fit_draws(cfg, series, covariates, rng):
     variant = cfg["model"]
     if variant == "EWMA":
         raise io.ValidationError("EWMA is a forecasting benchmark; use the forecast command")
-    names = _selected_covariates(cfg, covariates, variant)
-    spec = spec_for_variant(variant, names)
-    design = build_design(
-        covariates, spec, series.T, start_month=int(cfg["start_month"]),
-        standardize=bool(cfg["standardize_covariates"]),
-    )
+    spec = _selected_covariates(cfg, covariates, variant)
+    design = _design(cfg, covariates, spec, series.T)
     priors = _prior_from_config(cfg)
     config = _mh_from_config(cfg["mcmc"], cfg["seed"])
     draws = fit_variant(spec, series, design, priors, config, rng, smooth=bool(cfg["smooth"]))
@@ -375,7 +364,7 @@ def _cmd_fit(args, cfg, out_dir) -> RunArtifacts:
     if draws.theta is not None:
         artifacts.fit_table = io.fit_csv_rows(series.counts, draws.theta)
     elif draws.variant == "BPM":
-        rates = np.exp(draws.beta @ with_intercept(design).rows.T)
+        rates = np.exp(draws.beta @ design.rows.T)
         artifacts.fit_table = io.fit_csv_rows(series.counts, rates)
     return artifacts
 
@@ -395,12 +384,8 @@ def _cmd_forecast(args, cfg, out_dir) -> RunArtifacts:
     if fc["start_origin"] is None or fc["end_origin"] is None:
         raise io.ValidationError("forecast.start_origin and forecast.end_origin are required")
     window = (int(fc["start_origin"]), int(fc["end_origin"]))
-    names = _selected_covariates(cfg, covariates, variant)
-    spec = spec_for_variant(variant, names)
-    design = build_design(
-        covariates, spec, series.T, start_month=int(cfg["start_month"]),
-        standardize=bool(cfg["standardize_covariates"]),
-    )
+    spec = _selected_covariates(cfg, covariates, variant)
+    design = _design(cfg, covariates, spec, series.T)
     priors = _prior_from_config(cfg)
     config = _mh_from_config(fc["mcmc"], cfg["seed"])
     report = sequential_harness(series, design, spec, priors, config, window, rng=_rng(cfg))
@@ -424,8 +409,7 @@ def _cmd_compare(args, cfg, out_dir) -> RunArtifacts:
     for variant in roster:
         if variant not in MODEL_VARIANTS:
             raise io.ValidationError(f"unknown model {variant!r} in compare.models")
-        names = _selected_covariates(cfg, covariates, variant)
-        specs.append(spec_for_variant(variant, names))
+        specs.append(_selected_covariates(cfg, covariates, variant))
     priors = _prior_from_config(cfg)
     report = compare_models(
         series,

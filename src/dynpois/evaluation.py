@@ -17,7 +17,6 @@ from .mcmc import (
     MhConfig,
     PosteriorDraws,
     fit_variant,
-    with_intercept,
 )
 from .model import (
     CountSeries,
@@ -223,8 +222,7 @@ def _forecast_distribution_at(
 ) -> ForecastDistribution:
     z_next = design.rows[origin - 1]
     if spec.variant == "BPM":
-        full_next = np.concatenate([[1.0], z_next])
-        return ForecastDistribution(origin=origin, components=np.exp(draws.beta @ full_next))
+        return ForecastDistribution(origin=origin, components=np.exp(draws.beta @ z_next))
 
     # keep only the end states: the (S, T+1) trajectories would add to peak memory
     a, b = np.empty(draws.S), np.empty(draws.S)
@@ -410,8 +408,7 @@ def per_draw_log_predictives(
     """
     counts = series.counts
     if draws.variant == "BPM":
-        full = with_intercept(design)
-        eta = draws.beta @ full.rows.T  # (S, T)
+        eta = draws.beta @ design.rows.T  # (S, T)
         return counts * eta - np.exp(eta) - special.gammaln(counts + 1.0)
     return np.concatenate(
         [

@@ -62,14 +62,6 @@ class MhConfig:
     def n_retained(self) -> int:
         return len(range(self.burn_in, self.iterations, self.thinning))
 
-    @staticmethod
-    def static_default(seed: int = 0) -> "MhConfig":
-        return MhConfig(iterations=10_000, burn_in=2_000, thinning=1, seed=seed)
-
-    @staticmethod
-    def dm5_default(seed: int = 0) -> "MhConfig":
-        return MhConfig(iterations=80_000, burn_in=30_000, thinning=10, seed=seed)
-
 
 @dataclass
 class PosteriorDraws:
@@ -538,12 +530,6 @@ def fit_dm5(
     )
 
 
-def with_intercept(design: DesignMatrix) -> DesignMatrix:
-    """Prepend a constant column; the regression benchmark is misspecified without one."""
-    rows = np.column_stack([np.ones(design.T), design.rows])
-    return DesignMatrix(("intercept", *design.column_names), rows, design.standardized)
-
-
 def log_target_bpm(
     beta: np.ndarray, series: CountSeries, design: DesignMatrix, priors: PriorConfig
 ) -> float:
@@ -560,19 +546,20 @@ def fit_bpm(
     config: MhConfig,
     rng: RngStream,
 ) -> PosteriorDraws:
-    """Metropolis fit of the Poisson-regression benchmark; an intercept column is
-    added in front of the supplied design."""
-    full = with_intercept(design)
+    """Metropolis fit of the Poisson-regression benchmark on a design built for
+    BPM, whose first column is the intercept."""
+    if design.column_names[:1] != ("intercept",):
+        raise DomainError("the BPM design must start with the intercept column")
 
     def target(b):
-        return log_target_bpm(b, series, full, priors)
+        return log_target_bpm(b, series, design, priors)
 
-    res = _mode_then_chain(target, np.zeros(full.p), config, rng.substream(0))
+    res = _mode_then_chain(target, np.zeros(design.p), config, rng.substream(0))
     return PosteriorDraws(
         beta=res.draws,
         gamma=None,
         acceptance_rate=res.acceptance_rate,
-        beta_names=full.column_names,
+        beta_names=design.column_names,
         variant="BPM",
     )
 

@@ -1,9 +1,9 @@
 """Domain types, design-matrix construction and the generative cohort simulator.
 
 A cohort is one monthly series of nonnegative default counts. Covariates enter
-through a design matrix whose columns are, in order: selected raw covariates,
-polynomial trend terms, then eleven monthly indicator columns (December is the
-reference month).
+through a design matrix whose columns the model variant alone decides: an
+intercept (BPM), the selected covariates, the trend terms t and t^2 (DM3), then
+eleven monthly indicators with December as reference (DM4).
 """
 
 from __future__ import annotations
@@ -74,7 +74,6 @@ class DesignMatrix:
 
     column_names: tuple
     rows: np.ndarray
-    standardized: bool = False
 
     def __post_init__(self):
         rows = np.asarray(self.rows, dtype=float)
@@ -96,7 +95,7 @@ class DesignMatrix:
         return self.rows.shape[1]
 
     def head(self, t: int) -> "DesignMatrix":
-        return DesignMatrix(self.column_names, self.rows[:t], self.standardized)
+        return DesignMatrix(self.column_names, self.rows[:t])
 
     @staticmethod
     def empty(T: int) -> "DesignMatrix":
@@ -105,29 +104,33 @@ class DesignMatrix:
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """Which model variant to run and how its design matrix is assembled."""
+    """A model variant and the covariates it uses; the variant fixes the other columns."""
 
     variant: str
     covariate_columns: tuple = ()
-    trend_order: int = 0
-    seasonal: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "covariate_columns", tuple(self.covariate_columns))
         if self.variant not in MODEL_VARIANTS:
             raise DomainError(f"unknown model variant {self.variant!r}")
-        if self.trend_order not in (0, 1, 2):
-            raise DomainError("trend_order must be 0, 1 or 2")
-        if self.variant == "DM1" and self.p != 0:
-            raise DomainError("DM1 takes no covariates, trend or seasonal terms")
-        if self.variant == "DM3" and self.trend_order != 2:
-            raise DomainError("DM3 requires trend_order=2")
-        if self.variant == "DM4" and not self.seasonal:
-            raise DomainError("DM4 requires seasonal=True")
+        if self.variant == "DM1" and self.covariate_columns:
+            raise DomainError("DM1 takes no covariates")
+
+    @property
+    def intercept(self) -> bool:
+        return self.variant == "BPM"
+
+    @property
+    def trend_order(self) -> int:
+        return 2 if self.variant == "DM3" else 0
+
+    @property
+    def seasonal(self) -> bool:
+        return self.variant == "DM4"
 
     @property
     def p(self) -> int:
-        return len(self.covariate_columns) + self.trend_order + (11 if self.seasonal else 0)
+        return self.intercept + len(self.covariate_columns) + self.trend_order + 11 * self.seasonal
 
 
 @dataclass(frozen=True)
@@ -190,23 +193,30 @@ class SimTruth:
                 raise DomainError("theta path violates the ordering theta_t < theta_{t-1}/gamma")
 
 
+def standardize_covariates(raw_covariates: dict) -> dict:
+    """Centre each column and scale it to unit sd; a constant column is only centred."""
+    out = {}
+    for name, col in raw_covariates.items():
+        col = np.asarray(col, dtype=float)
+        out[name] = (col - col.mean()) / (col.std() or 1.0)
+    return out
+
+
 def build_design(
-    raw_covariates: dict,
-    spec: ModelSpec,
-    T: int,
-    start_month: int = 1,
-    reference_month: int = 12,
-    standardize: bool = False,
+    raw_covariates: dict, spec: ModelSpec, T: int, start_month: int = 1
 ) -> DesignMatrix:
     """Assemble the design matrix for a model variant.
 
-    Column order is covariates, trend, seasonals. Trend columns are (t, t^2, ...)
-    up to trend_order. Seasonal columns are indicators for the eleven calendar
-    months other than ``reference_month``; month index t maps to calendar month
-    ((start_month - 1 + t - 1) mod 12) + 1.
+    Column order is intercept, covariates, trend, seasonals. Trend columns are
+    (t, t^2, ...) up to trend_order. Seasonal columns are indicators for the
+    eleven calendar months other than December; month index t maps to calendar
+    month ((start_month - 1 + t - 1) mod 12) + 1.
     """
     cols = []
     names = []
+    if spec.intercept:
+        cols.append(np.ones(T))
+        names.append("intercept")
     for name in spec.covariate_columns:
         if name not in raw_covariates:
             raise DomainError(f"unknown covariate column {name!r}")
@@ -215,9 +225,6 @@ def build_design(
             raise DomainError(f"covariate {name!r} has length {len(col)}, expected {T}")
         if not np.all(np.isfinite(col)):
             raise DomainError(f"covariate {name!r} contains non-finite values")
-        if standardize:
-            sd = col.std()
-            col = (col - col.mean()) / (sd if sd > 0 else 1.0)
         cols.append(col)
         names.append(name)
 
@@ -228,13 +235,12 @@ def build_design(
 
     if spec.seasonal:
         calendar = ((start_month - 1 + np.arange(T)) % 12) + 1
-        season_months = [m for m in range(1, 13) if m != reference_month]
-        for m in season_months:
+        for m in range(1, 12):
             cols.append((calendar == m).astype(float))
             names.append(f"month{m}")
 
     rows = np.column_stack(cols) if cols else np.zeros((T, 0))
-    return DesignMatrix(tuple(names), rows, standardized=standardize)
+    return DesignMatrix(tuple(names), rows)
 
 
 def linear_predictor(design: DesignMatrix, beta: np.ndarray) -> np.ndarray:

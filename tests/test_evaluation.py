@@ -259,8 +259,9 @@ class TestCpoLogSum:
         series = _series(counts)
         priors = PriorConfig(beta_sd=10.0)
         cfg = MhConfig(iterations=60_000, burn_in=10_000)
-        draws = fit_bpm(series, DesignMatrix.empty(3), priors, cfg, RngStream(31))
-        log_f = per_draw_log_predictives(series, DesignMatrix.empty(3), draws, priors)
+        design = build_design({}, ModelSpec("BPM"), 3)
+        draws = fit_bpm(series, design, priors, cfg, RngStream(31))
+        log_f = per_draw_log_predictives(series, design, draws, priors)
 
         beta = np.linspace(-4, 6, 20_001)
         log_prior = -0.5 * beta**2 / 100.0
@@ -327,7 +328,7 @@ class TestBayesFactor:
 class TestPerDrawLogPredictives:
     def test_bpm_rows_are_poisson_pmfs(self):
         series = _series([2, 5])
-        design = DesignMatrix.empty(2)
+        design = build_design({}, ModelSpec("BPM"), 2)
         draws = PosteriorDraws(
             beta=np.array([[1.0], [0.5]]),
             gamma=None,

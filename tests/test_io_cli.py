@@ -315,6 +315,42 @@ class TestRunCommandForecastAndCompare:
         assert not (out / "summary.csv").exists()
 
 
+class TestStandardizeCovariates:
+    @pytest.mark.parametrize("command", ["fit", "compare"])
+    def test_flag_equals_prestandardized_csv(self, tmp_path, command):
+        """standardize_covariates: true gives the outputs of the same run on a
+        CSV whose covariate was standardized before writing, with the flag off."""
+        sim_cfg = _write(tmp_path, "sim.json", json.dumps({
+            "simulate": {"T": 35, "gamma": 0.6, "beta": [0.2], "n_covariates": 1, "covariate_sd": 3.0},
+            "prior": {"a0": 80.0, "b0": 2.0},
+        }))
+        code, _ = run_command(["simulate", "--config", str(sim_cfg), "--model", "DM2",
+                               "--seed", "5", "--out", str(tmp_path / "sim")])
+        assert code == 0
+        raw = tmp_path / "sim" / "cohort.csv"
+        header, *lines = raw.read_text().splitlines()
+        rows = [line.split(",") for line in lines]
+        z = np.array([float(r[2]) for r in rows])
+        for r, v in zip(rows, (z - z.mean()) / z.std()):
+            r[2] = format_number(v)
+        prestandardized = _write(tmp_path, "std.csv", "\n".join([header, *(",".join(r) for r in rows)]) + "\n")
+
+        base = {
+            "prior": {"a0": 80.0, "b0": 2.0},
+            "mcmc": {"iterations": 400, "burn_in": 100, "thinning": 1, "proposal_scale": 1.0},
+            "compare": {"models": ["DM2", "BPM"]},
+        }
+        outputs = []
+        for data, flag in ((raw, True), (prestandardized, False)):
+            cfg = _write(tmp_path, f"{flag}.json", json.dumps({**base, "standardize_covariates": flag}))
+            out = tmp_path / f"out_{flag}"
+            code, _ = run_command([command, "--config", str(cfg), "--model", "DM2", "--seed", "4",
+                                   "--data", str(data), "--out", str(out)])
+            assert code == 0
+            outputs.append({p.name: p.read_bytes() for p in out.iterdir() if p.name != "resolved_config.json"})
+        assert outputs[0] == outputs[1]
+
+
 class TestEmitReports:
     def test_empty_forecast_window_header_only(self, tmp_path):
         report = ForecastReport(

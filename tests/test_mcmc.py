@@ -20,7 +20,6 @@ from dynpois.mcmc import (
     posterior_summary,
     rw_metropolis,
     tau_full_conditional,
-    with_intercept,
 )
 from dynpois.model import (
     CountSeries,
@@ -189,10 +188,6 @@ class TestMhConfig:
         with pytest.raises(DomainError):
             MhConfig(proposal_scale=0.0)
 
-    def test_defaults(self):
-        assert MhConfig.static_default().iterations == 10_000
-        assert MhConfig.dm5_default().thinning == 10
-
 
 class TestFitDmStatic:
     def test_grid_prior_route(self):
@@ -315,7 +310,7 @@ class TestFitBpm:
     def test_intercept_only_matches_poisson_mle(self):
         counts = [4, 7, 5, 6, 8, 4, 6]
         series = _series(counts)
-        design = DesignMatrix.empty(len(counts))
+        design = build_design({}, ModelSpec("BPM"), len(counts))
         priors = PriorConfig(beta_sd=50.0)
         cfg = MhConfig(iterations=20_000, burn_in=4_000)
         draws = fit_bpm(series, design, priors, cfg, RngStream(10))
@@ -327,7 +322,7 @@ class TestFitBpm:
 
     def test_single_point_matches_quadrature(self):
         series = _series([5])
-        design = DesignMatrix.empty(1)
+        design = build_design({}, ModelSpec("BPM"), 1)
         priors = PriorConfig(beta_sd=10.0)
         cfg = MhConfig(iterations=40_000, burn_in=5_000)
         draws = fit_bpm(series, design, priors, cfg, RngStream(11))
@@ -339,11 +334,16 @@ class TestFitBpm:
 
     def test_seeded_reproducibility(self):
         series = _series([3, 5, 2])
-        design = DesignMatrix.empty(3)
+        design = build_design({}, ModelSpec("BPM"), 3)
         cfg = MhConfig(iterations=500, burn_in=100)
         a = fit_bpm(series, design, PriorConfig(), cfg, RngStream(12))
         b = fit_bpm(series, design, PriorConfig(), cfg, RngStream(12))
         assert np.array_equal(a.beta, b.beta)
+
+    def test_design_without_intercept_rejected(self):
+        design = build_design({"x": np.ones(3)}, ModelSpec("DM2", ("x",)), 3)
+        with pytest.raises(DomainError):
+            fit_bpm(_series([3, 5, 2]), design, PriorConfig(), MhConfig(), RngStream(12))
 
 
 class TestFitDm5:
@@ -450,10 +450,3 @@ class TestDiagnosticsAndSummary:
         names = [r["parameter"] for r in posterior_summary(draws)]
         assert names == ["gamma", "tau_z"]
 
-
-class TestWithIntercept:
-    def test_prepends_constant(self):
-        design = DesignMatrix(("x",), np.arange(3.0).reshape(3, 1))
-        full = with_intercept(design)
-        assert full.column_names == ("intercept", "x")
-        assert np.all(full.rows[:, 0] == 1.0)

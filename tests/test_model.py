@@ -7,12 +7,14 @@ from dynpois.kernels import DomainError, RngStream
 from dynpois.model import (
     CountSeries,
     DesignMatrix,
+    MODEL_VARIANTS,
     ModelSpec,
     PriorConfig,
     build_design,
     linear_predictor,
     simulate_cohort,
     simulate_dm5_coefficients,
+    standardize_covariates,
 )
 
 
@@ -53,16 +55,16 @@ class TestModelSpec:
             ModelSpec("DM1", ("x",))
 
     def test_dm3_requires_quadratic_trend(self):
-        with pytest.raises(DomainError):
-            ModelSpec("DM3", ("x",), trend_order=1)
+        spec = ModelSpec("DM3", ("x",))
+        assert (spec.trend_order, spec.seasonal, spec.intercept) == (2, False, False)
 
     def test_dm4_requires_seasonal(self):
-        with pytest.raises(DomainError):
-            ModelSpec("DM4", ("x",))
+        spec = ModelSpec("DM4", ("x",))
+        assert (spec.trend_order, spec.seasonal, spec.intercept) == (0, True, False)
 
     def test_dimension(self):
-        spec = ModelSpec("DM4", ("x", "y"), seasonal=True)
-        assert spec.p == 2 + 11
+        assert ModelSpec("DM4", ("x", "y")).p == 2 + 11
+        assert ModelSpec("BPM", ("x",)).p == 1 + 1
 
     def test_unknown_variant(self):
         with pytest.raises(DomainError):
@@ -88,31 +90,36 @@ class TestPriorConfig:
 
 class TestBuildDesign:
     def test_december_reference_has_zero_dummies(self):
-        spec = ModelSpec("DM4", (), seasonal=True)
-        design = build_design({}, spec, 12)
+        design = build_design({}, ModelSpec("DM4"), 12)
         assert np.all(design.rows[11] == 0.0)  # month 12 is December
 
     def test_january_indicator(self):
-        spec = ModelSpec("DM4", (), seasonal=True)
-        design = build_design({}, spec, 12)
+        design = build_design({}, ModelSpec("DM4"), 12)
         expected = np.zeros(11)
         expected[0] = 1.0
         assert np.array_equal(design.rows[0], expected)
 
     def test_quadratic_trend_cells(self):
-        spec = ModelSpec("DM3", (), trend_order=2)
-        design = build_design({}, spec, 5)
+        design = build_design({}, ModelSpec("DM3"), 5)
         assert tuple(design.rows[2]) == (3.0, 9.0)
         assert design.column_names == ("trend", "trend2")
 
-    def test_column_order_covariates_trend_seasonal(self):
-        spec = ModelSpec("DM4", ("u", "v"), trend_order=1, seasonal=True)
-        cov = {"u": np.arange(24.0), "v": np.ones(24)}
-        design = build_design(cov, spec, 24)
-        assert design.column_names[:2] == ("u", "v")
-        assert design.column_names[2] == "trend"
-        assert design.column_names[3:] == tuple(f"month{m}" for m in range(1, 12))
-        assert design.p == 2 + 1 + 11
+    @pytest.mark.parametrize("variant", MODEL_VARIANTS)
+    def test_variant_columns(self, variant):
+        covariates = () if variant == "DM1" else ("u", "v")
+        spec = ModelSpec(variant, covariates)
+        design = build_design({"u": np.arange(24.0), "v": np.ones(24)}, spec, 24)
+        expected = {
+            "BPM": ("intercept", "u", "v"),
+            "DM1": (),
+            "DM3": ("u", "v", "trend", "trend2"),
+            "DM4": ("u", "v", *(f"month{m}" for m in range(1, 12))),
+        }.get(variant, ("u", "v"))
+        assert design.column_names == expected
+        assert design.p == spec.p == len(expected)
+        if variant == "BPM":
+            assert np.all(design.rows[:, 0] == 1.0)
+            assert np.array_equal(design.rows[:, 1], np.arange(24.0))
 
     def test_unknown_column(self):
         with pytest.raises(DomainError):
@@ -123,8 +130,7 @@ class TestBuildDesign:
             build_design({"x": np.ones(4)}, ModelSpec("DM2", ("x",)), 5)
 
     def test_start_month_offset(self):
-        spec = ModelSpec("DM4", (), seasonal=True)
-        design = build_design({}, spec, 2, start_month=12)
+        design = build_design({}, ModelSpec("DM4"), 2, start_month=12)
         assert np.all(design.rows[0] == 0.0)  # begins in December
         assert design.rows[1][0] == 1.0  # then January
 
@@ -135,11 +141,15 @@ class TestBuildDesign:
         b = build_design(cov, spec, 6)
         assert np.array_equal(a.rows, b.rows)
 
-    def test_standardize_flag_recorded(self):
-        cov = {"x": np.array([1.0, 2.0, 3.0, 4.0])}
-        design = build_design(cov, ModelSpec("DM2", ("x",)), 4, standardize=True)
-        assert design.standardized
-        assert design.rows[:, 0].mean() == pytest.approx(0.0, abs=1e-12)
+
+class TestStandardizeCovariates:
+    def test_unit_scale_and_constant_column_centred(self):
+        raw = {"x": np.array([1.0, 2.0, 3.0, 4.0]), "c": np.full(4, 5.0)}
+        out = standardize_covariates(raw)
+        assert out["x"].mean() == pytest.approx(0.0, abs=1e-12)
+        assert out["x"].std() == pytest.approx(1.0, rel=1e-12)
+        assert np.array_equal(out["c"], np.zeros(4))
+        assert np.array_equal(raw["x"], [1.0, 2.0, 3.0, 4.0])  # input untouched
 
 
 class TestSimulateCohort:
