@@ -7,6 +7,7 @@ Poisson mixture and the random-walk coefficient step that DM1 never reaches.
 The design columns of every variant are pinned too: the gate-11 fit for BPM,
 DM3 and DM4 and for DM2 on standardized covariates, a DM4 simulation that
 infers its covariate count from ``beta``, and a compare over DM1-DM4 and BPM.
+The gate-11 fit for DM5 pins the Gibbs sampler's draws and diagnostics.
 A change that is meant to alter outputs re-pins the file with
 
     PYTHONPATH=src python tests/test_golden.py
@@ -25,7 +26,7 @@ from test_acceptance import cli_gate_commands
 
 GOLDEN = Path(__file__).with_name("golden_digests.json")
 EXTRA_FORECAST_MODELS = ("DM2", "DM4", "BPM", "DM5")
-EXTRA_FIT_MODELS = ("BPM", "DM3", "DM4")
+EXTRA_FIT_MODELS = ("BPM", "DM3", "DM4", "DM5")
 
 
 def _swap(argv_fn, flag, value):
