@@ -310,10 +310,8 @@ def _cmd_simulate(args, cfg, out_dir) -> RunArtifacts:
         tau = np.asarray(sim["tau"], dtype=float)
         if tau.size != design.p:
             raise io.ValidationError("simulate.tau needs one precision per design column")
-        beta_path = simulate_dm5_coefficients(beta, tau, T, rng.substream(1))
-        truth = simulate_cohort(spec, priors, gamma, beta_path, design, T, rng.substream(2))
-    else:
-        truth = simulate_cohort(spec, priors, gamma, beta, design, T, rng.substream(2))
+        beta = simulate_dm5_coefficients(beta, tau, T, rng.substream(1))
+    truth = simulate_cohort(priors, gamma, beta, design, T, rng.substream(2))
 
     header = ["month_index", "count", *cov_names]
     rows = [

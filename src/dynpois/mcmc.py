@@ -404,6 +404,60 @@ def tau_full_conditional(beta_path: np.ndarray, priors: PriorConfig) -> GammaPar
     )
 
 
+def _coefficient_half_sweeps(
+    beta: np.ndarray,
+    Z: np.ndarray,
+    counts: np.ndarray,
+    theta: np.ndarray,
+    tau: np.ndarray,
+    prop_sd: np.ndarray,
+    prior_var: float,
+    gen: np.random.Generator,
+) -> int:
+    """Metropolis-update the (T, p) coefficient path in place; return the moves accepted.
+
+    Given the rates and precisions, month t's full conditional involves the
+    path only through months t-1 and t+1, which have the other parity. So all
+    even months move in one vectorised step and then all odd months in a
+    second, each month by its own accept test: a valid kernel for the same
+    target as a single-site sweep. Month 0's missing predecessor is the
+    N(0, prior_var) prior, and month T-1 has no successor. Each half draws
+    standard_normal((n, p)) and then random(n); a proposal whose rate
+    overflows scores -inf and is rejected.
+    """
+    T, p = beta.shape
+    prev_prec = np.tile(tau, (T, 1))
+    prev_prec[0] = 1.0 / prior_var
+    next_prec = np.tile(tau, (T, 1))
+    next_prec[-1] = 0.0
+    zero = np.zeros((1, p))
+    n_accept = 0
+    for start in (0, 1):
+        half = slice(start, None, 2)
+        # the path padded with a zero month on each side, so that month t's
+        # neighbours are path[t] and path[t + 2]
+        path = np.concatenate((zero, beta, zero))
+        prev, nxt = path[start:T:2], path[start + 2::2]
+        b_cur = beta[half]
+        b_prop = b_cur + prop_sd[half] * gen.standard_normal(b_cur.shape)
+        u = gen.random(len(b_cur))
+        eta_cur = np.sum(Z[half] * b_cur, axis=1)
+        eta_prop = np.sum(Z[half] * b_prop, axis=1)
+        with np.errstate(over="ignore"):
+            delta = counts[half] * (eta_prop - eta_cur) - theta[half] * (
+                np.exp(eta_prop) - np.exp(eta_cur)
+            )
+        delta -= 0.5 * np.sum(
+            prev_prec[half] * ((b_prop - prev) ** 2 - (b_cur - prev) ** 2)
+            + next_prec[half] * ((nxt - b_prop) ** 2 - (nxt - b_cur) ** 2),
+            axis=1,
+        )
+        accept = np.log(u) < delta
+        b_cur[accept] = b_prop[accept]  # b_cur is a view, so this writes beta
+        n_accept += int(np.count_nonzero(accept))
+    return n_accept
+
+
 def fit_dm5(
     series: CountSeries,
     design: DesignMatrix,
@@ -416,9 +470,10 @@ def fit_dm5(
 
     Each sweep updates, in order: the discount factor by a Metropolis step on
     the rate-integrated likelihood, the latent-rate path by backward sampling,
-    every month's coefficient vector by a single-site Metropolis step against
-    its Poisson term and random-walk neighbors, and the per-coefficient
-    precisions from their conjugate gamma conditionals.
+    the coefficient path by a checkerboard of Metropolis steps (every even
+    month in one vectorised step, then every odd month in another, each month
+    against its Poisson term and random-walk neighbors), and the
+    per-coefficient precisions from their conjugate gamma conditionals.
     """
     p = design.p
     if p < 1:
@@ -477,31 +532,12 @@ def fit_dm5(
         # latent rates given (beta, gamma)
         theta = ffbs_sample(traj, ffbs_rng)
 
-        # single-site sweep over the coefficient path
+        # checkerboard sweep over the coefficient path
         prop_sd = config.proposal_scale / np.sqrt(
             (counts[:, None] + 1.0) * Z**2 + 2.0 * tau[None, :]
         )
-        for t in range(T):
-            b_cur = beta[t]
-            b_prop = b_cur + prop_sd[t] * gen.standard_normal(p)
-            u = gen.random()
-            eta_cur = float(Z[t] @ b_cur)
-            eta_prop = float(Z[t] @ b_prop)
-            delta = counts[t] * (eta_prop - eta_cur) - theta[t] * (
-                math.exp(eta_prop) - math.exp(eta_cur)
-            )
-            if t == 0:
-                delta += -0.5 * float(np.sum(b_prop**2 - b_cur**2)) / prior_var
-            else:
-                prev = beta[t - 1]
-                delta += -0.5 * float(tau @ ((b_prop - prev) ** 2 - (b_cur - prev) ** 2))
-            if t < T - 1:
-                nxt = beta[t + 1]
-                delta += -0.5 * float(tau @ ((nxt - b_prop) ** 2 - (nxt - b_cur) ** 2))
-            if math.log(u) < delta:
-                beta[t] = b_prop
-                n_accept += 1
-            n_moves += 1
+        n_accept += _coefficient_half_sweeps(beta, Z, counts, theta, tau, prop_sd, prior_var, gen)
+        n_moves += T
 
         # random-walk precisions
         diffs = np.diff(beta, axis=0)

@@ -262,7 +262,6 @@ def linear_predictor(design: DesignMatrix, beta: np.ndarray) -> np.ndarray:
 
 
 def simulate_cohort(
-    spec: ModelSpec,
     priors: PriorConfig,
     true_gamma: float,
     true_beta: np.ndarray,

@@ -184,7 +184,7 @@ def test_06_parameter_recovery_coverage():
         }
         spec = ModelSpec("DM2", ("z1", "z2"))
         design = build_design(cov, spec, T)
-        truth = simulate_cohort(spec, priors, true_gamma, true_beta, design, T, rng.substream(3))
+        truth = simulate_cohort(priors, true_gamma, true_beta, design, T, rng.substream(3))
         cfg = MhConfig(iterations=9000, burn_in=2000)
         draws = fit_dm_static(truth.counts, design, spec, priors, cfg, rng.substream(4), smooth=False)
         for i in range(2):
@@ -213,7 +213,7 @@ def test_07_model_ranking():
         cov = {"z": rng.substream(1).generator.normal(size=T)}
         spec2 = ModelSpec("DM2", ("z",))
         design = build_design(cov, spec2, T)
-        truth = simulate_cohort(spec2, priors, 0.6, np.array([0.9]), design, T, rng.substream(2))
+        truth = simulate_cohort(priors, 0.6, np.array([0.9]), design, T, rng.substream(2))
         cfg = MhConfig(iterations=1500, burn_in=500)
         report = compare_models(truth.counts, cov, [ModelSpec("DM1"), spec2], priors, cfg, rng.substream(3))
         wins_ml += int(report.log_marginal_likelihood["DM2"] > report.log_marginal_likelihood["DM1"])
@@ -272,7 +272,7 @@ def test_10_dm5_tracks_drifting_coefficients():
         cov = {"z": rng.substream(1).generator.normal(size=T)}
         design = build_design(cov, ModelSpec("DM2", ("z",)), T)
         beta_path = np.linspace(-0.6, 0.6, T).reshape(-1, 1)
-        truth = simulate_cohort(ModelSpec("DM5", ("z",)), priors, 0.7, beta_path, design, T, rng.substream(2))
+        truth = simulate_cohort(priors, 0.7, beta_path, design, T, rng.substream(2))
         cfg5 = MhConfig(iterations=1200, burn_in=400)
         dm5 = fit_dm5(truth.counts, design, priors, cfg5, rng.substream(3), smooth=False)
         cfg2 = MhConfig(iterations=2000, burn_in=500)

@@ -362,7 +362,7 @@ class TestSequentialHarness:
         rng = RngStream(51)
         priors = PriorConfig(a0=60.0, b0=1.0, gamma_prior="grid", gamma_grid_step=0.05)
         truth = simulate_cohort(
-            ModelSpec("DM1"), priors, 0.6, np.zeros(0), DesignMatrix.empty(20), 20, rng.substream(0)
+            priors, 0.6, np.zeros(0), DesignMatrix.empty(20), 20, rng.substream(0)
         )
         cfg = MhConfig(iterations=400, burn_in=0)
         report = sequential_harness(
@@ -377,7 +377,7 @@ class TestSequentialHarness:
         rng = RngStream(52)
         priors = PriorConfig(a0=60.0, b0=1.0, gamma_prior="grid", gamma_grid_step=0.1)
         truth = simulate_cohort(
-            ModelSpec("DM1"), priors, 0.7, np.zeros(0), DesignMatrix.empty(15), 15, rng.substream(0)
+            priors, 0.7, np.zeros(0), DesignMatrix.empty(15), 15, rng.substream(0)
         )
         cfg = MhConfig(iterations=200, burn_in=0)
         r1 = sequential_harness(truth.counts, DesignMatrix.empty(15), ModelSpec("DM1"), priors, cfg, (13, 15), rng=RngStream(9))
@@ -401,7 +401,7 @@ class TestCompareModels:
         spec2 = ModelSpec("DM2", ("z",))
         design = build_design(cov, spec2, T)
         priors = PriorConfig(a0=120.0, b0=2.0)
-        truth = simulate_cohort(spec2, priors, 0.6, np.array([0.9]), design, T, rng.substream(2))
+        truth = simulate_cohort(priors, 0.6, np.array([0.9]), design, T, rng.substream(2))
         cfg = MhConfig(iterations=1500, burn_in=500)
         report = compare_models(
             truth.counts, cov, [ModelSpec("DM1"), spec2], priors, cfg, rng.substream(3)

@@ -1,6 +1,7 @@
 """Tests for the Metropolis/Gibbs machinery and the benchmark fitters."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from dynpois.mcmc import (
     FitError,
     MhConfig,
     PosteriorDraws,
+    _coefficient_half_sweeps,
     diagnostics,
     find_mode_and_hessian,
     fit_bpm,
@@ -252,7 +254,7 @@ class TestFitDmStatic:
         spec = ModelSpec("DM2", ("z1", "z2"))
         design = build_design(cov, spec, T)
         priors = PriorConfig(a0=150.0, b0=2.0)
-        truth = simulate_cohort(spec, priors, 0.6, np.array([0.6, -0.5]), design, T, rng.substream(3))
+        truth = simulate_cohort(priors, 0.6, np.array([0.6, -0.5]), design, T, rng.substream(3))
         cfg = MhConfig(iterations=4000, burn_in=1000)
         draws = fit_dm_static(truth.counts, design, spec, priors, cfg, rng.substream(4), smooth=False)
         for i, true_val in enumerate((0.6, -0.5)):
@@ -297,7 +299,7 @@ class TestFitDmStatic:
         spec = ModelSpec("DM2", ("z",))
         design = build_design(cov, spec, T)
         base = PriorConfig(a0=150.0, b0=2.0, gamma_prior="uniform")
-        truth = simulate_cohort(spec, base, 0.6, np.array([0.5]), design, T, rng.substream(2))
+        truth = simulate_cohort(base, 0.6, np.array([0.5]), design, T, rng.substream(2))
         cfg = MhConfig(iterations=3000, burn_in=1000)
         uni = fit_dm_static(truth.counts, design, spec, base, cfg, rng.substream(3), smooth=False)
         beta33 = PriorConfig(a0=150.0, b0=2.0, gamma_prior="beta", gamma_beta_ab=(3.0, 3.0))
@@ -366,7 +368,7 @@ class TestFitDm5:
         spec2 = ModelSpec("DM2", ("z",))
         design = build_design(cov, spec2, T)
         priors = PriorConfig(a0=120.0, b0=2.0)
-        truth = simulate_cohort(spec2, priors, 0.7, np.array([0.5]), design, T, rng.substream(2))
+        truth = simulate_cohort(priors, 0.7, np.array([0.5]), design, T, rng.substream(2))
         cfg2 = MhConfig(iterations=2000, burn_in=500)
         static = fit_dm_static(truth.counts, design, spec2, priors, cfg2, rng.substream(3), smooth=False)
         static_mean = static.beta[:, 0].mean()
@@ -388,13 +390,161 @@ class TestFitDm5:
         cov = {"z": rng.substream(1).generator.normal(size=T)}
         design = build_design(cov, ModelSpec("DM2", ("z",)), T)
         priors = PriorConfig(a0=40.0, b0=1.0)
-        truth = simulate_cohort(ModelSpec("DM2", ("z",)), priors, 0.6, np.array([0.3]), design, T, rng.substream(2))
+        truth = simulate_cohort(priors, 0.6, np.array([0.3]), design, T, rng.substream(2))
         cfg = MhConfig(iterations=200, burn_in=50)
         a = fit_dm5(truth.counts, design, priors, cfg, RngStream(23), smooth=True)
         b = fit_dm5(truth.counts, design, priors, cfg, RngStream(23), smooth=True)
         assert np.array_equal(a.beta, b.beta)
         assert np.array_equal(a.theta, b.theta)
         assert np.array_equal(a.tau, b.tau)
+
+
+def _dm5_prop_sd(counts, Z, tau, scale=1.0):
+    """The proposal sd ``fit_dm5`` uses for the coefficient path."""
+    return scale / np.sqrt((counts[:, None] + 1.0) * Z**2 + 2.0 * tau[None, :])
+
+
+class _RecordingGenerator:
+    """A numpy Generator that logs each draw call and the path as it stood then."""
+
+    def __init__(self, seed, beta):
+        self._gen = np.random.default_rng(seed)
+        self._beta = beta
+        self.calls = []
+        self.paths = []
+
+    def standard_normal(self, size):
+        self.calls.append(("standard_normal", size))
+        self.paths.append(self._beta.copy())
+        return self._gen.standard_normal(size)
+
+    def random(self, size):
+        self.calls.append(("random", size))
+        return self._gen.random(size)
+
+
+def _single_site_reference(beta, Z, counts, theta, tau, prop_sd, prior_var, gen):
+    """The per-month Metropolis arithmetic of a single-site sweep, visiting the
+    even months and then the odd ones, with the helper's order of draws."""
+    T, p = beta.shape
+    n_accept = 0
+    for start in (0, 1):
+        months = range(start, T, 2)
+        steps = gen.standard_normal((len(months), p))
+        us = gen.random(len(months))
+        for t, step, u in zip(months, steps, us):
+            b_cur = beta[t].copy()
+            b_prop = b_cur + prop_sd[t] * step
+            eta_cur = float(Z[t] @ b_cur)
+            eta_prop = float(Z[t] @ b_prop)
+            delta = counts[t] * (eta_prop - eta_cur) - theta[t] * (
+                math.exp(eta_prop) - math.exp(eta_cur)
+            )
+            if t == 0:
+                delta += -0.5 * float(np.sum(b_prop**2 - b_cur**2)) / prior_var
+            else:
+                prev = beta[t - 1]
+                delta += -0.5 * float(tau @ ((b_prop - prev) ** 2 - (b_cur - prev) ** 2))
+            if t < T - 1:
+                nxt = beta[t + 1]
+                delta += -0.5 * float(tau @ ((nxt - b_prop) ** 2 - (nxt - b_cur) ** 2))
+            if math.log(u) < delta:
+                beta[t] = b_prop
+                n_accept += 1
+    return n_accept
+
+
+class TestCoefficientHalfSweeps:
+    def _problem(self, T=7, p=2, seed=31):
+        gen = np.random.default_rng(seed)
+        Z = gen.normal(size=(T, p))
+        counts = gen.poisson(5.0, size=T)
+        theta = gen.gamma(5.0, 1.0, size=T)
+        tau = np.array([4.0, 9.0])[:p]
+        beta = 0.3 * gen.normal(size=(T, p))
+        return beta, Z, counts, theta, tau, _dm5_prop_sd(counts, Z, tau)
+
+    def test_half_sweep_leaves_other_parity_alone(self):
+        beta, Z, counts, theta, tau, prop_sd = self._problem()
+        start = beta.copy()
+        gen = _RecordingGenerator(5, beta)
+        _coefficient_half_sweeps(beta, Z, counts, theta, tau, prop_sd, 1.0, gen)
+        assert gen.calls == [("standard_normal", (4, 2)), ("random", 4),
+                             ("standard_normal", (3, 2)), ("random", 3)]
+        between = gen.paths[1]  # after the even half, before the odd half
+        assert np.array_equal(between[1::2], start[1::2])
+        assert np.array_equal(beta[0::2], between[0::2])
+        # both halves moved something, so the checks above are not vacuous
+        assert not np.array_equal(between[0::2], start[0::2])
+        assert not np.array_equal(beta[1::2], between[1::2])
+
+    @pytest.mark.parametrize("T", [1, 2, 7, 8])
+    def test_matches_single_site_arithmetic(self, T):
+        beta, Z, counts, theta, tau, prop_sd = self._problem(T=T)
+        ref = beta.copy()
+        for sweep in range(20):
+            n = _coefficient_half_sweeps(beta, Z, counts, theta, tau, prop_sd, 2.0,
+                                         np.random.default_rng(sweep))
+            n_ref = _single_site_reference(ref, Z, counts, theta, tau, prop_sd, 2.0,
+                                           np.random.default_rng(sweep))
+            assert n == n_ref
+            np.testing.assert_allclose(beta, ref, rtol=1e-13, atol=1e-15)
+
+    def test_overflowing_proposal_rejected_silently(self):
+        # eta_prop = 1000 * step exceeds 709 for this seed's first normal, so
+        # exp(eta_prop) overflows; the old scalar loop raised OverflowError here
+        seed = 3
+        assert 1000.0 * np.random.default_rng(seed).standard_normal((1, 1))[0, 0] > 709.0
+        beta = np.zeros((1, 1))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            n = _coefficient_half_sweeps(beta, np.array([[1000.0]]), np.array([2]), np.array([1.0]),
+                                         np.array([1.0]), np.array([[1.0]]), 1.0,
+                                         np.random.default_rng(seed))
+        assert n == 0
+        assert np.array_equal(beta, np.zeros((1, 1)))
+
+    def test_moments_match_grid_integration(self):
+        # theta and tau fixed, T=3, p=1: the stationary law is the exact
+        # conditional of the path, integrated here on a 3-D grid. Tolerance,
+        # fixed before running: 4 batch-means standard errors (40 batches), and
+        # the chain must mix well enough that one standard error is under 5%
+        # of the quantity it bounds.
+        Z = np.array([[1.0], [-0.8], [1.2]])
+        counts = np.array([6, 9, 3])
+        theta = np.array([5.0, 6.0, 4.0])
+        tau = np.array([4.0])
+        prior_var = 1.0
+        prop_sd = _dm5_prop_sd(counts, Z, tau)
+
+        g = np.linspace(-3.6, 2.4, 101)
+        b = np.meshgrid(g, g, g, indexing="ij", sparse=True)
+        logd = -0.5 * b[0] ** 2 / prior_var - 0.5 * tau[0] * ((b[1] - b[0]) ** 2 + (b[2] - b[1]) ** 2)
+        for t in range(3):
+            eta = Z[t, 0] * b[t]
+            logd = logd + counts[t] * eta - theta[t] * np.exp(eta)
+        w = np.exp(logd - logd.max())
+        faces = (w[[0, -1]], w[:, [0, -1]], w[:, :, [0, -1]])
+        assert max(float(f.max()) for f in faces) < 1e-9  # the grid holds the mass
+        w /= w.sum()
+
+        n_iter, n_batch = 20_000, 40
+        gen = np.random.default_rng(17)
+        beta = np.zeros((3, 1))
+        chain = np.empty((n_iter, 3))
+        for i in range(n_iter):
+            _coefficient_half_sweeps(beta, Z, counts, theta, tau, prop_sd, prior_var, gen)
+            chain[i] = beta[:, 0]
+
+        for t in range(3):
+            mean = float(np.sum(w * b[t]))
+            var = float(np.sum(w * (b[t] - mean) ** 2))
+            x = chain[:, t]
+            for stat, exact, scale in ((x, mean, math.sqrt(var)), ((x - mean) ** 2, var, var)):
+                batches = stat.reshape(n_batch, -1).mean(axis=1)
+                se = batches.std(ddof=1) / math.sqrt(n_batch)
+                assert se < 0.05 * scale
+                assert abs(stat.mean() - exact) < 4.0 * se
 
 
 class TestDiagnosticsAndSummary:

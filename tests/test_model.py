@@ -165,8 +165,8 @@ class TestSimulateCohort:
         priors = PriorConfig(a0=50.0, b0=1.0)
         design2 = build_design(cov, ModelSpec("DM2", names), T)
         design1 = DesignMatrix.empty(T)
-        t2 = simulate_cohort(ModelSpec("DM2", names), priors, 0.7, np.zeros(2), design2, T, RngStream(8))
-        t1 = simulate_cohort(ModelSpec("DM1"), priors, 0.7, np.zeros(0), design1, T, RngStream(8))
+        t2 = simulate_cohort(priors, 0.7, np.zeros(2), design2, T, RngStream(8))
+        t1 = simulate_cohort(priors, 0.7, np.zeros(0), design1, T, RngStream(8))
         assert np.array_equal(t1.counts.counts, t2.counts.counts)
         assert np.array_equal(t1.theta_path, t2.theta_path)
 
@@ -174,7 +174,7 @@ class TestSimulateCohort:
         # rate starts at ~1e-12 and the ordering keeps it absorbed near zero
         priors = PriorConfig(a0=0.001, b0=1e12)
         truth = simulate_cohort(
-            ModelSpec("DM1"), priors, 0.5, np.zeros(0), DesignMatrix.empty(30), 30, RngStream(3)
+            priors, 0.5, np.zeros(0), DesignMatrix.empty(30), 30, RngStream(3)
         )
         assert np.all(truth.counts.counts == 0)
 
@@ -182,7 +182,7 @@ class TestSimulateCohort:
         priors = PriorConfig(a0=80.0, b0=2.0)
         for seed in range(20):
             truth = simulate_cohort(
-                ModelSpec("DM1"), priors, 0.6, np.zeros(0), DesignMatrix.empty(25), 25, RngStream(seed)
+                priors, 0.6, np.zeros(0), DesignMatrix.empty(25), 25, RngStream(seed)
             )
             theta = truth.theta_path
             assert np.all(theta[1:] <= theta[:-1] / 0.6 * (1 + 1e-12))
@@ -196,7 +196,7 @@ class TestSimulateCohort:
         eps = []
         for seed in range(1000):
             truth = simulate_cohort(
-                ModelSpec("DM1"), priors, gamma, np.zeros(0), design, 10, RngStream(1000 + seed)
+                priors, gamma, np.zeros(0), design, 10, RngStream(1000 + seed)
             )
             th = np.concatenate([[truth.theta0], truth.theta_path])
             eps.extend(gamma * th[1:] / th[:-1])
@@ -207,7 +207,7 @@ class TestSimulateCohort:
     def test_invalid_gamma(self):
         with pytest.raises(DomainError):
             simulate_cohort(
-                ModelSpec("DM1"), PriorConfig(), 1.5, np.zeros(0), DesignMatrix.empty(5), 5, RngStream(0)
+                PriorConfig(), 1.5, np.zeros(0), DesignMatrix.empty(5), 5, RngStream(0)
             )
 
 
