@@ -9,7 +9,6 @@ from .evaluation import (
     ComparisonReport,
     ForecastDistribution,
     ForecastReport,
-    bayes_factor,
     compare_models,
     cpo_log_sum,
     ewma_forecast,
@@ -25,23 +24,15 @@ from .filtering import (
     exceedance_probability,
     ffbs_sample,
     filter_core,
-    filter_pass,
     gamma_grid_posterior,
-    one_step_predictive,
-    predict_step,
-    update_step,
 )
 from .kernels import (
     BetaParams,
     DomainError,
     GammaParams,
-    NegBinParams,
     NotPositiveDefiniteError,
     NumericDegeneracyError,
     RngStream,
-    log_pdf_gamma,
-    log_pmf_negbin,
-    log_pmf_poisson,
     sample_beta,
     sample_gamma,
 )

@@ -98,7 +98,6 @@ class RunArtifacts:
     comparison: ComparisonReport | None = None
     chain_diagnostics: object | None = None
     extra_tables: dict = field(default_factory=dict)  # filename -> (header, rows)
-    files: list = field(default_factory=list)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -180,7 +179,7 @@ def _prior_from_config(cfg: dict) -> PriorConfig:
         raise io.ValidationError(f"prior config: {exc}") from None
 
 
-def _mh_from_config(block: dict, seed: int) -> MhConfig:
+def _mh_from_config(block: dict) -> MhConfig:
     values = dict(block)
     try:
         return MhConfig(
@@ -188,7 +187,6 @@ def _mh_from_config(block: dict, seed: int) -> MhConfig:
             burn_in=int(values["burn_in"]),
             thinning=int(values["thinning"]),
             proposal_scale=float(values["proposal_scale"]),
-            seed=seed,
         )
     except DomainError as exc:
         raise io.ValidationError(f"mcmc config: {exc}") from None
@@ -340,7 +338,7 @@ def _fit_draws(cfg, series, covariates, rng):
     spec = _selected_covariates(cfg, covariates, variant)
     design = _design(cfg, covariates, spec, series.T)
     priors = _prior_from_config(cfg)
-    config = _mh_from_config(cfg["mcmc"], cfg["seed"])
+    config = _mh_from_config(cfg["mcmc"])
     draws = fit_variant(spec, series, design, priors, config, rng, smooth=bool(cfg["smooth"]))
     return draws, spec, design, priors, config
 
@@ -385,7 +383,7 @@ def _cmd_forecast(args, cfg, out_dir) -> RunArtifacts:
     spec = _selected_covariates(cfg, covariates, variant)
     design = _design(cfg, covariates, spec, series.T)
     priors = _prior_from_config(cfg)
-    config = _mh_from_config(fc["mcmc"], cfg["seed"])
+    config = _mh_from_config(fc["mcmc"])
     report = sequential_harness(series, design, spec, priors, config, window, rng=_rng(cfg))
     artifacts = RunArtifacts(resolved_config=cfg)
     artifacts.forecast_report = report
@@ -414,7 +412,7 @@ def _cmd_compare(args, cfg, out_dir) -> RunArtifacts:
         covariates,
         specs,
         priors,
-        _mh_from_config(cfg["mcmc"], cfg["seed"]),
+        _mh_from_config(cfg["mcmc"]),
         _rng(cfg),
         start_month=int(cfg["start_month"]),
     )
@@ -458,5 +456,4 @@ def emit_reports(artifacts: RunArtifacts, out_dir) -> list:
         emit_csv("diagnostics.csv", io.diagnostics_csv_rows(artifacts.chain_diagnostics))
     for name, table in artifacts.extra_tables.items():
         emit_csv(name, table)
-    artifacts.files = written
     return [out_dir / name for name in written]

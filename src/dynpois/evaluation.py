@@ -65,21 +65,6 @@ class ForecastDistribution:
         r, p = c[:, 0], c[:, 1]
         return float(np.mean(r * (1.0 - p) / p))
 
-    def pmf(self, n: int) -> float:
-        c = self.components
-        if c.ndim == 1:
-            log_pmf = n * np.log(c) - c - special.gammaln(n + 1.0)
-        else:
-            r, p = c[:, 0], c[:, 1]
-            log_pmf = (
-                special.gammaln(r + n)
-                - special.gammaln(n + 1.0)
-                - special.gammaln(r)
-                + r * np.log(p)
-                + n * np.log1p(-p)
-            )
-        return float(np.sum(np.exp(log_pmf))) / len(c)
-
     def cdf(self, n) -> float:
         if n < 0:
             return 0.0
@@ -246,7 +231,7 @@ def sequential_harness(
     priors: PriorConfig,
     config: MhConfig,
     window,
-    rng: RngStream | None = None,
+    rng: RngStream,
 ) -> ForecastReport:
     """Expanding-window one-step forecasting: refit on months 1..o-1, predict month o.
 
@@ -258,8 +243,6 @@ def sequential_harness(
         return ewma_forecast(series, window)
     if design.T != series.T:
         raise DomainError("design must cover every month of the series")
-    if rng is None:
-        rng = RngStream(config.seed)
 
     origins, actuals, points, lowers, uppers = [], [], [], [], []
     for o in range(start, end + 1):
@@ -452,17 +435,3 @@ def compare_models(
         log_bayes_factors=log_bf,
     )
 
-
-def bayes_factor(report: ComparisonReport, m1: str, m2: str) -> float:
-    """Marginal-likelihood ratio of m1 over m2."""
-    for m in (m1, m2):
-        if m not in report.log_marginal_likelihood:
-            raise DomainError(f"model {m!r} was not scored")
-    return float(math.exp(report.log_bayes_factors[m1][m2]))
-
-
-def log_bayes_factor(report: ComparisonReport, m1: str, m2: str) -> float:
-    for m in (m1, m2):
-        if m not in report.log_marginal_likelihood:
-            raise DomainError(f"model {m!r} was not scored")
-    return float(report.log_bayes_factors[m1][m2])

@@ -21,13 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln, logsumexp
 
-from .kernels import (
-    DomainError,
-    GammaParams,
-    NegBinParams,
-    NumericDegeneracyError,
-    RngStream,
-)
+from .kernels import DomainError, NumericDegeneracyError, RngStream
 from .model import CountSeries, DesignMatrix, PriorConfig, linear_predictor
 
 # Draws per batched filter pass: large enough to amortise the per-month Python
@@ -54,10 +48,6 @@ class FilterTrajectory:
     def T(self) -> int:
         return self.log_predictive.shape[-1]
 
-    def state(self, t: int) -> GammaParams:
-        """Filtering distribution of theta_t given months 1..t (t = 0 is the prior); scalar runs only."""
-        return GammaParams(float(self.a[t]), float(self.b[t]))
-
     @property
     def total_log_predictive(self) -> float | np.ndarray:
         """Summed log-predictive: a float, or one sum per draw for a batched run."""
@@ -70,7 +60,6 @@ class SmoothingDraws:
     """Sampled latent-rate paths, one row per retained draw."""
 
     paths: np.ndarray  # (S, T)
-    source: str = ""
 
     @property
     def S(self) -> int:
@@ -88,31 +77,6 @@ class GammaGridPosterior:
     grid: np.ndarray
     probs: np.ndarray
     mean: float
-
-
-def predict_step(state: GammaParams, gamma: float) -> GammaParams:
-    """Discount the filtered state one month ahead: (a, b) -> (gamma*a, gamma*b)."""
-    if not (0.0 < gamma <= 1.0):
-        raise DomainError(f"gamma must lie in (0, 1], got {gamma}")
-    return GammaParams(gamma * state.shape, gamma * state.rate)
-
-
-def update_step(predicted: GammaParams, n: int, multiplier: float = 1.0) -> GammaParams:
-    """Condition the predicted state on the month's count."""
-    if n < 0 or n != int(n):
-        raise DomainError(f"count must be a nonnegative integer, got {n}")
-    if not (multiplier > 0):
-        raise DomainError(f"multiplier must be positive, got {multiplier}")
-    return GammaParams(predicted.shape + n, predicted.rate + multiplier)
-
-
-def one_step_predictive(predicted: GammaParams, multiplier: float = 1.0) -> NegBinParams:
-    """Negative binomial forecast of the next count given the predicted state."""
-    if not (multiplier > 0):
-        raise DomainError(f"multiplier must be positive, got {multiplier}")
-    r = predicted.shape
-    p = predicted.rate / (predicted.rate + multiplier)
-    return NegBinParams(r, p)
 
 
 def filter_core(
@@ -178,20 +142,6 @@ def filter_core(
     return FilterTrajectory(a=a, b=b, gamma=g, log_predictive=log_pred)
 
 
-def filter_pass(
-    series: CountSeries,
-    design: DesignMatrix,
-    beta: np.ndarray,
-    gamma: float,
-    priors: PriorConfig,
-) -> FilterTrajectory:
-    """Filter a cohort under static or per-month coefficients."""
-    if design.T != series.T:
-        raise DomainError("design matrix and count series disagree on T")
-    multipliers = linear_predictor(design, beta)
-    return filter_core(series.counts, multipliers, gamma, priors.a0, priors.b0)
-
-
 def filter_draws(
     counts: np.ndarray,
     design: DesignMatrix,
@@ -218,31 +168,11 @@ def gamma_grid_posterior(
     design: DesignMatrix,
     beta: np.ndarray,
     priors: PriorConfig,
-    grid_step: float | None = None,
-    grid: np.ndarray | None = None,
-    prior_weights: np.ndarray | None = None,
 ) -> GammaGridPosterior:
-    """Posterior of the discount factor over a discrete grid inside (0, 1).
-
-    The default grid is {step, 2*step, ..., 1 - step}; a custom grid may be
-    passed directly. Prior weights default to uniform over the grid.
-    """
-    if grid is None:
-        step = priors.gamma_grid_step if grid_step is None else grid_step
-        n = round(1.0 / step)
-        grid = np.arange(1, n) * step
-    else:
-        grid = np.asarray(grid, dtype=float)
-    if np.any(grid <= 0.0) or np.any(grid >= 1.0):
-        raise DomainError("gamma grid must lie strictly inside (0, 1)")
-    if prior_weights is None:
-        log_prior = np.zeros(len(grid))
-    else:
-        prior_weights = np.asarray(prior_weights, dtype=float)
-        if len(prior_weights) != len(grid) or np.any(prior_weights < 0):
-            raise DomainError("prior weights must be nonnegative, one per grid point")
-        with np.errstate(divide="ignore"):
-            log_prior = np.log(prior_weights)
+    """Posterior of the discount factor under a uniform prior on the grid
+    {step, 2*step, ..., 1 - step}, with step = ``priors.gamma_grid_step``."""
+    step = priors.gamma_grid_step
+    grid = np.arange(1, round(1.0 / step)) * step
 
     betas = np.broadcast_to(np.asarray(beta, dtype=float), (len(grid), *np.shape(beta)))
     log_post = np.concatenate(
@@ -251,7 +181,6 @@ def gamma_grid_posterior(
             for _, traj in filter_draws(series.counts, design, betas, grid, priors.a0, priors.b0)
         ]
     )
-    log_post = log_post + log_prior
     norm = logsumexp(log_post)
     if not np.isfinite(norm):
         raise NumericDegeneracyError(

@@ -103,74 +103,6 @@ class BetaParams:
         return self.alpha / (self.alpha + self.beta)
 
 
-@dataclass(frozen=True)
-class NegBinParams:
-    """Negative binomial with pmf(n) = C(r+n-1, n) p^r (1-p)^n, n = 0, 1, 2, ...
-
-    r may be non-integer (the binomial coefficient generalizes through the
-    gamma function). mean = r(1-p)/p.
-    """
-
-    r: float
-    p: float
-
-    def __post_init__(self):
-        if not (self.r > 0 and np.isfinite(self.r)):
-            raise DomainError(f"negbin r must be positive, got {self.r}")
-        if not (0.0 < self.p < 1.0):
-            raise DomainError(f"negbin p must lie in (0, 1), got {self.p}")
-
-    def mean(self) -> float:
-        return self.r * (1.0 - self.p) / self.p
-
-    def variance(self) -> float:
-        return self.r * (1.0 - self.p) / self.p**2
-
-    def log_pmf(self, n) -> np.ndarray | float:
-        return log_pmf_negbin(n, self)
-
-
-def log_pmf_poisson(n, rate) -> np.ndarray | float:
-    """log Poisson pmf: n*log(rate) - rate - lgamma(n+1). rate = 0 is the point mass at 0."""
-    n = np.asarray(n)
-    rate = np.asarray(rate, dtype=float)
-    if np.any(n < 0) or np.any(n != np.floor(n)):
-        raise DomainError("count must be a nonnegative integer")
-    if np.any(rate < 0) or not np.all(np.isfinite(rate)):
-        raise DomainError("poisson rate must be nonnegative and finite")
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = n * np.log(rate) - rate - special.gammaln(n + 1.0)
-    # rate == 0: pmf is 1 at n=0, 0 elsewhere
-    out = np.where(rate == 0, np.where(n == 0, 0.0, -np.inf), out)
-    return out if out.ndim else float(out)
-
-
-def log_pmf_negbin(n, params: NegBinParams) -> np.ndarray | float:
-    """log negbin pmf via log-gamma, valid for non-integer r."""
-    n = np.asarray(n)
-    if np.any(n < 0) or np.any(n != np.floor(n)):
-        raise DomainError("count must be a nonnegative integer")
-    r, p = params.r, params.p
-    out = (
-        special.gammaln(r + n)
-        - special.gammaln(n + 1.0)
-        - special.gammaln(r)
-        + r * np.log(p)
-        + n * np.log1p(-p)
-    )
-    return out if out.ndim else float(out)
-
-
-def log_pdf_gamma(x, params: GammaParams) -> np.ndarray | float:
-    """log Gamma(shape a, rate b) density; -inf for x <= 0 by convention."""
-    x = np.asarray(x, dtype=float)
-    a, b = params.shape, params.rate
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = a * np.log(b) - special.gammaln(a) + (a - 1.0) * np.log(x) - b * x
-    out = np.where(x > 0, out, -np.inf)
-    return out if out.ndim else float(out)
-
-
 def log_pdf_beta(x, params: BetaParams) -> np.ndarray | float:
     """log Beta(alpha, beta) density; -inf outside (0, 1)."""
     x = np.asarray(x, dtype=float)

@@ -26,7 +26,6 @@ from .filtering import (
 from .kernels import (
     BetaParams,
     DomainError,
-    GammaParams,
     RngStream,
     cholesky_or_raise,
     expit,
@@ -46,7 +45,6 @@ class MhConfig:
     burn_in: int = 2_000
     thinning: int = 1
     proposal_scale: float = 1.0
-    seed: int = 0
 
     def __post_init__(self):
         if self.iterations <= 0:
@@ -170,9 +168,13 @@ def log_target_static(
     return float(ll + lp)
 
 
-def find_mode_and_hessian(
-    log_target, start: np.ndarray, max_iter: int = 500, rel_step: float = 1e-4
-) -> ModeHessian:
+# BFGS iteration cap (Nelder-Mead refinement gets 50x as many), and the
+# finite-difference step of the Hessian relative to max(1, |x_i|)
+_MODE_MAX_ITER = 500
+_HESSIAN_REL_STEP = 1e-4
+
+
+def find_mode_and_hessian(log_target, start: np.ndarray) -> ModeHessian:
     """Maximize a log density and return the inverse negative Hessian at the mode.
 
     Quasi-Newton with finite-difference gradients; the Hessian comes from
@@ -186,20 +188,22 @@ def find_mode_and_hessian(
         v = log_target(x)
         return -v if np.isfinite(v) else 1e300
 
-    res = optimize.minimize(neg, start, method="BFGS", options={"maxiter": max_iter})
+    res = optimize.minimize(neg, start, method="BFGS", options={"maxiter": _MODE_MAX_ITER})
     if not np.all(np.isfinite(res.x)) or not np.isfinite(res.fun):
         raise FitError(f"mode search diverged: {res.message}")
     if not res.success:
         # BFGS often stops on precision loss near the optimum; refine and accept
         # the better point, but give up if no progress was made at all.
-        res2 = optimize.minimize(neg, res.x, method="Nelder-Mead", options={"maxiter": 50 * max_iter})
+        res2 = optimize.minimize(
+            neg, res.x, method="Nelder-Mead", options={"maxiter": 50 * _MODE_MAX_ITER}
+        )
         if res2.fun <= res.fun:
             res = res2
         if res.fun > neg(start) + 1e-9:
             raise FitError(f"mode search failed to improve on the start point: {res.message}")
     mode = np.atleast_1d(res.x)
 
-    hessian = _fd_hessian(log_target, mode, rel_step)
+    hessian = _fd_hessian(log_target, mode)
     cov = np.linalg.inv(-hessian)
     cov = 0.5 * (cov + cov.T)
     jitter = 0.0
@@ -217,9 +221,9 @@ def find_mode_and_hessian(
     return ModeHessian(mode=mode, covariance=cov, jitter=jitter)
 
 
-def _fd_hessian(f, x: np.ndarray, rel_step: float) -> np.ndarray:
+def _fd_hessian(f, x: np.ndarray) -> np.ndarray:
     d = len(x)
-    h = rel_step * np.maximum(1.0, np.abs(x))
+    h = _HESSIAN_REL_STEP * np.maximum(1.0, np.abs(x))
     H = np.empty((d, d))
     f0 = f(x)
     for i in range(d):
@@ -392,16 +396,16 @@ def fit_dm_static(
     )
 
 
-def tau_full_conditional(beta_path: np.ndarray, priors: PriorConfig) -> GammaParams:
-    """Gamma full conditional of one random-walk precision given its coefficient path."""
-    beta_path = np.asarray(beta_path, dtype=float)
-    if beta_path.ndim != 1 or len(beta_path) < 2:
-        raise DomainError("need a path of at least two steps")
-    increments = np.diff(beta_path)
-    return GammaParams(
-        priors.tau_shape + 0.5 * (len(beta_path) - 1),
-        priors.tau_rate + 0.5 * float(np.sum(increments**2)),
-    )
+def tau_full_conditional(beta: np.ndarray, priors: PriorConfig) -> tuple:
+    """Gamma full conditionals of the random-walk precisions given the (T, p) path.
+
+    Returns ``(shape, rates)``: the shape, shared by every coefficient, and
+    the (p,) rates, one per coefficient.
+    """
+    diffs = np.diff(beta, axis=0)
+    shape = priors.tau_shape + 0.5 * (len(beta) - 1)
+    rates = priors.tau_rate + 0.5 * np.sum(diffs**2, axis=0)
+    return shape, rates
 
 
 def _coefficient_half_sweeps(
@@ -488,8 +492,12 @@ def fit_dm5(
 
     beta = np.zeros((T, p))
     tau = np.ones(p)
-    gamma = 0.5
-    x_gamma = logit(gamma)
+    # the fixed prior puts all its mass on one value, so the chain must start
+    # there; a fixed gamma = 1 has logit inf, so every proposal maps to 1 and
+    # is skipped
+    gamma = priors.gamma_fixed_value if priors.gamma_prior == "fixed" else 0.5
+    with np.errstate(divide="ignore"):
+        x_gamma = logit(gamma)
     gamma_step = 0.25 * math.sqrt(config.proposal_scale)
     prior_var = priors.beta_sd**2
 
@@ -503,7 +511,7 @@ def fit_dm5(
     n_moves = 0
     kept = 0
     for it in range(config.iterations):
-        multipliers = np.exp(np.sum(Z * beta, axis=1))
+        multipliers = linear_predictor(design, beta)
         traj = filter_core(counts, multipliers, gamma, priors.a0, priors.b0)
 
         # discount factor, collapsed over the latent rates
@@ -540,9 +548,7 @@ def fit_dm5(
         n_moves += T
 
         # random-walk precisions
-        diffs = np.diff(beta, axis=0)
-        shape = priors.tau_shape + 0.5 * (T - 1)
-        rates = priors.tau_rate + 0.5 * np.sum(diffs**2, axis=0)
+        shape, rates = tau_full_conditional(beta, priors)
         tau = gen.gamma(shape=shape, scale=1.0 / rates)
 
         if it >= config.burn_in and (it - config.burn_in) % config.thinning == 0:

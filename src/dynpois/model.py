@@ -164,6 +164,8 @@ class PriorConfig:
         n = round(1.0 / self.gamma_grid_step)
         if abs(n * self.gamma_grid_step - 1.0) > 1e-9:
             raise DomainError("gamma_grid_step must divide 1 evenly")
+        if n < 2:
+            raise DomainError("gamma_grid_step must leave a grid point inside (0, 1)")
         if self.gamma_prior == "fixed" and not (0.0 < self.gamma_fixed_value <= 1.0):
             raise DomainError("fixed gamma must lie in (0, 1]")
 

@@ -11,14 +11,21 @@ rate is the scaled-beta kernel
 where a_{t-1} follows the data-driven recursion a_t = gamma * a_{t-1} + N_t.
 The predict integral is computed with Gauss-Jacobi quadrature matched to the
 beta weight, which stays accurate even for singular shape parameters.
+
+The closed-form references at the end (one filter step at a time, and the
+negative binomial, Poisson and gamma log densities) restate the conjugate
+algebra term by term, so tests can check the package's array code against it.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import special
+
+from dynpois.kernels import DomainError, GammaParams
 
 
 def shape_sequence(counts, gamma, a0):
@@ -146,3 +153,96 @@ def negbin_pmf_binomial_coefficient(n: int, r: int, p: float) -> float:
     """Explicit C(r+n-1, n) p^r (1-p)^n for integer r (the oracle for the
     log-gamma implementation)."""
     return float(math.comb(r + n - 1, n)) * p**r * (1.0 - p) ** n
+
+
+@dataclass(frozen=True)
+class NegBinParams:
+    """Negative binomial with pmf(n) = C(r+n-1, n) p^r (1-p)^n, n = 0, 1, 2, ...
+
+    r may be non-integer (the binomial coefficient generalizes through the
+    gamma function). mean = r(1-p)/p.
+    """
+
+    r: float
+    p: float
+
+    def __post_init__(self):
+        if not (self.r > 0 and np.isfinite(self.r)):
+            raise DomainError(f"negbin r must be positive, got {self.r}")
+        if not (0.0 < self.p < 1.0):
+            raise DomainError(f"negbin p must lie in (0, 1), got {self.p}")
+
+    def mean(self) -> float:
+        return self.r * (1.0 - self.p) / self.p
+
+    def variance(self) -> float:
+        return self.r * (1.0 - self.p) / self.p**2
+
+    def log_pmf(self, n) -> np.ndarray | float:
+        return log_pmf_negbin(n, self)
+
+
+def log_pmf_poisson(n, rate) -> np.ndarray | float:
+    """log Poisson pmf: n*log(rate) - rate - lgamma(n+1). rate = 0 is the point mass at 0."""
+    n = np.asarray(n)
+    rate = np.asarray(rate, dtype=float)
+    if np.any(n < 0) or np.any(n != np.floor(n)):
+        raise DomainError("count must be a nonnegative integer")
+    if np.any(rate < 0) or not np.all(np.isfinite(rate)):
+        raise DomainError("poisson rate must be nonnegative and finite")
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = n * np.log(rate) - rate - special.gammaln(n + 1.0)
+    # rate == 0: pmf is 1 at n=0, 0 elsewhere
+    out = np.where(rate == 0, np.where(n == 0, 0.0, -np.inf), out)
+    return out if out.ndim else float(out)
+
+
+def log_pmf_negbin(n, params: NegBinParams) -> np.ndarray | float:
+    """log negbin pmf via log-gamma, valid for non-integer r."""
+    n = np.asarray(n)
+    if np.any(n < 0) or np.any(n != np.floor(n)):
+        raise DomainError("count must be a nonnegative integer")
+    r, p = params.r, params.p
+    out = (
+        special.gammaln(r + n)
+        - special.gammaln(n + 1.0)
+        - special.gammaln(r)
+        + r * np.log(p)
+        + n * np.log1p(-p)
+    )
+    return out if out.ndim else float(out)
+
+
+def log_pdf_gamma(x, params: GammaParams) -> np.ndarray | float:
+    """log Gamma(shape a, rate b) density; -inf for x <= 0 by convention."""
+    x = np.asarray(x, dtype=float)
+    a, b = params.shape, params.rate
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = a * np.log(b) - special.gammaln(a) + (a - 1.0) * np.log(x) - b * x
+    out = np.where(x > 0, out, -np.inf)
+    return out if out.ndim else float(out)
+
+
+def predict_step(state: GammaParams, gamma: float) -> GammaParams:
+    """Discount the filtered state one month ahead: (a, b) -> (gamma*a, gamma*b)."""
+    if not (0.0 < gamma <= 1.0):
+        raise DomainError(f"gamma must lie in (0, 1], got {gamma}")
+    return GammaParams(gamma * state.shape, gamma * state.rate)
+
+
+def update_step(predicted: GammaParams, n: int, multiplier: float = 1.0) -> GammaParams:
+    """Condition the predicted state on the month's count."""
+    if n < 0 or n != int(n):
+        raise DomainError(f"count must be a nonnegative integer, got {n}")
+    if not (multiplier > 0):
+        raise DomainError(f"multiplier must be positive, got {multiplier}")
+    return GammaParams(predicted.shape + n, predicted.rate + multiplier)
+
+
+def one_step_predictive(predicted: GammaParams, multiplier: float = 1.0) -> NegBinParams:
+    """Negative binomial forecast of the next count given the predicted state."""
+    if not (multiplier > 0):
+        raise DomainError(f"multiplier must be positive, got {multiplier}")
+    r = predicted.shape
+    p = predicted.rate / (predicted.rate + multiplier)
+    return NegBinParams(r, p)

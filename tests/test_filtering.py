@@ -16,18 +16,9 @@ from dynpois.filtering import (
     ffbs_sample,
     filter_core,
     filter_draws,
-    filter_pass,
     gamma_grid_posterior,
-    one_step_predictive,
-    predict_step,
-    update_step,
 )
-from dynpois.kernels import (
-    DomainError,
-    GammaParams,
-    RngStream,
-    log_pmf_negbin,
-)
+from dynpois.kernels import DomainError, GammaParams, RngStream
 from dynpois.mcmc import PosteriorDraws, _smooth_paths
 from dynpois.model import (
     CountSeries,
@@ -37,12 +28,27 @@ from dynpois.model import (
     build_design,
     linear_predictor,
 )
-from oracles import density_mean_var, grid_filter, grid_smoother, tv_distance
+from oracles import (
+    NegBinParams,
+    density_mean_var,
+    grid_filter,
+    grid_smoother,
+    log_pmf_negbin,
+    one_step_predictive,
+    predict_step,
+    tv_distance,
+    update_step,
+)
 
 
 def _series(counts):
     counts = list(counts)
     return CountSeries(np.arange(1, len(counts) + 1), counts)
+
+
+def _filter_dm1(counts, gamma, a0, b0):
+    """The covariate-free filter: every multiplier is 1."""
+    return filter_core(counts, np.ones(len(counts)), gamma, a0, b0)
 
 
 # Per-month numpy loops: the original scalar implementations, kept as the
@@ -173,31 +179,25 @@ class TestOneStepPredictive:
 class TestFilterPass:
     def test_static_reduction_bit_exact(self):
         counts = [3, 0, 7, 2, 11]
-        series = _series(counts)
-        priors = PriorConfig(a0=1.5, b0=2.0)
-        traj = filter_pass(series, DesignMatrix.empty(5), np.zeros(0), 1.0, priors)
+        traj = _filter_dm1(counts, 1.0, 1.5, 2.0)
         assert traj.a[-1] == 1.5 + sum(counts)
         assert traj.b[-1] == 2.0 + 5
 
     def test_single_step_equals_negbin(self):
-        priors = PriorConfig(a0=2.0, b0=1.0)
         gamma = 0.7
-        traj = filter_pass(_series([4]), DesignMatrix.empty(1), np.zeros(0), gamma, priors)
-        from dynpois.kernels import NegBinParams
-
+        traj = _filter_dm1([4], gamma, 2.0, 1.0)
         expected = log_pmf_negbin(4, NegBinParams(gamma * 2.0, gamma * 1.0 / (gamma * 1.0 + 1.0)))
         assert traj.total_log_predictive == pytest.approx(expected, rel=1e-14)
 
     def test_additivity_of_log_predictives(self):
-        priors = PriorConfig(a0=3.0, b0=1.0)
-        traj = filter_pass(_series([2, 5, 1]), DesignMatrix.empty(3), np.zeros(0), 0.5, priors)
+        traj = _filter_dm1([2, 5, 1], 0.5, 3.0, 1.0)
         product = np.prod(np.exp(traj.log_predictive))
         assert traj.total_log_predictive == pytest.approx(math.log(product), abs=1e-10)
 
     def test_matches_grid_oracle_on_toy(self):
         counts = [4, 7, 2, 9]
         gamma, a0, b0 = 0.6, 4.0, 1.0
-        traj = filter_pass(_series(counts), DesignMatrix.empty(4), np.zeros(0), gamma, PriorConfig(a0=a0, b0=b0))
+        traj = _filter_dm1(counts, gamma, a0, b0)
         x, filt = grid_filter(counts, [1.0] * 4, gamma, a0, b0, n_grid=10_000, n_quad=400)
         a, b = traj.a[-1], traj.b[-1]
         exact = np.exp(a * math.log(b) - special.gammaln(a) + (a - 1.0) * np.log(x) - b * x)
@@ -206,9 +206,7 @@ class TestFilterPass:
     def test_covariate_multipliers_enter_rate(self):
         cov = {"x": np.array([0.0, 1.0, -1.0])}
         design = build_design(cov, ModelSpec("DM2", ("x",)), 3)
-        priors = PriorConfig(a0=2.0, b0=1.0)
-        beta = np.array([0.5])
-        traj = filter_pass(_series([1, 2, 3]), design, beta, 0.8, priors)
+        traj = filter_core([1, 2, 3], linear_predictor(design, np.array([0.5])), 0.8, 2.0, 1.0)
         m = np.exp(0.5 * cov["x"])
         b = 1.0
         for t in range(3):
@@ -229,46 +227,36 @@ class TestFilterPass:
 
     def test_dimension_mismatch(self):
         with pytest.raises(DomainError):
-            filter_pass(_series([1, 2]), DesignMatrix.empty(3), np.zeros(0), 0.5, PriorConfig())
+            filter_core([1, 2], np.ones(3), 0.5, 1.0, 1.0)
 
 
 class TestGammaGridPosterior:
     def test_single_point_mass(self):
         post = gamma_grid_posterior(
-            _series([2, 1]), DesignMatrix.empty(2), np.zeros(0), PriorConfig(), grid=np.array([0.4])
+            _series([2, 1]), DesignMatrix.empty(2), np.zeros(0), PriorConfig(gamma_grid_step=0.5)
         )
+        assert post.grid.tolist() == [0.5]
         assert post.probs[0] == 1.0
-        assert post.mean == 0.4
+        assert post.mean == 0.5
 
     def test_two_point_closed_form(self):
         # direct closed-form weights: pmf(1) = r p^r (1-p) with r = g*a0,
         # p = g*b0/(g*b0 + 1); computed inline, independent of the filter
-        priors = PriorConfig(a0=1.0, b0=1.0)
+        priors = PriorConfig(a0=1.0, b0=1.0, gamma_grid_step=1.0 / 3.0)
         series = _series([1])
-        post = gamma_grid_posterior(
-            series, DesignMatrix.empty(1), np.zeros(0), priors, grid=np.array([0.4, 0.8])
-        )
+        post = gamma_grid_posterior(series, DesignMatrix.empty(1), np.zeros(0), priors)
+        assert post.grid == pytest.approx([1.0 / 3.0, 2.0 / 3.0], rel=1e-15)
 
         def weight(g):
             r = g * 1.0
             p = g * 1.0 / (g * 1.0 + 1.0)
             return r * p**r * (1.0 - p)
 
-        w = np.array([weight(0.4), weight(0.8)])
+        w = np.array([weight(g) for g in post.grid])
         expected = w / w.sum()
         assert np.allclose(post.probs, expected, rtol=1e-12)
-        assert post.probs[0] == pytest.approx(0.43, abs=0.01)
-        assert post.probs[1] == pytest.approx(0.57, abs=0.01)
-
-    def test_prior_rescaling_invariance(self):
-        series = _series([3, 1, 4])
-        design = DesignMatrix.empty(3)
-        priors = PriorConfig(gamma_grid_step=0.05)
-        base = gamma_grid_posterior(series, design, np.zeros(0), priors)
-        scaled = gamma_grid_posterior(
-            series, design, np.zeros(0), priors, prior_weights=np.full(len(base.grid), 7.0)
-        )
-        assert np.allclose(base.probs, scaled.probs, rtol=1e-12)
+        assert post.probs[0] == pytest.approx(0.42, abs=0.01)
+        assert post.probs[1] == pytest.approx(0.58, abs=0.01)
 
     def test_default_grid_is_hundredths(self):
         post = gamma_grid_posterior(_series([1]), DesignMatrix.empty(1), np.zeros(0), PriorConfig())
@@ -277,25 +265,22 @@ class TestGammaGridPosterior:
         assert post.grid[-1] == pytest.approx(0.99)
 
     def test_endpoint_grid_rejected(self):
+        # a step of 1 leaves only the endpoints 0 and 1, so no grid point inside
         with pytest.raises(DomainError):
-            gamma_grid_posterior(
-                _series([1]), DesignMatrix.empty(1), np.zeros(0), PriorConfig(), grid=np.array([0.0, 0.5])
-            )
+            PriorConfig(gamma_prior="grid", gamma_grid_step=1.0)
 
 
 class TestFfbs:
     def test_single_month_is_final_filter_draw(self):
-        priors = PriorConfig(a0=2.0, b0=1.0)
-        traj = filter_pass(_series([4]), DesignMatrix.empty(1), np.zeros(0), 0.7, priors)
+        traj = _filter_dm1([4], 0.7, 2.0, 1.0)
         path = ffbs_sample(traj, RngStream(77))
         direct = RngStream(77).generator.gamma(shape=traj.a[-1], scale=1.0 / traj.b[-1])
         assert path.shape == (1,)
         assert path[0] == direct
 
     def test_ordering_constraint_always_holds(self):
-        priors = PriorConfig(a0=4.0, b0=1.0)
         gamma = 0.6
-        traj = filter_pass(_series([4, 7, 2, 9, 5]), DesignMatrix.empty(5), np.zeros(0), gamma, priors)
+        traj = _filter_dm1([4, 7, 2, 9, 5], gamma, 4.0, 1.0)
         rng = RngStream(5)
         for _ in range(2000):
             path = ffbs_sample(traj, rng)
@@ -304,7 +289,7 @@ class TestFfbs:
     def test_marginals_match_grid_smoother(self):
         counts = [4, 7, 2]
         gamma, a0, b0 = 0.6, 4.0, 1.0
-        traj = filter_pass(_series(counts), DesignMatrix.empty(3), np.zeros(0), gamma, PriorConfig(a0=a0, b0=b0))
+        traj = _filter_dm1(counts, gamma, a0, b0)
         rng = RngStream(123)
         S = 20_000
         paths = np.array([ffbs_sample(traj, rng) for _ in range(S)])
@@ -315,8 +300,7 @@ class TestFfbs:
             assert abs(paths[:, t].mean() - gm) < 3 * se_mean
 
     def test_gamma_one_gives_constant_static_path(self):
-        priors = PriorConfig(a0=2.0, b0=1.0)
-        traj = filter_pass(_series([1, 2]), DesignMatrix.empty(2), np.zeros(0), 1.0, priors)
+        traj = _filter_dm1([1, 2], 1.0, 2.0, 1.0)
         path = ffbs_sample(traj, RngStream(0))
         assert path[0] == path[1]
         direct = RngStream(0).generator.gamma(shape=traj.a[-1], scale=1.0 / traj.b[-1])
@@ -338,8 +322,7 @@ class TestExceedance:
     def test_increasing_rate_detected(self):
         # sharply increasing counts: late rate exceeds early rate on most paths
         counts = [1, 2, 5, 12, 30, 70]
-        priors = PriorConfig(a0=1.0, b0=1.0)
-        traj = filter_pass(_series(counts), DesignMatrix.empty(6), np.zeros(0), 0.8, priors)
+        traj = _filter_dm1(counts, 0.8, 1.0, 1.0)
         rng = RngStream(9)
         paths = np.array([ffbs_sample(traj, rng) for _ in range(2000)])
         draws = SmoothingDraws(paths)

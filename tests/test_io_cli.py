@@ -196,6 +196,18 @@ class TestRunCommandFit:
         code, _ = run_command(["fit", "--model", "DMX", "--seed", "1", "--data", "x", "--out", str(tmp_path / "o")])
         assert code == 2
 
+    def test_grid_step_without_interior_point_exits_2(self, tmp_path, capsys):
+        # a step of 1 leaves no grid point inside (0, 1)
+        data = _simulate_cohort_csv(tmp_path)
+        cfg = _write(tmp_path, "g.json", json.dumps({"prior": {"gamma_prior": "grid", "gamma_grid_step": 1.0}}))
+        capsys.readouterr()
+        code, _ = run_command(["fit", "--config", str(cfg), "--model", "DM1", "--seed", "1",
+                               "--data", str(data), "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = json.loads(capsys.readouterr().out)["error"]
+        assert err["type"] == "ValidationError"
+        assert "gamma_grid_step" in err["message"]
+
     def test_bpm_fit_emits_rate_overlay(self, tmp_path):
         data = _simulate_cohort_csv(tmp_path, T=30)
         cfg = _write(

@@ -6,8 +6,8 @@ import warnings
 import numpy as np
 import pytest
 
-from dynpois.filtering import filter_pass, gamma_grid_posterior
-from dynpois.kernels import DomainError, GammaParams, RngStream, log_pmf_negbin
+from dynpois.filtering import filter_core, gamma_grid_posterior
+from dynpois.kernels import DomainError, GammaParams, RngStream
 from dynpois.mcmc import (
     FitError,
     MhConfig,
@@ -31,6 +31,7 @@ from dynpois.model import (
     build_design,
     simulate_cohort,
 )
+from oracles import NegBinParams, log_pdf_gamma, log_pmf_negbin
 
 
 def _series(counts):
@@ -47,8 +48,8 @@ class TestLogTargetStatic:
         for g1, g2 in ((0.2, 0.7), (0.4, 0.9)):
             t1 = log_target_static(np.zeros(0), g1, series, design, priors)
             t2 = log_target_static(np.zeros(0), g2, series, design, priors)
-            l1 = filter_pass(series, design, np.zeros(0), g1, priors).total_log_predictive
-            l2 = filter_pass(series, design, np.zeros(0), g2, priors).total_log_predictive
+            l1 = filter_core(series.counts, np.ones(3), g1, priors.a0, priors.b0).total_log_predictive
+            l2 = filter_core(series.counts, np.ones(3), g2, priors.a0, priors.b0).total_log_predictive
             assert (t1 - t2) == pytest.approx(l1 - l2, abs=1e-10)
 
     def test_ratio_matches_direct_product(self):
@@ -63,8 +64,6 @@ class TestLogTargetStatic:
             total = 0.0
             for t in range(3):
                 m = math.exp(beta[0] * cov["x"][t])
-                from dynpois.kernels import NegBinParams
-
                 r = gamma * a
                 p = gamma * b / (gamma * b + m)
                 total += log_pmf_negbin(series.counts[t], NegBinParams(r, p))
@@ -101,8 +100,6 @@ class TestFindModeAndHessian:
         assert res.covariance[0, 0] == pytest.approx(4.0, abs=1e-4)
 
     def test_gamma_mode(self):
-        from dynpois.kernels import log_pdf_gamma
-
         def target(x):
             return log_pdf_gamma(x[0], GammaParams(5.0, 2.0)) if x[0] > 0 else -np.inf
 
@@ -238,7 +235,7 @@ class TestFitDmStatic:
         priors = PriorConfig(a0=2.0, b0=1.0)
         grid = np.linspace(1e-5, 1 - 1e-5, 20_001)
         loglik = np.array(
-            [filter_pass(series, design, np.zeros(0), g, priors).total_log_predictive for g in grid]
+            [filter_core(series.counts, np.ones(3), g, priors.a0, priors.b0).total_log_predictive for g in grid]
         )
         w = np.exp(loglik - loglik.max())
         exact_mean = np.trapezoid(grid * w, grid) / np.trapezoid(w, grid)
@@ -351,15 +348,16 @@ class TestFitBpm:
 class TestFitDm5:
     def test_tau_full_conditional_hand_values(self):
         priors = PriorConfig(tau_shape=0.001, tau_rate=0.001)
-        params = tau_full_conditional(np.array([1.0, 1.5, 1.0]), priors)
-        assert params.shape == pytest.approx(0.001 + 1.0, rel=1e-15)
-        assert params.rate == pytest.approx(0.001 + 0.25, rel=1e-15)
+        shape, rates = tau_full_conditional(np.array([[1.0], [1.5], [1.0]]), priors)
+        assert shape == pytest.approx(0.001 + 1.0, rel=1e-15)
+        assert rates.shape == (1,)
+        assert rates[0] == pytest.approx(0.001 + 0.25, rel=1e-15)
 
     def test_tau_conditional_constant_path_concentrates_high(self):
         priors = PriorConfig(tau_shape=0.001, tau_rate=0.001)
-        params = tau_full_conditional(np.full(10, 2.5), priors)
-        assert params.rate == priors.tau_rate  # no squared increments
-        assert params.mean() > 1e3
+        shape, rates = tau_full_conditional(np.full((10, 2), 2.5), priors)
+        assert rates.tolist() == [priors.tau_rate] * 2  # no squared increments
+        assert shape / rates[0] > 1e3
 
     def test_constant_truth_covered_by_dm5_bands(self):
         rng = RngStream(21)
@@ -378,6 +376,18 @@ class TestFitDm5:
         hi = np.percentile(dyn.beta[:, :, 0], 97.5, axis=0)
         coverage = np.mean((lo <= static_mean) & (static_mean <= hi))
         assert coverage > 0.9
+
+    @pytest.mark.parametrize("fixed", [0.9, 1.0])
+    def test_fixed_gamma_prior_holds_every_draw(self, fixed):
+        # the chain must start where the fixed prior puts its mass; started
+        # anywhere else, every gamma move scores -inf and none is accepted
+        rng = RngStream(24)
+        T = 20
+        design = build_design({"z": rng.substream(1).generator.normal(size=T)}, ModelSpec("DM2", ("z",)), T)
+        priors = PriorConfig(a0=40.0, b0=1.0, gamma_prior="fixed", gamma_fixed_value=fixed)
+        truth = simulate_cohort(PriorConfig(a0=40.0, b0=1.0), 0.6, np.array([0.3]), design, T, rng.substream(2))
+        draws = fit_dm5(truth.counts, design, priors, MhConfig(iterations=60, burn_in=20), RngStream(25))
+        assert draws.gamma.tolist() == [fixed] * 40
 
     def test_needs_covariates(self):
         with pytest.raises(DomainError):
