@@ -2,8 +2,8 @@
 
 A cohort is one monthly series of nonnegative default counts. Covariates enter
 through a design matrix whose columns the model variant alone decides: an
-intercept (BPM), the selected covariates, the trend terms t and t^2 (DM3), then
-eleven monthly indicators with December as reference (DM4).
+intercept (BPM), the selected covariates, the trend terms t/T and (t/T)^2 (DM3),
+then eleven monthly indicators with December as reference (DM4).
 """
 
 from __future__ import annotations
@@ -210,7 +210,8 @@ def build_design(
     """Assemble the design matrix for a model variant.
 
     Column order is intercept, covariates, trend, seasonals. Trend columns are
-    (t, t^2, ...) up to trend_order. Seasonal columns are indicators for the
+    (t/T, (t/T)^2, ...) up to trend_order: the span of (t, t^2, ...), on a
+    scale where exp(beta' z_t) stays finite. Seasonal columns are indicators for the
     eleven calendar months other than December; month index t maps to calendar
     month ((start_month - 1 + t - 1) mod 12) + 1.
     """
@@ -230,7 +231,7 @@ def build_design(
         cols.append(col)
         names.append(name)
 
-    t_idx = np.arange(1, T + 1, dtype=float)
+    t_idx = np.arange(1, T + 1, dtype=float) / T
     for order in range(1, spec.trend_order + 1):
         cols.append(t_idx**order)
         names.append("trend" if order == 1 else f"trend{order}")

@@ -100,8 +100,10 @@ class TestBuildDesign:
         assert np.array_equal(design.rows[0], expected)
 
     def test_quadratic_trend_cells(self):
+        # t/T and (t/T)^2: month 3 of 5, and the last month at 1
         design = build_design({}, ModelSpec("DM3"), 5)
-        assert tuple(design.rows[2]) == (3.0, 9.0)
+        assert design.rows[2] == pytest.approx([0.6, 0.36], rel=1e-15)
+        assert tuple(design.rows[-1]) == (1.0, 1.0)
         assert design.column_names == ("trend", "trend2")
 
     @pytest.mark.parametrize("variant", MODEL_VARIANTS)
