@@ -211,9 +211,9 @@ def build_design(
 
     Column order is intercept, covariates, trend, seasonals. Trend columns are
     (t/T, (t/T)^2, ...) up to trend_order: the span of (t, t^2, ...), on a
-    scale where exp(beta' z_t) stays finite. Seasonal columns are indicators for the
-    eleven calendar months other than December; month index t maps to calendar
-    month ((start_month - 1 + t - 1) mod 12) + 1.
+    scale where exp(beta' z_t) stays finite. Seasonal columns are indicators
+    for the eleven calendar months other than December; month index t maps to
+    calendar month ((start_month - 1 + t - 1) mod 12) + 1.
     """
     cols = []
     names = []
