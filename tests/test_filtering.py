@@ -52,7 +52,8 @@ def _filter_dm1(counts, gamma, a0, b0):
 
 
 # Per-month numpy loops: the original scalar implementations, kept as the
-# reference that the batched filter and backward sampler must match bit for bit.
+# reference that the batched filter and backward sampler must match bit for bit
+# under the pinned dispatch (see conftest.py).
 
 
 def _loop_filter(counts, multipliers, gamma, a0, b0):
@@ -339,6 +340,7 @@ class TestBatchedFilter:
 
     GAMMAS = np.array([0.3, 0.7, 0.95, 0.999, 1.0])
 
+    @pytest.mark.pinned_dispatch
     def test_scalar_call_matches_reference_loop(self):
         counts, design, betas, _ = _draw_set(1)
         mult = linear_predictor(design, betas[0])
@@ -369,6 +371,7 @@ class TestBatchedFilter:
         with pytest.raises(DomainError):
             filter_core([1, 2], np.ones((2, 2)), np.array([0.5, 1.5]), 1.0, 1.0)
 
+    @pytest.mark.pinned_dispatch
     def test_filter_draws_crosses_block_boundary(self):
         S = FILTER_BLOCK + 3
         counts, design, betas, gammas = _draw_set(S, seed=2)
@@ -379,6 +382,7 @@ class TestBatchedFilter:
             ref = _loop_filter(counts, linear_predictor(design, betas[j]), gammas[j], 50.0, 2.0)
             assert np.array_equal(log_pred[j], ref[2])
 
+    @pytest.mark.pinned_dispatch
     def test_per_draw_log_predictives_match_per_draw_loop(self):
         S = FILTER_BLOCK + 5
         counts, design, betas, gammas = _draw_set(S, seed=3)
@@ -392,6 +396,7 @@ class TestBatchedFilter:
         )
         assert np.array_equal(L, ref)
 
+    @pytest.mark.pinned_dispatch
     def test_scalar_ffbs_matches_reference_loop(self):
         counts, design, betas, _ = _draw_set(1, seed=4)
         mult = linear_predictor(design, betas[0])
@@ -401,6 +406,7 @@ class TestBatchedFilter:
                 ffbs_sample(traj, RngStream(11)), _loop_ffbs(traj.a, traj.b, g, RngStream(11))
             )
 
+    @pytest.mark.pinned_dispatch
     def test_smooth_paths_reproduce_per_draw_loop(self):
         S = FILTER_BLOCK + 3
         counts, design, betas, gammas = _draw_set(S, seed=5)
@@ -417,6 +423,7 @@ class TestBatchedFilter:
         # both left the stream at the same point
         assert rng.generator.random() == ref_rng.generator.random()
 
+    @pytest.mark.pinned_dispatch
     def test_gamma_grid_posterior_matches_per_gamma_loop(self):
         counts = np.random.default_rng(6).poisson(8.0, size=25)
         priors = PriorConfig(a0=3.0, b0=1.0, gamma_grid_step=0.001)

@@ -8,19 +8,29 @@ The design columns of every variant are pinned too: the gate-11 fit for BPM,
 DM3 and DM4 and for DM2 on standardized covariates, a DM4 simulation that
 infers its covariate count from ``beta``, and a compare over DM1-DM4 and BPM.
 The gate-11 fit for DM5 pins the Gibbs sampler's draws and diagnostics.
-A change that is meant to alter outputs re-pins the file with
+
+The digests hold under one floating-point dispatch only, so the commands run
+under the pinned dispatch of ``conftest.py``, whose settings the file records
+next to the digests. A change that is meant to alter outputs re-pins the file
+with
 
     PYTHONPATH=src python tests/test_golden.py
 
-and says why in CHANGES.md.
+(which reruns itself under the pinned dispatch) and says why in CHANGES.md.
 """
 
 import hashlib
 import json
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
+import pytest
+import scipy
+
+from conftest import PINNED_DISPATCH, pinned_dispatch_env
 from dynpois.cli import run_command
 from test_acceptance import cli_gate_commands
 
@@ -83,13 +93,20 @@ def output_digests(tmp_path: Path) -> dict:
     return digests
 
 
+@pytest.mark.pinned_dispatch
 def test_cli_outputs_match_golden_digests(tmp_path):
-    expected = json.loads(GOLDEN.read_text())
-    assert output_digests(tmp_path) == expected
+    golden = json.loads(GOLDEN.read_text())
+    assert golden["dispatch"] == PINNED_DISPATCH
+    assert output_digests(tmp_path) == golden["digests"], f"pinned with {golden['versions']}"
 
 
 if __name__ == "__main__":
+    env = pinned_dispatch_env()
+    if env is not None:
+        sys.exit(subprocess.run([sys.executable, __file__], env=env).returncode)
     with tempfile.TemporaryDirectory() as tmp:
         digests = output_digests(Path(tmp))
-    GOLDEN.write_text(json.dumps(digests, indent=2, sort_keys=True) + "\n")
+    versions = {"numpy": np.__version__, "scipy": scipy.__version__, "python": sys.version.split()[0]}
+    golden = {"dispatch": PINNED_DISPATCH, "versions": versions, "digests": digests}
+    GOLDEN.write_text(json.dumps(golden, indent=2, sort_keys=True) + "\n")
     print(f"wrote {len(digests)} digests to {GOLDEN}", file=sys.stderr)
