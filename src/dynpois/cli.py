@@ -123,7 +123,9 @@ def _merge(base: dict, override: dict, path="") -> dict:
     for key, value in override.items():
         if key not in base:
             raise io.ValidationError(f"unknown config key {path + key!r}")
-        if isinstance(base[key], dict) and isinstance(value, dict):
+        if isinstance(base[key], dict):
+            if not isinstance(value, dict):
+                raise io.ValidationError(f"config key {path + key!r} must be a JSON object")
             out[key] = _merge(base[key], value, path=f"{path}{key}.")
         else:
             out[key] = copy.deepcopy(value)

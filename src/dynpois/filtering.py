@@ -11,7 +11,9 @@ The per-step negative binomial log-predictives summed over t give the
 count likelihood with the latent rates integrated out, which is what the
 MCMC engine targets. Backward sampling uses the exact decomposition
 theta_{n-1} = gamma*theta_n + Gamma((1-gamma)*a_{n-1}, b_{n-1}), whose
-support enforces theta_{n-1} > gamma*theta_n on every sampled path.
+support enforces theta_{n-1} > gamma*theta_n on every sampled path. Each
+recursion x_t = gamma*x_{t-1} + c_t (a_t, b_t, the backward path) is one banded
+solve over all the draws of a call, and a single draw is its S = 1 case.
 """
 
 from __future__ import annotations
@@ -19,13 +21,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.blas import dtbsv
 from scipy.special import gammaln, logsumexp
 
 from .kernels import DomainError, NumericDegeneracyError, RngStream
 from .model import CountSeries, DesignMatrix, PriorConfig, linear_predictor
 
-# Draws per batched filter pass: large enough to amortise the per-month Python
-# step, small enough that the (S, T) work arrays add little to peak memory.
+# Draws per batched filter pass: large enough to amortise the per-call overhead,
+# small enough that the (S, T) work arrays add little to peak memory.
 FILTER_BLOCK = 256
 
 
@@ -79,6 +82,25 @@ class GammaGridPosterior:
     mean: float
 
 
+def _discount_solve(gamma: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve x[k, j, t] = gamma[j]*x[k, j, t-1] + rhs[k, j, t] from x[k, j, 0] = rhs[k, j, 0].
+
+    The S rows of each rhs[k] form one unit lower-bidiagonal system (subdiagonal
+    -gamma[j], 0 at each row start) for one BLAS ``dtbsv`` call; that 0 adds an
+    exact zero, so row j equals its own S = 1 solve bit for bit.
+    """
+    S, L = rhs.shape[1:]
+    band = np.ones((2, S, L))
+    band[1] = -gamma[:, None]
+    band[1, :, -1] = 0.0
+    x = rhs.copy()
+    for row in x.reshape(len(x), S * L):
+        dtbsv(1, band.reshape(2, S * L), row, lower=1, diag=1, overwrite_x=1)
+    if S > 1 and not np.isfinite(x[:, :-1, -1]).all():  # inf * 0 would make the next row NaN
+        return np.concatenate([_discount_solve(gamma[j : j + 1], rhs[:, j : j + 1]) for j in range(S)], 1)
+    return x
+
+
 def filter_core(
     counts: np.ndarray,
     multipliers: np.ndarray,
@@ -89,9 +111,9 @@ def filter_core(
     """Run predict/update over all months. Array-level workhorse for the MCMC loops.
 
     Scalar: ``gamma`` a float and ``multipliers`` of shape (T,). Batched:
-    ``gamma`` of shape (S,) and ``multipliers`` of shape (S, T), one row per
-    draw; the result's row j equals the scalar call on (gamma[j],
-    multipliers[j]) bit for bit. ``counts`` has shape (T,) in both cases.
+    ``gamma`` of shape (S,) and ``multipliers`` of shape (S, T), one row per draw;
+    ``counts`` is (T,) in both. A scalar call is the S = 1 case of the same banded
+    solve, so row j equals the scalar call on (gamma[j], multipliers[j]) bit for bit.
     """
     counts = np.asarray(counts)
     multipliers = np.asarray(multipliers, dtype=float)
@@ -106,40 +128,23 @@ def filter_core(
     if T and not (0.0 < multipliers.min() and multipliers.max() < np.inf):
         raise DomainError("multipliers must be positive and finite")
 
-    # one recursion for both cases: Python floats are much cheaper per step
-    # than numpy scalars, and S-vectors carry a whole batch through each step
-    if g.ndim == 0:
-        g = float(g)
-        x, y = float(a0), float(b0)
-        steps = zip(counts.tolist(), multipliers.tolist())
-    else:
-        x, y = np.full(g.shape, float(a0)), np.full(g.shape, float(b0))
-        steps = zip(counts.tolist(), multipliers.T)
-    a, b = [x], [y]
-    for c, m in steps:
-        x = g * x + c
-        y = g * y + m
-        a.append(x)
-        b.append(y)
-    a = np.ascontiguousarray(np.array(a).T)
-    b = np.ascontiguousarray(np.array(b).T)
+    rhs = np.empty((2, g.size, T + 1))
+    rhs[0, :, 0], rhs[0, :, 1:] = a0, counts
+    rhs[1, :, 0], rhs[1, :, 1:] = b0, multipliers
+    a, b = _discount_solve(g.reshape(-1), rhs).reshape(2, *g.shape, T + 1)
 
     # negbin log pmf of N_t under r_t = gamma*a_{t-1}, p_t = gamma*b_{t-1}/(gamma*b_{t-1}+m_t);
     # extreme multipliers can overflow the rate recursion, leaving non-finite
     # entries for the caller to treat as out-of-support
-    g_col = np.asarray(g)[..., None]
+    g_col = g[..., None]
     r = g_col * a[..., :-1]
     gb = g_col * b[..., :-1]
     n = counts.astype(float)
     with np.errstate(invalid="ignore", over="ignore"):
-        log_pred = (
-            gammaln(r + n)
-            - gammaln(n + 1.0)
-            - gammaln(r)
-            + r * (np.log(gb) - np.log(gb + multipliers))
-            + n * (np.log(multipliers) - np.log(gb + multipliers))
-        )
-    return FilterTrajectory(a=a, b=b, gamma=g, log_predictive=log_pred)
+        log_gbm = np.log(gb + multipliers)
+        log_pred = gammaln(r + n) - gammaln(n + 1.0) - gammaln(r) + r * (np.log(gb) - log_gbm)
+        log_pred += n * (np.log(multipliers) - log_gbm)
+    return FilterTrajectory(a=a, b=b, gamma=g if g.ndim else float(g), log_predictive=log_pred)
 
 
 def filter_draws(
@@ -166,15 +171,14 @@ def filter_draws(
 def gamma_grid_posterior(
     series: CountSeries,
     design: DesignMatrix,
-    beta: np.ndarray,
     priors: PriorConfig,
 ) -> GammaGridPosterior:
-    """Posterior of the discount factor under a uniform prior on the grid
-    {step, 2*step, ..., 1 - step}, with step = ``priors.gamma_grid_step``."""
+    """Posterior of the covariate-free model's discount factor under a uniform
+    prior on the grid {step, 2*step, ..., 1 - step}, step = ``priors.gamma_grid_step``."""
     step = priors.gamma_grid_step
     grid = np.arange(1, round(1.0 / step)) * step
 
-    betas = np.broadcast_to(np.asarray(beta, dtype=float), (len(grid), *np.shape(beta)))
+    betas = np.zeros((len(grid), design.p))
     log_post = np.concatenate(
         [
             traj.total_log_predictive
@@ -222,17 +226,10 @@ def ffbs_sample(trajectory: FilterTrajectory, rng: RngStream) -> np.ndarray:
     variates = np.zeros(shape.shape)
     variates[draw] = rng.generator.gamma(shape=shape[draw], scale=1.0 / rate[draw])
 
-    # static rows add exact zeros, so their paths stay at theta_T
-    if g.ndim == 1:
-        gamma, steps = float(g[0]), variates.tolist()
-    else:
-        gamma, steps = g[:, 0], variates.T
-    theta = steps[0]
-    backward = [theta]
-    for increment in steps[1:]:
-        theta = gamma * theta + increment
-        backward.append(theta)
-    path = np.ascontiguousarray(np.array(backward[::-1]).T)
+    # theta <- gamma*theta + increment is the filter's recursion, run backward in
+    # time; static rows add exact zeros, so their paths stay at theta_T
+    backward = _discount_solve(g.reshape(-1), variates.reshape(1, -1, variates.shape[-1]))
+    path = np.ascontiguousarray(backward.reshape(variates.shape)[..., ::-1])
     ok = np.isfinite(path) & (path > 0)
     if not np.all(ok):
         bad_month = int(np.argmin(ok) % T) + 1

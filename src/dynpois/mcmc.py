@@ -351,7 +351,7 @@ def fit_dm_static(
     if priors.gamma_prior == "grid":
         if p:
             raise DomainError("the discrete-grid gamma prior applies to the covariate-free model")
-        post = gamma_grid_posterior(series, design, np.zeros(0), priors)
+        post = gamma_grid_posterior(series, design, priors)
         gammas = rng.substream(0).generator.choice(post.grid, size=S, p=post.probs)
         betas = np.zeros((S, 0))
         acc = 1.0

@@ -234,7 +234,7 @@ class TestFilterPass:
 class TestGammaGridPosterior:
     def test_single_point_mass(self):
         post = gamma_grid_posterior(
-            _series([2, 1]), DesignMatrix.empty(2), np.zeros(0), PriorConfig(gamma_grid_step=0.5)
+            _series([2, 1]), DesignMatrix.empty(2), PriorConfig(gamma_grid_step=0.5)
         )
         assert post.grid.tolist() == [0.5]
         assert post.probs[0] == 1.0
@@ -245,7 +245,7 @@ class TestGammaGridPosterior:
         # p = g*b0/(g*b0 + 1); computed inline, independent of the filter
         priors = PriorConfig(a0=1.0, b0=1.0, gamma_grid_step=1.0 / 3.0)
         series = _series([1])
-        post = gamma_grid_posterior(series, DesignMatrix.empty(1), np.zeros(0), priors)
+        post = gamma_grid_posterior(series, DesignMatrix.empty(1), priors)
         assert post.grid == pytest.approx([1.0 / 3.0, 2.0 / 3.0], rel=1e-15)
 
         def weight(g):
@@ -260,7 +260,7 @@ class TestGammaGridPosterior:
         assert post.probs[1] == pytest.approx(0.58, abs=0.01)
 
     def test_default_grid_is_hundredths(self):
-        post = gamma_grid_posterior(_series([1]), DesignMatrix.empty(1), np.zeros(0), PriorConfig())
+        post = gamma_grid_posterior(_series([1]), DesignMatrix.empty(1), PriorConfig())
         assert len(post.grid) == 99
         assert post.grid[0] == pytest.approx(0.01)
         assert post.grid[-1] == pytest.approx(0.99)
@@ -427,9 +427,67 @@ class TestBatchedFilter:
     def test_gamma_grid_posterior_matches_per_gamma_loop(self):
         counts = np.random.default_rng(6).poisson(8.0, size=25)
         priors = PriorConfig(a0=3.0, b0=1.0, gamma_grid_step=0.001)
-        post = gamma_grid_posterior(_series(counts), DesignMatrix.empty(25), np.zeros(0), priors)
+        post = gamma_grid_posterior(_series(counts), DesignMatrix.empty(25), priors)
         assert len(post.grid) > FILTER_BLOCK
         log_post = np.array(
             [_loop_filter(counts, np.ones(25), g, 3.0, 1.0)[2].sum() for g in post.grid]
         )
         assert np.array_equal(post.probs, np.exp(log_post - special.logsumexp(log_post)))
+
+
+class TestBandedSolve:
+    """The recursions as one banded solve, checked in whatever dispatch the host picks."""
+
+    @given(
+        gammas=st.lists(
+            st.one_of(st.just(1.0), st.floats(min_value=0.0, max_value=1.0, exclude_min=True)),
+            min_size=1,
+            max_size=6,
+        ),
+        T=st.integers(min_value=1, max_value=200),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    # a subnormal gamma underflows gamma*b to 0, and log(0) warns
+    @pytest.mark.filterwarnings("ignore:divide by zero encountered in log")
+    def test_batched_rows_equal_single_row_calls(self, gammas, T, seed):
+        gen = np.random.default_rng(seed)
+        counts = gen.poisson(20.0, size=T)
+        mult = np.exp(gen.normal(0.0, 0.5, size=(len(gammas), T)))
+        g = np.array(gammas)
+        traj = filter_core(counts, mult, g, 50.0, 2.0)
+        totals = traj.total_log_predictive
+        batched_rng, rng = RngStream(seed), RngStream(seed)
+        paths = ffbs_sample(traj, batched_rng)
+        for j, gj in enumerate(gammas):
+            one = filter_core(counts, mult[j], gj, 50.0, 2.0)
+            assert np.array_equal(traj.a[j], one.a) and np.array_equal(traj.b[j], one.b)
+            assert np.array_equal(traj.log_predictive[j], one.log_predictive)
+            assert totals[j] == one.total_log_predictive
+            assert np.array_equal(paths[j], ffbs_sample(one, rng))
+        # the batched draw left its stream where the single-row draws left theirs
+        assert batched_rng.generator.random() == rng.generator.random()
+
+    def test_default_dispatch_within_rounding_of_reference_loop(self):
+        # FMA kernels round gamma*x + c once where the loop rounds twice, so the
+        # states may differ in the last bits; the log-predictive's cancelling
+        # gammaln terms scale that by their own size, so bound it by that size
+        counts, design, betas, gammas = _draw_set(8, T=150, seed=8)
+        for beta, g in zip(betas, gammas):
+            mult = linear_predictor(design, beta)
+            traj = filter_core(counts, mult, float(g), 50.0, 2.0)
+            a, b, log_pred = _loop_filter(counts, mult, g, 50.0, 2.0)
+            np.testing.assert_allclose(traj.a, a, rtol=1e-14, atol=0)
+            np.testing.assert_allclose(traj.b, b, rtol=1e-14, atol=0)
+            r = g * a[:-1]
+            scale = special.gammaln(r + counts) + np.abs(special.gammaln(r))
+            assert np.all(np.abs(traj.log_predictive - log_pred) <= 1e-14 * scale)
+
+    def test_overflowing_row_leaves_next_row_intact(self):
+        # row 0's last rate state overflows to inf; the zero coupling at the
+        # next row start must not turn row 1 into NaN
+        mult = np.array([[1e308, 1e308], [1.0, 2.0]])
+        traj = filter_core([1, 2], mult, np.array([1.0, 0.5]), 1.0, 1.0)
+        assert np.isinf(traj.b[0, -1])
+        one = filter_core([1, 2], mult[1], 0.5, 1.0, 1.0)
+        assert np.array_equal(traj.b[1], one.b) and np.array_equal(traj.a[1], one.a)

@@ -208,6 +208,18 @@ class TestRunCommandFit:
         assert err["type"] == "ValidationError"
         assert "gamma_grid_step" in err["message"]
 
+    @pytest.mark.parametrize("user", [{"mcmc": 5}, {"prior": [1]}, {"forecast": {"mcmc": None}}])
+    def test_non_object_config_block_exits_2(self, tmp_path, capsys, user):
+        data = _simulate_cohort_csv(tmp_path)
+        cfg = _write(tmp_path, "bad.json", json.dumps(user))
+        capsys.readouterr()
+        code, _ = run_command(["fit", "--config", str(cfg), "--model", "DM1", "--seed", "1",
+                               "--data", str(data), "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = json.loads(capsys.readouterr().out)["error"]
+        assert err["type"] == "ValidationError"
+        assert "must be a JSON object" in err["message"]
+
     def test_bpm_fit_emits_rate_overlay(self, tmp_path):
         data = _simulate_cohort_csv(tmp_path, T=30)
         cfg = _write(

@@ -195,7 +195,7 @@ class TestFitDmStatic:
         priors = PriorConfig(a0=2.0, b0=1.0, gamma_prior="grid", gamma_grid_step=0.05)
         cfg = MhConfig(iterations=4000, burn_in=0)
         draws = fit_dm_static(series, design, ModelSpec("DM1"), priors, cfg, RngStream(6), smooth=True)
-        post = gamma_grid_posterior(series, design, np.zeros(0), priors)
+        post = gamma_grid_posterior(series, design, priors)
         # empirical frequencies should track the exact grid posterior
         freq = np.array([(draws.gamma == g).mean() for g in post.grid])
         assert np.max(np.abs(freq - post.probs)) < 0.03

@@ -87,6 +87,14 @@ class TestPriorConfig:
             PriorConfig(gamma_grid_step=0.03)
         PriorConfig(gamma_grid_step=0.05)
 
+    def test_grid_step_floor(self):
+        # 1e-4 gives the largest grid, 9999 points; finer steps divide 1 too
+        # but would filter up to ~1e8 grid points
+        assert round(1.0 / PriorConfig(gamma_grid_step=1e-4).gamma_grid_step) - 1 == 9999
+        for step in (5e-5, 1e-8):
+            with pytest.raises(DomainError, match=r"\[1e-4, 0.5\]"):
+                PriorConfig(gamma_grid_step=step)
+
 
 class TestBuildDesign:
     def test_december_reference_has_zero_dummies(self):
