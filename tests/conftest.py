@@ -26,7 +26,9 @@ def pinned_dispatch_env():
 
     Every numpy dispatch target above the cap that this CPU supports goes into
     ``NPY_DISABLE_CPU_FEATURES``, as ``numpy.show_runtime()`` lists them under
-    "found". Raises RuntimeError on a CPU without the cap.
+    "found". Raises RuntimeError on a CPU without the cap, and when numpy
+    still uses a target this process asked it to disable, so that a child
+    never starts another child.
     """
     cap = PINNED_DISPATCH["numpy_cpu_cap"]
     targets = list(__cpu_dispatch__)
@@ -36,12 +38,19 @@ def pinned_dispatch_env():
             f"the pinned dispatch needs a CPU with numpy's {cap} paths; "
             f"numpy found only {found} among its dispatch targets {targets}"
         )
-    above = [f for f in targets[targets.index(cap) + 1 if cap in targets else 0 :] if __cpu_features__[f]]
+    first_above = targets.index(cap) + 1 if cap in targets else 0
+    above = [f for f in targets[first_above:] if __cpu_features__[f]]
+    disabled = os.environ.get("NPY_DISABLE_CPU_FEATURES", "").split()
+    if set(above) & set(disabled):
+        raise RuntimeError(f"numpy still uses {above} under NPY_DISABLE_CPU_FEATURES={disabled}")
     coretype = PINNED_DISPATCH["OPENBLAS_CORETYPE"]
     if not above and os.environ.get("OPENBLAS_CORETYPE") == coretype:
         return None
-    disabled = os.environ.get("NPY_DISABLE_CPU_FEATURES", "").split() + above
-    return {**os.environ, "NPY_DISABLE_CPU_FEATURES": " ".join(disabled), "OPENBLAS_CORETYPE": coretype}
+    return {
+        **os.environ,
+        "NPY_DISABLE_CPU_FEATURES": " ".join(disabled + above),
+        "OPENBLAS_CORETYPE": coretype,
+    }
 
 
 def pytest_configure(config):
@@ -73,8 +82,8 @@ def pytest_pyfunc_call(pyfuncitem):
     )
     if proc.returncode != 0:
         pytest.fail(
-            f"failed under the pinned dispatch {PINNED_DISPATCH} "
-            f"(NPY_DISABLE_CPU_FEATURES={env['NPY_DISABLE_CPU_FEATURES']!r}):\n{proc.stdout}{proc.stderr}",
+            f"failed under the pinned dispatch {PINNED_DISPATCH} (NPY_DISABLE_CPU_FEATURES="
+            f"{env['NPY_DISABLE_CPU_FEATURES']!r}):\n{proc.stdout}{proc.stderr}",
             pytrace=False,
         )
     return True
