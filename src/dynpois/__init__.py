@@ -20,7 +20,6 @@ from .evaluation import (
 from .filtering import (
     FilterTrajectory,
     GammaGridPosterior,
-    SmoothingDraws,
     exceedance_probability,
     ffbs_sample,
     filter_core,

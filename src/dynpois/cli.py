@@ -1,8 +1,9 @@
 """Batch command-line surface.
 
 Subcommands: simulate, fit, forecast, compare, report. Every run resolves its
-configuration (JSON file plus flag overrides plus defaults), echoes it back as
-resolved_config.json, and writes result tables into the output directory.
+configuration (JSON file plus flag overrides plus defaults); each command
+returns its output files as {file name: content}, and the run writes them,
+plus the echoed resolved_config.json, into the output directory.
 Exit codes: 0 success, 2 validation error, 3 numeric failure, 4 I/O failure.
 """
 
@@ -12,13 +13,13 @@ import argparse
 import copy
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 
 from . import io
-from .evaluation import ComparisonReport, ForecastReport, compare_models, sequential_harness
+from .evaluation import compare_models, sequential_harness
 from .kernels import DomainError, NumericDegeneracyError, RngStream
 from .mcmc import (
     FitError,
@@ -44,23 +45,8 @@ DEFAULT_CONFIG = {
     "standardize_covariates": False,
     "start_month": 1,
     "smooth": True,
-    "prior": {
-        "a0": 1.0,
-        "b0": 1.0,
-        "gamma_prior": "uniform",
-        "gamma_beta_ab": [3.0, 3.0],
-        "gamma_grid_step": 0.01,
-        "gamma_fixed_value": 0.5,
-        "beta_sd": 10.0,
-        "tau_shape": 0.001,
-        "tau_rate": 0.001,
-    },
-    "mcmc": {
-        "iterations": 10000,
-        "burn_in": 2000,
-        "thinning": 1,
-        "proposal_scale": 1.0,
-    },
+    "prior": asdict(PriorConfig()),
+    "mcmc": asdict(MhConfig()),
     "forecast": {
         "start_origin": None,
         "end_origin": None,
@@ -86,18 +72,6 @@ DEFAULT_CONFIG = {
 
 # DM5 runs much longer chains by default
 DM5_MCMC_DEFAULT = {"iterations": 80000, "burn_in": 30000, "thinning": 10, "proposal_scale": 1.0}
-
-
-@dataclass
-class RunArtifacts:
-    resolved_config: dict
-    summary: dict = field(default_factory=dict)
-    summary_rows: list | None = None
-    fit_table: tuple | None = None  # (header, rows)
-    forecast_report: ForecastReport | None = None
-    comparison: ComparisonReport | None = None
-    chain_diagnostics: object | None = None
-    extra_tables: dict = field(default_factory=dict)  # filename -> (header, rows)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -163,35 +137,12 @@ def resolve_config(args) -> dict:
     return cfg
 
 
-def _prior_from_config(cfg: dict) -> PriorConfig:
-    p = cfg["prior"]
+def _from_block(cls, block: dict, name: str):
+    """Build ``cls`` from a config block, casting each value to its default's type."""
     try:
-        return PriorConfig(
-            a0=float(p["a0"]),
-            b0=float(p["b0"]),
-            gamma_prior=p["gamma_prior"],
-            gamma_beta_ab=tuple(p["gamma_beta_ab"]),
-            gamma_grid_step=float(p["gamma_grid_step"]),
-            gamma_fixed_value=float(p["gamma_fixed_value"]),
-            beta_sd=float(p["beta_sd"]),
-            tau_shape=float(p["tau_shape"]),
-            tau_rate=float(p["tau_rate"]),
-        )
-    except DomainError as exc:
-        raise io.ValidationError(f"prior config: {exc}") from None
-
-
-def _mh_from_config(block: dict) -> MhConfig:
-    values = dict(block)
-    try:
-        return MhConfig(
-            iterations=int(values["iterations"]),
-            burn_in=int(values["burn_in"]),
-            thinning=int(values["thinning"]),
-            proposal_scale=float(values["proposal_scale"]),
-        )
-    except DomainError as exc:
-        raise io.ValidationError(f"mcmc config: {exc}") from None
+        return cls(**{key: type(default)(block[key]) for key, default in asdict(cls()).items()})
+    except (DomainError, TypeError, ValueError) as exc:
+        raise io.ValidationError(f"{name} config: {exc}") from None
 
 
 def _selected_covariates(cfg: dict, available: dict, variant: str) -> ModelSpec:
@@ -220,10 +171,10 @@ def _design(cfg, covariates, spec, T):
 
 
 def run_command(argv) -> tuple:
-    """Parse argv, run the requested command, emit reports.
+    """Parse argv, run the requested command, write its output files.
 
-    Returns (exit_code, RunArtifacts | None). On failure a machine-readable
-    error object is printed to stdout.
+    Returns (exit_code, {file name: content} | None). On failure a
+    machine-readable error object is printed to stdout.
     """
     try:
         parser = _build_parser()
@@ -236,11 +187,11 @@ def run_command(argv) -> tuple:
             "fit": _cmd_fit,
             "forecast": _cmd_forecast,
             "compare": _cmd_compare,
-            "report": _cmd_report,
+            "report": lambda args, cfg: _cmd_fit(args, cfg, command="report"),
         }[args.command]
-        artifacts = handler(args, cfg, out_dir)
-        emit_reports(artifacts, out_dir)
-        return 0, artifacts
+        outputs = {"resolved_config.json": cfg, **handler(args, cfg)}
+        emit_reports(outputs, out_dir)
+        return 0, outputs
     except (io.ValidationError, DomainError) as exc:
         _print_error(exc, 2)
         return 2, None
@@ -266,11 +217,7 @@ def main() -> None:
     raise SystemExit(code)
 
 
-def _rng(cfg: dict, stream_id: int = 0) -> RngStream:
-    return RngStream(cfg["seed"], stream_id)
-
-
-def _cmd_simulate(args, cfg, out_dir) -> RunArtifacts:
+def _cmd_simulate(args, cfg) -> dict:
     sim = cfg["simulate"]
     variant = cfg["model"]
     if variant in ("BPM", "EWMA"):
@@ -280,7 +227,7 @@ def _cmd_simulate(args, cfg, out_dir) -> RunArtifacts:
         raise io.ValidationError("simulate.T must be at least 1")
     gamma = float(sim["gamma"])
     beta = np.asarray(sim["beta"], dtype=float)
-    rng = _rng(cfg)
+    rng = RngStream(cfg["seed"])
 
     n_cov = sim["n_covariates"]
     if variant == "DM1":
@@ -305,7 +252,7 @@ def _cmd_simulate(args, cfg, out_dir) -> RunArtifacts:
             f"simulate.beta has {len(beta)} entries but the design needs {design.p}"
         )
 
-    priors = _prior_from_config(cfg)
+    priors = _from_block(PriorConfig, cfg["prior"], "prior")
     if variant == "DM5":
         tau = np.asarray(sim["tau"], dtype=float)
         if tau.size != design.p:
@@ -318,8 +265,6 @@ def _cmd_simulate(args, cfg, out_dir) -> RunArtifacts:
         [t + 1, int(truth.counts.counts[t]), *(covariates[c][t] for c in cov_names)]
         for t in range(T)
     ]
-    artifacts = RunArtifacts(resolved_config=cfg)
-    artifacts.extra_tables["cohort.csv"] = (header, rows)
     truth_payload = {
         "model": variant,
         "gamma": gamma,
@@ -329,53 +274,48 @@ def _cmd_simulate(args, cfg, out_dir) -> RunArtifacts:
     }
     if variant == "DM5":
         truth_payload["tau"] = np.asarray(sim["tau"], dtype=float).tolist()
-    artifacts.summary = {"command": "simulate", "model": variant, "T": T, "truth": truth_payload}
-    return artifacts
+    return {
+        "summary.json": {"command": "simulate", "model": variant, "T": T, "truth": truth_payload},
+        "cohort.csv": (header, rows),
+    }
 
 
-def _fit_draws(cfg, series, covariates, rng):
+def _cmd_fit(args, cfg, command="fit") -> dict:
+    """Fit the configured model; ``report`` is the same fit without the chain tables."""
+    series, covariates = _load_data(args, cfg)
     variant = cfg["model"]
     if variant == "EWMA":
         raise io.ValidationError("EWMA is a forecasting benchmark; use the forecast command")
     spec = _selected_covariates(cfg, covariates, variant)
     design = _design(cfg, covariates, spec, series.T)
-    priors = _prior_from_config(cfg)
-    config = _mh_from_config(cfg["mcmc"])
-    draws = fit_variant(spec, series, design, priors, config, rng, smooth=bool(cfg["smooth"]))
-    return draws, spec, design, priors, config
-
-
-def _cmd_fit(args, cfg, out_dir) -> RunArtifacts:
-    series, covariates = _load_data(args, cfg)
-    draws, spec, design, priors, config = _fit_draws(cfg, series, covariates, _rng(cfg))
-    artifacts = RunArtifacts(resolved_config=cfg)
-    artifacts.summary_rows = posterior_summary(draws)
-    artifacts.chain_diagnostics = diagnostics(draws)
-    artifacts.summary = {
-        "command": "fit",
-        "model": spec.variant,
-        "T": series.T,
-        "acceptance_rate": draws.acceptance_rate,
-        "posterior": {r["parameter"]: {k: r[k] for k in ("q25", "mean", "q75", "sd")}
-                      for r in artifacts.summary_rows},
+    priors = _from_block(PriorConfig, cfg["prior"], "prior")
+    config = _from_block(MhConfig, cfg["mcmc"], "mcmc")
+    draws = fit_variant(
+        spec, series, design, priors, config, RngStream(cfg["seed"]), smooth=bool(cfg["smooth"])
+    )
+    summary_rows = posterior_summary(draws)
+    outputs = {
+        "summary.json": {
+            "command": command,
+            "model": spec.variant,
+            "T": series.T,
+            "acceptance_rate": draws.acceptance_rate,
+            "posterior": {r["parameter"]: {k: r[k] for k in ("q25", "mean", "q75", "sd")}
+                          for r in summary_rows},
+        }
     }
+    if command == "fit":
+        outputs["summary.csv"] = io.summary_csv_rows(summary_rows)
+        outputs["diagnostics.csv"] = io.diagnostics_csv_rows(diagnostics(draws))
     if draws.theta is not None:
-        artifacts.fit_table = io.fit_csv_rows(series.counts, draws.theta)
+        outputs["fit.csv"] = io.fit_csv_rows(series.counts, draws.theta)
     elif draws.variant == "BPM":
         rates = np.exp(draws.beta @ design.rows.T)
-        artifacts.fit_table = io.fit_csv_rows(series.counts, rates)
-    return artifacts
+        outputs["fit.csv"] = io.fit_csv_rows(series.counts, rates)
+    return outputs
 
 
-def _cmd_report(args, cfg, out_dir) -> RunArtifacts:
-    artifacts = _cmd_fit(args, cfg, out_dir)
-    artifacts.summary["command"] = "report"
-    artifacts.summary_rows = None
-    artifacts.chain_diagnostics = None
-    return artifacts
-
-
-def _cmd_forecast(args, cfg, out_dir) -> RunArtifacts:
+def _cmd_forecast(args, cfg) -> dict:
     series, covariates = _load_data(args, cfg)
     variant = cfg["model"]
     fc = cfg["forecast"]
@@ -384,21 +324,21 @@ def _cmd_forecast(args, cfg, out_dir) -> RunArtifacts:
     window = (int(fc["start_origin"]), int(fc["end_origin"]))
     spec = _selected_covariates(cfg, covariates, variant)
     design = _design(cfg, covariates, spec, series.T)
-    priors = _prior_from_config(cfg)
-    config = _mh_from_config(fc["mcmc"])
-    report = sequential_harness(series, design, spec, priors, config, window, rng=_rng(cfg))
-    artifacts = RunArtifacts(resolved_config=cfg)
-    artifacts.forecast_report = report
-    artifacts.summary = {
-        "command": "forecast",
-        "model": variant,
-        "window": list(window),
-        "forecast_metrics": io.forecast_report_payload(report),
+    priors = _from_block(PriorConfig, cfg["prior"], "prior")
+    config = _from_block(MhConfig, fc["mcmc"], "forecast.mcmc")
+    report = sequential_harness(series, design, spec, priors, config, window, rng=RngStream(cfg["seed"]))
+    return {
+        "summary.json": {
+            "command": "forecast",
+            "model": variant,
+            "window": list(window),
+            "forecast_metrics": io.forecast_report_payload(report),
+        },
+        "forecast.csv": io.forecast_csv_rows(report),
     }
-    return artifacts
 
 
-def _cmd_compare(args, cfg, out_dir) -> RunArtifacts:
+def _cmd_compare(args, cfg) -> dict:
     series, covariates = _load_data(args, cfg)
     roster = list(cfg["compare"]["models"])
     if not roster:
@@ -408,54 +348,35 @@ def _cmd_compare(args, cfg, out_dir) -> RunArtifacts:
         if variant not in MODEL_VARIANTS:
             raise io.ValidationError(f"unknown model {variant!r} in compare.models")
         specs.append(_selected_covariates(cfg, covariates, variant))
-    priors = _prior_from_config(cfg)
     report = compare_models(
         series,
         covariates,
         specs,
-        priors,
-        _mh_from_config(cfg["mcmc"]),
-        _rng(cfg),
+        _from_block(PriorConfig, cfg["prior"], "prior"),
+        _from_block(MhConfig, cfg["mcmc"], "mcmc"),
+        RngStream(cfg["seed"]),
         start_month=int(cfg["start_month"]),
     )
-    artifacts = RunArtifacts(resolved_config=cfg)
-    artifacts.comparison = report
-    artifacts.summary = {
-        "command": "compare",
-        "models": list(report.models),
-        "ranking": sorted(
-            report.models, key=lambda m: report.log_marginal_likelihood[m], reverse=True
-        ),
+    return {
+        "summary.json": {
+            "command": "compare",
+            "models": list(report.models),
+            "ranking": sorted(
+                report.models, key=lambda m: report.log_marginal_likelihood[m], reverse=True
+            ),
+        },
+        "comparison.json": io.comparison_payload(report),
     }
-    return artifacts
 
 
-def emit_reports(artifacts: RunArtifacts, out_dir) -> list:
-    """Write resolved_config.json plus whichever result tables the run produced."""
+def emit_reports(outputs: dict, out_dir) -> list:
+    """Write each {file name: content} entry by its suffix: ``.json`` content
+    is a JSON object, anything else a ``(header, rows)`` CSV table."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    written = []
-
-    def emit_json(name, payload):
-        io.write_json(out_dir / name, payload)
-        written.append(name)
-
-    def emit_csv(name, table):
-        io.write_csv(out_dir / name, table[0], table[1])
-        written.append(name)
-
-    emit_json("resolved_config.json", artifacts.resolved_config)
-    emit_json("summary.json", artifacts.summary)
-    if artifacts.summary_rows is not None:
-        emit_csv("summary.csv", io.summary_csv_rows(artifacts.summary_rows))
-    if artifacts.fit_table is not None:
-        emit_csv("fit.csv", artifacts.fit_table)
-    if artifacts.forecast_report is not None:
-        emit_csv("forecast.csv", io.forecast_csv_rows(artifacts.forecast_report))
-    if artifacts.comparison is not None:
-        emit_json("comparison.json", io.comparison_payload(artifacts.comparison))
-    if artifacts.chain_diagnostics is not None:
-        emit_csv("diagnostics.csv", io.diagnostics_csv_rows(artifacts.chain_diagnostics))
-    for name, table in artifacts.extra_tables.items():
-        emit_csv(name, table)
-    return [out_dir / name for name in written]
+    for name, content in outputs.items():
+        if name.endswith(".json"):
+            io.write_json(out_dir / name, content)
+        else:
+            io.write_csv(out_dir / name, *content)
+    return [out_dir / name for name in outputs]

@@ -244,7 +244,7 @@ def sequential_harness(
     if design.T != series.T:
         raise DomainError("design must cover every month of the series")
 
-    origins, actuals, points, lowers, uppers = [], [], [], [], []
+    origins, actuals, points, intervals = [], [], [], []
     for o in range(start, end + 1):
         sub = rng.substream(o)
         train_series = series.head(o - 1)
@@ -261,20 +261,22 @@ def sequential_harness(
         origins.append(o)
         actuals.append(int(series.counts[o - 1]))
         points.append(dist.point_forecast)
-        lowers.append(dist.interval[0])
-        uppers.append(dist.interval[1])
+        intervals.append(dist.interval)
+    return _forecast_report(spec.variant, origins, actuals, points, intervals)
 
-    metrics = forecast_metrics(actuals, points, intervals=list(zip(lowers, uppers)))
-    flags = ()
+
+def _forecast_report(model, origins, actuals, points, intervals=None, flags=()) -> ForecastReport:
+    """Score the forecasts; flag the zero-actual origins the MAPE skipped."""
+    metrics = forecast_metrics(actuals, points, intervals=intervals)
     if metrics["skipped"]:
-        flags = ("mape_skipped_zero_actual_months",)
+        flags += ("mape_skipped_zero_actual_months",)
     return ForecastReport(
-        model=spec.variant,
+        model=model,
         origins=tuple(origins),
         actuals=tuple(actuals),
         points=tuple(points),
-        lower=tuple(lowers),
-        upper=tuple(uppers),
+        lower=None if intervals is None else tuple(lo for lo, _ in intervals),
+        upper=None if intervals is None else tuple(hi for _, hi in intervals),
         mape=metrics["mape"],
         rmse=metrics["rmse"],
         mcov=metrics["mcov"],
@@ -315,7 +317,7 @@ def select_ewma_nu(counts: np.ndarray, grid_step: float = 0.01) -> tuple:
     return best_nu, fallback
 
 
-def ewma_forecast(series: CountSeries, window, grid_step: float = 0.01) -> ForecastReport:
+def ewma_forecast(series: CountSeries, window) -> ForecastReport:
     """Sequential EWMA benchmark: re-select nu at every origin, then predict it."""
     start, end = _check_window(window, series.T)
     counts = series.counts.astype(float)
@@ -323,36 +325,15 @@ def ewma_forecast(series: CountSeries, window, grid_step: float = 0.01) -> Forec
     any_fallback = False
     for o in range(start, end + 1):
         train = counts[: o - 1]
-        nu, fallback = select_ewma_nu(train, grid_step)
+        nu, fallback = select_ewma_nu(train)
         any_fallback = any_fallback or fallback
         preds = ewma_recursion(train, nu)
         point = nu * train[-1] + (1.0 - nu) * preds[-1]
         origins.append(o)
         actuals.append(int(counts[o - 1]))
         points.append(float(point))
-    metrics = forecast_metrics(actuals, points, intervals=None)
-    flags = tuple(
-        f
-        for f in (
-            "ewma_rmse_fallback" if any_fallback else None,
-            "mape_skipped_zero_actual_months" if metrics["skipped"] else None,
-        )
-        if f
-    )
-    return ForecastReport(
-        model="EWMA",
-        origins=tuple(origins),
-        actuals=tuple(actuals),
-        points=tuple(points),
-        lower=None,
-        upper=None,
-        mape=metrics["mape"],
-        rmse=metrics["rmse"],
-        mcov=None,
-        mwid=None,
-        skipped_zero_months=tuple(origins[i] for i in metrics["skipped"]),
-        flags=flags,
-    )
+    flags = ("ewma_rmse_fallback",) if any_fallback else ()
+    return _forecast_report("EWMA", origins, actuals, points, flags=flags)
 
 
 def harmonic_mean_logml(log_likelihoods) -> float:

@@ -59,21 +59,6 @@ class FilterTrajectory:
 
 
 @dataclass(frozen=True)
-class SmoothingDraws:
-    """Sampled latent-rate paths, one row per retained draw."""
-
-    paths: np.ndarray  # (S, T)
-
-    @property
-    def S(self) -> int:
-        return self.paths.shape[0]
-
-    @property
-    def T(self) -> int:
-        return self.paths.shape[1]
-
-
-@dataclass(frozen=True)
 class GammaGridPosterior:
     """Discrete posterior of the discount factor over a grid in (0, 1)."""
 
@@ -134,13 +119,14 @@ def filter_core(
     a, b = _discount_solve(g.reshape(-1), rhs).reshape(2, *g.shape, T + 1)
 
     # negbin log pmf of N_t under r_t = gamma*a_{t-1}, p_t = gamma*b_{t-1}/(gamma*b_{t-1}+m_t);
-    # extreme multipliers can overflow the rate recursion, leaving non-finite
-    # entries for the caller to treat as out-of-support
+    # extreme multipliers can overflow the rate recursion, and a subnormal gamma
+    # can underflow gamma*b to 0, leaving non-finite entries for the caller to
+    # treat as out-of-support
     g_col = g[..., None]
     r = g_col * a[..., :-1]
     gb = g_col * b[..., :-1]
     n = counts.astype(float)
-    with np.errstate(invalid="ignore", over="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         log_gbm = np.log(gb + multipliers)
         log_pred = gammaln(r + n) - gammaln(n + 1.0) - gammaln(r) + r * (np.log(gb) - log_gbm)
         log_pred += n * (np.log(multipliers) - log_gbm)
@@ -239,9 +225,12 @@ def ffbs_sample(trajectory: FilterTrajectory, rng: RngStream) -> np.ndarray:
     return path
 
 
-def exceedance_probability(draws: SmoothingDraws, s: int, u: int) -> float:
-    """Fraction of sampled paths with theta_s >= theta_u (months are 1-based)."""
-    T = draws.T
+def exceedance_probability(paths: np.ndarray, s: int, u: int) -> float:
+    """Fraction of sampled (S, T) paths with theta_s >= theta_u (months are 1-based)."""
+    paths = np.asarray(paths)
+    if paths.ndim != 2:
+        raise DomainError("exceedance needs an (S, T) array of sampled paths")
+    T = paths.shape[1]
     if not (1 <= s <= T and 1 <= u <= T):
         raise DomainError(f"month indices must lie in 1..{T}")
-    return float(np.mean(draws.paths[:, s - 1] >= draws.paths[:, u - 1]))
+    return float(np.mean(paths[:, s - 1] >= paths[:, u - 1]))

@@ -120,7 +120,7 @@ class ChainDiagnostics:
     names: tuple
     means: np.ndarray
     sds: np.ndarray
-    autocorr: np.ndarray  # (k, max_lag+1), lag 0 first
+    autocorr: np.ndarray  # (k, _MAX_LAG+1), lag 0 first
     ess: np.ndarray
 
 
@@ -639,16 +639,19 @@ def posterior_summary(draws: PosteriorDraws) -> list[dict]:
     return rows
 
 
-def _autocorr(x: np.ndarray, max_lag: int) -> np.ndarray:
+_MAX_LAG = 50  # autocorrelation lags the ESS truncation may sum over
+
+
+def _autocorr(x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     n = len(x)
     x = x - x.mean()
     denom = float(x @ x)
-    out = np.zeros(max_lag + 1)
+    out = np.zeros(_MAX_LAG + 1)
     out[0] = 1.0
     if denom == 0.0:
         return out
-    for k in range(1, min(max_lag, n - 1) + 1):
+    for k in range(1, min(_MAX_LAG, n - 1) + 1):
         out[k] = float(x[:-k] @ x[k:]) / denom
     return out
 
@@ -672,14 +675,14 @@ def _ess(x: np.ndarray, acf: np.ndarray) -> float:
     return float(min(max(ess, 1.0), n))
 
 
-def diagnostics(draws: PosteriorDraws, max_lag: int = 50) -> ChainDiagnostics:
-    """Trace summaries, autocorrelations (lags 0..max_lag) and ESS per parameter."""
+def diagnostics(draws: PosteriorDraws) -> ChainDiagnostics:
+    """Trace summaries, autocorrelations (lags 0..50) and ESS per parameter."""
     table = draws.parameter_table()
     if draws.S < 2:
         raise DomainError("diagnostics need at least two draws")
     names = tuple(name for name, _ in table)
     means = np.array([np.mean(v) for _, v in table])
     sds = np.array([np.std(v, ddof=1) for _, v in table])
-    acfs = np.vstack([_autocorr(v, max_lag) for _, v in table])
+    acfs = np.vstack([_autocorr(v) for _, v in table])
     ess = np.array([_ess(v, acf) for (_, v), acf in zip(table, acfs)])
     return ChainDiagnostics(names=names, means=means, sds=sds, autocorr=acfs, ess=ess)

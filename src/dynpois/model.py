@@ -287,7 +287,7 @@ def simulate_cohort(
     gen = rng.generator
 
     theta0 = sample_gamma(priors.initial_state(), rng)
-    a, b = priors.a0, priors.b0
+    a = priors.a0
     theta_prev = theta0
     thetas = np.empty(T)
     counts = np.empty(T, dtype=int)
@@ -302,7 +302,6 @@ def simulate_cohort(
             mult = float(np.exp(design.rows[t - 1] @ multipliers_beta))
         n = int(gen.poisson(theta * mult))
         a = true_gamma * a + n
-        b = true_gamma * b + mult
         thetas[t - 1] = theta
         counts[t - 1] = n
         theta_prev = theta

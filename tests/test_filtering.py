@@ -1,6 +1,7 @@
 """Tests for the conjugate filter, grid posterior and backward sampling."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -11,7 +12,6 @@ from scipy import special
 from dynpois.evaluation import per_draw_log_predictives
 from dynpois.filtering import (
     FILTER_BLOCK,
-    SmoothingDraws,
     exceedance_probability,
     ffbs_sample,
     filter_core,
@@ -230,6 +230,13 @@ class TestFilterPass:
         with pytest.raises(DomainError):
             filter_core([1, 2], np.ones(3), 0.5, 1.0, 1.0)
 
+    def test_subnormal_gamma_is_out_of_support_without_warning(self):
+        # gamma*b underflows to 0; log(0) must not warn, the months score -inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            traj = filter_core([1, 2], np.ones(2), 5e-324, 1.0, 0.1)
+        assert np.all(traj.log_predictive == -np.inf)
+
 
 class TestGammaGridPosterior:
     def test_single_point_mass(self):
@@ -310,14 +317,14 @@ class TestFfbs:
 
 class TestExceedance:
     def test_reflexive(self):
-        draws = SmoothingDraws(np.random.default_rng(0).gamma(2.0, size=(50, 4)))
-        assert exceedance_probability(draws, 2, 2) == 1.0
+        paths = np.random.default_rng(0).gamma(2.0, size=(50, 4))
+        assert exceedance_probability(paths, 2, 2) == 1.0
 
     def test_complement_identity(self):
-        draws = SmoothingDraws(np.random.default_rng(1).gamma(2.0, size=(500, 3)))
-        p_ge = exceedance_probability(draws, 1, 3)
+        paths = np.random.default_rng(1).gamma(2.0, size=(500, 3))
+        p_ge = exceedance_probability(paths, 1, 3)
         # strict complement: P(s >= u) + P(u > s) = 1
-        p_gt = np.mean(draws.paths[:, 2] > draws.paths[:, 0])
+        p_gt = np.mean(paths[:, 2] > paths[:, 0])
         assert p_ge + p_gt == pytest.approx(1.0, abs=1e-12)
 
     def test_increasing_rate_detected(self):
@@ -326,13 +333,16 @@ class TestExceedance:
         traj = _filter_dm1(counts, 0.8, 1.0, 1.0)
         rng = RngStream(9)
         paths = np.array([ffbs_sample(traj, rng) for _ in range(2000)])
-        draws = SmoothingDraws(paths)
-        assert exceedance_probability(draws, 6, 1) > 0.99
+        assert exceedance_probability(paths, 6, 1) > 0.99
 
     def test_index_out_of_range(self):
-        draws = SmoothingDraws(np.ones((10, 3)))
         with pytest.raises(DomainError):
-            exceedance_probability(draws, 0, 1)
+            exceedance_probability(np.ones((10, 3)), 0, 1)
+
+    @pytest.mark.parametrize("shape", [(3,), (2, 3, 4)])
+    def test_paths_must_be_two_dimensional(self, shape):
+        with pytest.raises(DomainError):
+            exceedance_probability(np.ones(shape), 1, 1)
 
 
 class TestBatchedFilter:
@@ -448,8 +458,6 @@ class TestBandedSolve:
         seed=st.integers(min_value=0, max_value=2**32 - 1),
     )
     @settings(max_examples=60, deadline=None)
-    # a subnormal gamma underflows gamma*b to 0, and log(0) warns
-    @pytest.mark.filterwarnings("ignore:divide by zero encountered in log")
     def test_batched_rows_equal_single_row_calls(self, gammas, T, seed):
         gen = np.random.default_rng(seed)
         counts = gen.poisson(20.0, size=T)

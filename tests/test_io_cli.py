@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dynpois.cli import emit_reports, resolve_config, run_command, RunArtifacts
+from dynpois import io
+from dynpois.cli import emit_reports, resolve_config, run_command
 from dynpois.evaluation import ForecastReport
 from dynpois.io import ValidationError, format_number, ingest_csv
 
@@ -220,6 +221,17 @@ class TestRunCommandFit:
         assert err["type"] == "ValidationError"
         assert "must be a JSON object" in err["message"]
 
+    @pytest.mark.parametrize("user", [{"prior": {"a0": [1]}}, {"prior": {"gamma_beta_ab": 3}},
+                                      {"mcmc": {"iterations": "many"}}])
+    def test_uncastable_config_value_exits_2(self, tmp_path, capsys, user):
+        data = _simulate_cohort_csv(tmp_path)
+        cfg = _write(tmp_path, "bad.json", json.dumps(user))
+        capsys.readouterr()
+        code, _ = run_command(["fit", "--config", str(cfg), "--model", "DM1", "--seed", "1",
+                               "--data", str(data), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert json.loads(capsys.readouterr().out)["error"]["type"] == "ValidationError"
+
     def test_bpm_fit_emits_rate_overlay(self, tmp_path):
         data = _simulate_cohort_csv(tmp_path, T=30)
         cfg = _write(
@@ -337,6 +349,8 @@ class TestRunCommandForecastAndCompare:
         assert code == 0
         assert (out / "fit.csv").exists()
         assert not (out / "summary.csv").exists()
+        assert not (out / "diagnostics.csv").exists()
+        assert json.loads((out / "summary.json").read_text())["command"] == "report"
 
 
 class TestStandardizeCovariates:
@@ -381,17 +395,24 @@ class TestEmitReports:
             model="DM1", origins=(), actuals=(), points=(), lower=(), upper=(),
             mape=None, rmse=0.0, mcov=None, mwid=None,
         )
-        artifacts = RunArtifacts(resolved_config={"seed": 1}, summary={"command": "forecast"})
-        artifacts.forecast_report = report
-        emit_reports(artifacts, tmp_path)
+        emit_reports({"forecast.csv": io.forecast_csv_rows(report)}, tmp_path)
         assert (tmp_path / "forecast.csv").read_text() == "origin,actual,point,lo95,hi95\n"
 
     def test_always_emits_resolved_config(self, tmp_path):
-        artifacts = RunArtifacts(resolved_config={"seed": 1}, summary={"command": "x"})
-        files = emit_reports(artifacts, tmp_path)
-        names = {p.name for p in files}
-        assert "resolved_config.json" in names
-        assert "summary.json" in names
+        cfg = _write(tmp_path, "s.json", json.dumps({"simulate": {"T": 3}}))
+        out = tmp_path / "o"
+        code, outputs = run_command(["simulate", "--config", str(cfg), "--model", "DM1",
+                                     "--seed", "1", "--out", str(out)])
+        assert code == 0
+        assert sorted(outputs) == ["cohort.csv", "resolved_config.json", "summary.json"]
+        assert sorted(p.name for p in out.iterdir()) == sorted(outputs)
+        assert json.loads((out / "resolved_config.json").read_text())["simulate"]["T"] == 3
+
+    def test_writes_each_entry_by_suffix(self, tmp_path):
+        files = emit_reports({"a.json": {"x": [1, 2]}, "b.csv": (["k", "v"], [["p", 0.1], [2, None]])}, tmp_path)
+        assert [p.name for p in files] == ["a.json", "b.csv"]
+        assert json.loads((tmp_path / "a.json").read_text()) == {"x": [1, 2]}
+        assert (tmp_path / "b.csv").read_text() == "k,v\np,0.10000000000000001\n2,NA\n"
 
 
 class TestDeterminism:

@@ -582,7 +582,7 @@ class TestDiagnosticsAndSummary:
         noise = gen.normal(size=n)
         for t in range(1, n):
             x[t] = phi * x[t - 1] + noise[t]
-        diag = diagnostics(self._draws(x.reshape(-1, 1)), max_lag=50)
+        diag = diagnostics(self._draws(x.reshape(-1, 1)))
         ratio = diag.ess[0] / n
         assert ratio == pytest.approx((1 - phi) / (1 + phi), rel=0.2)
 
