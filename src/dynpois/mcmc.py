@@ -18,6 +18,7 @@ from scipy import optimize
 from scipy.special import gammaln
 
 from .filtering import (
+    FILTER_BLOCK,
     ffbs_sample,
     filter_core,
     filter_draws,
@@ -124,8 +125,10 @@ class ChainDiagnostics:
     ess: np.ndarray
 
 
-def _log_prior_beta(beta: np.ndarray, sd: float) -> float:
-    return float(-0.5 * np.sum(beta**2) / sd**2 - len(beta) * math.log(sd * math.sqrt(2 * math.pi)))
+def _log_prior_beta(beta: np.ndarray, sd: float) -> float | np.ndarray:
+    """Log N(0, sd^2) density of a point (p,) as a float, or of each row of a block (K, p)."""
+    lp = -0.5 * np.sum(beta**2, axis=-1) / sd**2 - beta.shape[-1] * math.log(sd * math.sqrt(2 * math.pi))
+    return lp if lp.ndim else float(lp)
 
 
 def _log_prior_gamma(gamma: float, priors: PriorConfig) -> float:
@@ -143,15 +146,23 @@ def _log_prior_gamma(gamma: float, priors: PriorConfig) -> float:
 
 def log_target_static(
     beta: np.ndarray,
-    gamma: float,
+    gamma: float | np.ndarray,
     series: CountSeries,
     design: DesignMatrix,
     priors: PriorConfig,
-) -> float:
-    """Unnormalized log posterior of (beta, gamma) with latent rates integrated out."""
-    if not (0.0 < gamma < 1.0):
-        return -np.inf
+) -> float | np.ndarray:
+    """Unnormalized log posterior of (beta, gamma) with latent rates integrated out.
+
+    One point: ``beta`` of shape (p,) and a float ``gamma`` give a float. A
+    block: ``beta`` of shape (K, p) and ``gamma`` of shape (K,) give (K,),
+    row k equal to the point call on (beta[k], gamma[k]) bit for bit. Points
+    off the support (gamma outside (0, 1), a non-finite prior, multipliers
+    that underflow or overflow, a non-finite likelihood) score -inf; a block
+    scores its other rows in one batched filter pass.
+    """
     beta = np.asarray(beta, dtype=float)
+    if beta.ndim == 2:
+        return _log_target_static_block(beta, np.asarray(gamma, dtype=float), series, design, priors)
     lp = _log_prior_gamma(gamma, priors)
     if beta.size:
         lp += _log_prior_beta(beta, priors.beta_sd)
@@ -168,6 +179,36 @@ def log_target_static(
     return float(ll + lp)
 
 
+def _log_target_static_block(
+    beta: np.ndarray,
+    gamma: np.ndarray,
+    series: CountSeries,
+    design: DesignMatrix,
+    priors: PriorConfig,
+) -> np.ndarray:
+    """The block case of ``log_target_static``: the point call's support checks
+    on every row, then one ``filter_core`` call over the rows that pass. Each
+    row's multipliers come from its own ``linear_predictor`` call, so they
+    equal the point call's bit for bit."""
+    if gamma.shape != beta.shape[:1]:
+        raise DomainError("a block of K points needs K discount factors")
+    lp = np.array([_log_prior_gamma(g, priors) for g in gamma])
+    if beta.shape[1]:
+        lp += _log_prior_beta(beta, priors.beta_sd)
+    out = np.full(len(beta), -np.inf)
+    live = np.flatnonzero(np.isfinite(lp))
+    if not live.size:
+        return out
+    multipliers = np.stack([linear_predictor(design, beta[k]) for k in live])
+    ok = (0.0 < multipliers.min(axis=1)) & (multipliers.max(axis=1) < np.inf)
+    live, multipliers = live[ok], multipliers[ok]
+    if live.size:
+        traj = filter_core(series.counts, multipliers, gamma[live], priors.a0, priors.b0)
+        ll = traj.total_log_predictive
+        out[live] = np.where(np.isfinite(ll), ll + lp[live], -np.inf)
+    return out
+
+
 # BFGS iteration cap (Nelder-Mead refinement gets 50x as many), and the
 # finite-difference step of the Hessian relative to max(1, |x_i|)
 _MODE_MAX_ITER = 500
@@ -177,10 +218,15 @@ _HESSIAN_REL_STEP = 1e-4
 def find_mode_and_hessian(log_target, start: np.ndarray) -> ModeHessian:
     """Maximize a log density and return the inverse negative Hessian at the mode.
 
-    Quasi-Newton with finite-difference gradients; the Hessian comes from
-    central second differences, symmetrized. If the inverse is not positive
-    definite its diagonal is inflated until it is, and the added jitter is
-    reported on the result.
+    ``log_target`` scores one point of shape (d,) as a float, or a block of
+    shape (K, d) as (K,), -inf off the support. Quasi-Newton with
+    finite-difference gradients, whose d points per gradient are scored in
+    one block call; scipy still picks the steps and does the arithmetic. The
+    Hessian comes from central second differences over one block of stencil
+    points, symmetrized. A Hessian that is not finite (a stencil point off
+    the support) raises FitError. If the inverse is not positive definite its
+    diagonal is inflated until it is, and the added jitter is reported on the
+    result.
     """
     start = np.atleast_1d(np.asarray(start, dtype=float))
 
@@ -188,7 +234,14 @@ def find_mode_and_hessian(log_target, start: np.ndarray) -> ModeHessian:
         v = log_target(x)
         return -v if np.isfinite(v) else 1e300
 
-    res = optimize.minimize(neg, start, method="BFGS", options={"maxiter": _MODE_MAX_ITER})
+    def neg_block(_fun, points):
+        # scipy's map-like hook for the gradient points, in place of map(_fun, points)
+        v = log_target(np.array(list(points)))
+        return np.where(np.isfinite(v), -v, 1e300)
+
+    res = optimize.minimize(
+        neg, start, method="BFGS", options={"maxiter": _MODE_MAX_ITER, "workers": neg_block}
+    )
     if not np.all(np.isfinite(res.x)) or not np.isfinite(res.fun):
         raise FitError(f"mode search diverged: {res.message}")
     if not res.success:
@@ -204,6 +257,10 @@ def find_mode_and_hessian(log_target, start: np.ndarray) -> ModeHessian:
     mode = np.atleast_1d(res.x)
 
     hessian = _fd_hessian(log_target, mode)
+    if not np.all(np.isfinite(hessian)):
+        raise FitError(
+            "the Hessian at the mode is not finite: a finite-difference point is off the support"
+        )
     cov = np.linalg.inv(-hessian)
     cov = 0.5 * (cov + cov.T)
     jitter = 0.0
@@ -222,20 +279,37 @@ def find_mode_and_hessian(log_target, start: np.ndarray) -> ModeHessian:
 
 
 def _fd_hessian(f, x: np.ndarray) -> np.ndarray:
+    """Central second differences of the block target f at x.
+
+    The stencil is x, then x + h_i e_i and x - h_i e_i for each i, then
+    x +- h_i e_i +- h_j e_j for each pair i < j: 1 + 2d + 2d(d-1) points,
+    scored FILTER_BLOCK at a time.
+    """
     d = len(x)
     h = _HESSIAN_REL_STEP * np.maximum(1.0, np.abs(x))
+    steps = np.diag(h)
+    i, j = np.triu_indices(d, 1)
+    signs = ((1.0, 1.0), (1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0))
+    offsets = np.concatenate(
+        [
+            np.zeros((1, d)),
+            np.stack([steps, -steps], axis=1).reshape(2 * d, d),
+            np.stack([si * steps[i] + sj * steps[j] for si, sj in signs], axis=1).reshape(-1, d),
+        ]
+    )
+    points = x + offsets
+    values = np.concatenate(
+        [f(points[k : k + FILTER_BLOCK]) for k in range(0, len(points), FILTER_BLOCK)]
+    )
+    f0, plus, minus = values[0], values[1 : 2 * d + 1 : 2], values[2 : 2 * d + 1 : 2]
+    pp, pm, mp, mm = values[2 * d + 1 :].reshape(-1, 4).T
     H = np.empty((d, d))
-    f0 = f(x)
-    for i in range(d):
-        ei = np.zeros(d)
-        ei[i] = h[i]
-        H[i, i] = (f(x + ei) - 2.0 * f0 + f(x - ei)) / h[i] ** 2
-        for j in range(i + 1, d):
-            ej = np.zeros(d)
-            ej[j] = h[j]
-            H[i, j] = H[j, i] = (
-                f(x + ei + ej) - f(x + ei - ej) - f(x - ei + ej) + f(x - ei - ej)
-            ) / (4.0 * h[i] * h[j])
+    # squares by scalar pow, which can differ in the last bit from the array h**2
+    h_sq = np.array([step**2 for step in h])
+    # -inf at points off the support gives NaN, which the caller rejects
+    with np.errstate(invalid="ignore"):
+        H[np.diag_indices(d)] = (plus - 2.0 * f0 + minus) / h_sq
+        H[i, j] = H[j, i] = (pp - pm - mp + mm) / (4.0 * h[i] * h[j])
     return H
 
 
@@ -323,6 +397,33 @@ def _smooth_paths(
     )
 
 
+def _logit_jacobian(g: float) -> float:
+    """log of d gamma / d logit gamma = g (1 - g); -inf where gamma rounds to 0 or 1."""
+    return math.log(g) + math.log1p(-g) if 0.0 < g < 1.0 else -np.inf
+
+
+def _dm_static_target(series: CountSeries, design: DesignMatrix, priors: PriorConfig):
+    """The log target that ``fit_dm_static`` samples, for one point or a block:
+    over beta alone under a fixed gamma prior, otherwise over (beta, logit gamma)
+    with the logit Jacobian included."""
+    p = design.p
+    if priors.gamma_prior == "fixed":
+        g0 = priors.gamma_fixed_value
+
+        def target(b):
+            g = g0 if b.ndim == 1 else np.full(len(b), g0)
+            return log_target_static(b, g, series, design, priors)
+
+    else:
+
+        def target(x):
+            g = expit(x[..., p])
+            jac = _logit_jacobian(g) if x.ndim == 1 else np.array([_logit_jacobian(v) for v in g])
+            return log_target_static(x[..., :p], g, series, design, priors) + jac
+
+    return target
+
+
 def fit_dm_static(
     series: CountSeries,
     design: DesignMatrix,
@@ -356,28 +457,16 @@ def fit_dm_static(
         betas = np.zeros((S, 0))
         acc = 1.0
     elif priors.gamma_prior == "fixed":
-        g0 = priors.gamma_fixed_value
-        gammas = np.full(S, g0)
+        gammas = np.full(S, priors.gamma_fixed_value)
         if p == 0:
             betas = np.zeros((S, 0))
             acc = 1.0
         else:
-
-            def target(b):
-                return log_target_static(b, g0, series, design, priors)
-
+            target = _dm_static_target(series, design, priors)
             res = _mode_then_chain(target, np.zeros(p), config, rng.substream(0))
             betas, acc = res.draws, res.acceptance_rate
     else:
-
-        def target(x):
-            g = expit(x[-1])
-            if not (0.0 < g < 1.0):
-                return -np.inf
-            # d gamma / d logit = g (1 - g)
-            jac = math.log(g) + math.log1p(-g)
-            return log_target_static(x[:p], g, series, design, priors) + jac
-
+        target = _dm_static_target(series, design, priors)
         res = _mode_then_chain(target, np.zeros(p + 1), config, rng.substream(0))
         betas = res.draws[:, :p]
         gammas = expit(res.draws[:, p])
@@ -574,11 +663,15 @@ def fit_dm5(
 
 def log_target_bpm(
     beta: np.ndarray, series: CountSeries, design: DesignMatrix, priors: PriorConfig
-) -> float:
-    """Log posterior of the static Poisson regression (rate exp(beta' z_t))."""
-    eta = design.rows @ np.asarray(beta, dtype=float)
+) -> float | np.ndarray:
+    """Log posterior of the static Poisson regression (rate exp(beta' z_t)): a
+    float for one point of shape (p,), or (K,) for a block of shape (K, p)."""
+    beta = np.asarray(beta, dtype=float)
+    if beta.ndim == 2:
+        return np.array([log_target_bpm(b, series, design, priors) for b in beta])
+    eta = design.rows @ beta
     ll = float(np.sum(series.counts * eta - np.exp(eta) - gammaln(series.counts + 1.0)))
-    return ll + _log_prior_beta(np.asarray(beta, dtype=float), priors.beta_sd)
+    return ll + _log_prior_beta(beta, priors.beta_sd)
 
 
 def fit_bpm(

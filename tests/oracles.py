@@ -246,3 +246,23 @@ def one_step_predictive(predicted: GammaParams, multiplier: float = 1.0) -> NegB
     r = predicted.shape
     p = predicted.rate / (predicted.rate + multiplier)
     return NegBinParams(r, p)
+
+
+def fd_hessian_loop(f, x: np.ndarray, rel_step: float) -> np.ndarray:
+    """Central second differences of a point target f at x, one call per
+    stencil point, with steps rel_step * max(1, |x_i|)."""
+    d = len(x)
+    h = rel_step * np.maximum(1.0, np.abs(x))
+    H = np.empty((d, d))
+    f0 = f(x)
+    for i in range(d):
+        ei = np.zeros(d)
+        ei[i] = h[i]
+        H[i, i] = (f(x + ei) - 2.0 * f0 + f(x - ei)) / h[i] ** 2
+        for j in range(i + 1, d):
+            ej = np.zeros(d)
+            ej[j] = h[j]
+            H[i, j] = H[j, i] = (
+                f(x + ei + ej) - f(x + ei - ej) - f(x - ei + ej) + f(x - ei - ej)
+            ) / (4.0 * h[i] * h[j])
+    return H

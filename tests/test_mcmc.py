@@ -5,8 +5,11 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from dynpois.filtering import filter_core, gamma_grid_posterior
+from dynpois import mcmc
+from dynpois.filtering import FILTER_BLOCK, filter_core, gamma_grid_posterior
 from dynpois.kernels import DomainError, GammaParams, RngStream
 from dynpois.mcmc import (
     FitError,
@@ -31,11 +34,25 @@ from dynpois.model import (
     build_design,
     simulate_cohort,
 )
-from oracles import NegBinParams, log_pdf_gamma, log_pmf_negbin
+from oracles import NegBinParams, fd_hessian_loop, log_pdf_gamma, log_pmf_negbin
 
 
 def _series(counts):
     return CountSeries(np.arange(1, len(counts) + 1), list(counts))
+
+
+def _simulated_static(variant, T=60):
+    """A simulated cohort with two covariates, its design for the variant, and priors."""
+    rng = RngStream(11)
+    cov = {"z1": rng.substream(1).generator.normal(size=T),
+           "z2": rng.substream(2).generator.normal(size=T)}
+    spec = ModelSpec(variant, ("z1", "z2"))
+    design = build_design(cov, spec, T)
+    priors = PriorConfig(a0=50.0, b0=2.0)
+    true_beta = np.zeros(design.p)
+    true_beta[:2] = 0.4, -0.3
+    truth = simulate_cohort(priors, 0.7, true_beta, design, T, rng.substream(3))
+    return truth.counts, design, priors
 
 
 class TestLogTargetStatic:
@@ -89,11 +106,51 @@ class TestLogTargetStatic:
         design = DesignMatrix(("x",), np.ones((3, 1)))
         assert log_target_static(np.array([-800.0]), 0.5, series, design, PriorConfig()) == -np.inf
 
+    @given(
+        rows=st.lists(
+            st.tuples(
+                st.lists(
+                    st.one_of(st.floats(-3.0, 3.0), st.sampled_from([-800.0, 709.0, 800.0])),
+                    min_size=2,
+                    max_size=2,
+                ),
+                st.one_of(
+                    st.floats(1e-6, 1.0 - 1e-6),
+                    st.sampled_from([0.5, 0.0, 1.0, 1.5, -0.2, math.nan]),
+                ),
+            ),
+            min_size=1,
+            max_size=12,
+        ),
+        gamma_prior=st.sampled_from(["uniform", "beta", "fixed"]),
+    )
+    # multipliers of e^709 in every month overflow the rate recursion at gamma = 0.9
+    @example(rows=[([709.0, 0.0], 0.9), ([0.3, -0.2], 0.6)], gamma_prior="uniform")
+    @settings(max_examples=80, deadline=None)
+    def test_block_rows_equal_point_calls(self, rows, gamma_prior):
+        # off-support rows (gamma outside (0, 1), a zero fixed-prior density,
+        # multipliers that underflow or overflow, a likelihood that overflows)
+        # score -inf in the block without disturbing the others
+        series = _series([3, 0, 7, 2, 11, 4, 1, 0])
+        z = np.linspace(-1.0, 1.0, 8)
+        design = DesignMatrix(("c", "z"), np.column_stack([np.ones(8), z]))
+        priors = PriorConfig(a0=2.0, b0=1.5, gamma_prior=gamma_prior, gamma_fixed_value=0.5)
+        betas = np.array([b for b, _ in rows])
+        gammas = np.array([g for _, g in rows])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            block = log_target_static(betas, gammas, series, design, priors)
+            points = [log_target_static(b, g, series, design, priors) for b, g in zip(betas, gammas)]
+        assert block.shape == (len(rows),)
+        assert np.array_equal(block, np.array(points))
+
 
 class TestFindModeAndHessian:
+    # targets score one point (d,) or a block (K, d), as find_mode_and_hessian requires
+
     def test_gaussian_quadratic(self):
         def target(x):
-            return -0.5 * (x[0] - 3.0) ** 2 / 4.0
+            return -0.5 * (x[..., 0] - 3.0) ** 2 / 4.0
 
         res = find_mode_and_hessian(target, np.array([0.0]))
         assert res.mode[0] == pytest.approx(3.0, abs=1e-4)
@@ -101,7 +158,7 @@ class TestFindModeAndHessian:
 
     def test_gamma_mode(self):
         def target(x):
-            return log_pdf_gamma(x[0], GammaParams(5.0, 2.0)) if x[0] > 0 else -np.inf
+            return log_pdf_gamma(x[..., 0], GammaParams(5.0, 2.0))
 
         res = find_mode_and_hessian(target, np.array([1.0]))
         assert res.mode[0] == pytest.approx(2.0, abs=1e-4)
@@ -111,8 +168,9 @@ class TestFindModeAndHessian:
         counts = np.array([1, 2, 3, 6, 9])
 
         def target(x):
-            eta = x[0] + x[1] * z
-            return float(np.sum(counts * eta - np.exp(eta)))
+            x = np.asarray(x)
+            eta = x[..., :1] + x[..., 1:2] * z
+            return np.sum(counts * eta - np.exp(eta), axis=-1)
 
         res = find_mode_and_hessian(target, np.zeros(2))
         b0_grid = np.linspace(0.0, 2.0, 401)
@@ -127,10 +185,65 @@ class TestFindModeAndHessian:
         prec = np.linalg.inv(cov)
 
         def target(x):
-            return -0.5 * x @ prec @ x
+            return -0.5 * np.sum((x @ prec) * x, axis=-1)
 
         res = find_mode_and_hessian(target, np.array([1.0, -1.0]))
         assert np.allclose(res.covariance, cov, atol=1e-3)
+
+    def test_stencil_point_off_support_raises(self):
+        # the mode sits 5e-5 from the support's edge, closer than the Hessian
+        # step: the stencil scores -inf, and the NaN inverse it would give
+        # passes the Cholesky check, leaving a chain that never accepts
+        def target(x):
+            return np.where(x[..., 0] > 5e-5, -np.inf, -np.sum(x**2, axis=-1))
+
+        with pytest.raises(FitError, match="Hessian at the mode is not finite"):
+            find_mode_and_hessian(target, np.array([-1.0, 0.5]))
+
+    @pytest.mark.parametrize("variant", ["DM2", "DM4"])
+    def test_batched_scoring_matches_serial_evaluation(self, variant, monkeypatch):
+        # gradient points through the block hook and the one-block stencil give
+        # the same mode, covariance and jitter as scipy scoring each gradient
+        # point by itself and the per-point Hessian loop
+        series, design, priors = _simulated_static(variant)
+        target = mcmc._dm_static_target(series, design, priors)
+        block_calls = []
+
+        def counted(x):
+            block_calls.append(np.ndim(x) == 2)
+            return target(x)
+
+        start = np.zeros(design.p + 1)
+        batched = find_mode_and_hessian(counted, start)
+        assert sum(block_calls) > 1  # gradients and the stencil came as blocks
+
+        minimize = mcmc.optimize.minimize
+
+        def serial_minimize(*args, options, **kwargs):
+            options = {k: v for k, v in options.items() if k != "workers"}
+            return minimize(*args, options=options, **kwargs)
+
+        monkeypatch.setattr(mcmc.optimize, "minimize", serial_minimize)
+        monkeypatch.setattr(
+            mcmc, "_fd_hessian", lambda f, x: fd_hessian_loop(f, x, mcmc._HESSIAN_REL_STEP)
+        )
+        serial = find_mode_and_hessian(target, start)
+        assert np.array_equal(batched.mode, serial.mode)
+        assert np.array_equal(batched.covariance, serial.covariance)
+        assert batched.jitter == serial.jitter
+
+    @pytest.mark.parametrize("variant", ["DM2", "DM4"])
+    def test_block_stencil_matches_point_loop(self, variant):
+        # DM4's 14 dimensions give 393 stencil points, more than one block;
+        # coordinates beyond 1 in magnitude scale their steps
+        series, design, priors = _simulated_static(variant)
+        target = mcmc._dm_static_target(series, design, priors)
+        x = np.random.default_rng(0).normal(0.0, 0.2, design.p + 1)
+        x[0], x[-1] = -1.7, 2.3
+        n_points = 1 + 2 * len(x) + 2 * len(x) * (len(x) - 1)
+        assert (n_points > FILTER_BLOCK) == (variant == "DM4")
+        expected = fd_hessian_loop(target, x, mcmc._HESSIAN_REL_STEP)
+        assert np.array_equal(mcmc._fd_hessian(target, x), expected)
 
 
 class TestRwMetropolis:
