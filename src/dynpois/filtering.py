@@ -67,23 +67,62 @@ class GammaGridPosterior:
     mean: float
 
 
-def _discount_solve(gamma: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve x[k, j, t] = gamma[j]*x[k, j, t-1] + rhs[k, j, t] from x[k, j, 0] = rhs[k, j, 0].
+def _discount_solve(gamma: float | np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve x[k, ..., t] = gamma*x[k, ..., t-1] + rhs[k, ..., t] from x[k, ..., 0] = rhs[k, ..., 0].
 
-    The S rows of each rhs[k] form one unit lower-bidiagonal system (subdiagonal
-    -gamma[j], 0 at each row start) for one BLAS ``dtbsv`` call; that 0 adds an
-    exact zero, so row j equals its own S = 1 solve bit for bit.
+    One row: a float ``gamma`` and ``rhs`` of shape (K, L). S rows: ``gamma``
+    of shape (S,) and ``rhs`` of shape (K, S, L). The rows of each rhs[k] form
+    one unit lower-bidiagonal system (subdiagonal -gamma[j], 0 at each row
+    start) for one BLAS ``dtbsv`` call; that 0 adds an exact zero, so row j
+    equals its own one-row solve bit for bit.
     """
-    S, L = rhs.shape[1:]
-    band = np.ones((2, S, L))
-    band[1] = -gamma[:, None]
-    band[1, :, -1] = 0.0
+    band = np.empty((2, rhs[0].size))
+    band[0] = 1.0
+    subdiagonal = band[1].reshape(-1, rhs.shape[-1])  # one row per draw
+    subdiagonal.T[:] = -gamma
+    subdiagonal[:, -1] = 0.0
     x = rhs.copy()
-    for row in x.reshape(len(x), S * L):
-        dtbsv(1, band.reshape(2, S * L), row, lower=1, diag=1, overwrite_x=1)
-    if S > 1 and not np.isfinite(x[:, :-1, -1]).all():  # inf * 0 would make the next row NaN
-        return np.concatenate([_discount_solve(gamma[j : j + 1], rhs[:, j : j + 1]) for j in range(S)], 1)
+    for row in x.reshape(len(x), -1):
+        dtbsv(1, band, row, lower=1, diag=1, overwrite_x=1)
+    if x.ndim == 3 and len(gamma) > 1 and not np.isfinite(x[:, :-1, -1]).all():
+        # inf * 0 would make the next row NaN: solve each row by itself
+        return np.stack([_discount_solve(g, rhs[:, j]) for j, g in enumerate(gamma)], 1)
     return x
+
+
+def _filter_body(
+    n: np.ndarray,
+    log_n_factorial: np.ndarray,
+    multipliers: np.ndarray,
+    gamma: float | np.ndarray,
+    a0: float,
+    b0: float,
+) -> tuple:
+    """``filter_core`` without its checks: the states ``a``, ``b`` and the log-predictives.
+
+    ``n`` holds the counts as floats and ``log_n_factorial`` their
+    gammaln(n + 1), so a caller that scores many points prepares both once.
+    One row: a float ``gamma`` and ``multipliers`` of shape (T,). S rows:
+    ``gamma`` of shape (S,) and ``multipliers`` of shape (S, T).
+    """
+    batched = isinstance(gamma, np.ndarray)
+    rhs = np.empty((2, *gamma.shape, len(n) + 1) if batched else (2, len(n) + 1))
+    rhs[0, ..., 0], rhs[0, ..., 1:] = a0, n
+    rhs[1, ..., 0], rhs[1, ..., 1:] = b0, multipliers
+    a, b = _discount_solve(gamma, rhs)
+
+    # negbin log pmf of N_t under r_t = gamma*a_{t-1}, p_t = gamma*b_{t-1}/(gamma*b_{t-1}+m_t);
+    # extreme multipliers can overflow the rate recursion, and a subnormal gamma
+    # can underflow gamma*b to 0, leaving non-finite entries for the caller to
+    # treat as out-of-support
+    g_col = gamma[:, None] if batched else gamma
+    r = g_col * a[..., :-1]
+    gb = g_col * b[..., :-1]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        log_gbm = np.log(gb + multipliers)
+        log_pred = gammaln(r + n) - log_n_factorial - gammaln(r) + r * (np.log(gb) - log_gbm)
+        log_pred += n * (np.log(multipliers) - log_gbm)
+    return a, b, log_pred
 
 
 def filter_core(
@@ -113,24 +152,10 @@ def filter_core(
     if T and not (0.0 < multipliers.min() and multipliers.max() < np.inf):
         raise DomainError("multipliers must be positive and finite")
 
-    rhs = np.empty((2, g.size, T + 1))
-    rhs[0, :, 0], rhs[0, :, 1:] = a0, counts
-    rhs[1, :, 0], rhs[1, :, 1:] = b0, multipliers
-    a, b = _discount_solve(g.reshape(-1), rhs).reshape(2, *g.shape, T + 1)
-
-    # negbin log pmf of N_t under r_t = gamma*a_{t-1}, p_t = gamma*b_{t-1}/(gamma*b_{t-1}+m_t);
-    # extreme multipliers can overflow the rate recursion, and a subnormal gamma
-    # can underflow gamma*b to 0, leaving non-finite entries for the caller to
-    # treat as out-of-support
-    g_col = g[..., None]
-    r = g_col * a[..., :-1]
-    gb = g_col * b[..., :-1]
+    gamma = g if g.ndim else float(g)
     n = counts.astype(float)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        log_gbm = np.log(gb + multipliers)
-        log_pred = gammaln(r + n) - gammaln(n + 1.0) - gammaln(r) + r * (np.log(gb) - log_gbm)
-        log_pred += n * (np.log(multipliers) - log_gbm)
-    return FilterTrajectory(a=a, b=b, gamma=g if g.ndim else float(g), log_predictive=log_pred)
+    a, b, log_pred = _filter_body(n, gammaln(n + 1.0), multipliers, gamma, a0, b0)
+    return FilterTrajectory(a=a, b=b, gamma=gamma, log_predictive=log_pred)
 
 
 def filter_draws(

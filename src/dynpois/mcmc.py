@@ -19,6 +19,7 @@ from scipy.special import gammaln
 
 from .filtering import (
     FILTER_BLOCK,
+    _filter_body,
     ffbs_sample,
     filter_core,
     filter_draws,
@@ -127,11 +128,14 @@ class ChainDiagnostics:
 
 def _log_prior_beta(beta: np.ndarray, sd: float) -> float | np.ndarray:
     """Log N(0, sd^2) density of a point (p,) as a float, or of each row of a block (K, p)."""
-    lp = -0.5 * np.sum(beta**2, axis=-1) / sd**2 - beta.shape[-1] * math.log(sd * math.sqrt(2 * math.pi))
+    lp = -0.5 * (beta**2).sum(axis=-1) / sd**2 - beta.shape[-1] * math.log(sd * math.sqrt(2 * math.pi))
     return lp if lp.ndim else float(lp)
 
 
 def _log_prior_gamma(gamma: float, priors: PriorConfig) -> float:
+    # the fixed prior may put its mass on gamma = 1, the static model
+    if priors.gamma_prior == "fixed":
+        return 0.0 if gamma == priors.gamma_fixed_value else -np.inf
     if not (0.0 < gamma < 1.0):
         return -np.inf
     if priors.gamma_prior == "uniform":
@@ -139,8 +143,6 @@ def _log_prior_gamma(gamma: float, priors: PriorConfig) -> float:
     if priors.gamma_prior == "beta":
         a, b = priors.gamma_beta_ab
         return float(log_pdf_beta(gamma, BetaParams(a, b)))
-    if priors.gamma_prior == "fixed":
-        return 0.0 if gamma == priors.gamma_fixed_value else -np.inf
     raise DomainError(f"gamma prior {priors.gamma_prior!r} has no density")
 
 
@@ -156,8 +158,9 @@ def log_target_static(
     One point: ``beta`` of shape (p,) and a float ``gamma`` give a float. A
     block: ``beta`` of shape (K, p) and ``gamma`` of shape (K,) give (K,),
     row k equal to the point call on (beta[k], gamma[k]) bit for bit. Points
-    off the support (gamma outside (0, 1), a non-finite prior, multipliers
-    that underflow or overflow, a non-finite likelihood) score -inf; a block
+    off the support (gamma outside (0, 1), or any gamma but the fixed prior's
+    value, which may be 1; a non-finite prior, multipliers that underflow or
+    overflow, a non-finite likelihood) score -inf; a block
     scores its other rows in one batched filter pass.
     """
     beta = np.asarray(beta, dtype=float)
@@ -358,24 +361,39 @@ def rw_metropolis(
     return MhResult(draws=draws, acceptance_rate=rate)
 
 
+# proposal-scale multipliers; rung k runs on substream k
 _RETRY_LADDER = (1.0, 0.5, 2.0)
 _ACCEPTANCE_BAND = (0.1, 0.6)
 
 
 def _mode_then_chain(log_target, start: np.ndarray, config: MhConfig, rng: RngStream) -> MhResult:
-    """Hessian-calibrated chain with the fixed retry ladder on the proposal scale."""
+    """Hessian-calibrated chain with one retry on the proposal scale.
+
+    A first chain outside the acceptance band is rerun once, on the rung that
+    moves acceptance toward the band: half the scale when it accepted too
+    little or died, twice the scale when it accepted too much. Of two chains
+    outside the band, the one with acceptance nearer 0.3 is kept.
+    """
     mh = find_mode_and_hessian(log_target, start)
-    attempts = []
-    for k, mult in enumerate(_RETRY_LADDER):
-        scale = config.proposal_scale * mult
+
+    def chain(k):
+        scale = config.proposal_scale * _RETRY_LADDER[k]
         try:
             res = rw_metropolis(log_target, mh.mode, mh.covariance * scale, config, rng.substream(k))
         except FitError:
-            continue
-        res = MhResult(res.draws, res.acceptance_rate, scale_used=scale)
-        if _ACCEPTANCE_BAND[0] <= res.acceptance_rate <= _ACCEPTANCE_BAND[1]:
-            return res
-        attempts.append(res)
+            return None
+        return MhResult(res.draws, res.acceptance_rate, scale_used=scale)
+
+    def in_band(res):
+        return res is not None and _ACCEPTANCE_BAND[0] <= res.acceptance_rate <= _ACCEPTANCE_BAND[1]
+
+    first = chain(0)
+    if in_band(first):
+        return first
+    second = chain(2 if first is not None and first.acceptance_rate > _ACCEPTANCE_BAND[1] else 1)
+    if in_band(second):
+        return second
+    attempts = [res for res in (first, second) if res is not None]
     if not attempts:
         raise FitError("no proposal scale on the retry ladder produced a live chain")
     return min(attempts, key=lambda r: abs(r.acceptance_rate - 0.3))
@@ -405,21 +423,48 @@ def _logit_jacobian(g: float) -> float:
 def _dm_static_target(series: CountSeries, design: DesignMatrix, priors: PriorConfig):
     """The log target that ``fit_dm_static`` samples, for one point or a block:
     over beta alone under a fixed gamma prior, otherwise over (beta, logit gamma)
-    with the logit Jacobian included."""
+    with the logit Jacobian included.
+
+    A point equals ``log_target_static`` bit for bit but skips its argument
+    checks: the counts, their gammaln(n + 1) and the all-ones multipliers of a
+    covariate-free design are prepared once per fit, and the filter body runs
+    unchecked. A block goes through ``log_target_static``.
+    """
     p = design.p
+    rows = design.rows
+    n = series.counts.astype(float)
+    log_n_factorial = gammaln(n + 1.0)
+    no_covariates = np.ones(design.T)
+
+    def point(beta, g):
+        lp = _log_prior_gamma(g, priors)
+        if p:
+            lp += _log_prior_beta(beta, priors.beta_sd)
+        if not math.isfinite(lp):
+            return -np.inf
+        multipliers = np.exp(rows @ beta) if p else no_covariates
+        # a multiplier that underflows to 0 or overflows to inf makes its
+        # month's log-predictive NaN or -inf, so this one check covers it
+        ll = float(_filter_body(n, log_n_factorial, multipliers, g, priors.a0, priors.b0)[2].sum())
+        return ll + lp if math.isfinite(ll) else -np.inf
+
     if priors.gamma_prior == "fixed":
         g0 = priors.gamma_fixed_value
 
         def target(b):
-            g = g0 if b.ndim == 1 else np.full(len(b), g0)
-            return log_target_static(b, g, series, design, priors)
+            if b.ndim == 1:
+                return point(b, g0)
+            return log_target_static(b, np.full(len(b), g0), series, design, priors)
 
     else:
 
         def target(x):
-            g = expit(x[..., p])
-            jac = _logit_jacobian(g) if x.ndim == 1 else np.array([_logit_jacobian(v) for v in g])
-            return log_target_static(x[..., :p], g, series, design, priors) + jac
+            if x.ndim == 1:
+                g = expit(x[p])
+                return point(x[:p], g) + _logit_jacobian(g)
+            g = expit(x[:, p])
+            jac = np.array([_logit_jacobian(v) for v in g])
+            return log_target_static(x[:, :p], g, series, design, priors) + jac
 
     return target
 

@@ -10,12 +10,15 @@ from hypothesis import strategies as st
 
 from dynpois import mcmc
 from dynpois.filtering import FILTER_BLOCK, filter_core, gamma_grid_posterior
-from dynpois.kernels import DomainError, GammaParams, RngStream
+from dynpois.kernels import DomainError, GammaParams, RngStream, expit
 from dynpois.mcmc import (
     FitError,
     MhConfig,
+    MhResult,
+    ModeHessian,
     PosteriorDraws,
     _coefficient_half_sweeps,
+    _logit_jacobian,
     diagnostics,
     find_mode_and_hessian,
     fit_bpm,
@@ -143,6 +146,60 @@ class TestLogTargetStatic:
             points = [log_target_static(b, g, series, design, priors) for b, g in zip(betas, gammas)]
         assert block.shape == (len(rows),)
         assert np.array_equal(block, np.array(points))
+
+
+class TestDmStaticTarget:
+    """The sampled target's lean point path against ``log_target_static`` and the block path."""
+
+    @given(
+        p=st.sampled_from([0, 2]),
+        rows=st.lists(
+            st.tuples(
+                st.lists(
+                    st.one_of(st.floats(-3.0, 3.0), st.sampled_from([-800.0, 709.0, math.nan])),
+                    min_size=2,
+                    max_size=2,
+                ),
+                st.one_of(st.floats(-6.0, 6.0), st.sampled_from([-800.0, 800.0, 0.0, math.nan])),
+            ),
+            min_size=1,
+            max_size=8,
+        ),
+        gamma_prior=st.sampled_from(["uniform", "beta", "fixed"]),
+        fixed_value=st.sampled_from([0.5, 1.0]),
+    )
+    # multipliers of e^709 in every month overflow the rate recursion
+    @example(p=2, rows=[([709.0, 0.0], 2.2), ([0.3, -0.2], 0.4)], gamma_prior="uniform", fixed_value=0.5)
+    @example(p=2, rows=[([709.0, 0.0], 0.0)], gamma_prior="fixed", fixed_value=1.0)
+    @settings(max_examples=80, deadline=None)
+    def test_point_equals_log_target_static_and_block_row(self, p, rows, gamma_prior, fixed_value):
+        # off-support points (logits of +-800, multipliers that underflow or
+        # overflow, NaN anywhere) score -inf on all three routes
+        series = _series([3, 0, 7, 2, 11, 4, 1, 0])
+        z = np.linspace(-1.0, 1.0, 8)
+        design = DesignMatrix(("c", "z")[:p], np.column_stack([np.ones(8), z])[:, :p])
+        priors = PriorConfig(
+            a0=2.0, b0=1.5, gamma_prior=gamma_prior, gamma_fixed_value=fixed_value
+        )
+        target = mcmc._dm_static_target(series, design, priors)
+        if gamma_prior == "fixed":
+            points = np.array([beta[:p] for beta, _ in rows])
+        else:
+            points = np.array([[*beta[:p], x] for beta, x in rows])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            point = np.array([target(x) for x in points])
+            block = target(points)
+            expected = []
+            for x in points:
+                if gamma_prior == "fixed":
+                    expected.append(log_target_static(x, fixed_value, series, design, priors))
+                else:
+                    g = expit(x[p])
+                    ref = log_target_static(x[:p], g, series, design, priors)
+                    expected.append(ref + _logit_jacobian(g))
+        assert np.array_equal(point, np.array(expected))
+        assert np.array_equal(point, block)
 
 
 class TestFindModeAndHessian:
@@ -291,6 +348,59 @@ class TestRwMetropolis:
         assert cfg.n_retained == 200
 
 
+class TestRetryLadder:
+    """The second rung is the one that moves acceptance toward the band."""
+
+    def _run(self, monkeypatch, rates):
+        # rates maps a scale to the acceptance its chain returns; None kills the chain
+        runs = []
+
+        def chain(log_target, init, proposal_covariance, config, rng):
+            scale = float(proposal_covariance[0, 0])
+            runs.append((scale, rng.generator.random()))
+            if rates[scale] is None:
+                raise FitError("chain accepted no proposals")
+            return MhResult(np.zeros((config.n_retained, 1)), rates[scale])
+
+        monkeypatch.setattr(mcmc, "find_mode_and_hessian", lambda f, x: ModeHessian(x, np.eye(1)))
+        monkeypatch.setattr(mcmc, "rw_metropolis", chain)
+        rng = RngStream(5)
+        res = mcmc._mode_then_chain(None, np.zeros(1), MhConfig(iterations=10, burn_in=0), rng)
+        # rung k keeps substream k, so the chain it runs does not depend on which rungs ran
+        ladder = dict(zip(mcmc._RETRY_LADDER, range(3)))
+        for scale, u in runs:
+            assert u == rng.substream(ladder[scale]).generator.random()
+        return [scale for scale, _ in runs], res
+
+    def test_in_band_first_rung_stops(self, monkeypatch):
+        scales, res = self._run(monkeypatch, {1.0: 0.3})
+        assert scales == [1.0] and res.scale_used == 1.0
+
+    def test_acceptance_too_high_tries_larger_scale(self, monkeypatch):
+        scales, res = self._run(monkeypatch, {1.0: 0.71, 0.5: 0.80, 2.0: 0.62})
+        assert scales == [1.0, 2.0]
+        assert res.scale_used == 2.0 and res.acceptance_rate == 0.62
+
+    def test_acceptance_too_low_tries_smaller_scale(self, monkeypatch):
+        scales, res = self._run(monkeypatch, {1.0: 0.05, 0.5: 0.08, 2.0: 0.02})
+        assert scales == [1.0, 0.5]
+        assert res.scale_used == 0.5
+
+    def test_dead_first_rung_tries_smaller_scale(self, monkeypatch):
+        scales, res = self._run(monkeypatch, {1.0: None, 0.5: 0.3, 2.0: None})
+        assert scales == [1.0, 0.5]
+        assert res.scale_used == 0.5 and res.acceptance_rate == 0.3
+
+    def test_in_band_second_rung_wins_over_nearer_first(self, monkeypatch):
+        # 0.05 is nearer 0.3 than 0.58 is, but only the second chain is in the band
+        scales, res = self._run(monkeypatch, {1.0: 0.05, 0.5: 0.58})
+        assert scales == [1.0, 0.5] and res.scale_used == 0.5
+
+    def test_no_live_chain_raises(self, monkeypatch):
+        with pytest.raises(FitError, match="no proposal scale"):
+            self._run(monkeypatch, {1.0: None, 0.5: None, 2.0: None})
+
+
 class TestMhConfig:
     def test_validation(self):
         with pytest.raises(DomainError):
@@ -339,6 +449,18 @@ class TestFitDmStatic:
         sample = draws.theta[:, -1]
         se = sample.std(ddof=1) / math.sqrt(len(sample))
         assert abs(sample.mean() - a_T / b_T) < 3 * se
+
+    def test_fixed_gamma_one_with_covariates(self):
+        # gamma = 1 is the static model; the fixed prior must score it, or
+        # the chain over beta cannot start
+        counts, design, _ = _simulated_static("DM2", T=40)
+        priors = PriorConfig(a0=50.0, b0=2.0, gamma_prior="fixed", gamma_fixed_value=1.0)
+        cfg = MhConfig(iterations=1500, burn_in=500)
+        draws = fit_dm_static(counts, design, ModelSpec("DM2", ("z1", "z2")), priors, cfg,
+                              RngStream(12), smooth=True)
+        assert np.all(draws.gamma == 1.0)
+        assert 0.0 < draws.acceptance_rate < 1.0
+        assert np.all(draws.theta == draws.theta[:, -1:])
 
     def test_gamma_logit_jacobian_present(self):
         # exact posterior mean of gamma by quadrature vs the chain's estimate;
