@@ -50,12 +50,7 @@ DEFAULT_CONFIG = {
     "forecast": {
         "start_origin": None,
         "end_origin": None,
-        "mcmc": {
-            "iterations": 2000,
-            "burn_in": 500,
-            "thinning": 1,
-            "proposal_scale": 1.0,
-        },
+        "mcmc": {**asdict(MhConfig()), "iterations": 2000, "burn_in": 500},
     },
     "compare": {
         "models": ["DM1", "DM2"],
@@ -72,6 +67,12 @@ DEFAULT_CONFIG = {
 
 # DM5 runs much longer chains by default
 DM5_MCMC_DEFAULT = {"iterations": 80000, "burn_in": 30000, "thinning": 10, "proposal_scale": 1.0}
+
+# A config value must have the JSON type of its default, or of the example here
+# where the default is None or empty; a bool is no number, and a float no int.
+_EXAMPLES = {"seed": 0, "covariate_columns": [""], "forecast.start_origin": 0, "forecast.end_origin": 0,
+             "simulate.beta": [0.0], "simulate.tau": [0.0], "simulate.n_covariates": 0}
+_ACCEPTS = {bool: (bool,), int: (int,), float: (int, float), str: (str,)}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -102,8 +103,20 @@ def _merge(base: dict, override: dict, path="") -> dict:
                 raise io.ValidationError(f"config key {path + key!r} must be a JSON object")
             out[key] = _merge(base[key], value, path=f"{path}{key}.")
         else:
+            if value is not None or base[key] is not None:
+                _check_kind(value, _EXAMPLES.get(path + key, base[key]), path + key)
             out[key] = copy.deepcopy(value)
     return out
+
+
+def _check_kind(value, example, key: str) -> None:
+    """Raise ValidationError, naming ``key``, unless ``value`` has the JSON type of ``example``."""
+    many = isinstance(example, (list, tuple))  # then value must be a list of the items' type
+    kind = type(example[0] if many else example)
+    items = value if many else [value]
+    if not isinstance(items, list) or any(type(item) not in _ACCEPTS[kind] for item in items):
+        noun = f"a list of {kind.__name__}" if many else kind.__name__
+        raise io.ValidationError(f"config key {key!r} must be {noun}, got {value!r}")
 
 
 def resolve_config(args) -> dict:
@@ -126,9 +139,8 @@ def resolve_config(args) -> dict:
         raise io.ValidationError(f"unknown model {cfg['model']!r}")
     if cfg["seed"] is None:
         raise io.ValidationError("a seed is required (pass --seed or set it in the config)")
-    if not (0 <= int(cfg["seed"]) < 2**64):
+    if not (0 <= cfg["seed"] < 2**64):
         raise io.ValidationError("seed must be an unsigned 64-bit integer")
-    cfg["seed"] = int(cfg["seed"])
     # the time-varying model needs far longer chains; swap in its defaults
     # unless the user configured the chain explicitly, so the echoed config
     # reflects what actually runs
@@ -141,7 +153,7 @@ def _from_block(cls, block: dict, name: str):
     """Build ``cls`` from a config block, casting each value to its default's type."""
     try:
         return cls(**{key: type(default)(block[key]) for key, default in asdict(cls()).items()})
-    except (DomainError, TypeError, ValueError) as exc:
+    except DomainError as exc:
         raise io.ValidationError(f"{name} config: {exc}") from None
 
 
@@ -167,7 +179,7 @@ def _load_data(args, cfg):
 
 
 def _design(cfg, covariates, spec, T):
-    return build_design(covariates, spec, T, start_month=int(cfg["start_month"]))
+    return build_design(covariates, spec, T, start_month=cfg["start_month"])
 
 
 def run_command(argv) -> tuple:
@@ -222,7 +234,7 @@ def _cmd_simulate(args, cfg) -> dict:
     variant = cfg["model"]
     if variant in ("BPM", "EWMA"):
         raise io.ValidationError(f"simulate supports the dynamic models, not {variant}")
-    T = int(sim["T"])
+    T = sim["T"]
     if T < 1:
         raise io.ValidationError("simulate.T must be at least 1")
     gamma = float(sim["gamma"])
@@ -235,7 +247,6 @@ def _cmd_simulate(args, cfg) -> dict:
     elif n_cov is None:
         # whatever beta leaves over after trend/seasonal terms
         n_cov = len(beta) - ModelSpec(variant).p
-    n_cov = int(n_cov)
     if n_cov < 0:
         raise io.ValidationError("simulate.beta is shorter than the trend/seasonal terms require")
     cov_names = tuple(f"z{i+1}" for i in range(n_cov))
@@ -291,7 +302,7 @@ def _cmd_fit(args, cfg, command="fit") -> dict:
     priors = _from_block(PriorConfig, cfg["prior"], "prior")
     config = _from_block(MhConfig, cfg["mcmc"], "mcmc")
     draws = fit_variant(
-        spec, series, design, priors, config, RngStream(cfg["seed"]), smooth=bool(cfg["smooth"])
+        spec, series, design, priors, config, RngStream(cfg["seed"]), smooth=cfg["smooth"]
     )
     summary_rows = posterior_summary(draws)
     outputs = {
@@ -321,7 +332,7 @@ def _cmd_forecast(args, cfg) -> dict:
     fc = cfg["forecast"]
     if fc["start_origin"] is None or fc["end_origin"] is None:
         raise io.ValidationError("forecast.start_origin and forecast.end_origin are required")
-    window = (int(fc["start_origin"]), int(fc["end_origin"]))
+    window = (fc["start_origin"], fc["end_origin"])
     spec = _selected_covariates(cfg, covariates, variant)
     design = _design(cfg, covariates, spec, series.T)
     priors = _from_block(PriorConfig, cfg["prior"], "prior")
@@ -355,7 +366,7 @@ def _cmd_compare(args, cfg) -> dict:
         _from_block(PriorConfig, cfg["prior"], "prior"),
         _from_block(MhConfig, cfg["mcmc"], "mcmc"),
         RngStream(cfg["seed"]),
-        start_month=int(cfg["start_month"]),
+        start_month=cfg["start_month"],
     )
     return {
         "summary.json": {

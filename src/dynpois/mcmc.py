@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
 from scipy.special import gammaln
 
 from .filtering import (
@@ -212,77 +211,70 @@ def _log_target_static_block(
     return out
 
 
-# BFGS iteration cap (Nelder-Mead refinement gets 50x as many), and the
-# finite-difference step of the Hessian relative to max(1, |x_i|)
-_MODE_MAX_ITER = 500
+# Newton iteration cap, stop tolerance on the Newton decrement g's, and the
+# finite-difference step relative to max(1, |x_i|)
+_MODE_MAX_ITER = 100
+_NEWTON_TOL = 1e-12
 _HESSIAN_REL_STEP = 1e-4
 
 
 def find_mode_and_hessian(log_target, start: np.ndarray) -> ModeHessian:
     """Maximize a log density and return the inverse negative Hessian at the mode.
 
-    ``log_target`` scores one point of shape (d,) as a float, or a block of
-    shape (K, d) as (K,), -inf off the support. Quasi-Newton with
-    finite-difference gradients, whose d points per gradient are scored in
-    one block call; scipy still picks the steps and does the arithmetic. The
-    Hessian comes from central second differences over one block of stencil
-    points, symmetrized. A Hessian that is not finite (a stencil point off
-    the support) raises FitError. If the inverse is not positive definite its
-    diagonal is inflated until it is, and the added jitter is reported on the
-    result.
+    ``log_target`` scores one point (d,) as a float or a block (K, d) as (K,),
+    -inf off the support. Damped Newton on one block-scored stencil per iterate
+    (value, gradient g, Hessian H): the step s solves (c I - H) s = g, with c
+    the damping times mean|diag H|, and a step that does not raise the target
+    is retried with ten times the damping, until g's < ``_NEWTON_TOL``. A start
+    off the support, a stencil point off the support and no stop within
+    ``_MODE_MAX_ITER`` iterations raise FitError. A negative inverse Hessian
+    that is not positive definite gets its diagonal inflated, and the added
+    jitter is reported.
     """
-    start = np.atleast_1d(np.asarray(start, dtype=float))
+    x = np.atleast_1d(np.asarray(start, dtype=float))
+    value, grad, hessian = _fd_derivatives(log_target, x)
+    if not np.isfinite(value):
+        raise FitError("the log target is not finite at the start point")
+    damping = 1e-3  # relative to the mean |diagonal| of the Hessian
+    for _ in range(_MODE_MAX_ITER):
+        if not np.all(np.isfinite(hessian)):
+            raise FitError("the Hessian at the mode is not finite: a stencil point is off the support")
+        damped = damping * np.abs(np.diag(hessian)).mean() * np.eye(len(x)) - hessian
+        try:
+            root = np.linalg.cholesky(damped)
+        except np.linalg.LinAlgError:
+            damping *= 10.0
+            continue
+        half = np.linalg.solve(root, grad)
+        if half @ half < _NEWTON_TOL:
+            break
+        step = np.linalg.solve(root.T, half)
+        t_value, t_grad, t_hessian = _fd_derivatives(log_target, x + step)
+        if t_value > value:
+            x, value, grad, hessian = x + step, t_value, t_grad, t_hessian
+            damping /= 10.0
+        else:
+            damping *= 10.0
+    else:
+        raise FitError(f"the mode search did not converge in {_MODE_MAX_ITER} iterations")
 
-    def neg(x):
-        v = log_target(x)
-        return -v if np.isfinite(v) else 1e300
-
-    def neg_block(_fun, points):
-        # scipy's map-like hook for the gradient points, in place of map(_fun, points)
-        v = log_target(np.array(list(points)))
-        return np.where(np.isfinite(v), -v, 1e300)
-
-    res = optimize.minimize(
-        neg, start, method="BFGS", options={"maxiter": _MODE_MAX_ITER, "workers": neg_block}
-    )
-    if not np.all(np.isfinite(res.x)) or not np.isfinite(res.fun):
-        raise FitError(f"mode search diverged: {res.message}")
-    if not res.success:
-        # BFGS often stops on precision loss near the optimum; refine and accept
-        # the better point, but give up if no progress was made at all.
-        res2 = optimize.minimize(
-            neg, res.x, method="Nelder-Mead", options={"maxiter": 50 * _MODE_MAX_ITER}
-        )
-        if res2.fun <= res.fun:
-            res = res2
-        if res.fun > neg(start) + 1e-9:
-            raise FitError(f"mode search failed to improve on the start point: {res.message}")
-    mode = np.atleast_1d(res.x)
-
-    hessian = _fd_hessian(log_target, mode)
-    if not np.all(np.isfinite(hessian)):
-        raise FitError(
-            "the Hessian at the mode is not finite: a finite-difference point is off the support"
-        )
     cov = np.linalg.inv(-hessian)
     cov = 0.5 * (cov + cov.T)
     jitter = 0.0
     scale = float(np.mean(np.abs(np.diag(cov)))) or 1.0
     while True:
         try:
-            cholesky_or_raise(cov + jitter * np.eye(len(mode)))
+            cholesky_or_raise(cov + jitter * np.eye(len(x)))
             break
         except np.linalg.LinAlgError:
             jitter = 1e-8 * scale if jitter == 0.0 else 10.0 * jitter
             if jitter > 1e6 * scale:
                 raise FitError("could not regularize the proposal covariance") from None
-    if jitter > 0.0:
-        cov = cov + jitter * np.eye(len(mode))
-    return ModeHessian(mode=mode, covariance=cov, jitter=jitter)
+    return ModeHessian(mode=x, covariance=cov + jitter * np.eye(len(x)), jitter=jitter)
 
 
-def _fd_hessian(f, x: np.ndarray) -> np.ndarray:
-    """Central second differences of the block target f at x.
+def _fd_derivatives(f, x: np.ndarray) -> tuple:
+    """The value, central-difference gradient and Hessian of the block target f at x.
 
     The stencil is x, then x + h_i e_i and x - h_i e_i for each i, then
     x +- h_i e_i +- h_j e_j for each pair i < j: 1 + 2d + 2d(d-1) points,
@@ -293,17 +285,11 @@ def _fd_hessian(f, x: np.ndarray) -> np.ndarray:
     steps = np.diag(h)
     i, j = np.triu_indices(d, 1)
     signs = ((1.0, 1.0), (1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0))
-    offsets = np.concatenate(
-        [
-            np.zeros((1, d)),
-            np.stack([steps, -steps], axis=1).reshape(2 * d, d),
-            np.stack([si * steps[i] + sj * steps[j] for si, sj in signs], axis=1).reshape(-1, d),
-        ]
-    )
-    points = x + offsets
-    values = np.concatenate(
-        [f(points[k : k + FILTER_BLOCK]) for k in range(0, len(points), FILTER_BLOCK)]
-    )
+    axial = np.stack([steps, -steps], axis=1).reshape(2 * d, d)
+    pairs = np.stack([si * steps[i] + sj * steps[j] for si, sj in signs], axis=1).reshape(-1, d)
+    points = x + np.concatenate([np.zeros((1, d)), axial, pairs])
+    blocks = range(0, len(points), FILTER_BLOCK)
+    values = np.concatenate([f(points[k : k + FILTER_BLOCK]) for k in blocks])
     f0, plus, minus = values[0], values[1 : 2 * d + 1 : 2], values[2 : 2 * d + 1 : 2]
     pp, pm, mp, mm = values[2 * d + 1 :].reshape(-1, 4).T
     H = np.empty((d, d))
@@ -311,9 +297,10 @@ def _fd_hessian(f, x: np.ndarray) -> np.ndarray:
     h_sq = np.array([step**2 for step in h])
     # -inf at points off the support gives NaN, which the caller rejects
     with np.errstate(invalid="ignore"):
+        grad = (plus - minus) / (2.0 * h)
         H[np.diag_indices(d)] = (plus - 2.0 * f0 + minus) / h_sq
         H[i, j] = H[j, i] = (pp - pm - mp + mm) / (4.0 * h[i] * h[j])
-    return H
+    return float(f0), grad, H
 
 
 def rw_metropolis(

@@ -1,12 +1,17 @@
 """Tests for CSV ingestion, report emission and the command-line surface."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dynpois
 from dynpois import io
 from dynpois.cli import emit_reports, resolve_config, run_command
 from dynpois.evaluation import ForecastReport
@@ -136,6 +141,51 @@ class TestResolveConfig:
         resolved = resolve_config(self._args(config=str(cfg)))
         assert resolved["prior"]["beta_sd"] == 10.0
         assert resolved["mcmc"]["iterations"] == 10000
+
+    @pytest.mark.parametrize("key, user", [
+        ("seed", {"seed": "abc"}),
+        ("seed", {"seed": 1.5}),
+        ("start_month", {"start_month": "may"}),
+        ("forecast.start_origin", {"forecast": {"start_origin": "x"}}),
+        ("forecast.start_origin", {"forecast": {"start_origin": 5.7}}),
+        ("forecast.end_origin", {"forecast": {"end_origin": "x"}}),
+        ("simulate.T", {"simulate": {"T": "ten"}}),
+        ("simulate.gamma", {"simulate": {"gamma": "x"}}),
+        ("simulate.beta", {"simulate": {"beta": [0.1, "x"]}}),
+        ("simulate.covariate_sd", {"simulate": {"covariate_sd": "x"}}),
+        ("mcmc.iterations", {"mcmc": {"iterations": 600.9}}),
+        ("mcmc.thinning", {"mcmc": {"thinning": True}}),
+        ("prior.a0", {"prior": {"a0": None}}),
+        ("standardize_covariates", {"standardize_covariates": "false"}),
+        ("covariate_columns", {"covariate_columns": "z1"}),
+        ("compare.models", {"compare": {"models": "DM1"}}),
+    ])
+    def test_value_of_wrong_type_exits_2(self, tmp_path, capsys, key, user):
+        # rejected as the config resolves, before any data is read
+        cfg = _write(tmp_path, "bad.json", json.dumps({"seed": 1, **user}))
+        capsys.readouterr()
+        code, _ = run_command(["fit", "--config", str(cfg), "--model", "DM2", "--data", "x",
+                               "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = json.loads(capsys.readouterr().out)["error"]
+        assert err["type"] == "ValidationError"
+        assert repr(key) in err["message"]
+
+    def test_numbers_of_either_json_type_resolve_unchanged(self, tmp_path):
+        # an integer for a float key is a number; the echo keeps it as written
+        user = {"seed": 5, "prior": {"a0": 80, "gamma_beta_ab": [2, 3.5]},
+                "simulate": {"gamma": 1, "beta": [1, 0.5]}, "forecast": {"start_origin": None}}
+        cfg = _write(tmp_path, "c.json", json.dumps(user))
+        resolved = resolve_config(self._args(config=str(cfg)))
+        assert resolved["prior"]["a0"] == 80 and resolved["prior"]["gamma_beta_ab"] == [2, 3.5]
+        assert resolved["simulate"]["beta"] == [1, 0.5]
+
+
+def test_cli_import_leaves_out_scipy_optimize():
+    src = str(Path(dynpois.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = "import sys, dynpois.cli; sys.exit('scipy.optimize' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 def _simulate_cohort_csv(tmp_path, seed=5, T=40):

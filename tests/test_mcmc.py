@@ -24,6 +24,7 @@ from dynpois.mcmc import (
     fit_bpm,
     fit_dm5,
     fit_dm_static,
+    log_target_bpm,
     log_target_static,
     posterior_summary,
     rw_metropolis,
@@ -37,7 +38,7 @@ from dynpois.model import (
     build_design,
     simulate_cohort,
 )
-from oracles import NegBinParams, fd_hessian_loop, log_pdf_gamma, log_pmf_negbin
+from oracles import NegBinParams, fd_derivatives_loop, log_pdf_gamma, log_pmf_negbin
 
 
 def _series(counts):
@@ -257,11 +258,41 @@ class TestFindModeAndHessian:
         with pytest.raises(FitError, match="Hessian at the mode is not finite"):
             find_mode_and_hessian(target, np.array([-1.0, 0.5]))
 
+    def test_unbounded_target_raises(self):
+        # every step raises the target, so the decrement never falls below the tolerance
+        def target(x):
+            return np.sum(x, axis=-1)
+
+        with pytest.raises(FitError, match="did not converge"):
+            find_mode_and_hessian(target, np.array([0.0, 1.0]))
+
+    def test_start_off_support_raises(self):
+        def target(x):
+            return np.where(x[..., 0] > 0.0, -np.inf, -np.sum(x**2, axis=-1))
+
+        with pytest.raises(FitError, match="not finite at the start point"):
+            find_mode_and_hessian(target, np.array([1.0, 0.0]))
+
+    @pytest.mark.parametrize("variant", ["DM2", "DM4", "BPM"])
+    def test_gradient_vanishes_at_the_mode(self, variant):
+        # the central-difference gradient at the mode, in posterior sd units
+        series, design, priors = _simulated_static(variant)
+        if variant == "BPM":
+            def target(b):
+                return log_target_bpm(b, series, design, priors)
+
+            start = np.zeros(design.p)
+        else:
+            target = mcmc._dm_static_target(series, design, priors)
+            start = np.zeros(design.p + 1)
+        res = find_mode_and_hessian(target, start)
+        _, grad, _ = mcmc._fd_derivatives(target, res.mode)
+        assert np.max(np.abs(grad) * np.sqrt(np.diag(res.covariance))) < 1e-6
+
     @pytest.mark.parametrize("variant", ["DM2", "DM4"])
     def test_batched_scoring_matches_serial_evaluation(self, variant, monkeypatch):
-        # gradient points through the block hook and the one-block stencil give
-        # the same mode, covariance and jitter as scipy scoring each gradient
-        # point by itself and the per-point Hessian loop
+        # the block-scored stencils give the same mode, covariance and jitter
+        # as the loop that scores every stencil point by itself
         series, design, priors = _simulated_static(variant)
         target = mcmc._dm_static_target(series, design, priors)
         block_calls = []
@@ -272,17 +303,10 @@ class TestFindModeAndHessian:
 
         start = np.zeros(design.p + 1)
         batched = find_mode_and_hessian(counted, start)
-        assert sum(block_calls) > 1  # gradients and the stencil came as blocks
+        assert all(block_calls)  # every stencil came as blocks
 
-        minimize = mcmc.optimize.minimize
-
-        def serial_minimize(*args, options, **kwargs):
-            options = {k: v for k, v in options.items() if k != "workers"}
-            return minimize(*args, options=options, **kwargs)
-
-        monkeypatch.setattr(mcmc.optimize, "minimize", serial_minimize)
         monkeypatch.setattr(
-            mcmc, "_fd_hessian", lambda f, x: fd_hessian_loop(f, x, mcmc._HESSIAN_REL_STEP)
+            mcmc, "_fd_derivatives", lambda f, x: fd_derivatives_loop(f, x, mcmc._HESSIAN_REL_STEP)
         )
         serial = find_mode_and_hessian(target, start)
         assert np.array_equal(batched.mode, serial.mode)
@@ -299,8 +323,13 @@ class TestFindModeAndHessian:
         x[0], x[-1] = -1.7, 2.3
         n_points = 1 + 2 * len(x) + 2 * len(x) * (len(x) - 1)
         assert (n_points > FILTER_BLOCK) == (variant == "DM4")
-        expected = fd_hessian_loop(target, x, mcmc._HESSIAN_REL_STEP)
-        assert np.array_equal(mcmc._fd_hessian(target, x), expected)
+        value, grad, hessian = mcmc._fd_derivatives(target, x)
+        expected_value, expected_grad, expected_hessian = fd_derivatives_loop(
+            target, x, mcmc._HESSIAN_REL_STEP
+        )
+        assert value == expected_value
+        assert np.array_equal(grad, expected_grad)
+        assert np.array_equal(hessian, expected_hessian)
 
 
 class TestRwMetropolis:
