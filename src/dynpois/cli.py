@@ -315,6 +315,8 @@ def _cmd_fit(args, cfg, command="fit") -> dict:
                           for r in summary_rows},
         }
     }
+    if draws.sampler:
+        outputs["summary.json"]["sampler"] = draws.sampler
     if command == "fit":
         outputs["summary.csv"] = io.summary_csv_rows(summary_rows)
         outputs["diagnostics.csv"] = io.diagnostics_csv_rows(diagnostics(draws))

@@ -1,10 +1,13 @@
-"""Posterior samplers: random-walk Metropolis for the static models, the Gibbs
-composition for time-varying coefficients, and the static Poisson-regression
-benchmark.
+"""Posterior samplers: independence Metropolis from the Laplace fit for the
+static models and the static Poisson-regression benchmark, with random-walk
+Metropolis as its fallback, and the Gibbs composition for time-varying
+coefficients.
 
 The static fitters work on the count likelihood with the latent rates
 integrated out (the per-step negative binomial product from the filter), so a
-single filter pass prices one proposal. The discount factor is sampled on the
+single filter pass prices one proposal. The independence proposals do not
+depend on the chain state, so all of them are scored in batched filter passes
+before the accept/reject pass runs. The discount factor is sampled on the
 logit scale with its Jacobian; regression coefficients are unconstrained.
 """
 
@@ -74,6 +77,7 @@ class PosteriorDraws:
     tau: np.ndarray | None = None
     theta: np.ndarray | None = None
     variant: str = ""
+    sampler: str = ""  # the Metropolis chain that drew beta and gamma, if one did
 
     def __post_init__(self):
         if self.gamma is not None:
@@ -113,7 +117,8 @@ class ModeHessian:
 class MhResult:
     draws: np.ndarray
     acceptance_rate: float
-    scale_used: float = 1.0
+    scale_used: float = 1.0  # the proposal's multiple of the Laplace covariance
+    sampler: str = "random_walk"  # or "independence"
 
 
 @dataclass(frozen=True)
@@ -348,20 +353,84 @@ def rw_metropolis(
     return MhResult(draws=draws, acceptance_rate=rate)
 
 
+# degrees of freedom of the independence proposal, and the factor that widens
+# its scale matrix beyond the Laplace covariance
+_IMH_DF = 6
+_IMH_INFLATION = 1.2
+
+
+def _t_log_kernel(x: np.ndarray, mode: np.ndarray, root: np.ndarray) -> np.ndarray:
+    """Log density of the multivariate t with ``_IMH_DF`` degrees of freedom,
+    location ``mode`` and scale matrix root root', at the rows of x (N, d), up
+    to an additive constant."""
+    dev = np.linalg.solve(root, (x - mode).T)
+    return -0.5 * (_IMH_DF + len(mode)) * np.log1p((dev**2).sum(axis=0) / _IMH_DF)
+
+
+def _independence_chain(log_target, mh: ModeHessian, config: MhConfig, rng: RngStream) -> MhResult:
+    """Independence Metropolis with a multivariate t proposal on the Laplace fit.
+
+    The proposal is centred on the mode, with ``_IMH_DF`` degrees of freedom
+    and scale matrix ``_IMH_INFLATION`` x proposal_scale x the covariance.
+    All ``iterations`` proposals come from standard_normal((N, d)), then
+    chisquare(df, N), then random(N), and are scored FILTER_BLOCK rows per
+    block call of ``log_target``. The accept/reject pass then runs over the
+    log weights log pi - log q, starting at the mode. Burn-in and thinning
+    are applied as in ``rw_metropolis``; a chain that accepts nothing raises
+    FitError.
+    """
+    N, d = config.iterations, len(mh.mode)
+    scale = _IMH_INFLATION * config.proposal_scale
+    root = cholesky_or_raise(mh.covariance * scale)
+    gen = rng.generator
+    z = gen.standard_normal((N, d))
+    w = gen.chisquare(_IMH_DF, N)
+    log_u = np.log(gen.random(N))
+    points = mh.mode + (z @ root.T) * np.sqrt(_IMH_DF / w)[:, None]
+    blocks = range(0, N, FILTER_BLOCK)
+    log_pi = np.concatenate([log_target(points[k : k + FILTER_BLOCK]) for k in blocks])
+    log_w = (log_pi - _t_log_kernel(points, mh.mode, root)).tolist()
+
+    # state[i] is the proposal the chain holds after step i; -1 is the mode,
+    # whose kernel value is 0
+    state = np.empty(N, dtype=np.intp)
+    current, lw = -1, log_target(mh.mode)
+    accepted = 0
+    for i, lu in enumerate(log_u.tolist()):
+        if lu < log_w[i] - lw:
+            current, lw = i, log_w[i]
+            accepted += 1
+        state[i] = current
+    if accepted == 0:
+        raise FitError("the independence chain accepted no proposals")
+    kept = state[config.burn_in :: config.thinning]
+    draws = np.concatenate([mh.mode[None], points])[kept + 1]
+    return MhResult(draws, accepted / N, scale_used=scale, sampler="independence")
+
+
 # proposal-scale multipliers; rung k runs on substream k
 _RETRY_LADDER = (1.0, 0.5, 2.0)
 _ACCEPTANCE_BAND = (0.1, 0.6)
 
 
 def _mode_then_chain(log_target, start: np.ndarray, config: MhConfig, rng: RngStream) -> MhResult:
-    """Hessian-calibrated chain with one retry on the proposal scale.
+    """Independence chain on the Laplace fit, with a random-walk fallback.
 
-    A first chain outside the acceptance band is rerun once, on the rung that
-    moves acceptance toward the band: half the scale when it accepted too
-    little or died, twice the scale when it accepted too much. Of two chains
-    outside the band, the one with acceptance nearer 0.3 is kept.
+    The independence chain runs first, on substream 3, and is kept unless it
+    died or accepted less than the acceptance band's floor. Then the
+    Hessian-calibrated random-walk chain runs, with one retry on the proposal
+    scale: a first chain outside the acceptance band is rerun once, on the
+    rung that moves acceptance toward the band: half the scale when it
+    accepted too little or died, twice the scale when it accepted too much. Of
+    two chains outside the band, the one with acceptance nearer 0.3 is kept.
     """
     mh = find_mode_and_hessian(log_target, start)
+    try:
+        imh = _independence_chain(log_target, mh, config, rng.substream(3))
+    except FitError:
+        imh = None
+    if imh is not None and imh.acceptance_rate >= _ACCEPTANCE_BAND[0]:
+        return imh
 
     def chain(k):
         scale = config.proposal_scale * _RETRY_LADDER[k]
@@ -469,9 +538,11 @@ def fit_dm_static(
 
     With a discrete-grid prior on gamma (covariate-free model only) the
     posterior is summed exactly on the grid and draws are taken from it with
-    no Metropolis step. Otherwise a joint random-walk chain runs over
-    (beta, logit gamma) with the logit Jacobian included, calibrated by the
-    inverse negative Hessian at the mode. When ``smooth`` is set, one
+    no Metropolis step. Otherwise a joint chain runs over (beta, logit gamma)
+    with the logit Jacobian included (over beta alone under a fixed gamma):
+    independence Metropolis from a t proposal on the Laplace fit at the mode,
+    or, if that chain accepts too little, random-walk Metropolis calibrated by
+    the inverse negative Hessian at the mode. When ``smooth`` is set, one
     smoothing path per retained draw comes from batched backward sampling.
     """
     if spec.variant not in ("DM1", "DM2", "DM3", "DM4"):
@@ -480,6 +551,7 @@ def fit_dm_static(
         raise DomainError("design matrix and count series disagree on T")
     p = design.p
     S = config.n_retained
+    sampler = ""
 
     if priors.gamma_prior == "grid":
         if p:
@@ -496,13 +568,13 @@ def fit_dm_static(
         else:
             target = _dm_static_target(series, design, priors)
             res = _mode_then_chain(target, np.zeros(p), config, rng.substream(0))
-            betas, acc = res.draws, res.acceptance_rate
+            betas, acc, sampler = res.draws, res.acceptance_rate, res.sampler
     else:
         target = _dm_static_target(series, design, priors)
         res = _mode_then_chain(target, np.zeros(p + 1), config, rng.substream(0))
         betas = res.draws[:, :p]
         gammas = expit(res.draws[:, p])
-        acc = res.acceptance_rate
+        acc, sampler = res.acceptance_rate, res.sampler
 
     theta = None
     if smooth:
@@ -514,6 +586,7 @@ def fit_dm_static(
         beta_names=design.column_names,
         theta=theta,
         variant=spec.variant,
+        sampler=sampler,
     )
 
 
@@ -697,10 +770,13 @@ def log_target_bpm(
     beta: np.ndarray, series: CountSeries, design: DesignMatrix, priors: PriorConfig
 ) -> float | np.ndarray:
     """Log posterior of the static Poisson regression (rate exp(beta' z_t)): a
-    float for one point of shape (p,), or (K,) for a block of shape (K, p)."""
+    float for one point of shape (p,), or (K,) for a block of shape (K, p),
+    whose linear predictors come from one matrix product."""
     beta = np.asarray(beta, dtype=float)
     if beta.ndim == 2:
-        return np.array([log_target_bpm(b, series, design, priors) for b in beta])
+        eta = beta @ design.rows.T
+        ll = np.sum(series.counts * eta - np.exp(eta) - gammaln(series.counts + 1.0), axis=1)
+        return ll + _log_prior_beta(beta, priors.beta_sd)
     eta = design.rows @ beta
     ll = float(np.sum(series.counts * eta - np.exp(eta) - gammaln(series.counts + 1.0)))
     return ll + _log_prior_beta(beta, priors.beta_sd)
@@ -728,6 +804,7 @@ def fit_bpm(
         acceptance_rate=res.acceptance_rate,
         beta_names=design.column_names,
         variant="BPM",
+        sampler=res.sampler,
     )
 
 

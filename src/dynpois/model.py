@@ -159,6 +159,8 @@ class PriorConfig:
                 raise DomainError(f"{name} must be strictly positive")
         if self.gamma_prior not in ("uniform", "beta", "grid", "fixed"):
             raise DomainError(f"unknown gamma prior {self.gamma_prior!r}")
+        if len(self.gamma_beta_ab) != 2:
+            raise DomainError(f"gamma_beta_ab must hold exactly two values, got {list(self.gamma_beta_ab)}")
         if any(v <= 0 for v in self.gamma_beta_ab):
             raise DomainError("beta-prior parameters for gamma must be positive")
         n = round(1.0 / self.gamma_grid_step)

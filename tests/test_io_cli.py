@@ -282,6 +282,33 @@ class TestRunCommandFit:
         assert code == 2
         assert json.loads(capsys.readouterr().out)["error"]["type"] == "ValidationError"
 
+    @pytest.mark.parametrize("ab", [[2.0], [1.0, 2.0, 3.0], []])
+    def test_gamma_beta_ab_of_wrong_length_exits_2(self, tmp_path, capsys, ab):
+        data = _simulate_cohort_csv(tmp_path, T=6)
+        cfg = _write(tmp_path, "ab.json", json.dumps({"prior": {"gamma_prior": "beta", "gamma_beta_ab": ab}}))
+        capsys.readouterr()
+        code, _ = run_command(["fit", "--config", str(cfg), "--model", "DM1", "--seed", "1",
+                               "--data", str(data), "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = json.loads(capsys.readouterr().out)["error"]
+        assert err["type"] == "ValidationError"
+        assert "gamma_beta_ab" in err["message"]
+
+    @pytest.mark.parametrize(
+        "model, prior, sampler",
+        [("DM1", {}, "independence"), ("BPM", {}, "independence"), ("DM1", {"gamma_prior": "grid"}, None)],
+    )
+    def test_summary_names_the_metropolis_sampler(self, tmp_path, model, prior, sampler):
+        # only fits that run a Metropolis chain over (beta, logit gamma) record one
+        data = _simulate_cohort_csv(tmp_path, T=30)
+        cfg = _write(tmp_path, "s.json", json.dumps(
+            {"prior": prior, "mcmc": {"iterations": 600, "burn_in": 200, "thinning": 1, "proposal_scale": 1.0}}))
+        out = tmp_path / "s"
+        code, _ = run_command(["fit", "--config", str(cfg), "--model", model, "--seed", "4",
+                               "--data", str(data), "--out", str(out)])
+        assert code == 0
+        assert json.loads((out / "summary.json").read_text()).get("sampler") == sampler
+
     def test_bpm_fit_emits_rate_overlay(self, tmp_path):
         data = _simulate_cohort_csv(tmp_path, T=30)
         cfg = _write(

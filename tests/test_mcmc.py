@@ -377,6 +377,142 @@ class TestRwMetropolis:
         assert cfg.n_retained == 200
 
 
+def _standard_normal(x):
+    return -0.5 * np.sum(x**2, axis=-1)
+
+
+class TestIndependenceChain:
+    # a Laplace fit that misses the target's mode and scale, so the weights matter
+    LAPLACE = ModeHessian(np.array([0.3, -0.2]), np.diag([0.6, 1.5]))
+
+    def test_standard_normal_moments(self):
+        cfg = MhConfig(iterations=40_000, burn_in=1_000)
+        res = mcmc._independence_chain(_standard_normal, self.LAPLACE, cfg, RngStream(2))
+        assert res.sampler == "independence"
+        assert res.draws.shape == (cfg.n_retained, 2)
+        assert np.all(np.abs(res.draws.mean(axis=0)) < 0.03)
+        assert np.all(np.abs(res.draws.var(axis=0) - 1.0) < 0.05)
+
+    def test_bitwise_reproducible(self):
+        cfg = MhConfig(iterations=700, burn_in=100, thinning=3)
+        a = mcmc._independence_chain(_standard_normal, self.LAPLACE, cfg, RngStream(3))
+        b = mcmc._independence_chain(_standard_normal, self.LAPLACE, cfg, RngStream(3))
+        assert np.array_equal(a.draws, b.draws)
+        assert a.acceptance_rate == b.acceptance_rate
+        assert a.draws.shape == (cfg.n_retained, 2)
+
+    def test_log_kernel_is_the_t_density_up_to_a_constant(self):
+        from scipy.stats import multivariate_t
+
+        gen = np.random.default_rng(8)
+        mode = gen.normal(size=4)
+        a = gen.normal(size=(4, 4))
+        cov = a @ a.T + 0.5 * np.eye(4)
+        root = np.linalg.cholesky(cov)
+        x = mode + gen.standard_t(3, size=(500, 4))
+        diff = mcmc._t_log_kernel(x, mode, root) - multivariate_t(mode, cov, df=mcmc._IMH_DF).logpdf(x)
+        assert np.ptp(diff) < 1e-9
+
+    def test_dead_chain_raises(self):
+        def spike(x):
+            return np.where(np.all(x == 0.0, axis=-1), 0.0, -np.inf)
+
+        with pytest.raises(FitError, match="accepted no proposals"):
+            mcmc._independence_chain(spike, ModeHessian(np.zeros(1), np.eye(1)),
+                                     MhConfig(iterations=50, burn_in=0), RngStream(4))
+
+    @pytest.mark.parametrize("imh_rate", [0.05, None])
+    def test_low_or_dead_independence_chain_falls_through_to_the_ladder(self, monkeypatch, imh_rate):
+        def independence(log_target, mh, config, rng):
+            if imh_rate is None:
+                raise FitError("the independence chain accepted no proposals")
+            return MhResult(np.zeros((config.n_retained, 1)), imh_rate, sampler="independence")
+
+        ladder = []
+
+        def chain(log_target, init, proposal_covariance, config, rng):
+            ladder.append(float(proposal_covariance[0, 0]))
+            return MhResult(np.ones((config.n_retained, 1)), 0.3)
+
+        monkeypatch.setattr(mcmc, "_independence_chain", independence)
+        monkeypatch.setattr(mcmc, "rw_metropolis", chain)
+        res = mcmc._mode_then_chain(_standard_normal, np.ones(1), MhConfig(iterations=10, burn_in=0), RngStream(5))
+        assert ladder == [1.0]
+        assert res.sampler == "random_walk" and res.acceptance_rate == 0.3
+
+    def test_independence_chain_above_the_band_floor_is_kept(self, monkeypatch):
+        monkeypatch.setattr(mcmc, "rw_metropolis", None)  # never reached
+        res = mcmc._mode_then_chain(_standard_normal, np.ones(2), MhConfig(iterations=300, burn_in=0), RngStream(6))
+        assert res.sampler == "independence"
+        assert res.acceptance_rate >= mcmc._ACCEPTANCE_BAND[0]
+        assert res.scale_used == mcmc._IMH_INFLATION
+
+    def test_fallback_on_a_dm2_target_reproduces_the_random_walk_chain(self, monkeypatch):
+        # a fit that falls back runs the first ladder rung on the substream it
+        # always used, so its draws are the random-walk chain's bit for bit
+        series, design, priors = _simulated_static("DM2")
+        spec, p = ModelSpec("DM2", ("z1", "z2")), design.p
+        cfg = MhConfig(iterations=1500, burn_in=500)
+        monkeypatch.setattr(mcmc, "_independence_chain", lambda f, mh, config, rng: MhResult(
+            np.zeros((config.n_retained, p + 1)), 0.05, sampler="independence"))
+        draws = fit_dm_static(series, design, spec, priors, cfg, RngStream(21), smooth=False)
+
+        target = mcmc._dm_static_target(series, design, priors)
+        mh = find_mode_and_hessian(target, np.zeros(p + 1))
+        ref = rw_metropolis(target, mh.mode, mh.covariance, cfg, RngStream(21).substream(0).substream(0))
+        assert mcmc._ACCEPTANCE_BAND[0] <= ref.acceptance_rate <= mcmc._ACCEPTANCE_BAND[1]
+        assert draws.sampler == "random_walk"
+        assert draws.acceptance_rate == ref.acceptance_rate
+        assert np.array_equal(draws.beta, ref.draws[:, :p])
+        assert np.array_equal(draws.gamma, expit(ref.draws[:, p]))
+
+    def test_dm1_posterior_matches_the_exact_grid_posterior(self):
+        # Under a uniform gamma prior the DM1 posterior is known up to its
+        # normalizer; on a grid of step 1e-4 its mean and quantiles are exact
+        # to well within the tolerances. The tolerances assume an ESS of at
+        # least N/2 = 9,500 draws: the mean's Monte Carlo sd is then at most
+        # 0.011 posterior sd, and a 2.5% or 97.5% quantile's about 0.03 sd
+        # (normal shape). Both tolerances are about 5 of those sds.
+        T = 60
+        design = DesignMatrix.empty(T)
+        priors = PriorConfig(a0=50.0, b0=2.0)
+        series = simulate_cohort(priors, 0.7, np.zeros(0), design, T, RngStream(11).substream(3)).counts
+        cfg = MhConfig(iterations=20_000, burn_in=1_000)
+        draws = fit_dm_static(series, design, ModelSpec("DM1"), priors, cfg, RngStream(0), smooth=False)
+        assert draws.sampler == "independence"
+        grid_priors = PriorConfig(a0=priors.a0, b0=priors.b0, gamma_prior="grid", gamma_grid_step=1e-4)
+        post = gamma_grid_posterior(series, design, grid_priors)
+        sd = math.sqrt(post.probs @ (post.grid - post.mean) ** 2)
+        assert abs(draws.gamma.mean() - post.mean) < 0.05 * sd
+        cdf = np.cumsum(post.probs)
+        for q in (0.025, 0.975):
+            exact = post.grid[np.searchsorted(cdf, q)]
+            assert abs(np.quantile(draws.gamma, q) - exact) < 0.15 * sd + 1e-4
+
+
+class TestLogTargetBpm:
+    @given(
+        rows=st.lists(
+            st.lists(st.one_of(st.floats(-3.0, 3.0), st.sampled_from([-800.0, 800.0])), min_size=3, max_size=3),
+            min_size=1,
+            max_size=10,
+        )
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_block_rows_equal_point_calls(self, rows):
+        series, design, priors = _simulated_static("BPM", T=30)
+        betas = np.array(rows)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            block = log_target_bpm(betas, series, design, priors)
+            points = np.array([log_target_bpm(b, series, design, priors) for b in betas])
+        assert block.shape == (len(rows),)
+        assert np.array_equal(np.isfinite(block), np.isfinite(points))
+        finite = np.isfinite(points)
+        np.testing.assert_allclose(block[finite], points[finite], rtol=1e-12)
+        assert np.array_equal(block[~finite], points[~finite])
+
+
 class TestRetryLadder:
     """The second rung is the one that moves acceptance toward the band."""
 
@@ -393,6 +529,9 @@ class TestRetryLadder:
 
         monkeypatch.setattr(mcmc, "find_mode_and_hessian", lambda f, x: ModeHessian(x, np.eye(1)))
         monkeypatch.setattr(mcmc, "rw_metropolis", chain)
+        # an independence chain below the band hands over to the ladder
+        monkeypatch.setattr(mcmc, "_independence_chain", lambda f, mh, config, rng: MhResult(
+            np.zeros((config.n_retained, 1)), 0.05, sampler="independence"))
         rng = RngStream(5)
         res = mcmc._mode_then_chain(None, np.zeros(1), MhConfig(iterations=10, burn_in=0), rng)
         # rung k keeps substream k, so the chain it runs does not depend on which rungs ran
