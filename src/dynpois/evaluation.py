@@ -145,8 +145,7 @@ def forecast_one_step(
     betas = draws.beta if beta_next is None else beta_next
     if betas.ndim != 2:
         raise DomainError("per-month coefficient paths need beta_next")
-    # one dot product per draw: a matrix product changes the last bits
-    m = np.exp([z_next @ beta for beta in betas]) if z_next.size else 1.0
+    m = np.exp((betas[:, None, :] @ z_next)[:, 0])
     g = draws.gamma
     gb = g * b
     return ForecastDistribution(origin=origin, components=np.column_stack([g * a, gb / (gb + m)]))

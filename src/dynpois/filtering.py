@@ -90,41 +90,6 @@ def _discount_solve(gamma: float | np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return x
 
 
-def _filter_body(
-    n: np.ndarray,
-    log_n_factorial: np.ndarray,
-    multipliers: np.ndarray,
-    gamma: float | np.ndarray,
-    a0: float,
-    b0: float,
-) -> tuple:
-    """``filter_core`` without its checks: the states ``a``, ``b`` and the log-predictives.
-
-    ``n`` holds the counts as floats and ``log_n_factorial`` their
-    gammaln(n + 1), so a caller that scores many points prepares both once.
-    One row: a float ``gamma`` and ``multipliers`` of shape (T,). S rows:
-    ``gamma`` of shape (S,) and ``multipliers`` of shape (S, T).
-    """
-    batched = isinstance(gamma, np.ndarray)
-    rhs = np.empty((2, *gamma.shape, len(n) + 1) if batched else (2, len(n) + 1))
-    rhs[0, ..., 0], rhs[0, ..., 1:] = a0, n
-    rhs[1, ..., 0], rhs[1, ..., 1:] = b0, multipliers
-    a, b = _discount_solve(gamma, rhs)
-
-    # negbin log pmf of N_t under r_t = gamma*a_{t-1}, p_t = gamma*b_{t-1}/(gamma*b_{t-1}+m_t);
-    # extreme multipliers can overflow the rate recursion, and a subnormal gamma
-    # can underflow gamma*b to 0, leaving non-finite entries for the caller to
-    # treat as out-of-support
-    g_col = gamma[:, None] if batched else gamma
-    r = g_col * a[..., :-1]
-    gb = g_col * b[..., :-1]
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        log_gbm = np.log(gb + multipliers)
-        log_pred = gammaln(r + n) - log_n_factorial - gammaln(r) + r * (np.log(gb) - log_gbm)
-        log_pred += n * (np.log(multipliers) - log_gbm)
-    return a, b, log_pred
-
-
 def filter_core(
     counts: np.ndarray,
     multipliers: np.ndarray,
@@ -154,7 +119,22 @@ def filter_core(
 
     gamma = g if g.ndim else float(g)
     n = counts.astype(float)
-    a, b, log_pred = _filter_body(n, gammaln(n + 1.0), multipliers, gamma, a0, b0)
+    rhs = np.empty((2, *g.shape, T + 1))
+    rhs[0, ..., 0], rhs[0, ..., 1:] = a0, n
+    rhs[1, ..., 0], rhs[1, ..., 1:] = b0, multipliers
+    a, b = _discount_solve(gamma, rhs)
+
+    # negbin log pmf of N_t under r_t = gamma*a_{t-1}, p_t = gamma*b_{t-1}/(gamma*b_{t-1}+m_t);
+    # extreme multipliers can overflow the rate recursion, and a subnormal gamma
+    # can underflow gamma*b to 0, leaving non-finite entries for the caller to
+    # treat as out-of-support
+    g_col = g[:, None] if g.ndim else gamma
+    r = g_col * a[..., :-1]
+    gb = g_col * b[..., :-1]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        log_gbm = np.log(gb + multipliers)
+        log_pred = gammaln(r + n) - gammaln(n + 1.0) - gammaln(r) + r * (np.log(gb) - log_gbm)
+        log_pred += n * (np.log(multipliers) - log_gbm)
     return FilterTrajectory(a=a, b=b, gamma=gamma, log_predictive=log_pred)
 
 
@@ -168,15 +148,15 @@ def filter_draws(
 ):
     """Filter every posterior draw, FILTER_BLOCK draws per batched ``filter_core`` call.
 
+    ``betas`` is a stack of static coefficients (S, p) or of paths (S, T, p).
     Yields ``(block, trajectory)``: a slice into the draws and the batched
-    trajectory of those draws, in draw order. Each draw's multipliers come
-    from its own ``linear_predictor`` call, so they equal the per-draw values
-    bit for bit (a single matrix product over all draws does not).
+    trajectory of those draws, in draw order. One ``linear_predictor`` call
+    builds a block's multipliers, and each row equals that draw's one-row call
+    bit for bit.
     """
     for start in range(0, len(gammas), FILTER_BLOCK):
         block = slice(start, start + FILTER_BLOCK)
-        multipliers = np.stack([linear_predictor(design, beta) for beta in betas[block]])
-        yield block, filter_core(counts, multipliers, gammas[block], a0, b0)
+        yield block, filter_core(counts, linear_predictor(design, betas[block]), gammas[block], a0, b0)
 
 
 def gamma_grid_posterior(

@@ -5,9 +5,12 @@ coefficients.
 
 The static fitters work on the count likelihood with the latent rates
 integrated out (the per-step negative binomial product from the filter), so a
-single filter pass prices one proposal. The independence proposals do not
-depend on the chain state, so all of them are scored in batched filter passes
-before the accept/reject pass runs. The discount factor is sampled on the
+single filter pass prices one proposal. Every log target maps a block of
+points (K, d) to (K,) and scores it in one batched filter pass; one point is
+a one-row block. The mode search scores its stencils in blocks, and the
+independence proposals, which do not depend on the chain state, are all
+scored in blocks before the accept/reject pass runs; the random-walk fallback
+scores one one-row block per step. The discount factor is sampled on the
 logit scale with its Jacobian; regression coefficients are unconstrained.
 """
 
@@ -21,7 +24,6 @@ from scipy.special import gammaln
 
 from .filtering import (
     FILTER_BLOCK,
-    _filter_body,
     ffbs_sample,
     filter_core,
     filter_draws,
@@ -130,10 +132,9 @@ class ChainDiagnostics:
     ess: np.ndarray
 
 
-def _log_prior_beta(beta: np.ndarray, sd: float) -> float | np.ndarray:
-    """Log N(0, sd^2) density of a point (p,) as a float, or of each row of a block (K, p)."""
-    lp = -0.5 * (beta**2).sum(axis=-1) / sd**2 - beta.shape[-1] * math.log(sd * math.sqrt(2 * math.pi))
-    return lp if lp.ndim else float(lp)
+def _log_prior_beta(beta: np.ndarray, sd: float) -> np.ndarray:
+    """Log N(0, sd^2) density of each row of a block (K, p), as (K,)."""
+    return -0.5 * (beta**2).sum(axis=1) / sd**2 - beta.shape[1] * math.log(sd * math.sqrt(2 * math.pi))
 
 
 def _log_prior_gamma(gamma: float, priors: PriorConfig) -> float:
@@ -152,66 +153,36 @@ def _log_prior_gamma(gamma: float, priors: PriorConfig) -> float:
 
 def log_target_static(
     beta: np.ndarray,
-    gamma: float | np.ndarray,
-    series: CountSeries,
-    design: DesignMatrix,
-    priors: PriorConfig,
-) -> float | np.ndarray:
-    """Unnormalized log posterior of (beta, gamma) with latent rates integrated out.
-
-    One point: ``beta`` of shape (p,) and a float ``gamma`` give a float. A
-    block: ``beta`` of shape (K, p) and ``gamma`` of shape (K,) give (K,),
-    row k equal to the point call on (beta[k], gamma[k]) bit for bit. Points
-    off the support (gamma outside (0, 1), or any gamma but the fixed prior's
-    value, which may be 1; a non-finite prior, multipliers that underflow or
-    overflow, a non-finite likelihood) score -inf; a block
-    scores its other rows in one batched filter pass.
-    """
-    beta = np.asarray(beta, dtype=float)
-    if beta.ndim == 2:
-        return _log_target_static_block(beta, np.asarray(gamma, dtype=float), series, design, priors)
-    lp = _log_prior_gamma(gamma, priors)
-    if beta.size:
-        lp += _log_prior_beta(beta, priors.beta_sd)
-    if not np.isfinite(lp):
-        return -np.inf
-    multipliers = linear_predictor(design, beta)
-    # exp(eta) overflows to inf or underflows to 0 for extreme proposals: out of support
-    if not (0.0 < multipliers.min() and multipliers.max() < np.inf):
-        return -np.inf
-    ll = filter_core(series.counts, multipliers, gamma, priors.a0, priors.b0).total_log_predictive
-    # extreme proposals can overflow the rate recursion; treat as out of support
-    if not np.isfinite(ll):
-        return -np.inf
-    return float(ll + lp)
-
-
-def _log_target_static_block(
-    beta: np.ndarray,
     gamma: np.ndarray,
     series: CountSeries,
     design: DesignMatrix,
     priors: PriorConfig,
 ) -> np.ndarray:
-    """The block case of ``log_target_static``: the point call's support checks
-    on every row, then one ``filter_core`` call over the rows that pass. Each
-    row's multipliers come from its own ``linear_predictor`` call, so they
-    equal the point call's bit for bit."""
-    if gamma.shape != beta.shape[:1]:
-        raise DomainError("a block of K points needs K discount factors")
+    """Unnormalized log posterior of (beta, gamma) with latent rates integrated out.
+
+    A block of K points, ``beta`` of shape (K, p) and ``gamma`` of shape (K,),
+    gives (K,); one point is a one-row block. Points off the support (gamma
+    outside (0, 1), or any gamma but the fixed prior's value, which may be 1;
+    a non-finite prior, multipliers that underflow or overflow, a non-finite
+    likelihood) score -inf, and the other rows are scored in one batched
+    filter pass.
+    """
+    beta = np.asarray(beta, dtype=float)
+    gamma = np.asarray(gamma, dtype=float)
+    if beta.ndim != 2 or gamma.shape != beta.shape[:1]:
+        raise DomainError("a block of K points needs a (K, p) beta and K discount factors")
     lp = np.array([_log_prior_gamma(g, priors) for g in gamma])
     if beta.shape[1]:
         lp += _log_prior_beta(beta, priors.beta_sd)
     out = np.full(len(beta), -np.inf)
     live = np.flatnonzero(np.isfinite(lp))
-    if not live.size:
-        return out
-    multipliers = np.stack([linear_predictor(design, beta[k]) for k in live])
+    multipliers = linear_predictor(design, beta[live])
+    # exp(eta) overflows to inf or underflows to 0 for extreme proposals: out of support
     ok = (0.0 < multipliers.min(axis=1)) & (multipliers.max(axis=1) < np.inf)
     live, multipliers = live[ok], multipliers[ok]
     if live.size:
-        traj = filter_core(series.counts, multipliers, gamma[live], priors.a0, priors.b0)
-        ll = traj.total_log_predictive
+        ll = filter_core(series.counts, multipliers, gamma[live], priors.a0, priors.b0).total_log_predictive
+        # extreme proposals can overflow the rate recursion; treat as out of support
         out[live] = np.where(np.isfinite(ll), ll + lp[live], -np.inf)
     return out
 
@@ -226,12 +197,12 @@ _HESSIAN_REL_STEP = 1e-4
 def find_mode_and_hessian(log_target, start: np.ndarray) -> ModeHessian:
     """Maximize a log density and return the inverse negative Hessian at the mode.
 
-    ``log_target`` scores one point (d,) as a float or a block (K, d) as (K,),
-    -inf off the support. Damped Newton on one block-scored stencil per iterate
-    (value, gradient g, Hessian H): the step s solves (c I - H) s = g, with c
-    the damping times mean|diag H|, and a step that does not raise the target
-    is retried with ten times the damping, until g's < ``_NEWTON_TOL``. A start
-    off the support, a stencil point off the support and no stop within
+    ``log_target`` scores a block (K, d) as (K,), -inf off the support.
+    Damped Newton on one block-scored stencil per iterate (value, gradient g,
+    Hessian H): the step s solves (c I - H) s = g, with c the damping times
+    mean|diag H|, and a step that does not raise the target is retried with
+    ten times the damping, until g's < ``_NEWTON_TOL``. A start off the
+    support, a stencil point off the support and no stop within
     ``_MODE_MAX_ITER`` iterations raise FitError. A negative inverse Hessian
     that is not positive definite gets its diagonal inflated, and the added
     jitter is reported.
@@ -318,13 +289,14 @@ def rw_metropolis(
     """Random-walk Metropolis with a fixed multivariate-normal proposal.
 
     The proposal is symmetric so the acceptance ratio is the posterior ratio,
-    evaluated in log space. Burn-in and thinning are applied before draws are
-    retained; the acceptance rate covers the full run.
+    evaluated in log space. ``log_target`` scores a block (K, d) as (K,), and
+    each step scores its proposal as a one-row block. Burn-in and thinning are
+    applied before draws are retained; the acceptance rate covers the full run.
     """
     init = np.atleast_1d(np.asarray(init, dtype=float))
     d = len(init)
     root = cholesky_or_raise(np.atleast_2d(proposal_covariance))
-    lp = log_target(init)
+    lp = log_target(init[None])[0]
     if not np.isfinite(lp):
         raise DomainError("log target is not finite at the chain start")
     gen = rng.generator
@@ -336,7 +308,7 @@ def rw_metropolis(
         step = root @ gen.standard_normal(d)
         u = gen.random()
         prop = x + step
-        lp_prop = log_target(prop)
+        lp_prop = log_target(prop[None])[0]
         if math.log(u) < lp_prop - lp:
             x = prop
             lp = lp_prop
@@ -394,7 +366,7 @@ def _independence_chain(log_target, mh: ModeHessian, config: MhConfig, rng: RngS
     # state[i] is the proposal the chain holds after step i; -1 is the mode,
     # whose kernel value is 0
     state = np.empty(N, dtype=np.intp)
-    current, lw = -1, log_target(mh.mode)
+    current, lw = -1, log_target(mh.mode[None])[0]
     accepted = 0
     for i, lu in enumerate(log_u.tolist()):
         if lu < log_w[i] - lw:
@@ -477,47 +449,18 @@ def _logit_jacobian(g: float) -> float:
 
 
 def _dm_static_target(series: CountSeries, design: DesignMatrix, priors: PriorConfig):
-    """The log target that ``fit_dm_static`` samples, for one point or a block:
+    """The log target that ``fit_dm_static`` samples, a block (K, d) to (K,):
     over beta alone under a fixed gamma prior, otherwise over (beta, logit gamma)
-    with the logit Jacobian included.
-
-    A point equals ``log_target_static`` bit for bit but skips its argument
-    checks: the counts, their gammaln(n + 1) and the all-ones multipliers of a
-    covariate-free design are prepared once per fit, and the filter body runs
-    unchecked. A block goes through ``log_target_static``.
-    """
+    with the logit Jacobian included."""
     p = design.p
-    rows = design.rows
-    n = series.counts.astype(float)
-    log_n_factorial = gammaln(n + 1.0)
-    no_covariates = np.ones(design.T)
-
-    def point(beta, g):
-        lp = _log_prior_gamma(g, priors)
-        if p:
-            lp += _log_prior_beta(beta, priors.beta_sd)
-        if not math.isfinite(lp):
-            return -np.inf
-        multipliers = np.exp(rows @ beta) if p else no_covariates
-        # a multiplier that underflows to 0 or overflows to inf makes its
-        # month's log-predictive NaN or -inf, so this one check covers it
-        ll = float(_filter_body(n, log_n_factorial, multipliers, g, priors.a0, priors.b0)[2].sum())
-        return ll + lp if math.isfinite(ll) else -np.inf
-
     if priors.gamma_prior == "fixed":
-        g0 = priors.gamma_fixed_value
 
         def target(b):
-            if b.ndim == 1:
-                return point(b, g0)
-            return log_target_static(b, np.full(len(b), g0), series, design, priors)
+            return log_target_static(b, np.full(len(b), priors.gamma_fixed_value), series, design, priors)
 
     else:
 
         def target(x):
-            if x.ndim == 1:
-                g = expit(x[p])
-                return point(x[:p], g) + _logit_jacobian(g)
             g = expit(x[:, p])
             jac = np.array([_logit_jacobian(v) for v in g])
             return log_target_static(x[:, :p], g, series, design, priors) + jac
@@ -705,7 +648,7 @@ def fit_dm5(
     n_moves = 0
     kept = 0
     for it in range(config.iterations):
-        multipliers = linear_predictor(design, beta)
+        multipliers = linear_predictor(design, beta[None])[0]
         traj = filter_core(counts, multipliers, gamma, priors.a0, priors.b0)
 
         # discount factor, collapsed over the latent rates
@@ -714,18 +657,8 @@ def fit_dm5(
         u = gen.random()
         if 0.0 < g_prop < 1.0:
             traj_prop = filter_core(counts, multipliers, g_prop, priors.a0, priors.b0)
-            num = (
-                traj_prop.total_log_predictive
-                + _log_prior_gamma(g_prop, priors)
-                + math.log(g_prop)
-                + math.log1p(-g_prop)
-            )
-            den = (
-                traj.total_log_predictive
-                + _log_prior_gamma(gamma, priors)
-                + math.log(gamma)
-                + math.log1p(-gamma)
-            )
+            num = traj_prop.total_log_predictive + _log_prior_gamma(g_prop, priors) + _logit_jacobian(g_prop)
+            den = traj.total_log_predictive + _log_prior_gamma(gamma, priors) + _logit_jacobian(gamma)
             if math.log(u) < num - den:
                 gamma, x_gamma, traj = g_prop, x_prop, traj_prop
                 n_accept += 1
@@ -768,17 +701,13 @@ def fit_dm5(
 
 def log_target_bpm(
     beta: np.ndarray, series: CountSeries, design: DesignMatrix, priors: PriorConfig
-) -> float | np.ndarray:
-    """Log posterior of the static Poisson regression (rate exp(beta' z_t)): a
-    float for one point of shape (p,), or (K,) for a block of shape (K, p),
-    whose linear predictors come from one matrix product."""
+) -> np.ndarray:
+    """Log posterior of the static Poisson regression (rate exp(beta' z_t)) at
+    each row of a block (K, p), as (K,); one point is a one-row block. The
+    linear predictors of the block come from one matrix product."""
     beta = np.asarray(beta, dtype=float)
-    if beta.ndim == 2:
-        eta = beta @ design.rows.T
-        ll = np.sum(series.counts * eta - np.exp(eta) - gammaln(series.counts + 1.0), axis=1)
-        return ll + _log_prior_beta(beta, priors.beta_sd)
-    eta = design.rows @ beta
-    ll = float(np.sum(series.counts * eta - np.exp(eta) - gammaln(series.counts + 1.0)))
+    eta = beta @ design.rows.T
+    ll = np.sum(series.counts * eta - np.exp(eta) - gammaln(series.counts + 1.0), axis=1)
     return ll + _log_prior_beta(beta, priors.beta_sd)
 
 

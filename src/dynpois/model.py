@@ -249,20 +249,23 @@ def build_design(
 
 
 def linear_predictor(design: DesignMatrix, beta: np.ndarray) -> np.ndarray:
-    """Per-month multiplier exp(beta' z_t); supports static (p,) and per-month (T, p) beta."""
+    """Per-month multipliers exp(beta_k' z_t), shape (K, T), for a stack of K
+    draws: static coefficients (K, p) or per-month paths (K, T, p).
+
+    Each static row goes through the matrix-vector product of its own, so row
+    k does not depend on the other rows or on K.
+    """
     beta = np.asarray(beta, dtype=float)
-    if design.p == 0:
-        return np.ones(design.T)
-    if beta.ndim == 1:
-        if beta.shape[0] != design.p:
-            raise DomainError(f"beta has dimension {beta.shape[0]}, design has p={design.p}")
-        eta = design.rows @ beta
-    elif beta.ndim == 2:
-        if beta.shape != (design.T, design.p):
-            raise DomainError(f"per-month beta must have shape ({design.T}, {design.p})")
-        eta = np.sum(design.rows * beta, axis=1)
+    T, p = design.rows.shape
+    if beta.ndim == 2 and beta.shape[1] == p:
+        eta = (design.rows @ beta[:, :, None])[..., 0]
+    elif beta.ndim == 3 and beta.shape[1:] == (T, p):
+        eta = np.sum(design.rows * beta, axis=-1)
     else:
-        raise DomainError("beta must be a vector or a (T, p) matrix")
+        raise DomainError(
+            f"beta must be a (K, {p}) stack of coefficients or a (K, {T}, {p}) stack of paths, "
+            f"got shape {beta.shape}"
+        )
     return np.exp(eta)
 
 

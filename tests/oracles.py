@@ -248,9 +248,14 @@ def one_step_predictive(predicted: GammaParams, multiplier: float = 1.0) -> NegB
     return NegBinParams(r, p)
 
 
-def fd_derivatives_loop(f, x: np.ndarray, rel_step: float) -> tuple:
-    """The value, central-difference gradient and Hessian of a point target f
-    at x, one call per stencil point, with steps rel_step * max(1, |x_i|)."""
+def fd_derivatives_loop(log_target, x: np.ndarray, rel_step: float) -> tuple:
+    """The value, central-difference gradient and Hessian of a block target at
+    x, one call per stencil point, each scored as a one-row block, with steps
+    rel_step * max(1, |x_i|)."""
+
+    def f(point):
+        return log_target(point[None])[0]
+
     d = len(x)
     h = rel_step * np.maximum(1.0, np.abs(x))
     grad = np.empty(d)

@@ -207,7 +207,7 @@ class TestFilterPass:
     def test_covariate_multipliers_enter_rate(self):
         cov = {"x": np.array([0.0, 1.0, -1.0])}
         design = build_design(cov, ModelSpec("DM2", ("x",)), 3)
-        traj = filter_core([1, 2, 3], linear_predictor(design, np.array([0.5])), 0.8, 2.0, 1.0)
+        traj = filter_core([1, 2, 3], linear_predictor(design, np.array([[0.5]]))[0], 0.8, 2.0, 1.0)
         m = np.exp(0.5 * cov["x"])
         b = 1.0
         for t in range(3):
@@ -353,7 +353,7 @@ class TestBatchedFilter:
     @pytest.mark.pinned_dispatch
     def test_scalar_call_matches_reference_loop(self):
         counts, design, betas, _ = _draw_set(1)
-        mult = linear_predictor(design, betas[0])
+        mult = linear_predictor(design, betas[:1])[0]
         for g in self.GAMMAS:
             traj = filter_core(counts, mult, float(g), 50.0, 2.0)
             a, b, log_pred = _loop_filter(counts, mult, g, 50.0, 2.0)
@@ -363,7 +363,7 @@ class TestBatchedFilter:
 
     def test_batched_rows_equal_scalar_calls(self):
         counts, design, betas, _ = _draw_set(len(self.GAMMAS), seed=1)
-        mult = np.stack([linear_predictor(design, beta) for beta in betas])
+        mult = linear_predictor(design, betas)
         traj = filter_core(counts, mult, self.GAMMAS, 50.0, 2.0)
         assert traj.a.shape == (5, 31) and traj.log_predictive.shape == (5, 30) and traj.T == 30
         totals = traj.total_log_predictive
@@ -389,7 +389,7 @@ class TestBatchedFilter:
         assert [blk.start for blk, _ in blocks] == [0, FILTER_BLOCK]
         log_pred = np.concatenate([traj.log_predictive for _, traj in blocks])
         for j in (0, 1, FILTER_BLOCK - 1, FILTER_BLOCK, S - 1):
-            ref = _loop_filter(counts, linear_predictor(design, betas[j]), gammas[j], 50.0, 2.0)
+            ref = _loop_filter(counts, linear_predictor(design, betas[j : j + 1])[0], gammas[j], 50.0, 2.0)
             assert np.array_equal(log_pred[j], ref[2])
 
     @pytest.mark.pinned_dispatch
@@ -400,7 +400,7 @@ class TestBatchedFilter:
         L = per_draw_log_predictives(_series(counts), design, draws, PriorConfig(a0=50.0, b0=2.0))
         ref = np.array(
             [
-                _loop_filter(counts, linear_predictor(design, betas[j]), gammas[j], 50.0, 2.0)[2]
+                _loop_filter(counts, linear_predictor(design, betas[j : j + 1])[0], gammas[j], 50.0, 2.0)[2]
                 for j in range(S)
             ]
         )
@@ -409,7 +409,7 @@ class TestBatchedFilter:
     @pytest.mark.pinned_dispatch
     def test_scalar_ffbs_matches_reference_loop(self):
         counts, design, betas, _ = _draw_set(1, seed=4)
-        mult = linear_predictor(design, betas[0])
+        mult = linear_predictor(design, betas[:1])[0]
         for g in self.GAMMAS:
             traj = filter_core(counts, mult, float(g), 50.0, 2.0)
             assert np.array_equal(
@@ -426,7 +426,7 @@ class TestBatchedFilter:
         ref_rng = RngStream(7, 1)
         ref = np.empty((S, len(counts)))
         for j in range(S):
-            a, b, _ = _loop_filter(counts, linear_predictor(design, betas[j]), gammas[j], 50.0, 2.0)
+            a, b, _ = _loop_filter(counts, linear_predictor(design, betas[j : j + 1])[0], gammas[j], 50.0, 2.0)
             ref[j] = _loop_ffbs(a, b, gammas[j], ref_rng)
         assert np.array_equal(paths, ref)
         assert np.all(paths[1] == paths[1, -1])  # the gamma = 1 row is static
@@ -482,7 +482,7 @@ class TestBandedSolve:
         # gammaln terms scale that by their own size, so bound it by that size
         counts, design, betas, gammas = _draw_set(8, T=150, seed=8)
         for beta, g in zip(betas, gammas):
-            mult = linear_predictor(design, beta)
+            mult = linear_predictor(design, beta[None])[0]
             traj = filter_core(counts, mult, float(g), 50.0, 2.0)
             a, b, log_pred = _loop_filter(counts, mult, g, 50.0, 2.0)
             np.testing.assert_allclose(traj.a, a, rtol=1e-14, atol=0)

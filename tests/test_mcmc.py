@@ -67,8 +67,8 @@ class TestLogTargetStatic:
         design = DesignMatrix.empty(3)
         priors = PriorConfig(a0=2.0, b0=1.0)
         for g1, g2 in ((0.2, 0.7), (0.4, 0.9)):
-            t1 = log_target_static(np.zeros(0), g1, series, design, priors)
-            t2 = log_target_static(np.zeros(0), g2, series, design, priors)
+            t1 = log_target_static(np.zeros((1, 0)), [g1], series, design, priors)[0]
+            t2 = log_target_static(np.zeros((1, 0)), [g2], series, design, priors)[0]
             l1 = filter_core(series.counts, np.ones(3), g1, priors.a0, priors.b0).total_log_predictive
             l2 = filter_core(series.counts, np.ones(3), g2, priors.a0, priors.b0).total_log_predictive
             assert (t1 - t2) == pytest.approx(l1 - l2, abs=1e-10)
@@ -93,22 +93,22 @@ class TestLogTargetStatic:
 
         b1, g1 = np.array([0.4]), 0.6
         b2, g2 = np.array([-0.2]), 0.3
-        lhs = log_target_static(b1, g1, series, design, priors) - log_target_static(
-            b2, g2, series, design, priors
-        )
+        lhs = log_target_static(b1[None], [g1], series, design, priors)[0] - log_target_static(
+            b2[None], [g2], series, design, priors
+        )[0]
         prior_term = -0.5 * (b1[0] ** 2 - b2[0] ** 2) / priors.beta_sd**2
         rhs = direct_loglik(b1, g1) - direct_loglik(b2, g2) + prior_term
         assert lhs == pytest.approx(rhs, abs=1e-10)
 
     def test_out_of_support(self):
         series = _series([1])
-        assert log_target_static(np.zeros(0), 1.5, series, DesignMatrix.empty(1), PriorConfig()) == -np.inf
+        assert log_target_static(np.zeros((1, 0)), [1.5], series, DesignMatrix.empty(1), PriorConfig())[0] == -np.inf
 
     def test_underflowing_multipliers_out_of_support(self):
         # eta = -800 < -745: exp(eta) underflows to 0.0, which the filter rejects
         series = _series([2, 0, 5])
         design = DesignMatrix(("x",), np.ones((3, 1)))
-        assert log_target_static(np.array([-800.0]), 0.5, series, design, PriorConfig()) == -np.inf
+        assert log_target_static(np.array([[-800.0]]), [0.5], series, design, PriorConfig())[0] == -np.inf
 
     @given(
         rows=st.lists(
@@ -144,13 +144,13 @@ class TestLogTargetStatic:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             block = log_target_static(betas, gammas, series, design, priors)
-            points = [log_target_static(b, g, series, design, priors) for b, g in zip(betas, gammas)]
+            points = [log_target_static(b[None], [g], series, design, priors)[0] for b, g in zip(betas, gammas)]
         assert block.shape == (len(rows),)
         assert np.array_equal(block, np.array(points))
 
 
 class TestDmStaticTarget:
-    """The sampled target's lean point path against ``log_target_static`` and the block path."""
+    """The sampled target's one-row blocks against ``log_target_static`` and the block path."""
 
     @given(
         p=st.sampled_from([0, 2]),
@@ -189,22 +189,22 @@ class TestDmStaticTarget:
             points = np.array([[*beta[:p], x] for beta, x in rows])
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            point = np.array([target(x) for x in points])
+            point = np.array([target(x[None])[0] for x in points])
             block = target(points)
             expected = []
             for x in points:
                 if gamma_prior == "fixed":
-                    expected.append(log_target_static(x, fixed_value, series, design, priors))
+                    expected.append(log_target_static(x[None], [fixed_value], series, design, priors)[0])
                 else:
                     g = expit(x[p])
-                    ref = log_target_static(x[:p], g, series, design, priors)
+                    ref = log_target_static(x[None, :p], [g], series, design, priors)[0]
                     expected.append(ref + _logit_jacobian(g))
         assert np.array_equal(point, np.array(expected))
         assert np.array_equal(point, block)
 
 
 class TestFindModeAndHessian:
-    # targets score one point (d,) or a block (K, d), as find_mode_and_hessian requires
+    # targets score a block (K, d) as (K,), as find_mode_and_hessian requires
 
     def test_gaussian_quadratic(self):
         def target(x):
@@ -335,7 +335,7 @@ class TestFindModeAndHessian:
 class TestRwMetropolis:
     def test_flat_target_accepts_everything(self):
         res = rw_metropolis(
-            lambda x: 0.0,
+            lambda x: np.zeros(len(x)),
             np.zeros(1),
             np.eye(1),
             MhConfig(iterations=500, burn_in=0),
@@ -345,7 +345,7 @@ class TestRwMetropolis:
 
     def test_standard_normal_moments(self):
         res = rw_metropolis(
-            lambda x: -0.5 * float(x @ x),
+            _standard_normal,
             np.zeros(1),
             np.eye(1) * 5.76,  # 2.4^2, near-optimal scale in 1d
             MhConfig(iterations=100_000, burn_in=5_000),
@@ -358,21 +358,21 @@ class TestRwMetropolis:
 
     def test_bitwise_reproducible(self):
         cfg = MhConfig(iterations=300, burn_in=100)
-        a = rw_metropolis(lambda x: -0.5 * float(x @ x), np.zeros(2), np.eye(2), cfg, RngStream(3))
-        b = rw_metropolis(lambda x: -0.5 * float(x @ x), np.zeros(2), np.eye(2), cfg, RngStream(3))
+        a = rw_metropolis(_standard_normal, np.zeros(2), np.eye(2), cfg, RngStream(3))
+        b = rw_metropolis(_standard_normal, np.zeros(2), np.eye(2), cfg, RngStream(3))
         assert np.array_equal(a.draws, b.draws)
         assert a.acceptance_rate == b.acceptance_rate
 
     def test_dead_chain_raises(self):
         def spike(x):
-            return 0.0 if np.all(x == 0.0) else -np.inf
+            return np.where(np.all(x == 0.0, axis=-1), 0.0, -np.inf)
 
         with pytest.raises(FitError):
             rw_metropolis(spike, np.zeros(1), np.eye(1), MhConfig(iterations=200, burn_in=0), RngStream(4))
 
     def test_burn_in_and_thinning_counts(self):
         cfg = MhConfig(iterations=1000, burn_in=200, thinning=4)
-        res = rw_metropolis(lambda x: 0.0, np.zeros(1), np.eye(1), cfg, RngStream(5))
+        res = rw_metropolis(lambda x: np.zeros(len(x)), np.zeros(1), np.eye(1), cfg, RngStream(5))
         assert res.draws.shape == (cfg.n_retained, 1)
         assert cfg.n_retained == 200
 
@@ -505,7 +505,7 @@ class TestLogTargetBpm:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             block = log_target_bpm(betas, series, design, priors)
-            points = np.array([log_target_bpm(b, series, design, priors) for b in betas])
+            points = np.array([log_target_bpm(b[None], series, design, priors)[0] for b in betas])
         assert block.shape == (len(rows),)
         assert np.array_equal(np.isfinite(block), np.isfinite(points))
         finite = np.isfinite(points)

@@ -1,5 +1,7 @@
 """Tests for domain types, design construction and the cohort simulator."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -250,18 +252,28 @@ class TestSimulateDm5Coefficients:
 
 
 class TestLinearPredictor:
-    def test_empty_design_gives_ones(self):
-        assert np.all(linear_predictor(DesignMatrix.empty(4), np.zeros(0)) == 1.0)
-
-    def test_static_and_dynamic_agree_on_constant_path(self):
-        rows = np.arange(6.0).reshape(3, 2)
-        design = DesignMatrix(("a", "b"), rows)
-        beta = np.array([0.2, -0.1])
+    @pytest.mark.pinned_dispatch
+    def test_stack_rows_equal_one_row_stacks(self):
+        # each static row runs through its own matrix-vector product, so row k
+        # of a stack is draw k's one-row stack bit for bit, whatever K is
+        T = 150
+        gen = np.random.default_rng(0)
+        for p in (0, 1, 2, 14):
+            design = DesignMatrix(tuple(f"c{i}" for i in range(p)), gen.normal(size=(T, p)))
+            for K in (1, 2, 7, 300):
+                for shape in ((K, p), (K, T, p)):
+                    beta = gen.normal(size=shape)
+                    stack = linear_predictor(design, beta)
+                    assert stack.shape == (K, T)
+                    for k in range(K):
+                        assert np.array_equal(stack[k], linear_predictor(design, beta[k : k + 1])[0])
+            for bad in (np.zeros(p), np.zeros((3, p + 1)), np.zeros((3, T - 1, p))):
+                with pytest.raises(DomainError, match=re.escape(f"(K, {p})") + ".*" + re.escape(f"(K, {T}, {p})")):
+                    linear_predictor(design, bad)
+        assert np.all(linear_predictor(DesignMatrix.empty(4), np.zeros((2, 0))) == 1.0)
+        # a constant path agrees with its static coefficients
+        design = DesignMatrix(("a", "b"), np.arange(6.0).reshape(3, 2))
+        beta = np.array([[0.2, -0.1]])
         static = linear_predictor(design, beta)
-        dynamic = linear_predictor(design, np.tile(beta, (3, 1)))
+        dynamic = linear_predictor(design, np.tile(beta, (3, 1))[None])
         assert np.allclose(static, dynamic, rtol=1e-15)
-
-    def test_dimension_mismatch(self):
-        design = DesignMatrix(("a",), np.ones((3, 1)))
-        with pytest.raises(DomainError):
-            linear_predictor(design, np.array([1.0, 2.0]))
