@@ -270,10 +270,19 @@ class TestLinearPredictor:
             for bad in (np.zeros(p), np.zeros((3, p + 1)), np.zeros((3, T - 1, p))):
                 with pytest.raises(DomainError, match=re.escape(f"(K, {p})") + ".*" + re.escape(f"(K, {T}, {p})")):
                     linear_predictor(design, bad)
+
+    def test_empty_design_gives_ones(self):
         assert np.all(linear_predictor(DesignMatrix.empty(4), np.zeros((2, 0))) == 1.0)
-        # a constant path agrees with its static coefficients
-        design = DesignMatrix(("a", "b"), np.arange(6.0).reshape(3, 2))
+
+    def test_static_and_dynamic_agree_on_constant_path(self):
+        rows = np.arange(6.0).reshape(3, 2)
+        design = DesignMatrix(("a", "b"), rows)
         beta = np.array([[0.2, -0.1]])
         static = linear_predictor(design, beta)
         dynamic = linear_predictor(design, np.tile(beta, (3, 1))[None])
         assert np.allclose(static, dynamic, rtol=1e-15)
+
+    def test_dimension_mismatch(self):
+        design = DesignMatrix(("a",), np.ones((3, 1)))
+        with pytest.raises(DomainError):
+            linear_predictor(design, np.array([[1.0, 2.0]]))
