@@ -119,13 +119,21 @@ def _check_kind(value, example, key: str) -> None:
         raise io.ValidationError(f"config key {key!r} must be {noun}, got {value!r}")
 
 
+def _finite_float(text: str) -> float:
+    """Parse a config number; NaN, Infinity, -Infinity and numbers that overflow are rejected."""
+    value = float(text)
+    if not np.isfinite(value):
+        raise io.ValidationError(f"config number {text} is not finite")
+    return value
+
+
 def resolve_config(args) -> dict:
     cfg = copy.deepcopy(DEFAULT_CONFIG)
     user = {}
     if args.config:
         with open(args.config, encoding="utf-8") as fh:
             try:
-                user = json.load(fh)
+                user = json.load(fh, parse_float=_finite_float, parse_constant=_finite_float)
             except json.JSONDecodeError as exc:
                 raise io.ValidationError(f"config is not valid JSON: {exc}") from None
         if not isinstance(user, dict):
@@ -250,9 +258,12 @@ def _cmd_simulate(args, cfg) -> dict:
     if n_cov < 0:
         raise io.ValidationError("simulate.beta is shorter than the trend/seasonal terms require")
     cov_names = tuple(f"z{i+1}" for i in range(n_cov))
+    covariate_sd = float(sim["covariate_sd"])
+    if covariate_sd < 0:
+        raise io.ValidationError("simulate.covariate_sd must be nonnegative")
     cov_rng = rng.substream(0)
     covariates = {
-        name: cov_rng.generator.normal(0.0, float(sim["covariate_sd"]), size=T)
+        name: cov_rng.generator.normal(0.0, covariate_sd, size=T)
         for name in cov_names
     }
     spec = ModelSpec(variant, cov_names)

@@ -16,6 +16,7 @@ from .mcmc import (
     FitError,
     MhConfig,
     PosteriorDraws,
+    bpm_log_pmf,
     fit_variant,
 )
 from .model import (
@@ -369,14 +370,12 @@ def per_draw_log_predictives(
     Dynamic models use the rate-integrated one-step predictives; the Poisson
     regression benchmark scores each month's Poisson pmf directly.
     """
-    counts = series.counts
     if draws.variant == "BPM":
-        eta = draws.beta @ design.rows.T  # (S, T)
-        return counts * eta - np.exp(eta) - special.gammaln(counts + 1.0)
+        return bpm_log_pmf(draws.beta, series, design)
     return np.concatenate(
         [
             traj.log_predictive
-            for _, traj in filter_draws(counts, design, draws.beta, draws.gamma, priors.a0, priors.b0)
+            for _, traj in filter_draws(series.counts, design, draws.beta, draws.gamma, priors.a0, priors.b0)
         ]
     )
 

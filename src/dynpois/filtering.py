@@ -13,7 +13,8 @@ MCMC engine targets. Backward sampling uses the exact decomposition
 theta_{n-1} = gamma*theta_n + Gamma((1-gamma)*a_{n-1}, b_{n-1}), whose
 support enforces theta_{n-1} > gamma*theta_n on every sampled path. Each
 recursion x_t = gamma*x_{t-1} + c_t (a_t, b_t, the backward path) is one banded
-solve over all the draws of a call, and a single draw is its S = 1 case.
+solve over all the draws of a call. Every function here takes a stack of S
+draws, and a single draw is a one-row stack.
 """
 
 from __future__ import annotations
@@ -34,28 +35,22 @@ FILTER_BLOCK = 256
 
 @dataclass(frozen=True)
 class FilterTrajectory:
-    """Filtered gamma states (a_t, b_t) for t = 0..T plus per-step log-predictives.
+    """Filtered gamma states (a_t, b_t) for t = 0..T plus per-step log-predictives
+    of a stack of S draws; row j is the run of draw j."""
 
-    A scalar run holds ``a``, ``b`` of shape (T+1,), a float ``gamma`` and
-    ``log_predictive`` of shape (T,). A batched run over S draws holds ``a``,
-    ``b`` of shape (S, T+1), ``gamma`` of shape (S,) and ``log_predictive`` of
-    shape (S, T); row j is the scalar run of draw j.
-    """
-
-    a: np.ndarray  # (T+1,) or (S, T+1); a[..., 0] = a0
-    b: np.ndarray  # (T+1,) or (S, T+1)
-    gamma: float | np.ndarray
-    log_predictive: np.ndarray  # (T,) or (S, T): log p(N_t | N^(t-1), ...)
+    a: np.ndarray  # (S, T+1); a[:, 0] = a0
+    b: np.ndarray  # (S, T+1)
+    gamma: np.ndarray  # (S,)
+    log_predictive: np.ndarray  # (S, T): log p(N_t | N^(t-1), ...)
 
     @property
     def T(self) -> int:
-        return self.log_predictive.shape[-1]
+        return self.log_predictive.shape[1]
 
     @property
-    def total_log_predictive(self) -> float | np.ndarray:
-        """Summed log-predictive: a float, or one sum per draw for a batched run."""
-        total = self.log_predictive.sum(axis=-1)
-        return float(total) if total.ndim == 0 else total
+    def total_log_predictive(self) -> np.ndarray:
+        """Summed log-predictive of each draw, shape (S,)."""
+        return self.log_predictive.sum(axis=1)
 
 
 @dataclass(frozen=True)
@@ -67,14 +62,13 @@ class GammaGridPosterior:
     mean: float
 
 
-def _discount_solve(gamma: float | np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve x[k, ..., t] = gamma*x[k, ..., t-1] + rhs[k, ..., t] from x[k, ..., 0] = rhs[k, ..., 0].
+def _discount_solve(gamma: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve x[k, j, t] = gamma[j]*x[k, j, t-1] + rhs[k, j, t] from x[k, j, 0] = rhs[k, j, 0].
 
-    One row: a float ``gamma`` and ``rhs`` of shape (K, L). S rows: ``gamma``
-    of shape (S,) and ``rhs`` of shape (K, S, L). The rows of each rhs[k] form
-    one unit lower-bidiagonal system (subdiagonal -gamma[j], 0 at each row
-    start) for one BLAS ``dtbsv`` call; that 0 adds an exact zero, so row j
-    equals its own one-row solve bit for bit.
+    ``gamma`` has shape (S,) and ``rhs`` shape (K, S, L). The rows of each
+    rhs[k] form one unit lower-bidiagonal system (subdiagonal -gamma[j], 0 at
+    each row start) for one BLAS ``dtbsv`` call; that 0 adds an exact zero, so
+    row j equals its own one-row solve bit for bit.
     """
     band = np.empty((2, rhs[0].size))
     band[0] = 1.0
@@ -84,53 +78,51 @@ def _discount_solve(gamma: float | np.ndarray, rhs: np.ndarray) -> np.ndarray:
     x = rhs.copy()
     for row in x.reshape(len(x), -1):
         dtbsv(1, band, row, lower=1, diag=1, overwrite_x=1)
-    if x.ndim == 3 and len(gamma) > 1 and not np.isfinite(x[:, :-1, -1]).all():
+    if len(gamma) > 1 and not np.isfinite(x[:, :-1, -1]).all():
         # inf * 0 would make the next row NaN: solve each row by itself
-        return np.stack([_discount_solve(g, rhs[:, j]) for j, g in enumerate(gamma)], 1)
+        rows = [_discount_solve(gamma[j : j + 1], rhs[:, j : j + 1]) for j in range(len(gamma))]
+        return np.concatenate(rows, axis=1)
     return x
 
 
 def filter_core(
     counts: np.ndarray,
     multipliers: np.ndarray,
-    gamma: float | np.ndarray,
+    gamma: np.ndarray,
     a0: float,
     b0: float,
 ) -> FilterTrajectory:
-    """Run predict/update over all months. Array-level workhorse for the MCMC loops.
+    """Run predict/update over all months for a stack of S draws.
 
-    Scalar: ``gamma`` a float and ``multipliers`` of shape (T,). Batched:
-    ``gamma`` of shape (S,) and ``multipliers`` of shape (S, T), one row per draw;
-    ``counts`` is (T,) in both. A scalar call is the S = 1 case of the same banded
-    solve, so row j equals the scalar call on (gamma[j], multipliers[j]) bit for bit.
+    ``gamma`` is (S,), ``multipliers`` (S, T) and ``counts`` (T,); a single
+    draw is a one-row stack, and other shapes raise DomainError. Row j equals
+    the one-row call on (gamma[j:j+1], multipliers[j:j+1]) bit for bit.
     """
     counts = np.asarray(counts)
     multipliers = np.asarray(multipliers, dtype=float)
-    g = np.asarray(gamma, dtype=float)
+    gamma = np.asarray(gamma, dtype=float)
+    T = len(counts)
+    if gamma.ndim != 1 or multipliers.shape != (len(gamma), T):
+        raise DomainError(f"need (S,) gamma and (S, T) multipliers, T = {T}: got {gamma.shape}, {multipliers.shape}")
     # min/max reductions: NaN fails both comparisons, and they cost far less
     # per call than elementwise masks on the sequential chains' hot path
-    if not (0.0 < g.min() and g.max() <= 1.0):
+    if not (0.0 < gamma.min() and gamma.max() <= 1.0):
         raise DomainError(f"gamma must lie in (0, 1], got {gamma}")
-    T = len(counts)
-    if g.ndim > 1 or multipliers.shape != (*g.shape, T):
-        raise DomainError("one multiplier per month required")
     if T and not (0.0 < multipliers.min() and multipliers.max() < np.inf):
         raise DomainError("multipliers must be positive and finite")
 
-    gamma = g if g.ndim else float(g)
     n = counts.astype(float)
-    rhs = np.empty((2, *g.shape, T + 1))
-    rhs[0, ..., 0], rhs[0, ..., 1:] = a0, n
-    rhs[1, ..., 0], rhs[1, ..., 1:] = b0, multipliers
+    rhs = np.empty((2, len(gamma), T + 1))
+    rhs[0, :, 0], rhs[0, :, 1:] = a0, n
+    rhs[1, :, 0], rhs[1, :, 1:] = b0, multipliers
     a, b = _discount_solve(gamma, rhs)
 
     # negbin log pmf of N_t under r_t = gamma*a_{t-1}, p_t = gamma*b_{t-1}/(gamma*b_{t-1}+m_t);
     # extreme multipliers can overflow the rate recursion, and a subnormal gamma
     # can underflow gamma*b to 0, leaving non-finite entries for the caller to
     # treat as out-of-support
-    g_col = g[:, None] if g.ndim else gamma
-    r = g_col * a[..., :-1]
-    gb = g_col * b[..., :-1]
+    r = gamma[:, None] * a[:, :-1]
+    gb = gamma[:, None] * b[:, :-1]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         log_gbm = np.log(gb + multipliers)
         log_pred = gammaln(r + n) - gammaln(n + 1.0) - gammaln(r) + r * (np.log(gb) - log_gbm)
@@ -187,40 +179,39 @@ def gamma_grid_posterior(
 
 
 def ffbs_sample(trajectory: FilterTrajectory, rng: RngStream) -> np.ndarray:
-    """Draw latent-rate paths from their joint smoothing distribution.
+    """Draw one latent-rate path per draw of a trajectory stack from its joint
+    smoothing distribution, as an (S, T) array.
 
     theta_T comes from the final filter Gamma(a_T, b_T); earlier months follow
     the backward kernel theta_{n-1} = gamma*theta_n + Gamma((1-gamma)*a_{n-1},
-    b_{n-1}), so every path satisfies theta_{n-1} > gamma*theta_n. Returns a
-    path of shape (T,) for a scalar trajectory, or (S, T) for a batched one.
+    b_{n-1}), so every path satisfies theta_{n-1} > gamma*theta_n.
 
     All gamma variates come from one generator call, in the order of one
-    scalar run per draw (theta_T, then the increments for n = T-1..1), so a
-    batched call consumes the stream exactly as S scalar calls would. A draw
-    with gamma = 1 is static: it draws no increments and its path is constant.
+    one-row call per draw (theta_T, then the increments for n = T-1..1), so a
+    stack consumes the stream exactly as S one-row calls would. A draw with
+    gamma = 1 is static: it draws no increments and its path is constant.
     """
     T = trajectory.T
-    a, b = trajectory.a, trajectory.b
-    g = np.asarray(trajectory.gamma)[..., None]
+    a, b, gamma = trajectory.a, trajectory.b, trajectory.gamma
+    g = gamma[:, None]
     # column k holds the variate drawn k-th: theta_T, then the increment for n = T-k
-    shape = np.concatenate([a[..., T:], (1.0 - g) * a[..., T - 1 : 0 : -1]], axis=-1)
-    rate = b[..., T:0:-1]
+    shape = np.concatenate([a[:, T:], (1.0 - g) * a[:, T - 1 : 0 : -1]], axis=1)
+    rate = b[:, T:0:-1]
     draw = np.ones(shape.shape, dtype=bool)
-    draw[..., 1:] = g != 1.0
+    draw[:, 1:] = g != 1.0
     bad = draw & (shape <= 0)
     if bad.any():
-        first = np.unravel_index(np.argmax(bad), bad.shape)
+        j, k = np.unravel_index(np.argmax(bad), bad.shape)
         raise NumericDegeneracyError(
             "backward kernel has nonpositive shape",
-            context={"month": T - int(first[-1]), "gamma": float(g[first[:-1]][0])},
+            context={"month": T - int(k), "gamma": float(gamma[j])},
         )
     variates = np.zeros(shape.shape)
     variates[draw] = rng.generator.gamma(shape=shape[draw], scale=1.0 / rate[draw])
 
     # theta <- gamma*theta + increment is the filter's recursion, run backward in
     # time; static rows add exact zeros, so their paths stay at theta_T
-    backward = _discount_solve(g.reshape(-1), variates.reshape(1, -1, variates.shape[-1]))
-    path = np.ascontiguousarray(backward.reshape(variates.shape)[..., ::-1])
+    path = np.ascontiguousarray(_discount_solve(gamma, variates[None])[0, :, ::-1])
     ok = np.isfinite(path) & (path > 0)
     if not np.all(ok):
         bad_month = int(np.argmin(ok) % T) + 1

@@ -29,7 +29,7 @@ def ingest_csv(path) -> tuple:
     """Parse a cohort CSV into a count series plus named covariate columns.
 
     Requires a header with ``month_index`` (consecutive 1-based integers) and
-    ``count`` (nonnegative integers); every remaining column is a covariate
+    ``count`` (nonnegative integers below 2**63); every remaining column is a covariate
     and must be finite numeric. Row numbers in errors count data rows from 1.
     """
     path = Path(path)
@@ -90,6 +90,8 @@ def _parse_count(cell: str, row_no: int) -> int:
         raise ValidationError(f"count {cell!r} is not an integer", row=row_no)
     if value < 0:
         raise ValidationError(f"count {int(value)} is negative", row=row_no)
+    if value >= 2**63:
+        raise ValidationError(f"count {cell!r} does not fit a 64-bit integer", row=row_no)
     return int(value)
 
 

@@ -103,7 +103,7 @@ class BetaParams:
         return self.alpha / (self.alpha + self.beta)
 
 
-def log_pdf_beta(x, params: BetaParams) -> np.ndarray | float:
+def log_pdf_beta(x, params: BetaParams) -> np.ndarray:
     """log Beta(alpha, beta) density; -inf outside (0, 1)."""
     x = np.asarray(x, dtype=float)
     a, b = params.alpha, params.beta
@@ -113,8 +113,7 @@ def log_pdf_beta(x, params: BetaParams) -> np.ndarray | float:
             + (b - 1.0) * np.log1p(-x)
             - special.betaln(a, b)
         )
-    out = np.where((x > 0) & (x < 1), out, -np.inf)
-    return out if out.ndim else float(out)
+    return np.where((x > 0) & (x < 1), out, -np.inf)
 
 
 def sample_gamma(params: GammaParams, rng: RngStream, size=None):
@@ -133,14 +132,3 @@ def cholesky_or_raise(matrix: np.ndarray) -> np.ndarray:
         raise NotPositiveDefiniteError(
             "covariance matrix is not positive definite", matrix=np.array(matrix)
         ) from None
-
-
-def logit(x):
-    x = np.asarray(x, dtype=float)
-    out = np.log(x) - np.log1p(-x)
-    return out if out.ndim else float(out)
-
-
-def expit(x):
-    out = special.expit(x)
-    return out if np.ndim(out) else float(out)

@@ -11,7 +11,10 @@ a one-row block. The mode search scores its stencils in blocks, and the
 independence proposals, which do not depend on the chain state, are all
 scored in blocks before the accept/reject pass runs; the random-walk fallback
 scores one one-row block per step. The discount factor is sampled on the
-logit scale with its Jacobian; regression coefficients are unconstrained.
+logit scale with its Jacobian; regression coefficients are unconstrained. The
+gamma prior and the logit Jacobian also map a stack (K,) to (K,), and the DM5
+sweep, the only caller with a single draw, passes them, the filter and the
+backward sampler one-row stacks.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
+from scipy.special import expit, gammaln, logit
 
 from .filtering import (
     FILTER_BLOCK,
@@ -34,9 +37,7 @@ from .kernels import (
     DomainError,
     RngStream,
     cholesky_or_raise,
-    expit,
     log_pdf_beta,
-    logit,
 )
 from .model import CountSeries, DesignMatrix, ModelSpec, PriorConfig, linear_predictor
 
@@ -137,17 +138,16 @@ def _log_prior_beta(beta: np.ndarray, sd: float) -> np.ndarray:
     return -0.5 * (beta**2).sum(axis=1) / sd**2 - beta.shape[1] * math.log(sd * math.sqrt(2 * math.pi))
 
 
-def _log_prior_gamma(gamma: float, priors: PriorConfig) -> float:
+def _log_prior_gamma(gamma: np.ndarray, priors: PriorConfig) -> np.ndarray:
+    """Log prior density of each discount factor of a stack (K,), as (K,); -inf
+    off the support."""
     # the fixed prior may put its mass on gamma = 1, the static model
     if priors.gamma_prior == "fixed":
-        return 0.0 if gamma == priors.gamma_fixed_value else -np.inf
-    if not (0.0 < gamma < 1.0):
-        return -np.inf
+        return np.where(gamma == priors.gamma_fixed_value, 0.0, -np.inf)
     if priors.gamma_prior == "uniform":
-        return 0.0
+        return np.where((0.0 < gamma) & (gamma < 1.0), 0.0, -np.inf)
     if priors.gamma_prior == "beta":
-        a, b = priors.gamma_beta_ab
-        return float(log_pdf_beta(gamma, BetaParams(a, b)))
+        return log_pdf_beta(gamma, BetaParams(*priors.gamma_beta_ab))
     raise DomainError(f"gamma prior {priors.gamma_prior!r} has no density")
 
 
@@ -171,7 +171,7 @@ def log_target_static(
     gamma = np.asarray(gamma, dtype=float)
     if beta.ndim != 2 or gamma.shape != beta.shape[:1]:
         raise DomainError("a block of K points needs a (K, p) beta and K discount factors")
-    lp = np.array([_log_prior_gamma(g, priors) for g in gamma])
+    lp = _log_prior_gamma(gamma, priors)
     if beta.shape[1]:
         lp += _log_prior_beta(beta, priors.beta_sd)
     out = np.full(len(beta), -np.inf)
@@ -443,9 +443,11 @@ def _smooth_paths(
     )
 
 
-def _logit_jacobian(g: float) -> float:
-    """log of d gamma / d logit gamma = g (1 - g); -inf where gamma rounds to 0 or 1."""
-    return math.log(g) + math.log1p(-g) if 0.0 < g < 1.0 else -np.inf
+def _logit_jacobian(g: np.ndarray) -> np.ndarray:
+    """log of d gamma / d logit gamma = g (1 - g) for each discount factor of a
+    stack (K,), as (K,); -inf where gamma rounds to 0 or 1."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where((0.0 < g) & (g < 1.0), np.log(g) + np.log1p(-g), -np.inf)
 
 
 def _dm_static_target(series: CountSeries, design: DesignMatrix, priors: PriorConfig):
@@ -462,8 +464,7 @@ def _dm_static_target(series: CountSeries, design: DesignMatrix, priors: PriorCo
 
         def target(x):
             g = expit(x[:, p])
-            jac = np.array([_logit_jacobian(v) for v in g])
-            return log_target_static(x[:, :p], g, series, design, priors) + jac
+            return log_target_static(x[:, :p], g, series, design, priors) + _logit_jacobian(g)
 
     return target
 
@@ -632,9 +633,10 @@ def fit_dm5(
     # the fixed prior puts all its mass on one value, so the chain must start
     # there; a fixed gamma = 1 has logit inf, so every proposal maps to 1 and
     # is skipped
-    gamma = priors.gamma_fixed_value if priors.gamma_prior == "fixed" else 0.5
-    with np.errstate(divide="ignore"):
-        x_gamma = logit(gamma)
+    gamma = np.array([priors.gamma_fixed_value if priors.gamma_prior == "fixed" else 0.5])
+    x_gamma = logit(gamma)
+    # the current gamma's log prior and logit Jacobian, replaced on acceptance
+    terms = _log_prior_gamma(gamma, priors)[0], _logit_jacobian(gamma)[0]
     gamma_step = 0.25 * math.sqrt(config.proposal_scale)
     prior_var = priors.beta_sd**2
 
@@ -648,24 +650,25 @@ def fit_dm5(
     n_moves = 0
     kept = 0
     for it in range(config.iterations):
-        multipliers = linear_predictor(design, beta[None])[0]
+        multipliers = linear_predictor(design, beta[None])
         traj = filter_core(counts, multipliers, gamma, priors.a0, priors.b0)
 
         # discount factor, collapsed over the latent rates
         x_prop = x_gamma + gamma_step * gen.standard_normal()
         g_prop = expit(x_prop)
         u = gen.random()
-        if 0.0 < g_prop < 1.0:
+        if 0.0 < g_prop[0] < 1.0:
             traj_prop = filter_core(counts, multipliers, g_prop, priors.a0, priors.b0)
-            num = traj_prop.total_log_predictive + _log_prior_gamma(g_prop, priors) + _logit_jacobian(g_prop)
-            den = traj.total_log_predictive + _log_prior_gamma(gamma, priors) + _logit_jacobian(gamma)
+            terms_prop = _log_prior_gamma(g_prop, priors)[0], _logit_jacobian(g_prop)[0]
+            num = traj_prop.total_log_predictive[0] + terms_prop[0] + terms_prop[1]
+            den = traj.total_log_predictive[0] + terms[0] + terms[1]
             if math.log(u) < num - den:
-                gamma, x_gamma, traj = g_prop, x_prop, traj_prop
+                gamma, x_gamma, traj, terms = g_prop, x_prop, traj_prop, terms_prop
                 n_accept += 1
         n_moves += 1
 
         # latent rates given (beta, gamma)
-        theta = ffbs_sample(traj, ffbs_rng)
+        theta = ffbs_sample(traj, ffbs_rng)[0]
 
         # checkerboard sweep over the coefficient path
         prop_sd = config.proposal_scale / np.sqrt(
@@ -680,7 +683,7 @@ def fit_dm5(
 
         if it >= config.burn_in and (it - config.burn_in) % config.thinning == 0:
             betas_out[kept] = beta
-            gammas_out[kept] = gamma
+            gammas_out[kept] = gamma[0]
             taus_out[kept] = tau
             if smooth:
                 theta_out[kept] = theta
@@ -699,16 +702,21 @@ def fit_dm5(
     )
 
 
+def bpm_log_pmf(beta: np.ndarray, series: CountSeries, design: DesignMatrix) -> np.ndarray:
+    """Poisson log pmf of each month's count under the static Poisson regression
+    (rate exp(beta' z_t)) at each row of a block (K, p), as (K, T). The linear
+    predictors of the block come from one matrix product, beta @ rows.T."""
+    eta = beta @ design.rows.T
+    return series.counts * eta - np.exp(eta) - gammaln(series.counts + 1.0)
+
+
 def log_target_bpm(
     beta: np.ndarray, series: CountSeries, design: DesignMatrix, priors: PriorConfig
 ) -> np.ndarray:
-    """Log posterior of the static Poisson regression (rate exp(beta' z_t)) at
-    each row of a block (K, p), as (K,); one point is a one-row block. The
-    linear predictors of the block come from one matrix product."""
+    """Log posterior of the static Poisson regression at each row of a block
+    (K, p), as (K,); one point is a one-row block."""
     beta = np.asarray(beta, dtype=float)
-    eta = beta @ design.rows.T
-    ll = np.sum(series.counts * eta - np.exp(eta) - gammaln(series.counts + 1.0), axis=1)
-    return ll + _log_prior_beta(beta, priors.beta_sd)
+    return np.sum(bpm_log_pmf(beta, series, design), axis=1) + _log_prior_beta(beta, priors.beta_sd)
 
 
 def fit_bpm(

@@ -65,9 +65,9 @@ def test_01_conjugacy_oracle():
         gamma = float(gen.uniform(0.45, 0.9))
         a0 = float(gen.uniform(3.0, 8.0))
         b0 = float(gen.uniform(0.5, 2.0))
-        traj = filter_core(counts, np.ones(T), gamma, a0, b0)
+        traj = filter_core(counts, np.ones((1, T)), [gamma], a0, b0)
         x, filt = grid_filter(counts, np.ones(T), gamma, a0, b0, n_grid=10_000, n_quad=400)
-        exact = np.exp(log_pdf_gamma(x, GammaParams(float(traj.a[-1]), float(traj.b[-1]))))
+        exact = np.exp(log_pdf_gamma(x, GammaParams(float(traj.a[0, -1]), float(traj.b[0, -1]))))
         worst = max(worst, tv_distance(x, filt[-1], exact))
     elapsed = time.time() - t0
     _report(
@@ -87,8 +87,8 @@ def test_02_static_reduction_bit_exact():
         counts = gen.integers(0, 50, size=T)
         a0 = float(gen.integers(1, 10))
         b0 = float(gen.integers(1, 10))
-        traj = filter_core(counts, np.ones(T), 1.0, a0, b0)
-        ok = ok and traj.a[-1] == a0 + counts.sum() and traj.b[-1] == b0 + T
+        traj = filter_core(counts, np.ones((1, T)), [1.0], a0, b0)
+        ok = ok and traj.a[0, -1] == a0 + counts.sum() and traj.b[0, -1] == b0 + T
     _report(2, "static reduction a_T = a0 + sum(N), b_T = b0 + T", ok, "bit-exact on 20 instances")
 
 
@@ -129,10 +129,10 @@ def test_04_ffbs_matches_grid_smoothing():
     """Backward-sampled path marginals match grid smoothing; ordering always holds."""
     counts = [4, 7, 2]
     gamma, a0, b0 = 0.6, 4.0, 1.0
-    traj = filter_core(counts, np.ones(3), gamma, a0, b0)
+    traj = filter_core(counts, np.ones((1, 3)), [gamma], a0, b0)
     rng = RngStream(1004)
     S = 100_000
-    paths = np.array([ffbs_sample(traj, rng) for _ in range(S)])
+    paths = np.array([ffbs_sample(traj, rng)[0] for _ in range(S)])
     ordering = bool(np.all(paths[:, :-1] > gamma * paths[:, 1:]))
 
     x, smooth = grid_smoother(counts, [1.0] * 3, gamma, a0, b0)
@@ -167,7 +167,7 @@ def test_05_harmonic_mean_point_mass():
     assert draws.S == 10_000
     log_f = per_draw_log_predictives(series, design, draws, priors)
     estimate = harmonic_mean_logml(log_f.sum(axis=1))
-    exact = filter_core(series.counts, np.ones(7), gamma0, priors.a0, priors.b0).total_log_predictive
+    exact = filter_core(series.counts, np.ones((1, 7)), [gamma0], priors.a0, priors.b0).total_log_predictive[0]
     _report(
         5,
         "harmonic-mean log marginal likelihood, point-mass prior",

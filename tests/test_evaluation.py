@@ -326,7 +326,7 @@ class TestPerDrawLogPredictives:
         )
         out = per_draw_log_predictives(series, design, draws, priors)
         for j, g in enumerate((0.4, 0.7)):
-            expected = filter_core(series.counts, np.ones(3), g, priors.a0, priors.b0).log_predictive
+            expected = filter_core(series.counts, np.ones((1, 3)), [g], priors.a0, priors.b0).log_predictive[0]
             assert np.allclose(out[j], expected, rtol=1e-14)
 
 

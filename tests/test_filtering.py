@@ -47,8 +47,8 @@ def _series(counts):
 
 
 def _filter_dm1(counts, gamma, a0, b0):
-    """The covariate-free filter: every multiplier is 1."""
-    return filter_core(counts, np.ones(len(counts)), gamma, a0, b0)
+    """The covariate-free filter of one draw, a one-row stack: every multiplier is 1."""
+    return filter_core(counts, np.ones((1, len(counts))), [gamma], a0, b0)
 
 
 # Per-month numpy loops: the original scalar implementations, kept as the
@@ -181,38 +181,38 @@ class TestFilterPass:
     def test_static_reduction_bit_exact(self):
         counts = [3, 0, 7, 2, 11]
         traj = _filter_dm1(counts, 1.0, 1.5, 2.0)
-        assert traj.a[-1] == 1.5 + sum(counts)
-        assert traj.b[-1] == 2.0 + 5
+        assert traj.a[0, -1] == 1.5 + sum(counts)
+        assert traj.b[0, -1] == 2.0 + 5
 
     def test_single_step_equals_negbin(self):
         gamma = 0.7
         traj = _filter_dm1([4], gamma, 2.0, 1.0)
         expected = log_pmf_negbin(4, NegBinParams(gamma * 2.0, gamma * 1.0 / (gamma * 1.0 + 1.0)))
-        assert traj.total_log_predictive == pytest.approx(expected, rel=1e-14)
+        assert traj.total_log_predictive[0] == pytest.approx(expected, rel=1e-14)
 
     def test_additivity_of_log_predictives(self):
         traj = _filter_dm1([2, 5, 1], 0.5, 3.0, 1.0)
         product = np.prod(np.exp(traj.log_predictive))
-        assert traj.total_log_predictive == pytest.approx(math.log(product), abs=1e-10)
+        assert traj.total_log_predictive[0] == pytest.approx(math.log(product), abs=1e-10)
 
     def test_matches_grid_oracle_on_toy(self):
         counts = [4, 7, 2, 9]
         gamma, a0, b0 = 0.6, 4.0, 1.0
         traj = _filter_dm1(counts, gamma, a0, b0)
         x, filt = grid_filter(counts, [1.0] * 4, gamma, a0, b0, n_grid=10_000, n_quad=400)
-        a, b = traj.a[-1], traj.b[-1]
+        a, b = traj.a[0, -1], traj.b[0, -1]
         exact = np.exp(a * math.log(b) - special.gammaln(a) + (a - 1.0) * np.log(x) - b * x)
         assert tv_distance(x, filt[-1], exact) < 1e-3
 
     def test_covariate_multipliers_enter_rate(self):
         cov = {"x": np.array([0.0, 1.0, -1.0])}
         design = build_design(cov, ModelSpec("DM2", ("x",)), 3)
-        traj = filter_core([1, 2, 3], linear_predictor(design, np.array([[0.5]]))[0], 0.8, 2.0, 1.0)
+        traj = filter_core([1, 2, 3], linear_predictor(design, np.array([[0.5]])), [0.8], 2.0, 1.0)
         m = np.exp(0.5 * cov["x"])
         b = 1.0
         for t in range(3):
             b = 0.8 * b + m[t]
-        assert traj.b[-1] == pytest.approx(b, rel=1e-14)
+        assert traj.b[0, -1] == pytest.approx(b, rel=1e-14)
 
     @given(
         gamma=st.floats(min_value=0.05, max_value=0.99),
@@ -222,19 +222,27 @@ class TestFilterPass:
     def test_states_stay_finite_positive(self, gamma, seed):
         gen = np.random.default_rng(seed)
         counts = gen.integers(0, 30, size=12)
-        traj = filter_core(counts, np.ones(12), gamma, 2.0, 1.0)
+        traj = filter_core(counts, np.ones((1, 12)), [gamma], 2.0, 1.0)
         assert np.all(np.isfinite(traj.a)) and np.all(traj.a > 0)
         assert np.all(np.isfinite(traj.b)) and np.all(traj.b > 0)
 
     def test_dimension_mismatch(self):
         with pytest.raises(DomainError):
-            filter_core([1, 2], np.ones(3), 0.5, 1.0, 1.0)
+            filter_core([1, 2], np.ones((1, 3)), [0.5], 1.0, 1.0)
+
+    @pytest.mark.parametrize(
+        "mult, gamma", [(np.ones(2), 0.5), (np.ones((1, 2)), 0.5), (np.ones(2), [0.5])]
+    )
+    def test_scalar_gamma_or_multipliers_rejected(self, mult, gamma):
+        # a single draw is a one-row stack: (1,) gamma and (1, T) multipliers
+        with pytest.raises(DomainError, match=r"\(S,\) gamma and \(S, T\) multipliers"):
+            filter_core([1, 2], mult, gamma, 1.0, 1.0)
 
     def test_subnormal_gamma_is_out_of_support_without_warning(self):
         # gamma*b underflows to 0; log(0) must not warn, the months score -inf
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            traj = filter_core([1, 2], np.ones(2), 5e-324, 1.0, 0.1)
+            traj = filter_core([1, 2], np.ones((1, 2)), [5e-324], 1.0, 0.1)
         assert np.all(traj.log_predictive == -np.inf)
 
 
@@ -282,16 +290,16 @@ class TestFfbs:
     def test_single_month_is_final_filter_draw(self):
         traj = _filter_dm1([4], 0.7, 2.0, 1.0)
         path = ffbs_sample(traj, RngStream(77))
-        direct = RngStream(77).generator.gamma(shape=traj.a[-1], scale=1.0 / traj.b[-1])
-        assert path.shape == (1,)
-        assert path[0] == direct
+        direct = RngStream(77).generator.gamma(shape=traj.a[0, -1], scale=1.0 / traj.b[0, -1])
+        assert path.shape == (1, 1)
+        assert path[0, 0] == direct
 
     def test_ordering_constraint_always_holds(self):
         gamma = 0.6
         traj = _filter_dm1([4, 7, 2, 9, 5], gamma, 4.0, 1.0)
         rng = RngStream(5)
         for _ in range(2000):
-            path = ffbs_sample(traj, rng)
+            path = ffbs_sample(traj, rng)[0]
             assert np.all(path[:-1] > gamma * path[1:])
 
     def test_marginals_match_grid_smoother(self):
@@ -300,7 +308,7 @@ class TestFfbs:
         traj = _filter_dm1(counts, gamma, a0, b0)
         rng = RngStream(123)
         S = 20_000
-        paths = np.array([ffbs_sample(traj, rng) for _ in range(S)])
+        paths = np.array([ffbs_sample(traj, rng)[0] for _ in range(S)])
         x, smooth = grid_smoother(counts, [1.0] * 3, gamma, a0, b0)
         for t in range(3):
             gm, gv = density_mean_var(x, smooth[t])
@@ -309,9 +317,9 @@ class TestFfbs:
 
     def test_gamma_one_gives_constant_static_path(self):
         traj = _filter_dm1([1, 2], 1.0, 2.0, 1.0)
-        path = ffbs_sample(traj, RngStream(0))
+        path = ffbs_sample(traj, RngStream(0))[0]
         assert path[0] == path[1]
-        direct = RngStream(0).generator.gamma(shape=traj.a[-1], scale=1.0 / traj.b[-1])
+        direct = RngStream(0).generator.gamma(shape=traj.a[0, -1], scale=1.0 / traj.b[0, -1])
         assert path[1] == direct
 
 
@@ -332,7 +340,7 @@ class TestExceedance:
         counts = [1, 2, 5, 12, 30, 70]
         traj = _filter_dm1(counts, 0.8, 1.0, 1.0)
         rng = RngStream(9)
-        paths = np.array([ffbs_sample(traj, rng) for _ in range(2000)])
+        paths = np.array([ffbs_sample(traj, rng)[0] for _ in range(2000)])
         assert exceedance_probability(paths, 6, 1) > 0.99
 
     def test_index_out_of_range(self):
@@ -353,13 +361,13 @@ class TestBatchedFilter:
     @pytest.mark.pinned_dispatch
     def test_scalar_call_matches_reference_loop(self):
         counts, design, betas, _ = _draw_set(1)
-        mult = linear_predictor(design, betas[:1])[0]
+        mult = linear_predictor(design, betas[:1])
         for g in self.GAMMAS:
-            traj = filter_core(counts, mult, float(g), 50.0, 2.0)
-            a, b, log_pred = _loop_filter(counts, mult, g, 50.0, 2.0)
-            assert np.array_equal(traj.a, a) and np.array_equal(traj.b, b)
-            assert np.array_equal(traj.log_predictive, log_pred)
-            assert traj.total_log_predictive == float(log_pred.sum())
+            traj = filter_core(counts, mult, [g], 50.0, 2.0)
+            a, b, log_pred = _loop_filter(counts, mult[0], g, 50.0, 2.0)
+            assert np.array_equal(traj.a[0], a) and np.array_equal(traj.b[0], b)
+            assert np.array_equal(traj.log_predictive[0], log_pred)
+            assert traj.total_log_predictive[0] == float(log_pred.sum())
 
     def test_batched_rows_equal_scalar_calls(self):
         counts, design, betas, _ = _draw_set(len(self.GAMMAS), seed=1)
@@ -367,11 +375,11 @@ class TestBatchedFilter:
         traj = filter_core(counts, mult, self.GAMMAS, 50.0, 2.0)
         assert traj.a.shape == (5, 31) and traj.log_predictive.shape == (5, 30) and traj.T == 30
         totals = traj.total_log_predictive
-        for j, g in enumerate(self.GAMMAS):
-            one = filter_core(counts, mult[j], float(g), 50.0, 2.0)
-            assert np.array_equal(traj.a[j], one.a) and np.array_equal(traj.b[j], one.b)
-            assert np.array_equal(traj.log_predictive[j], one.log_predictive)
-            assert totals[j] == one.total_log_predictive
+        for j in range(len(self.GAMMAS)):
+            one = filter_core(counts, mult[j : j + 1], self.GAMMAS[j : j + 1], 50.0, 2.0)
+            assert np.array_equal(traj.a[j], one.a[0]) and np.array_equal(traj.b[j], one.b[0])
+            assert np.array_equal(traj.log_predictive[j], one.log_predictive[0])
+            assert totals[j] == one.total_log_predictive[0]
 
     def test_batched_shape_mismatch_rejected(self):
         with pytest.raises(DomainError):
@@ -409,11 +417,11 @@ class TestBatchedFilter:
     @pytest.mark.pinned_dispatch
     def test_scalar_ffbs_matches_reference_loop(self):
         counts, design, betas, _ = _draw_set(1, seed=4)
-        mult = linear_predictor(design, betas[:1])[0]
+        mult = linear_predictor(design, betas[:1])
         for g in self.GAMMAS:
-            traj = filter_core(counts, mult, float(g), 50.0, 2.0)
+            traj = filter_core(counts, mult, [g], 50.0, 2.0)
             assert np.array_equal(
-                ffbs_sample(traj, RngStream(11)), _loop_ffbs(traj.a, traj.b, g, RngStream(11))
+                ffbs_sample(traj, RngStream(11))[0], _loop_ffbs(traj.a[0], traj.b[0], g, RngStream(11))
             )
 
     @pytest.mark.pinned_dispatch
@@ -467,12 +475,12 @@ class TestBandedSolve:
         totals = traj.total_log_predictive
         batched_rng, rng = RngStream(seed), RngStream(seed)
         paths = ffbs_sample(traj, batched_rng)
-        for j, gj in enumerate(gammas):
-            one = filter_core(counts, mult[j], gj, 50.0, 2.0)
-            assert np.array_equal(traj.a[j], one.a) and np.array_equal(traj.b[j], one.b)
-            assert np.array_equal(traj.log_predictive[j], one.log_predictive)
-            assert totals[j] == one.total_log_predictive
-            assert np.array_equal(paths[j], ffbs_sample(one, rng))
+        for j in range(len(gammas)):
+            one = filter_core(counts, mult[j : j + 1], g[j : j + 1], 50.0, 2.0)
+            assert np.array_equal(traj.a[j], one.a[0]) and np.array_equal(traj.b[j], one.b[0])
+            assert np.array_equal(traj.log_predictive[j], one.log_predictive[0])
+            assert totals[j] == one.total_log_predictive[0]
+            assert np.array_equal(paths[j], ffbs_sample(one, rng)[0])
         # the batched draw left its stream where the single-row draws left theirs
         assert batched_rng.generator.random() == rng.generator.random()
 
@@ -482,14 +490,14 @@ class TestBandedSolve:
         # gammaln terms scale that by their own size, so bound it by that size
         counts, design, betas, gammas = _draw_set(8, T=150, seed=8)
         for beta, g in zip(betas, gammas):
-            mult = linear_predictor(design, beta[None])[0]
-            traj = filter_core(counts, mult, float(g), 50.0, 2.0)
-            a, b, log_pred = _loop_filter(counts, mult, g, 50.0, 2.0)
-            np.testing.assert_allclose(traj.a, a, rtol=1e-14, atol=0)
-            np.testing.assert_allclose(traj.b, b, rtol=1e-14, atol=0)
+            mult = linear_predictor(design, beta[None])
+            traj = filter_core(counts, mult, [g], 50.0, 2.0)
+            a, b, log_pred = _loop_filter(counts, mult[0], g, 50.0, 2.0)
+            np.testing.assert_allclose(traj.a[0], a, rtol=1e-14, atol=0)
+            np.testing.assert_allclose(traj.b[0], b, rtol=1e-14, atol=0)
             r = g * a[:-1]
             scale = np.abs(special.gammaln(r + counts)) + np.abs(special.gammaln(r))
-            assert np.all(np.abs(traj.log_predictive - log_pred) <= 1e-14 * scale)
+            assert np.all(np.abs(traj.log_predictive[0] - log_pred) <= 1e-14 * scale)
 
     def test_overflowing_row_leaves_next_row_intact(self):
         # row 0's last rate state overflows to inf; the zero coupling at the
@@ -497,5 +505,5 @@ class TestBandedSolve:
         mult = np.array([[1e308, 1e308], [1.0, 2.0]])
         traj = filter_core([1, 2], mult, np.array([1.0, 0.5]), 1.0, 1.0)
         assert np.isinf(traj.b[0, -1])
-        one = filter_core([1, 2], mult[1], 0.5, 1.0, 1.0)
-        assert np.array_equal(traj.b[1], one.b) and np.array_equal(traj.a[1], one.a)
+        one = filter_core([1, 2], mult[1:], [0.5], 1.0, 1.0)
+        assert np.array_equal(traj.b[1], one.b[0]) and np.array_equal(traj.a[1], one.a[0])

@@ -83,6 +83,17 @@ class TestIngestCsv:
             ingest_csv(path)
         assert exc.value.row == 2
 
+    def test_count_beyond_int64_exits_2_naming_row(self, tmp_path, capsys):
+        # 1e300 is a whole number, but casting it to int64 overflows
+        path = _write(tmp_path, "big.csv", "month_index,count\n1,5\n2,1e300\n")
+        capsys.readouterr()
+        code, _ = run_command(["fit", "--model", "DM1", "--seed", "1", "--data", str(path),
+                               "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = json.loads(capsys.readouterr().out)["error"]
+        assert err["type"] == "ValidationError"
+        assert err["message"].startswith("row 2: count '1e300'")
+
     @given(
         counts=st.lists(st.integers(min_value=0, max_value=500), min_size=1, max_size=40),
         cov=st.lists(
@@ -171,6 +182,25 @@ class TestResolveConfig:
         assert err["type"] == "ValidationError"
         assert repr(key) in err["message"]
 
+    @pytest.mark.parametrize("text", [
+        '{"prior": {"beta_sd": Infinity}}',
+        '{"mcmc": {"proposal_scale": NaN}}',
+        '{"prior": {"tau_rate": Infinity}}',
+        '{"simulate": {"beta": [0.1, -Infinity]}}',
+        '{"prior": {"a0": 1e400}}',
+    ])
+    def test_non_finite_number_exits_2(self, tmp_path, capsys, text):
+        # NaN and Infinity are not JSON, and 1e400 overflows a float: rejected
+        # as the config is parsed, before any data is read
+        cfg = _write(tmp_path, "bad.json", text)
+        capsys.readouterr()
+        code, _ = run_command(["fit", "--config", str(cfg), "--model", "DM2", "--seed", "1",
+                               "--data", "x", "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = json.loads(capsys.readouterr().out)["error"]
+        assert err["type"] == "ValidationError"
+        assert "not finite" in err["message"]
+
     def test_numbers_of_either_json_type_resolve_unchanged(self, tmp_path):
         # an integer for a float key is a number; the echo keeps it as written
         user = {"seed": 5, "prior": {"a0": 80, "gamma_beta_ab": [2, 3.5]},
@@ -200,6 +230,18 @@ def _simulate_cohort_csv(tmp_path, seed=5, T=40):
     )
     assert code == 0
     return out / "cohort.csv"
+
+
+def test_simulate_negative_covariate_sd_exits_2(tmp_path, capsys):
+    cfg = {"simulate": {"T": 10, "gamma": 0.6, "beta": [0.4], "n_covariates": 1, "covariate_sd": -1.0}}
+    cfg_path = _write(tmp_path, "sim.json", json.dumps(cfg))
+    capsys.readouterr()
+    code, _ = run_command(["simulate", "--config", str(cfg_path), "--model", "DM2", "--seed", "1",
+                           "--out", str(tmp_path / "o")])
+    assert code == 2
+    err = json.loads(capsys.readouterr().out)["error"]
+    assert err["type"] == "ValidationError"
+    assert "simulate.covariate_sd" in err["message"]
 
 
 class TestRunCommandFit:

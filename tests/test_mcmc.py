@@ -7,10 +7,11 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.special import betaln, expit
 
 from dynpois import mcmc
 from dynpois.filtering import FILTER_BLOCK, filter_core, gamma_grid_posterior
-from dynpois.kernels import DomainError, GammaParams, RngStream, expit
+from dynpois.kernels import DomainError, GammaParams, RngStream
 from dynpois.mcmc import (
     FitError,
     MhConfig,
@@ -18,6 +19,7 @@ from dynpois.mcmc import (
     ModeHessian,
     PosteriorDraws,
     _coefficient_half_sweeps,
+    _log_prior_gamma,
     _logit_jacobian,
     diagnostics,
     find_mode_and_hessian,
@@ -69,8 +71,8 @@ class TestLogTargetStatic:
         for g1, g2 in ((0.2, 0.7), (0.4, 0.9)):
             t1 = log_target_static(np.zeros((1, 0)), [g1], series, design, priors)[0]
             t2 = log_target_static(np.zeros((1, 0)), [g2], series, design, priors)[0]
-            l1 = filter_core(series.counts, np.ones(3), g1, priors.a0, priors.b0).total_log_predictive
-            l2 = filter_core(series.counts, np.ones(3), g2, priors.a0, priors.b0).total_log_predictive
+            l1 = filter_core(series.counts, np.ones((1, 3)), [g1], priors.a0, priors.b0).total_log_predictive[0]
+            l2 = filter_core(series.counts, np.ones((1, 3)), [g2], priors.a0, priors.b0).total_log_predictive[0]
             assert (t1 - t2) == pytest.approx(l1 - l2, abs=1e-10)
 
     def test_ratio_matches_direct_product(self):
@@ -149,6 +151,48 @@ class TestLogTargetStatic:
         assert np.array_equal(block, np.array(points))
 
 
+class TestStackedGammaTerms:
+    """The gamma prior and logit Jacobian of a stack against per-row ``math`` references."""
+
+    @staticmethod
+    def _log_prior_reference(g, priors):
+        if priors.gamma_prior == "fixed":
+            return 0.0 if g == priors.gamma_fixed_value else -math.inf
+        if not (0.0 < g < 1.0):
+            return -math.inf
+        if priors.gamma_prior == "uniform":
+            return 0.0
+        a, b = priors.gamma_beta_ab
+        return (a - 1.0) * math.log(g) + (b - 1.0) * math.log1p(-g) - betaln(a, b)
+
+    @pytest.mark.pinned_dispatch
+    @given(
+        gammas=st.lists(
+            st.one_of(
+                st.floats(0.0, 1.0),
+                # logits this large give discount factors that round to 0 or 1
+                st.floats(-800.0, 800.0).map(lambda x: float(expit(x))),
+                st.sampled_from([0.0, 1.0, 5e-324, 1.0 - 2.0**-53, 1.5, -0.2, math.nan]),
+            ),
+            min_size=1,
+            max_size=40,
+        ),
+        prior=st.sampled_from(
+            [("uniform", (2.0, 2.0), 0.5), ("beta", (3.0, 1.5), 0.5), ("beta", (0.5, 0.5), 0.5),
+             ("fixed", (2.0, 2.0), 0.5), ("fixed", (2.0, 2.0), 1.0)]
+        ),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_rows_equal_scalar_math_reference(self, gammas, prior):
+        name, ab, fixed_value = prior
+        priors = PriorConfig(gamma_prior=name, gamma_beta_ab=ab, gamma_fixed_value=fixed_value)
+        g = np.array(gammas)
+        jacobian = [math.log(v) + math.log1p(-v) if 0.0 < v < 1.0 else -math.inf for v in gammas]
+        assert np.array_equal(_logit_jacobian(g), np.array(jacobian))
+        reference = [self._log_prior_reference(v, priors) for v in gammas]
+        assert np.array_equal(_log_prior_gamma(g, priors), np.array(reference))
+
+
 class TestDmStaticTarget:
     """The sampled target's one-row blocks against ``log_target_static`` and the block path."""
 
@@ -196,9 +240,9 @@ class TestDmStaticTarget:
                 if gamma_prior == "fixed":
                     expected.append(log_target_static(x[None], [fixed_value], series, design, priors)[0])
                 else:
-                    g = expit(x[p])
-                    ref = log_target_static(x[None, :p], [g], series, design, priors)[0]
-                    expected.append(ref + _logit_jacobian(g))
+                    g = expit(x[p:])
+                    ref = log_target_static(x[None, :p], g, series, design, priors)[0]
+                    expected.append(ref + _logit_jacobian(g)[0])
         assert np.array_equal(point, np.array(expected))
         assert np.array_equal(point, block)
 
@@ -637,9 +681,7 @@ class TestFitDmStatic:
         design = DesignMatrix.empty(3)
         priors = PriorConfig(a0=2.0, b0=1.0)
         grid = np.linspace(1e-5, 1 - 1e-5, 20_001)
-        loglik = np.array(
-            [filter_core(series.counts, np.ones(3), g, priors.a0, priors.b0).total_log_predictive for g in grid]
-        )
+        loglik = filter_core(series.counts, np.ones((len(grid), 3)), grid, priors.a0, priors.b0).total_log_predictive
         w = np.exp(loglik - loglik.max())
         exact_mean = np.trapezoid(grid * w, grid) / np.trapezoid(w, grid)
         cfg = MhConfig(iterations=40_000, burn_in=5_000)
