@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import special
-from scipy.special import logsumexp
+from scipy.special import logsumexp, ndtri
 
 from .filtering import filter_draws
 from .kernels import DomainError, RngStream
@@ -59,12 +59,17 @@ class ForecastDistribution:
             self, "interval", (float(self.quantile(0.025)), float(self.quantile(0.975)))
         )
 
-    def mean(self) -> float:
+    def _component_moments(self) -> tuple:
+        """The mean and the variance of each component, as two (S,) arrays."""
         c = self.components
         if c.ndim == 1:
-            return float(np.mean(c))
+            return c, c
         r, p = c[:, 0], c[:, 1]
-        return float(np.mean(r * (1.0 - p) / p))
+        means = r * (1.0 - p) / p
+        return means, means / p
+
+    def mean(self) -> float:
+        return float(np.mean(self._component_moments()[0]))
 
     def cdf(self, n) -> float:
         if n < 0:
@@ -78,18 +83,35 @@ class ForecastDistribution:
         return float(np.sum(probs)) / len(c)
 
     def quantile(self, q: float) -> int:
-        """Smallest integer n with mixture CDF(n) >= q."""
+        """Smallest integer n with mixture CDF(n) >= q.
+
+        The search starts at the mixture's normal approximation
+        floor(mean + ndtri(q) sd), with the mean and variance in closed form
+        from the components. It steps outward by strides 1, 2, 4, ... until
+        cdf(lo) < q <= cdf(hi), then bisects. A quantile beyond 2**60 raises
+        DomainError.
+        """
         if not (0.0 < q < 1.0):
             raise DomainError(f"quantile level must lie in (0, 1), got {q}")
-        if self.cdf(0) >= q:
-            return 0
-        # invariant: cdf(lo) < q <= cdf(hi)
-        lo, hi = 0, 1
-        while self.cdf(hi) < q:
-            lo = hi
-            hi *= 2
-            if hi > 2**60:
-                raise DomainError("quantile bracket exceeded integer range")
+        means, variances = self._component_moments()
+        mean = np.mean(means)
+        guess = mean + ndtri(q) * math.sqrt(max(np.mean(variances + means**2) - mean**2, 0.0))
+        # a NaN or overflowing guess starts at the guard
+        start = math.floor(max(guess, 0.0)) if guess < 2**60 else 2**60
+        # invariant once bracketed: cdf(lo) < q <= cdf(hi), with cdf(-1) = 0
+        step = 1
+        if self.cdf(start) >= q:
+            lo, hi = start - 1, start
+            while lo >= 0 and self.cdf(lo) >= q:
+                hi, lo = lo, max(lo - 2 * step, -1)
+                step *= 2
+        else:
+            lo = hi = start
+            while lo == hi or self.cdf(hi) < q:
+                if hi == 2**60:
+                    raise DomainError("quantile bracket exceeded integer range")
+                lo, hi = hi, min(hi + step, 2**60)
+                step *= 2
         while lo + 1 < hi:
             mid = (lo + hi) // 2
             if self.cdf(mid) >= q:
@@ -198,24 +220,17 @@ def _check_window(window, T: int):
 def _forecast_distribution_at(
     spec: ModelSpec,
     draws: PosteriorDraws,
-    train_series: CountSeries,
-    train_design: DesignMatrix,
     design: DesignMatrix,
     origin: int,
-    priors: PriorConfig,
     rng: RngStream,
 ) -> ForecastDistribution:
+    """The one-step mixture at ``origin`` from draws fitted on months 1..origin-1,
+    each starting from the filtered end state its fit recorded."""
     z_next = design.rows[origin - 1]
     if spec.variant == "BPM":
         return ForecastDistribution(origin=origin, components=np.exp(draws.beta @ z_next))
 
-    # keep only the end states: the (S, T+1) trajectories would add to peak memory
-    a, b = np.empty(draws.S), np.empty(draws.S)
-    for block, traj in filter_draws(
-        train_series.counts, train_design, draws.beta, draws.gamma, priors.a0, priors.b0
-    ):
-        a[block] = traj.a[:, -1]
-        b[block] = traj.b[:, -1]
+    a, b = draws.filter_state.T
     beta_next = None
     if spec.variant == "DM5":
         # coefficients follow a random walk: propagate one step past the train window
@@ -253,9 +268,7 @@ def sequential_harness(
             draws = fit_variant(
                 spec, train_series, train_design, priors, config, sub, smooth=False
             )
-            dist = _forecast_distribution_at(
-                spec, draws, train_series, train_design, design, o, priors, sub.substream(1)
-            )
+            dist = _forecast_distribution_at(spec, draws, design, o, sub.substream(1))
         except (FitError, DomainError) as exc:
             raise FitError(f"forecast fit failed at origin {o}: {exc}") from exc
         origins.append(o)

@@ -52,14 +52,21 @@ class FilterTrajectory:
         """Summed log-predictive of each draw, shape (S,)."""
         return self.log_predictive.sum(axis=1)
 
+    @property
+    def end_state(self) -> np.ndarray:
+        """Filtered state (a_T, b_T) of each draw after the last month, shape (S, 2)."""
+        return np.concatenate((self.a[:, -1:], self.b[:, -1:]), axis=1)
+
 
 @dataclass(frozen=True)
 class GammaGridPosterior:
-    """Discrete posterior of the discount factor over a grid in (0, 1)."""
+    """Discrete posterior of the discount factor over a grid in (0, 1), with the
+    filtered end state (a_T, b_T) of each grid point, shape (len(grid), 2)."""
 
     grid: np.ndarray
     probs: np.ndarray
     mean: float
+    end_state: np.ndarray
 
 
 def _discount_solve(gamma: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -68,8 +75,11 @@ def _discount_solve(gamma: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     ``gamma`` has shape (S,) and ``rhs`` shape (K, S, L). The rows of each
     rhs[k] form one unit lower-bidiagonal system (subdiagonal -gamma[j], 0 at
     each row start) for one BLAS ``dtbsv`` call; that 0 adds an exact zero, so
-    row j equals its own one-row solve bit for bit.
+    row j equals its own one-row solve bit for bit. An empty stack (S = 0)
+    returns an empty solution, since ``dtbsv`` rejects a system of size 0.
     """
+    if not rhs.size:
+        return rhs.copy()
     band = np.empty((2, rhs[0].size))
     band[0] = 1.0
     subdiagonal = band[1].reshape(-1, rhs.shape[-1])  # one row per draw
@@ -96,7 +106,8 @@ def filter_core(
 
     ``gamma`` is (S,), ``multipliers`` (S, T) and ``counts`` (T,); a single
     draw is a one-row stack, and other shapes raise DomainError. Row j equals
-    the one-row call on (gamma[j:j+1], multipliers[j:j+1]) bit for bit.
+    the one-row call on (gamma[j:j+1], multipliers[j:j+1]) bit for bit, and an
+    empty stack (S = 0) gives an empty trajectory.
     """
     counts = np.asarray(counts)
     multipliers = np.asarray(multipliers, dtype=float)
@@ -106,9 +117,9 @@ def filter_core(
         raise DomainError(f"need (S,) gamma and (S, T) multipliers, T = {T}: got {gamma.shape}, {multipliers.shape}")
     # min/max reductions: NaN fails both comparisons, and they cost far less
     # per call than elementwise masks on the sequential chains' hot path
-    if not (0.0 < gamma.min() and gamma.max() <= 1.0):
+    if gamma.size and not (0.0 < gamma.min() and gamma.max() <= 1.0):
         raise DomainError(f"gamma must lie in (0, 1], got {gamma}")
-    if T and not (0.0 < multipliers.min() and multipliers.max() < np.inf):
+    if multipliers.size and not (0.0 < multipliers.min() and multipliers.max() < np.inf):
         raise DomainError("multipliers must be positive and finite")
 
     n = counts.astype(float)
@@ -162,12 +173,9 @@ def gamma_grid_posterior(
     grid = np.arange(1, round(1.0 / step)) * step
 
     betas = np.zeros((len(grid), design.p))
-    log_post = np.concatenate(
-        [
-            traj.total_log_predictive
-            for _, traj in filter_draws(series.counts, design, betas, grid, priors.a0, priors.b0)
-        ]
-    )
+    log_post, end_state = np.empty(len(grid)), np.empty((len(grid), 2))
+    for block, traj in filter_draws(series.counts, design, betas, grid, priors.a0, priors.b0):
+        log_post[block], end_state[block] = traj.total_log_predictive, traj.end_state
     norm = logsumexp(log_post)
     if not np.isfinite(norm):
         raise NumericDegeneracyError(
@@ -175,7 +183,7 @@ def gamma_grid_posterior(
             context={"grid_size": len(grid)},
         )
     probs = np.exp(log_post - norm)
-    return GammaGridPosterior(grid=grid, probs=probs, mean=float(probs @ grid))
+    return GammaGridPosterior(grid=grid, probs=probs, mean=float(probs @ grid), end_state=end_state)
 
 
 def ffbs_sample(trajectory: FilterTrajectory, rng: RngStream) -> np.ndarray:
@@ -188,8 +196,9 @@ def ffbs_sample(trajectory: FilterTrajectory, rng: RngStream) -> np.ndarray:
 
     All gamma variates come from one generator call, in the order of one
     one-row call per draw (theta_T, then the increments for n = T-1..1), so a
-    stack consumes the stream exactly as S one-row calls would. A draw with
-    gamma = 1 is static: it draws no increments and its path is constant.
+    stack consumes the stream exactly as S one-row calls would, and an empty
+    stack draws nothing and returns (0, T). A draw with gamma = 1 is static: it
+    draws no increments and its path is constant.
     """
     T = trajectory.T
     a, b, gamma = trajectory.a, trajectory.b, trajectory.gamma

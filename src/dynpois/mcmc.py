@@ -7,20 +7,23 @@ The static fitters work on the count likelihood with the latent rates
 integrated out (the per-step negative binomial product from the filter), so a
 single filter pass prices one proposal. Every log target maps a block of
 points (K, d) to (K,) and scores it in one batched filter pass; one point is
-a one-row block. The mode search scores its stencils in blocks, and the
-independence proposals, which do not depend on the chain state, are all
-scored in blocks before the accept/reject pass runs; the random-walk fallback
-scores one one-row block per step. The discount factor is sampled on the
-logit scale with its Jacobian; regression coefficients are unconstrained. The
-gamma prior and the logit Jacobian also map a stack (K,) to (K,), and the DM5
-sweep, the only caller with a single draw, passes them, the filter and the
-backward sampler one-row stacks.
+a one-row block. A target that a chain samples also returns each row's
+filtered end state (a_T, b_T) from that same pass, (K, 2), or (K, 0) for the
+filter-free BPM, and the chains keep the rows of the draws they retain, so a
+forecast needs no second filter pass. The mode search scores its stencils in
+blocks, and the independence proposals, which do not depend on the chain
+state, are all scored in blocks before the accept/reject pass runs; the
+random-walk fallback scores one one-row block per step. The discount factor
+is sampled on the logit scale with its Jacobian; regression coefficients are
+unconstrained. The gamma prior and the logit Jacobian also map a stack (K,)
+to (K,), and the DM5 sweep, the only caller with a single draw, passes them,
+the filter and the backward sampler one-row stacks.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.special import expit, gammaln, logit
@@ -71,7 +74,9 @@ class MhConfig:
 @dataclass
 class PosteriorDraws:
     """Retained MCMC draws. beta is (S, p) for static coefficients or (S, T, p)
-    for time-varying ones; theta holds smoothing paths when requested."""
+    for time-varying ones; theta holds smoothing paths when requested.
+    filter_state holds each draw's filtered end state (a_T, b_T) on the fitted
+    months, (S, 2), or (S, 0) for BPM, which has no filter."""
 
     beta: np.ndarray
     gamma: np.ndarray | None
@@ -81,6 +86,7 @@ class PosteriorDraws:
     theta: np.ndarray | None = None
     variant: str = ""
     sampler: str = ""  # the Metropolis chain that drew beta and gamma, if one did
+    filter_state: np.ndarray | None = None
 
     def __post_init__(self):
         if self.gamma is not None:
@@ -90,6 +96,8 @@ class PosteriorDraws:
             raise DomainError("tau draws must be positive")
         if not (0.0 <= self.acceptance_rate <= 1.0):
             raise DomainError("acceptance rate must lie in [0, 1]")
+        if self.filter_state is not None and len(self.filter_state) != self.S:
+            raise DomainError("need one filter state row per draw")
 
     @property
     def S(self) -> int:
@@ -120,6 +128,7 @@ class ModeHessian:
 class MhResult:
     draws: np.ndarray
     acceptance_rate: float
+    filter_state: np.ndarray  # the state row the target returned with each retained draw
     scale_used: float = 1.0  # the proposal's multiple of the Laplace covariance
     sampler: str = "random_walk"  # or "independence"
 
@@ -161,11 +170,13 @@ def log_target_static(
     """Unnormalized log posterior of (beta, gamma) with latent rates integrated out.
 
     A block of K points, ``beta`` of shape (K, p) and ``gamma`` of shape (K,),
-    gives (K,); one point is a one-row block. Points off the support (gamma
-    outside (0, 1), or any gamma but the fixed prior's value, which may be 1;
-    a non-finite prior, multipliers that underflow or overflow, a non-finite
-    likelihood) score -inf, and the other rows are scored in one batched
-    filter pass.
+    gives ``(log_post, end_state)``: (K,) and the (K, 2) filtered state
+    (a_T, b_T) after the last month; one point is a one-row block. Points off
+    the support (gamma outside (0, 1), or any gamma but the fixed prior's
+    value, which may be 1; a non-finite prior, multipliers that underflow or
+    overflow, a non-finite likelihood) score -inf, and the other rows are
+    scored in one batched filter pass, the only one a block makes. Rows that
+    pass no filter get NaN states.
     """
     beta = np.asarray(beta, dtype=float)
     gamma = np.asarray(gamma, dtype=float)
@@ -175,16 +186,18 @@ def log_target_static(
     if beta.shape[1]:
         lp += _log_prior_beta(beta, priors.beta_sd)
     out = np.full(len(beta), -np.inf)
+    end_state = np.full((len(beta), 2), np.nan)
     live = np.flatnonzero(np.isfinite(lp))
     multipliers = linear_predictor(design, beta[live])
     # exp(eta) overflows to inf or underflows to 0 for extreme proposals: out of support
     ok = (0.0 < multipliers.min(axis=1)) & (multipliers.max(axis=1) < np.inf)
     live, multipliers = live[ok], multipliers[ok]
-    if live.size:
-        ll = filter_core(series.counts, multipliers, gamma[live], priors.a0, priors.b0).total_log_predictive
-        # extreme proposals can overflow the rate recursion; treat as out of support
-        out[live] = np.where(np.isfinite(ll), ll + lp[live], -np.inf)
-    return out
+    traj = filter_core(series.counts, multipliers, gamma[live], priors.a0, priors.b0)
+    ll = traj.total_log_predictive
+    # extreme proposals can overflow the rate recursion; treat as out of support
+    out[live] = np.where(np.isfinite(ll), ll + lp[live], -np.inf)
+    end_state[live] = traj.end_state
+    return out, end_state
 
 
 # Newton iteration cap, stop tolerance on the Newton decrement g's, and the
@@ -289,18 +302,22 @@ def rw_metropolis(
     """Random-walk Metropolis with a fixed multivariate-normal proposal.
 
     The proposal is symmetric so the acceptance ratio is the posterior ratio,
-    evaluated in log space. ``log_target`` scores a block (K, d) as (K,), and
-    each step scores its proposal as a one-row block. Burn-in and thinning are
-    applied before draws are retained; the acceptance rate covers the full run.
+    evaluated in log space. ``log_target`` maps a block (K, d) to its log
+    densities (K,) and state rows (K, m), and each step scores its proposal
+    as a one-row block; the chain carries the current point's state row.
+    Burn-in and thinning are applied before draws are retained; the
+    acceptance rate covers the full run.
     """
     init = np.atleast_1d(np.asarray(init, dtype=float))
     d = len(init)
     root = cholesky_or_raise(np.atleast_2d(proposal_covariance))
-    lp = log_target(init[None])[0]
+    values, rows = log_target(init[None])
+    lp, row = values[0], rows[0]
     if not np.isfinite(lp):
         raise DomainError("log target is not finite at the chain start")
     gen = rng.generator
     draws = np.empty((config.n_retained, d))
+    states = np.empty((config.n_retained, len(row)))
     x = init.copy()
     accepted = 0
     kept = 0
@@ -308,13 +325,14 @@ def rw_metropolis(
         step = root @ gen.standard_normal(d)
         u = gen.random()
         prop = x + step
-        lp_prop = log_target(prop[None])[0]
-        if math.log(u) < lp_prop - lp:
+        values, rows = log_target(prop[None])
+        if math.log(u) < values[0] - lp:
             x = prop
-            lp = lp_prop
+            lp, row = values[0], rows[0]
             accepted += 1
         if i >= config.burn_in and (i - config.burn_in) % config.thinning == 0:
             draws[kept] = x
+            states[kept] = row
             kept += 1
     rate = accepted / config.iterations
     if accepted == 0:
@@ -322,7 +340,7 @@ def rw_metropolis(
             "chain accepted no proposals; rescale the proposal covariance "
             "(proposal_scale) or check the target"
         )
-    return MhResult(draws=draws, acceptance_rate=rate)
+    return MhResult(draws=draws, acceptance_rate=rate, filter_state=states)
 
 
 # degrees of freedom of the independence proposal, and the factor that widens
@@ -346,10 +364,11 @@ def _independence_chain(log_target, mh: ModeHessian, config: MhConfig, rng: RngS
     and scale matrix ``_IMH_INFLATION`` x proposal_scale x the covariance.
     All ``iterations`` proposals come from standard_normal((N, d)), then
     chisquare(df, N), then random(N), and are scored FILTER_BLOCK rows per
-    block call of ``log_target``. The accept/reject pass then runs over the
-    log weights log pi - log q, starting at the mode. Burn-in and thinning
-    are applied as in ``rw_metropolis``; a chain that accepts nothing raises
-    FitError.
+    block call of ``log_target``, which returns log densities and state rows
+    as in ``rw_metropolis``. The accept/reject pass then runs over the log
+    weights log pi - log q, starting at the mode, and the retained draws keep
+    their state rows. Burn-in and thinning are applied as in
+    ``rw_metropolis``; a chain that accepts nothing raises FitError.
     """
     N, d = config.iterations, len(mh.mode)
     scale = _IMH_INFLATION * config.proposal_scale
@@ -359,25 +378,27 @@ def _independence_chain(log_target, mh: ModeHessian, config: MhConfig, rng: RngS
     w = gen.chisquare(_IMH_DF, N)
     log_u = np.log(gen.random(N))
     points = mh.mode + (z @ root.T) * np.sqrt(_IMH_DF / w)[:, None]
-    blocks = range(0, N, FILTER_BLOCK)
-    log_pi = np.concatenate([log_target(points[k : k + FILTER_BLOCK]) for k in blocks])
+    scored = [log_target(points[k : k + FILTER_BLOCK]) for k in range(0, N, FILTER_BLOCK)]
+    log_pi = np.concatenate([values for values, _ in scored])
     log_w = (log_pi - _t_log_kernel(points, mh.mode, root)).tolist()
 
-    # state[i] is the proposal the chain holds after step i; -1 is the mode,
+    # held[i] is the proposal the chain holds after step i; -1 is the mode,
     # whose kernel value is 0
-    state = np.empty(N, dtype=np.intp)
-    current, lw = -1, log_target(mh.mode[None])[0]
+    held = np.empty(N, dtype=np.intp)
+    mode_value, mode_state = log_target(mh.mode[None])
+    current, lw = -1, mode_value[0]
     accepted = 0
     for i, lu in enumerate(log_u.tolist()):
         if lu < log_w[i] - lw:
             current, lw = i, log_w[i]
             accepted += 1
-        state[i] = current
+        held[i] = current
     if accepted == 0:
         raise FitError("the independence chain accepted no proposals")
-    kept = state[config.burn_in :: config.thinning]
-    draws = np.concatenate([mh.mode[None], points])[kept + 1]
-    return MhResult(draws, accepted / N, scale_used=scale, sampler="independence")
+    kept = held[config.burn_in :: config.thinning] + 1
+    draws = np.concatenate([mh.mode[None], points])[kept]
+    states = np.concatenate([mode_state, *(rows for _, rows in scored)])[kept]
+    return MhResult(draws, accepted / N, states, scale_used=scale, sampler="independence")
 
 
 # proposal-scale multipliers; rung k runs on substream k
@@ -388,15 +409,17 @@ _ACCEPTANCE_BAND = (0.1, 0.6)
 def _mode_then_chain(log_target, start: np.ndarray, config: MhConfig, rng: RngStream) -> MhResult:
     """Independence chain on the Laplace fit, with a random-walk fallback.
 
-    The independence chain runs first, on substream 3, and is kept unless it
-    died or accepted less than the acceptance band's floor. Then the
-    Hessian-calibrated random-walk chain runs, with one retry on the proposal
-    scale: a first chain outside the acceptance band is rerun once, on the
-    rung that moves acceptance toward the band: half the scale when it
-    accepted too little or died, twice the scale when it accepted too much. Of
-    two chains outside the band, the one with acceptance nearer 0.3 is kept.
+    ``log_target`` returns log densities and state rows, as the chains take
+    it; the mode search sees the log densities alone. The independence chain
+    runs first, on substream 3, and is kept unless it died or accepted less
+    than the acceptance band's floor. Then the Hessian-calibrated random-walk
+    chain runs, with one retry on the proposal scale: a first chain outside
+    the acceptance band is rerun once, on the rung that moves acceptance
+    toward the band: half the scale when it accepted too little or died, twice
+    the scale when it accepted too much. Of two chains outside the band, the
+    one with acceptance nearer 0.3 is kept.
     """
-    mh = find_mode_and_hessian(log_target, start)
+    mh = find_mode_and_hessian(lambda x: log_target(x)[0], start)
     try:
         imh = _independence_chain(log_target, mh, config, rng.substream(3))
     except FitError:
@@ -410,7 +433,7 @@ def _mode_then_chain(log_target, start: np.ndarray, config: MhConfig, rng: RngSt
             res = rw_metropolis(log_target, mh.mode, mh.covariance * scale, config, rng.substream(k))
         except FitError:
             return None
-        return MhResult(res.draws, res.acceptance_rate, scale_used=scale)
+        return replace(res, scale_used=scale)
 
     def in_band(res):
         return res is not None and _ACCEPTANCE_BAND[0] <= res.acceptance_rate <= _ACCEPTANCE_BAND[1]
@@ -451,9 +474,10 @@ def _logit_jacobian(g: np.ndarray) -> np.ndarray:
 
 
 def _dm_static_target(series: CountSeries, design: DesignMatrix, priors: PriorConfig):
-    """The log target that ``fit_dm_static`` samples, a block (K, d) to (K,):
-    over beta alone under a fixed gamma prior, otherwise over (beta, logit gamma)
-    with the logit Jacobian included."""
+    """The log target that ``fit_dm_static`` samples, a block (K, d) to
+    ``log_target_static``'s log densities (K,) and end states (K, 2): over beta
+    alone under a fixed gamma prior, otherwise over (beta, logit gamma) with
+    the logit Jacobian included."""
     p = design.p
     if priors.gamma_prior == "fixed":
 
@@ -464,7 +488,8 @@ def _dm_static_target(series: CountSeries, design: DesignMatrix, priors: PriorCo
 
         def target(x):
             g = expit(x[:, p])
-            return log_target_static(x[:, :p], g, series, design, priors) + _logit_jacobian(g)
+            log_post, end_state = log_target_static(x[:, :p], g, series, design, priors)
+            return log_post + _logit_jacobian(g), end_state
 
     return target
 
@@ -486,7 +511,9 @@ def fit_dm_static(
     with the logit Jacobian included (over beta alone under a fixed gamma):
     independence Metropolis from a t proposal on the Laplace fit at the mode,
     or, if that chain accepts too little, random-walk Metropolis calibrated by
-    the inverse negative Hessian at the mode. When ``smooth`` is set, one
+    the inverse negative Hessian at the mode. Each draw's filtered end state
+    comes from the filter pass that scored it: the chain's, the grid's, or one
+    one-row pass for a covariate-free fixed gamma. When ``smooth`` is set, one
     smoothing path per retained draw comes from batched backward sampling.
     """
     if spec.variant not in ("DM1", "DM2", "DM3", "DM4"):
@@ -501,24 +528,30 @@ def fit_dm_static(
         if p:
             raise DomainError("the discrete-grid gamma prior applies to the covariate-free model")
         post = gamma_grid_posterior(series, design, priors)
-        gammas = rng.substream(0).generator.choice(post.grid, size=S, p=post.probs)
+        # grid indices take the same variates from the stream as grid values would
+        picks = rng.substream(0).generator.choice(len(post.grid), size=S, p=post.probs)
+        gammas, end_state = post.grid[picks], post.end_state[picks]
         betas = np.zeros((S, 0))
         acc = 1.0
     elif priors.gamma_prior == "fixed":
         gammas = np.full(S, priors.gamma_fixed_value)
         if p == 0:
             betas = np.zeros((S, 0))
+            # every draw is the same point: filter one and repeat its state
+            multipliers = linear_predictor(design, betas[:1])
+            traj = filter_core(series.counts, multipliers, gammas[:1], priors.a0, priors.b0)
+            end_state = np.repeat(traj.end_state, S, axis=0)
             acc = 1.0
         else:
             target = _dm_static_target(series, design, priors)
             res = _mode_then_chain(target, np.zeros(p), config, rng.substream(0))
-            betas, acc, sampler = res.draws, res.acceptance_rate, res.sampler
+            betas, acc, sampler, end_state = res.draws, res.acceptance_rate, res.sampler, res.filter_state
     else:
         target = _dm_static_target(series, design, priors)
         res = _mode_then_chain(target, np.zeros(p + 1), config, rng.substream(0))
         betas = res.draws[:, :p]
         gammas = expit(res.draws[:, p])
-        acc, sampler = res.acceptance_rate, res.sampler
+        acc, sampler, end_state = res.acceptance_rate, res.sampler, res.filter_state
 
     theta = None
     if smooth:
@@ -531,6 +564,7 @@ def fit_dm_static(
         theta=theta,
         variant=spec.variant,
         sampler=sampler,
+        filter_state=end_state,
     )
 
 
@@ -615,7 +649,8 @@ def fit_dm5(
     the coefficient path by a checkerboard of Metropolis steps (every even
     month in one vectorised step, then every odd month in another, each month
     against its Poisson term and random-walk neighbors), and the
-    per-coefficient precisions from their conjugate gamma conditionals.
+    per-coefficient precisions from their conjugate gamma conditionals. One
+    batched filter pass over the retained paths gives their end states.
     """
     p = design.p
     if p < 1:
@@ -691,6 +726,8 @@ def fit_dm5(
 
     if n_accept == 0:
         raise FitError("no Gibbs move was accepted; check scaling of the data or proposal")
+    passes = filter_draws(counts, design, betas_out, gammas_out, priors.a0, priors.b0)
+    end_state = np.concatenate([traj.end_state for _, traj in passes])
     return PosteriorDraws(
         beta=betas_out,
         gamma=gammas_out,
@@ -699,6 +736,7 @@ def fit_dm5(
         tau=taus_out,
         theta=theta_out,
         variant="DM5",
+        filter_state=end_state,
     )
 
 
@@ -732,7 +770,8 @@ def fit_bpm(
         raise DomainError("the BPM design must start with the intercept column")
 
     def target(b):
-        return log_target_bpm(b, series, design, priors)
+        # no filter, so the state rows have no columns
+        return log_target_bpm(b, series, design, priors), np.empty((len(b), 0))
 
     res = _mode_then_chain(target, np.zeros(design.p), config, rng.substream(0))
     return PosteriorDraws(
@@ -742,6 +781,7 @@ def fit_bpm(
         beta_names=design.column_names,
         variant="BPM",
         sampler=res.sampler,
+        filter_state=res.filter_state,
     )
 
 

@@ -274,3 +274,25 @@ def fd_derivatives_loop(log_target, x: np.ndarray, rel_step: float) -> tuple:
                 f(x + ei + ej) - f(x + ei - ej) - f(x - ei + ej) + f(x - ei - ej)
             ) / (4.0 * h[i] * h[j])
     return f0, grad, H
+
+
+def quantile_by_doubling(dist, q: float) -> int:
+    """Smallest integer n with ``dist.cdf(n) >= q``, found from the cdf alone:
+    try 0, double an upper bound from 1 until cdf(hi) >= q, then bisect. A
+    quantile beyond 2**60 raises DomainError."""
+    if dist.cdf(0) >= q:
+        return 0
+    # invariant: cdf(lo) < q <= cdf(hi)
+    lo, hi = 0, 1
+    while dist.cdf(hi) < q:
+        lo = hi
+        hi *= 2
+        if hi > 2**60:
+            raise DomainError("quantile bracket exceeded integer range")
+    while lo + 1 < hi:
+        mid = (lo + hi) // 2
+        if dist.cdf(mid) >= q:
+            hi = mid
+        else:
+            lo = mid
+    return hi

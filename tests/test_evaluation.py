@@ -4,9 +4,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from dynpois import filtering, mcmc
 from dynpois.evaluation import (
     ForecastDistribution,
     compare_models,
@@ -37,6 +38,7 @@ from oracles import (
     log_pmf_poisson,
     one_step_predictive,
     predict_step,
+    quantile_by_doubling,
 )
 
 
@@ -110,6 +112,33 @@ class TestForecastDistribution:
         for comps in ([[2.0, 1.0]], [[0.0, 0.5]], [[np.nan, 0.5]], [-1.0], [np.inf]):
             with pytest.raises(DomainError):
                 ForecastDistribution(origin=1, components=np.array(comps))
+
+    @given(
+        poisson=st.booleans(),
+        # (component mean, negbin shape r), both log-uniform
+        rows=st.lists(
+            st.tuples(st.floats(-2.0, 5.0).map(lambda e: 10.0**e), st.floats(-1.0, 3.0).map(lambda e: 10.0**e)),
+            min_size=1,
+            max_size=50,
+        ),
+        q=st.sampled_from([1e-12, 0.025, 0.5, 0.975, 1.0 - 1e-12]),
+    )
+    # answers of 0
+    @example(poisson=True, rows=[(1e-2, 1.0)], q=0.975)
+    @example(poisson=False, rows=[(1e-2, 1.0), (0.1, 10.0)], q=0.5)
+    @settings(max_examples=300, deadline=None)
+    def test_quantile_equals_doubling_search(self, poisson, rows, q):
+        if poisson:
+            comps = np.array([mean for mean, _ in rows])
+        else:
+            comps = np.array([[r, r / (r + mean)] for mean, r in rows])
+        dist = ForecastDistribution(origin=1, components=comps)
+        assert dist.quantile(q) == quantile_by_doubling(dist, q)
+
+    def test_quantile_beyond_the_integer_guard_raises(self):
+        # a Poisson rate of 1e19 leaves the cdf near 0 at 2**60 (about 1.15e18)
+        with pytest.raises(DomainError, match="integer range"):
+            ForecastDistribution(origin=1, components=np.array([1e19]))
 
 
 class TestForecastOneStep:
@@ -357,6 +386,45 @@ class TestSequentialHarness:
         r2 = sequential_harness(truth.counts, DesignMatrix.empty(15), ModelSpec("DM1"), priors, cfg, (13, 15), rng=RngStream(9))
         assert r1.points == r2.points
         assert r1.lower == r2.lower
+
+    def test_static_forecast_filters_only_the_chain_rows(self, monkeypatch):
+        # every filter row is a proposal, a stencil point or a mode that a
+        # chain's log target scored: the forecast refilters no draw
+        rng = RngStream(53)
+        T = 30
+        cov = {"z": rng.substream(1).generator.normal(size=T)}
+        spec = ModelSpec("DM2", ("z",))
+        design = build_design(cov, spec, T)
+        priors = PriorConfig(a0=60.0, b0=1.0)
+        truth = simulate_cohort(priors, 0.6, np.array([0.4]), design, T, rng.substream(2))
+        cfg = MhConfig(iterations=300, burn_in=100)
+        filter_rows, stencil_rows, samplers = [], [], []
+        real_filter, real_mode, real_chain = filtering.filter_core, mcmc.find_mode_and_hessian, mcmc._independence_chain
+
+        def counted_filter(counts, multipliers, gamma, a0, b0):
+            filter_rows.append(len(gamma))
+            return real_filter(counts, multipliers, gamma, a0, b0)
+
+        def counted_mode(log_target, start):
+            def counted(x):
+                stencil_rows.append(len(x))
+                return log_target(x)
+
+            return real_mode(counted, start)
+
+        def recorded_chain(log_target, mh, config, rng):
+            res = real_chain(log_target, mh, config, rng)
+            samplers.append(res.sampler)
+            return res
+
+        for module in (filtering, mcmc):
+            monkeypatch.setattr(module, "filter_core", counted_filter)
+        monkeypatch.setattr(mcmc, "find_mode_and_hessian", counted_mode)
+        monkeypatch.setattr(mcmc, "_independence_chain", recorded_chain)
+        report = sequential_harness(truth.counts, design, spec, priors, cfg, (28, 30), rng=rng.substream(3))
+        assert report.origins == (28, 29, 30)
+        assert samplers == ["independence"] * 3
+        assert sum(filter_rows) == 3 * (cfg.iterations + 1) + sum(stencil_rows)
 
     def test_ewma_variant_delegates(self):
         series = _series([5, 9, 12, 10, 8])

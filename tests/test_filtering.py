@@ -238,6 +238,12 @@ class TestFilterPass:
         with pytest.raises(DomainError, match=r"\(S,\) gamma and \(S, T\) multipliers"):
             filter_core([1, 2], mult, gamma, 1.0, 1.0)
 
+    def test_empty_stack_gives_empty_trajectory(self):
+        traj = filter_core([1], np.ones((0, 1)), np.array([]), 1.0, 1.0)
+        assert traj.a.shape == traj.b.shape == (0, 2)
+        assert traj.log_predictive.shape == (0, 1) and traj.T == 1
+        assert traj.total_log_predictive.shape == (0,) and traj.end_state.shape == (0, 2)
+
     def test_subnormal_gamma_is_out_of_support_without_warning(self):
         # gamma*b underflows to 0; log(0) must not warn, the months score -inf
         with warnings.catch_warnings():
@@ -287,6 +293,13 @@ class TestGammaGridPosterior:
 
 
 class TestFfbs:
+    def test_empty_trajectory_gives_no_paths(self):
+        traj = filter_core([4, 1, 3], np.ones((0, 3)), np.array([]), 2.0, 1.0)
+        rng = RngStream(3)
+        assert ffbs_sample(traj, rng).shape == (0, 3)
+        # and draws nothing from the stream
+        assert rng.generator.random() == RngStream(3).generator.random()
+
     def test_single_month_is_final_filter_draw(self):
         traj = _filter_dm1([4], 0.7, 2.0, 1.0)
         path = ffbs_sample(traj, RngStream(77))
