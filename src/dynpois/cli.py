@@ -131,11 +131,11 @@ def resolve_config(args) -> dict:
     cfg = copy.deepcopy(DEFAULT_CONFIG)
     user = {}
     if args.config:
-        with open(args.config, encoding="utf-8") as fh:
-            try:
-                user = json.load(fh, parse_float=_finite_float, parse_constant=_finite_float)
-            except json.JSONDecodeError as exc:
-                raise io.ValidationError(f"config is not valid JSON: {exc}") from None
+        text = io.read_text(args.config, "config")
+        try:
+            user = json.loads(text, parse_float=_finite_float, parse_constant=_finite_float)
+        except json.JSONDecodeError as exc:
+            raise io.ValidationError(f"config is not valid JSON: {exc}") from None
         if not isinstance(user, dict):
             raise io.ValidationError("config must be a JSON object")
         cfg = _merge(cfg, user)

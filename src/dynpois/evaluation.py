@@ -7,11 +7,9 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import special
-from scipy.special import logsumexp, ndtri
 
 from .filtering import filter_draws
-from .kernels import DomainError, RngStream
+from .kernels import DomainError, RngStream, logsumexp
 from .mcmc import (
     FitError,
     MhConfig,
@@ -33,7 +31,9 @@ class ForecastDistribution:
     """Equal-weight mixture of per-draw one-step predictive distributions.
 
     ``components`` holds one row per draw: an (S, 2) array of negative
-    binomial ``(r, p)`` pairs, or an (S,) array of Poisson rates.
+    binomial ``(r, p)`` pairs, or an (S,) array of Poisson rates. The CDF and
+    the quantile import ``scipy.special`` when first called, so that only a
+    forecast loads scipy.
     """
 
     origin: int
@@ -72,6 +72,8 @@ class ForecastDistribution:
         return float(np.mean(self._component_moments()[0]))
 
     def cdf(self, n) -> float:
+        from scipy import special
+
         if n < 0:
             return 0.0
         c = self.components
@@ -91,6 +93,8 @@ class ForecastDistribution:
         cdf(lo) < q <= cdf(hi), then bisects. A quantile beyond 2**60 raises
         DomainError.
         """
+        from scipy.special import ndtri
+
         if not (0.0 < q < 1.0):
             raise DomainError(f"quantile level must lie in (0, 1), got {q}")
         means, variances = self._component_moments()

@@ -12,9 +12,10 @@ count likelihood with the latent rates integrated out, which is what the
 MCMC engine targets. Backward sampling uses the exact decomposition
 theta_{n-1} = gamma*theta_n + Gamma((1-gamma)*a_{n-1}, b_{n-1}), whose
 support enforces theta_{n-1} > gamma*theta_n on every sampled path. Each
-recursion x_t = gamma*x_{t-1} + c_t (a_t, b_t, the backward path) is one banded
-solve over all the draws of a call. Every function here takes a stack of S
-draws, and a single draw is a one-row stack.
+recursion x_t = gamma*x_{t-1} + c_t (a_t, b_t, the backward path) runs in month
+order, rounding the product and then the sum, over all the draws of a call at
+once. Every function here takes a stack of S draws, and a single draw is a
+one-row stack.
 """
 
 from __future__ import annotations
@@ -22,10 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.blas import dtbsv
-from scipy.special import gammaln, logsumexp
 
-from .kernels import DomainError, NumericDegeneracyError, RngStream
+from .kernels import DomainError, NumericDegeneracyError, RngStream, lgamma, logsumexp
 from .model import CountSeries, DesignMatrix, PriorConfig, linear_predictor
 
 # Draws per batched filter pass: large enough to amortise the per-call overhead,
@@ -72,27 +71,27 @@ class GammaGridPosterior:
 def _discount_solve(gamma: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve x[k, j, t] = gamma[j]*x[k, j, t-1] + rhs[k, j, t] from x[k, j, 0] = rhs[k, j, 0].
 
-    ``gamma`` has shape (S,) and ``rhs`` shape (K, S, L). The rows of each
-    rhs[k] form one unit lower-bidiagonal system (subdiagonal -gamma[j], 0 at
-    each row start) for one BLAS ``dtbsv`` call; that 0 adds an exact zero, so
-    row j equals its own one-row solve bit for bit. An empty stack (S = 0)
-    returns an empty solution, since ``dtbsv`` rejects a system of size 0.
+    ``gamma`` has shape (S,) and ``rhs`` shape (K, S, L). Each step rounds
+    gamma*x[t-1] and then the sum, in month order: one numpy step per month
+    over the whole stack, or a Python float loop for a one-row stack, whose
+    numpy steps would cost more than its arithmetic. Both round alike and no
+    row reads another, so row j equals its own one-row solve bit for bit, and
+    a row that overflows to inf leaves the others as they are.
     """
-    if not rhs.size:
-        return rhs.copy()
-    band = np.empty((2, rhs[0].size))
-    band[0] = 1.0
-    subdiagonal = band[1].reshape(-1, rhs.shape[-1])  # one row per draw
-    subdiagonal.T[:] = -gamma
-    subdiagonal[:, -1] = 0.0
-    x = rhs.copy()
-    for row in x.reshape(len(x), -1):
-        dtbsv(1, band, row, lower=1, diag=1, overwrite_x=1)
-    if len(gamma) > 1 and not np.isfinite(x[:, :-1, -1]).all():
-        # inf * 0 would make the next row NaN: solve each row by itself
-        rows = [_discount_solve(gamma[j : j + 1], rhs[:, j : j + 1]) for j in range(len(gamma))]
-        return np.concatenate(rows, axis=1)
-    return x
+    if rhs.shape[1] == 1:
+        g, x = float(gamma[0]), np.empty(rhs.shape)
+        for k, row in enumerate(rhs[:, 0].tolist()):
+            prev = 0.0  # g*0 + rhs[0] is rhs[0] exactly
+            x[k, 0] = [prev := g * prev + c for c in row]
+        return x
+    K, S, L = rhs.shape
+    months = rhs.reshape(K * S, L).T.copy()  # (L, K*S): one contiguous row per month
+    g, step = np.tile(gamma, K), np.empty(K * S)
+    with np.errstate(over="ignore"):
+        for prev, this in zip(months, months[1:]):
+            np.multiply(g, prev, out=step)
+            this += step
+    return np.ascontiguousarray(months.T).reshape(rhs.shape)
 
 
 def filter_core(
@@ -134,9 +133,14 @@ def filter_core(
     # treat as out-of-support
     r = gamma[:, None] * a[:, :-1]
     gb = gamma[:, None] * b[:, :-1]
+    # one lgamma call over the three arguments: the one-row calls of the DM5
+    # sweep pay its fixed numpy overhead once
+    lg = lgamma(np.concatenate([(r + n).ravel(), r.ravel(), n + 1.0]))
+    lg_rn, lg_r = lg[: 2 * r.size].reshape(2, *r.shape)
+    lg_n1 = lg[2 * r.size :]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         log_gbm = np.log(gb + multipliers)
-        log_pred = gammaln(r + n) - gammaln(n + 1.0) - gammaln(r) + r * (np.log(gb) - log_gbm)
+        log_pred = lg_rn - lg_n1 - lg_r + r * (np.log(gb) - log_gbm)
         log_pred += n * (np.log(multipliers) - log_gbm)
     return FilterTrajectory(a=a, b=b, gamma=gamma, log_predictive=log_pred)
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+from io import StringIO
 from pathlib import Path
 
 import numpy as np
@@ -25,15 +26,27 @@ class ValidationError(ValueError):
         self.row = row
 
 
+def read_text(path, what: str) -> str:
+    """The text of a UTF-8 file, with its line endings as written; a file that
+    is not UTF-8 raises ValidationError naming it as ``what``."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise ValidationError(
+                f"{what} {str(path)!r} is not UTF-8 text ({exc.reason})"
+            ) from None
+
+
 def ingest_csv(path) -> tuple:
     """Parse a cohort CSV into a count series plus named covariate columns.
 
-    Requires a header with ``month_index`` (consecutive 1-based integers) and
-    ``count`` (nonnegative integers below 2**63); every remaining column is a covariate
-    and must be finite numeric. Row numbers in errors count data rows from 1.
+    Requires a UTF-8 file with a header with ``month_index`` (consecutive
+    1-based integers) and ``count`` (nonnegative integers below 2**63, see
+    ``_parse_count``); every remaining column is a covariate and must be
+    finite numeric. Row numbers in errors count data rows from 1.
     """
-    path = Path(path)
-    with open(path, newline="", encoding="utf-8") as fh:
+    with StringIO(read_text(path, "data file"), newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -82,17 +95,26 @@ def _parse_month(cell: str, row_no: int, expected: int) -> int:
 
 
 def _parse_count(cell: str, row_no: int) -> int:
+    """An integer count read exactly: integer text by ``int``, float notation
+    (``5.0``, ``1e3``) only below 2**53, where reading it as a float is exact."""
     try:
-        value = float(cell)
+        value = int(cell)
     except ValueError:
-        raise ValidationError(f"count {cell!r} is not numeric", row=row_no) from None
-    if not value.is_integer():
-        raise ValidationError(f"count {cell!r} is not an integer", row=row_no)
+        try:
+            number = float(cell)
+        except ValueError:
+            raise ValidationError(f"count {cell!r} is not numeric", row=row_no) from None
+        if not number.is_integer():
+            raise ValidationError(f"count {cell!r} is not an integer", row=row_no)
+        if abs(number) >= 2**53:
+            raise ValidationError(f"count {cell!r} in float notation is not exact at 2**53 or above",
+                                  row=row_no)
+        value = int(number)
     if value < 0:
-        raise ValidationError(f"count {int(value)} is negative", row=row_no)
+        raise ValidationError(f"count {value} is negative", row=row_no)
     if value >= 2**63:
         raise ValidationError(f"count {cell!r} does not fit a 64-bit integer", row=row_no)
-    return int(value)
+    return value
 
 
 def _parse_covariate(cell: str, name: str, row_no: int) -> float:

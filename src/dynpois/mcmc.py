@@ -26,7 +26,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import expit, gammaln, logit
 
 from .filtering import (
     FILTER_BLOCK,
@@ -40,7 +39,10 @@ from .kernels import (
     DomainError,
     RngStream,
     cholesky_or_raise,
+    expit,
+    lgamma,
     log_pdf_beta,
+    logit,
 )
 from .model import CountSeries, DesignMatrix, ModelSpec, PriorConfig, linear_predictor
 
@@ -745,7 +747,7 @@ def bpm_log_pmf(beta: np.ndarray, series: CountSeries, design: DesignMatrix) -> 
     (rate exp(beta' z_t)) at each row of a block (K, p), as (K, T). The linear
     predictors of the block come from one matrix product, beta @ rows.T."""
     eta = beta @ design.rows.T
-    return series.counts * eta - np.exp(eta) - gammaln(series.counts + 1.0)
+    return series.counts * eta - np.exp(eta) - lgamma(series.counts + 1.0)
 
 
 def log_target_bpm(

@@ -94,6 +94,37 @@ class TestIngestCsv:
         assert err["type"] == "ValidationError"
         assert err["message"].startswith("row 2: count '1e300'")
 
+    def test_integer_count_text_is_read_exactly(self, tmp_path):
+        # 2**53 + 1 is the first integer a float cannot hold
+        path = _write(tmp_path, "c.csv", "month_index,count\n1,9007199254740993\n2,5.0\n3,1e3\n")
+        series, _ = ingest_csv(path)
+        assert series.counts.tolist() == [9007199254740993, 5, 1000]
+
+    @pytest.mark.parametrize("cell", ["9007199254740992.0", "9.007199254740993e15", "1e18"])
+    def test_float_notation_count_at_2_53_or_above_exits_2(self, tmp_path, capsys, cell):
+        path = _write(tmp_path, "c.csv", f"month_index,count\n1,5\n2,{cell}\n")
+        capsys.readouterr()
+        code, _ = run_command(["fit", "--model", "DM1", "--seed", "1", "--data", str(path),
+                               "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = json.loads(capsys.readouterr().out)["error"]
+        assert err["type"] == "ValidationError"
+        assert err["message"].startswith(f"row 2: count {cell!r}")
+
+    @pytest.mark.parametrize("which", ["config", "data"])
+    def test_file_that_is_not_utf8_exits_2_naming_it(self, tmp_path, capsys, which):
+        files = {"config": tmp_path / "c.json", "data": tmp_path / "d.csv"}
+        files["config"].write_text("{}", encoding="utf-8")
+        files["data"].write_text("month_index,count\n1,5\n", encoding="utf-8")
+        files[which].write_bytes(b"\xff" + files[which].read_bytes())
+        capsys.readouterr()
+        code, _ = run_command(["fit", "--model", "DM1", "--seed", "1", "--config", str(files["config"]),
+                               "--data", str(files["data"]), "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = json.loads(capsys.readouterr().out)["error"]
+        assert err["type"] == "ValidationError"
+        assert str(files[which]) in err["message"] and "not UTF-8" in err["message"]
+
     @given(
         counts=st.lists(st.integers(min_value=0, max_value=500), min_size=1, max_size=40),
         cov=st.lists(
@@ -211,11 +242,61 @@ class TestResolveConfig:
         assert resolved["simulate"]["beta"] == [1, 0.5]
 
 
-def test_cli_import_leaves_out_scipy_optimize():
+# Run in a child interpreter with an output directory and "block" or "allow":
+# simulate, then (blocked) fit, report and compare, or (allowed) forecast, on
+# the cohort it wrote, with short chains; prints the exit codes as JSON.
+_COMMANDS_CHILD = """
+import json, sys
+from pathlib import Path
+from dynpois.cli import run_command
+
+out, block = Path(sys.argv[1]), sys.argv[2] == "block"
+if block:
+    sys.modules["scipy"] = None  # any scipy import now raises ImportError
+chain = {"iterations": 300, "burn_in": 100, "thinning": 1, "proposal_scale": 1.0}
+(out / "sim.json").write_text(json.dumps({"simulate": {"T": 30, "gamma": 0.6, "beta": [0.4], "n_covariates": 1},
+                                          "prior": {"a0": 80.0, "b0": 2.0}}))
+(out / "fit.json").write_text(json.dumps({"prior": {"a0": 80.0, "b0": 2.0}, "mcmc": chain,
+                                          "compare": {"models": ["DM1", "DM2", "BPM"]},
+                                          "forecast": {"start_origin": 28, "end_origin": 30, "mcmc": chain}}))
+(out / "dm5.json").write_text(json.dumps({"prior": {"a0": 80.0, "b0": 2.0},
+                                          "mcmc": {**chain, "iterations": 40, "burn_in": 20}}))
+data = ["--data", str(out / "sim" / "cohort.csv")]
+commands = {
+    "simulate": ["simulate", "--config", str(out / "sim.json"), "--model", "DM2", "--out", str(out / "sim")],
+    "fit DM2": ["fit", "--config", str(out / "fit.json"), "--model", "DM2", *data],
+    "fit DM5": ["fit", "--config", str(out / "dm5.json"), "--model", "DM5", *data],
+    "report": ["report", "--config", str(out / "fit.json"), "--model", "DM2", *data],
+    "compare": ["compare", "--config", str(out / "fit.json"), *data],
+}
+if not block:
+    commands = {"simulate": commands["simulate"],
+                "forecast": ["forecast", "--config", str(out / "fit.json"), "--model", "DM2", *data]}
+codes = {}
+for i, (name, argv) in enumerate(commands.items()):
+    if name != "simulate":
+        argv = [*argv, "--out", str(out / f"run{i}")]
+    codes[name] = run_command([*argv, "--seed", "4"])[0]
+print(json.dumps(codes))
+"""
+
+
+def _dynpois_child(*args) -> subprocess.CompletedProcess:
     src = str(Path(dynpois.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    code = "import sys, dynpois.cli; sys.exit('scipy.optimize' in sys.modules)"
-    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True, timeout=600)
+
+
+def test_only_the_forecast_needs_scipy(tmp_path):
+    loaded = "import sys, dynpois.cli; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+    proc = _dynpois_child("-c", loaded)
+    assert proc.returncode == 0 and proc.stdout.strip() == "[]", proc.stderr
+    for mode, names in (("block", ["simulate", "fit DM2", "fit DM5", "report", "compare"]),
+                        ("allow", ["simulate", "forecast"])):
+        (tmp_path / mode).mkdir()
+        proc = _dynpois_child("-c", _COMMANDS_CHILD, str(tmp_path / mode), mode)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout.splitlines()[-1]) == dict.fromkeys(names, 0), proc.stdout
 
 
 def _simulate_cohort_csv(tmp_path, seed=5, T=40):

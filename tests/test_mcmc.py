@@ -7,11 +7,10 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.special import betaln, expit
 
 from dynpois import mcmc
 from dynpois.filtering import FILTER_BLOCK, filter_core, filter_draws, gamma_grid_posterior
-from dynpois.kernels import DomainError, GammaParams, RngStream
+from dynpois.kernels import DomainError, GammaParams, RngStream, betaln, expit
 from dynpois.mcmc import (
     FitError,
     MhConfig,
