@@ -4,12 +4,12 @@ accuracy metrics, and sampling-based model-comparison scores."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .filtering import filter_draws
-from .kernels import DomainError, RngStream, logsumexp
+from .kernels import DomainError, RngStream, lgamma, logsumexp
 from .mcmc import (
     FitError,
     MhConfig,
@@ -28,16 +28,20 @@ from .model import (
 
 @dataclass(frozen=True)
 class ForecastDistribution:
-    """Equal-weight mixture of per-draw one-step predictive distributions.
+    """Weighted mixture of per-draw one-step predictive distributions.
 
     ``components`` holds one row per draw: an (S, 2) array of negative
-    binomial ``(r, p)`` pairs, or an (S,) array of Poisson rates. The CDF and
-    the quantile import ``scipy.special`` when first called, so that only a
-    forecast loads scipy.
+    binomial ``(r, p)`` pairs, or an (S,) array of Poisson rates. ``weights``
+    holds one nonnegative weight per row, with at least one positive; they
+    are stored divided by their maximum, so equal weights become ones and
+    give the equal-weight mixture bit for bit. Omitted weights are equal. The
+    CDF and the quantile import ``scipy.special`` when first called, so that
+    only a forecast loads scipy.
     """
 
     origin: int
     components: np.ndarray = field(compare=False)
+    weights: np.ndarray | None = field(default=None, compare=False)
     point_forecast: float = field(init=False)
     interval: tuple = field(init=False)
 
@@ -53,11 +57,25 @@ class ForecastDistribution:
             ok = 0.0 < r.min() and r.max() < np.inf and 0.0 < p.min() and p.max() < 1.0
         if not ok:
             raise DomainError("forecast mixture component outside its parameter domain")
+        if self.weights is None:
+            weights = np.ones(len(comps))
+        else:
+            weights = np.asarray(self.weights, dtype=float)
+            if weights.shape != (len(comps),):
+                raise DomainError("forecast mixture needs one weight per component")
+            if not (0.0 <= weights.min() and 0.0 < weights.max() < np.inf):
+                raise DomainError("mixture weights must be finite and nonnegative, with one positive")
+            weights = weights / weights.max()
         object.__setattr__(self, "components", comps)
+        object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "point_forecast", self.mean())
         object.__setattr__(
             self, "interval", (float(self.quantile(0.025)), float(self.quantile(0.975)))
         )
+
+    def _average(self, values: np.ndarray) -> float:
+        """The weighted mean of one value per component."""
+        return float(np.sum(self.weights * values)) / float(np.sum(self.weights))
 
     def _component_moments(self) -> tuple:
         """The mean and the variance of each component, as two (S,) arrays."""
@@ -69,7 +87,7 @@ class ForecastDistribution:
         return means, means / p
 
     def mean(self) -> float:
-        return float(np.mean(self._component_moments()[0]))
+        return self._average(self._component_moments()[0])
 
     def cdf(self, n) -> float:
         from scipy import special
@@ -82,7 +100,17 @@ class ForecastDistribution:
             probs = special.pdtr(k, c)
         else:
             probs = special.betainc(c[:, 0], k + 1.0, c[:, 1])
-        return float(np.sum(probs)) / len(c)
+        return self._average(probs)
+
+    def log_pmf(self, n: int) -> np.ndarray:
+        """Each component's log pmf at the count ``n``, as an (S,) array."""
+        c = self.components
+        if c.ndim == 1:
+            with np.errstate(divide="ignore"):
+                return (n * np.log(c) if n else 0.0) - c - lgamma(n + 1.0)
+        r, p = c[:, 0], c[:, 1]
+        lg_rn, lg_r = lgamma(np.stack([r + n, r]))
+        return lg_rn - lgamma(n + 1.0) - lg_r + r * np.log(p) + n * np.log1p(-p)
 
     def quantile(self, q: float) -> int:
         """Smallest integer n with mixture CDF(n) >= q.
@@ -98,8 +126,8 @@ class ForecastDistribution:
         if not (0.0 < q < 1.0):
             raise DomainError(f"quantile level must lie in (0, 1), got {q}")
         means, variances = self._component_moments()
-        mean = np.mean(means)
-        guess = mean + ndtri(q) * math.sqrt(max(np.mean(variances + means**2) - mean**2, 0.0))
+        mean = self._average(means)
+        guess = mean + ndtri(q) * math.sqrt(max(self._average(variances + means**2) - mean**2, 0.0))
         # a NaN or overflowing guess starts at the guard
         start = math.floor(max(guess, 0.0)) if guess < 2**60 else 2**60
         # invariant once bracketed: cdf(lo) < q <= cdf(hi), with cdf(-1) = 0
@@ -141,6 +169,10 @@ class ForecastReport:
     mwid: float | None
     skipped_zero_months: tuple = ()
     flags: tuple = ()
+    # per origin, the Kish efficiency of the forecast's draw weights, and the
+    # origins that refit; None where every origin refits (DM5) or none fits (EWMA)
+    weight_efficiency: tuple | None = None
+    refit_origins: tuple | None = None
 
 
 @dataclass(frozen=True)
@@ -158,13 +190,14 @@ def forecast_one_step(
     z_next: np.ndarray,
     origin: int,
     beta_next: np.ndarray | None = None,
+    weights: np.ndarray | None = None,
 ) -> ForecastDistribution:
     """Mix the per-draw negative binomial one-step predictives at one origin.
 
     ``a`` and ``b`` hold each retained draw's filtered gamma state (shape,
     rate) at origin-1, shape (S,); ``beta_next`` overrides the (S, p)
     coefficients used for month ``origin`` (needed when coefficients follow a
-    random walk).
+    random walk); ``weights`` holds the draws' mixture weights, equal if omitted.
     """
     if draws.S == 0 or len(a) != draws.S or len(b) != draws.S:
         raise DomainError("need one filtered state per retained draw")
@@ -175,7 +208,9 @@ def forecast_one_step(
     m = np.exp((betas[:, None, :] @ z_next)[:, 0])
     g = draws.gamma
     gb = g * b
-    return ForecastDistribution(origin=origin, components=np.column_stack([g * a, gb / (gb + m)]))
+    return ForecastDistribution(
+        origin=origin, components=np.column_stack([g * a, gb / (gb + m)]), weights=weights
+    )
 
 
 def forecast_metrics(
@@ -224,23 +259,50 @@ def _check_window(window, T: int):
 def _forecast_distribution_at(
     spec: ModelSpec,
     draws: PosteriorDraws,
+    state: np.ndarray,
+    weights: np.ndarray,
     design: DesignMatrix,
     origin: int,
     rng: RngStream,
 ) -> ForecastDistribution:
-    """The one-step mixture at ``origin`` from draws fitted on months 1..origin-1,
-    each starting from the filtered end state its fit recorded."""
+    """The one-step mixture at ``origin`` from weighted draws of the posterior
+    on months 1..origin-1, each starting from its filtered state at origin-1."""
     z_next = design.rows[origin - 1]
     if spec.variant == "BPM":
-        return ForecastDistribution(origin=origin, components=np.exp(draws.beta @ z_next))
+        return ForecastDistribution(origin=origin, components=np.exp(draws.beta @ z_next), weights=weights)
 
-    a, b = draws.filter_state.T
+    a, b = state.T
     beta_next = None
     if spec.variant == "DM5":
         # coefficients follow a random walk: propagate one step past the train window
         steps = rng.generator.standard_normal((draws.S, design.p)) / np.sqrt(draws.tau)
         beta_next = draws.beta[:, -1, :] + steps
-    return forecast_one_step(draws, a, b, z_next, origin, beta_next=beta_next)
+    return forecast_one_step(draws, a, b, z_next, origin, beta_next=beta_next, weights=weights)
+
+
+# Kish efficiency (sum w)^2 / (S sum w^2) of the reweighted draws below which
+# an origin refits instead
+REFIT_EFFICIENCY = 0.5
+
+
+def _advance_state(draws: PosteriorDraws, state: np.ndarray, n: int, z: np.ndarray) -> np.ndarray:
+    """Each draw's filter state (a, b) updated by one month with count ``n`` and
+    covariate row ``z``, in the filter's operation order; BPM's (S, 0) states
+    pass through."""
+    if not state.size:
+        return state
+    g = draws.gamma
+    return np.column_stack([g * state[:, 0] + n, g * state[:, 1] + np.exp(draws.beta @ z)])
+
+
+def _kish_efficiency(log_w: np.ndarray) -> float:
+    """(sum w)^2 / (S sum w^2) for w = exp(log_w); 0 when no weight is positive
+    or one is NaN."""
+    top = np.max(log_w)
+    if not np.isfinite(top):
+        return 0.0
+    w = np.exp(log_w - top)
+    return float(np.sum(w) ** 2 / (len(w) * np.sum(w * w)))
 
 
 def sequential_harness(
@@ -252,10 +314,20 @@ def sequential_harness(
     window,
     rng: RngStream,
 ) -> ForecastReport:
-    """Expanding-window one-step forecasting: refit on months 1..o-1, predict month o.
+    """Expanding-window one-step forecasting: predict month o from months 1..o-1.
 
-    Each origin is scored after the fact against the realized count; origins
-    use independent substreams so they could run concurrently.
+    The first origin fits months 1..o-1 on ``rng.substream(o)``. Each later
+    origin reweights those draws by the one-step predictive of the month just
+    seen, and advances each draw's filter state (a, b) by that month's
+    conjugate update (a <- gamma*a + N, b <- gamma*b + m), which turns the
+    posterior on months 1..o-2 into the one on months 1..o-1 (Chopin 2002,
+    Biometrika 89:539-551). When the weights' Kish efficiency falls below
+    REFIT_EFFICIENCY, that origin refits from scratch on ``rng.substream(o)``
+    instead, as the first origin did, so its forecast is the one a refit at
+    every origin gives. DM5's coefficient path grows by a month at each
+    origin, so DM5 refits at every origin. The origins run in order, each
+    from the one before; each is scored after the fact against the realized
+    count.
     """
     start, end = _check_window(window, series.T)
     if spec.variant == "EWMA":
@@ -263,23 +335,35 @@ def sequential_harness(
     if design.T != series.T:
         raise DomainError("design must cover every month of the series")
 
-    origins, actuals, points, intervals = [], [], [], []
+    origins, actuals, points, intervals, efficiency, refits = [], [], [], [], [], []
     for o in range(start, end + 1):
-        sub = rng.substream(o)
-        train_series = series.head(o - 1)
-        train_design = design.head(o - 1)
         try:
-            draws = fit_variant(
-                spec, train_series, train_design, priors, config, sub, smooth=False
+            reweighted = o > start and spec.variant != "DM5"
+            if reweighted:
+                n = series.counts[o - 2]
+                log_w = log_w + dist.log_pmf(n)
+                state = _advance_state(draws, state, n, design.rows[o - 2])
+            if not reweighted or _kish_efficiency(log_w) < REFIT_EFFICIENCY:
+                draws = fit_variant(
+                    spec, series.head(o - 1), design.head(o - 1), priors, config, rng.substream(o), smooth=False
+                )
+                state, log_w = draws.filter_state, np.zeros(draws.S)
+                refits.append(o)
+            weights = np.exp(log_w - np.max(log_w))
+            dist = _forecast_distribution_at(
+                spec, draws, state, weights, design, o, rng.substream(o).substream(1)
             )
-            dist = _forecast_distribution_at(spec, draws, design, o, sub.substream(1))
         except (FitError, DomainError) as exc:
             raise FitError(f"forecast fit failed at origin {o}: {exc}") from exc
         origins.append(o)
         actuals.append(int(series.counts[o - 1]))
         points.append(dist.point_forecast)
         intervals.append(dist.interval)
-    return _forecast_report(spec.variant, origins, actuals, points, intervals)
+        efficiency.append(_kish_efficiency(log_w))
+    report = _forecast_report(spec.variant, origins, actuals, points, intervals)
+    if spec.variant == "DM5":
+        return report
+    return replace(report, weight_efficiency=tuple(efficiency), refit_origins=tuple(refits))
 
 
 def _forecast_report(model, origins, actuals, points, intervals=None, flags=()) -> ForecastReport:

@@ -10,12 +10,20 @@ from __future__ import annotations
 import csv
 import json
 import math
+import re
 from io import StringIO
 from pathlib import Path
 
 import numpy as np
 
 from .model import CountSeries
+
+
+# Number text as CSV writers produce it: ASCII digits, an optional sign,
+# fraction and exponent, and blanks around it. int() and float() also take
+# digit separators ("1_000"), the digits of other scripts and "nan"/"inf".
+_INTEGER_TEXT = re.compile(r"[ \t]*[+-]?[0-9]+[ \t]*")
+_DECIMAL_TEXT = re.compile(r"[ \t]*[+-]?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][+-]?[0-9]+)?[ \t]*")
 
 
 class ValidationError(ValueError):
@@ -44,7 +52,8 @@ def ingest_csv(path) -> tuple:
     Requires a UTF-8 file with a header with ``month_index`` (consecutive
     1-based integers) and ``count`` (nonnegative integers below 2**63, see
     ``_parse_count``); every remaining column is a covariate and must be
-    finite numeric. Row numbers in errors count data rows from 1.
+    finite numeric. Numbers are ASCII decimal or float notation. Row numbers
+    in errors count data rows from 1.
     """
     with StringIO(read_text(path, "data file"), newline="") as fh:
         reader = csv.reader(fh)
@@ -82,10 +91,9 @@ def ingest_csv(path) -> tuple:
 
 
 def _parse_month(cell: str, row_no: int, expected: int) -> int:
-    try:
-        value = int(cell)
-    except ValueError:
-        raise ValidationError(f"month_index {cell!r} is not an integer", row=row_no) from None
+    if not _INTEGER_TEXT.fullmatch(cell):
+        raise ValidationError(f"month_index {cell!r} is not an integer", row=row_no)
+    value = int(cell)
     if value != expected:
         raise ValidationError(
             f"month_index {value} breaks the consecutive sequence (expected {expected})",
@@ -97,13 +105,12 @@ def _parse_month(cell: str, row_no: int, expected: int) -> int:
 def _parse_count(cell: str, row_no: int) -> int:
     """An integer count read exactly: integer text by ``int``, float notation
     (``5.0``, ``1e3``) only below 2**53, where reading it as a float is exact."""
-    try:
+    if not _DECIMAL_TEXT.fullmatch(cell):
+        raise ValidationError(f"count {cell!r} is not an ASCII decimal number", row=row_no)
+    if _INTEGER_TEXT.fullmatch(cell):
         value = int(cell)
-    except ValueError:
-        try:
-            number = float(cell)
-        except ValueError:
-            raise ValidationError(f"count {cell!r} is not numeric", row=row_no) from None
+    else:
+        number = float(cell)
         if not number.is_integer():
             raise ValidationError(f"count {cell!r} is not an integer", row=row_no)
         if abs(number) >= 2**53:
@@ -118,10 +125,9 @@ def _parse_count(cell: str, row_no: int) -> int:
 
 
 def _parse_covariate(cell: str, name: str, row_no: int) -> float:
-    try:
-        value = float(cell)
-    except ValueError:
-        raise ValidationError(f"covariate {name!r} value {cell!r} is not numeric", row=row_no) from None
+    if not _DECIMAL_TEXT.fullmatch(cell):
+        raise ValidationError(f"covariate {name!r} value {cell!r} is not an ASCII decimal number", row=row_no)
+    value = float(cell)
     if not math.isfinite(value):
         raise ValidationError(f"covariate {name!r} is not finite", row=row_no)
     return value
@@ -190,7 +196,9 @@ def diagnostics_csv_rows(diag) -> tuple:
 
 
 def forecast_report_payload(report) -> dict:
-    return {
+    """The metrics of a forecast report, plus its per-origin weight
+    efficiencies and refit origins when its origins reweight draws."""
+    payload = {
         "model": report.model,
         "mape": report.mape,
         "rmse": report.rmse,
@@ -200,6 +208,10 @@ def forecast_report_payload(report) -> dict:
         "skipped_zero_months": list(report.skipped_zero_months),
         "flags": list(report.flags),
     }
+    if report.refit_origins is not None:
+        payload["weight_efficiency"] = list(report.weight_efficiency)
+        payload["refit_origins"] = list(report.refit_origins)
+    return payload
 
 
 def comparison_payload(report) -> dict:

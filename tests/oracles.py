@@ -15,6 +15,8 @@ beta weight, which stays accurate even for singular shape parameters.
 The closed-form references at the end (one filter step at a time, and the
 negative binomial, Poisson and gamma log densities) restate the conjugate
 algebra term by term, so tests can check the package's array code against it.
+``refit_every_origin`` is the sequential forecast that fits every origin from
+scratch, against which the harness's reweighted origins are checked.
 """
 
 from __future__ import annotations
@@ -25,7 +27,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
+from dynpois.evaluation import ForecastDistribution, forecast_one_step
 from dynpois.kernels import DomainError, GammaParams
+from dynpois.mcmc import fit_variant
 
 
 def shape_sequence(counts, gamma, a0):
@@ -296,3 +300,19 @@ def quantile_by_doubling(dist, q: float) -> int:
         else:
             lo = mid
     return hi
+
+
+def refit_every_origin(series, design, spec, priors, config, window, rng) -> list:
+    """The one-step forecast mixture of each origin o in ``window`` from a fresh
+    fit on months 1..o-1 on ``rng.substream(o)``, for the static DMs and BPM."""
+    dists = []
+    for o in range(window[0], window[1] + 1):
+        draws = fit_variant(spec, series.head(o - 1), design.head(o - 1), priors, config,
+                            rng.substream(o), smooth=False)
+        z_next = design.rows[o - 1]
+        if spec.variant == "BPM":
+            dists.append(ForecastDistribution(origin=o, components=np.exp(draws.beta @ z_next)))
+        else:
+            a, b = draws.filter_state.T
+            dists.append(forecast_one_step(draws, a, b, z_next, o))
+    return dists

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from dynpois import filtering, mcmc
 from dynpois.evaluation import (
+    REFIT_EFFICIENCY,
     ForecastDistribution,
     compare_models,
     cpo_log_sum,
@@ -23,7 +24,7 @@ from dynpois.evaluation import (
 )
 from dynpois.filtering import filter_core
 from dynpois.kernels import DomainError, GammaParams, RngStream
-from dynpois.mcmc import MhConfig, PosteriorDraws, fit_bpm
+from dynpois.mcmc import MhConfig, PosteriorDraws, fit_bpm, fit_variant
 from dynpois.model import (
     CountSeries,
     DesignMatrix,
@@ -39,6 +40,7 @@ from oracles import (
     one_step_predictive,
     predict_step,
     quantile_by_doubling,
+    refit_every_origin,
 )
 
 
@@ -134,6 +136,67 @@ class TestForecastDistribution:
             comps = np.array([[r, r / (r + mean)] for mean, r in rows])
         dist = ForecastDistribution(origin=1, components=comps)
         assert dist.quantile(q) == quantile_by_doubling(dist, q)
+
+    @pytest.mark.parametrize("weight", [1.0, 0.3, 7e-200])
+    def test_equal_weights_reproduce_the_unweighted_mixture(self, weight):
+        gen = np.random.default_rng(3)
+        negbin = np.column_stack([gen.uniform(1.0, 50.0, 200), gen.uniform(0.05, 0.95, 200)])
+        poisson = gen.uniform(0.1, 40.0, 200)
+        for comps in (negbin, poisson):
+            plain = ForecastDistribution(origin=1, components=comps)
+            weighted = ForecastDistribution(origin=1, components=comps, weights=np.full(len(comps), weight))
+            assert weighted.point_forecast == plain.point_forecast
+            assert weighted.interval == plain.interval
+            assert [weighted.cdf(n) for n in range(80)] == [plain.cdf(n) for n in range(80)]
+
+    @given(
+        poisson=st.booleans(),
+        # (component mean, negbin shape r, integer weight)
+        rows=st.lists(
+            st.tuples(
+                st.floats(-2.0, 5.0).map(lambda e: 10.0**e),
+                st.floats(-1.0, 3.0).map(lambda e: 10.0**e),
+                st.integers(0, 4),
+            ),
+            min_size=1,
+            max_size=30,
+        ).filter(lambda rows: any(k for _, _, k in rows)),
+        q=st.sampled_from([1e-12, 0.025, 0.5, 0.975, 1.0 - 1e-12]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_integer_weights_equal_repeated_rows(self, poisson, rows, q):
+        if poisson:
+            comps = np.array([mean for mean, _, _ in rows])
+        else:
+            comps = np.array([[r, r / (r + mean)] for mean, r, _ in rows])
+        counts = np.array([k for _, _, k in rows])
+        weighted = ForecastDistribution(origin=1, components=comps, weights=counts)
+        repeated = ForecastDistribution(origin=1, components=np.repeat(comps, counts, axis=0))
+        # both means and cdfs are ratios of sums of at most 120 rounded terms
+        assert weighted.mean() == pytest.approx(repeated.mean(), rel=1e-12)
+        n, k = repeated.quantile(q), weighted.quantile(q)
+        for m in (n - 1, n, k - 1, k):
+            assert weighted.cdf(m) == pytest.approx(repeated.cdf(m), rel=1e-12, abs=1e-300)
+        # the same quantile, unless every cdf step between the two lies within
+        # the rounding of q: far in a tail a step can be below 1e-16
+        low, high = min(n, k), max(n, k)
+        assert n == k or (repeated.cdf(low) >= q - PMF_ABS and repeated.cdf(high - 1) <= q + PMF_ABS)
+
+    @pytest.mark.parametrize("weights", [[1.0], [1.0, -0.5, 1.0], [0.0, 0.0, 0.0], [1.0, np.nan, 1.0],
+                                         [1.0, np.inf, 1.0]])
+    def test_invalid_weights_rejected(self, weights):
+        with pytest.raises(DomainError):
+            ForecastDistribution(origin=1, components=np.array([1.0, 2.0, 3.0]), weights=np.array(weights))
+
+    def test_log_pmf_of_each_component(self):
+        nbs = [NegBinParams(2.5, 0.4), NegBinParams(80.0, 0.97), NegBinParams(0.3, 0.01)]
+        rates = np.array([0.0, 0.5, 120.0])
+        negbin = _mixture(*nbs)
+        poisson = ForecastDistribution(origin=1, components=rates)
+        for n in (0, 1, 7, 130):
+            assert negbin.log_pmf(n) == pytest.approx([log_pmf_negbin(n, nb) for nb in nbs], rel=1e-12)
+            expected = [0.0 if n == 0 else -np.inf] + [log_pmf_poisson(n, r) for r in rates[1:]]
+            assert poisson.log_pmf(n) == pytest.approx(expected, rel=1e-12)
 
     def test_quantile_beyond_the_integer_guard_raises(self):
         # a Poisson rate of 1e19 leaves the cdf near 0 at 2**60 (about 1.15e18)
@@ -389,7 +452,8 @@ class TestSequentialHarness:
 
     def test_static_forecast_filters_only_the_chain_rows(self, monkeypatch):
         # every filter row is a proposal, a stencil point or a mode that a
-        # chain's log target scored: the forecast refilters no draw
+        # chain's log target scored: the forecast refilters no draw, and the
+        # reweighted origins run no chain
         rng = RngStream(53)
         T = 30
         cov = {"z": rng.substream(1).generator.normal(size=T)}
@@ -423,8 +487,86 @@ class TestSequentialHarness:
         monkeypatch.setattr(mcmc, "_independence_chain", recorded_chain)
         report = sequential_harness(truth.counts, design, spec, priors, cfg, (28, 30), rng=rng.substream(3))
         assert report.origins == (28, 29, 30)
-        assert samplers == ["independence"] * 3
-        assert sum(filter_rows) == 3 * (cfg.iterations + 1) + sum(stencil_rows)
+        fits = len(report.refit_origins)
+        assert report.refit_origins[0] == 28
+        assert samplers == ["independence"] * fits
+        assert sum(filter_rows) == fits * (cfg.iterations + 1) + sum(stencil_rows)
+
+    @staticmethod
+    def _cohort(variant, seed, T, shift_from=None):
+        """A simulated cohort at a level of about 100 defaults a month, with the
+        counts from month ``shift_from`` on tripled, and the design of
+        ``variant`` on its covariate, which has no effect for DM1."""
+        rng = RngStream(seed)
+        cov = {"z": rng.substream(1).generator.normal(size=T)}
+        priors = PriorConfig(a0=200.0, b0=2.0)
+        beta = np.array([0.0 if variant == "DM1" else 0.5])
+        truth = simulate_cohort(priors, 0.7, beta, build_design(cov, ModelSpec("DM2", ("z",)), T),
+                                T, rng.substream(2))
+        counts = truth.counts.counts.copy()
+        if shift_from is not None:
+            counts[shift_from - 1:] *= 3
+        spec = ModelSpec(variant) if variant == "DM1" else ModelSpec(variant, ("z",))
+        return CountSeries(np.arange(1, T + 1), counts), build_design(cov, spec, T), spec, priors
+
+    @pytest.mark.parametrize("variant, gamma_prior",
+                             [("DM2", "uniform"), ("DM2", "fixed"), ("DM1", "grid"), ("BPM", "uniform")])
+    def test_weights_are_the_draws_predictives_since_the_fit(self, variant, gamma_prior):
+        # until the next refit, a draw's weight at origin o is the product of its
+        # one-step predictives of months start..o-1, which the filter over the
+        # whole series gives: the efficiencies follow from them
+        series, design, spec, priors = self._cohort(variant, 81, 60)
+        priors = PriorConfig(a0=priors.a0, b0=priors.b0, gamma_prior=gamma_prior, gamma_grid_step=0.02,
+                             gamma_fixed_value=0.7)
+        cfg = MhConfig(iterations=600, burn_in=100)
+        report = sequential_harness(series, design, spec, priors, cfg, (51, 60), rng=RngStream(7))
+        draws = fit_variant(spec, series.head(50), design.head(50), priors, cfg, RngStream(7).substream(51),
+                            smooth=False)
+        L = per_draw_log_predictives(series, design, draws, priors)
+        next_refit = (report.refit_origins[1:] or (61,))[0]
+        assert next_refit >= 57
+        for i, o in enumerate(range(51, next_refit)):
+            log_w = L[:, 50 : o - 1].sum(axis=1)
+            w = np.exp(log_w - log_w.max())
+            assert report.weight_efficiency[i] == pytest.approx(w.sum() ** 2 / (len(w) * (w * w).sum()), rel=1e-9)
+
+    def test_reweighted_origins_agree_with_refits(self):
+        # Monte Carlo tolerance, fixed before the run: with s the posterior sd of
+        # a month's expected count (the sd of the refit's component means) and
+        # each estimate worth at least S/10 independent draws (chain
+        # autocorrelation, and a weight efficiency of at least 0.5), two point
+        # forecasts differ by a normal error of sd at most s*sqrt(20/S). Allow
+        # 4 such sd, and 1 more for an interval endpoint, an integer quantile.
+        cfg = MhConfig(iterations=2000, burn_in=500)
+        S = cfg.n_retained
+        reweighted = 0
+        for seed in (91, 92, 93, 94):
+            series, design, spec, priors = self._cohort("DM2", seed, 80)
+            report = sequential_harness(series, design, spec, priors, cfg, (71, 80), rng=RngStream(seed))
+            oracle = refit_every_origin(series, design, spec, priors, cfg, (71, 80), RngStream(seed))
+            for o, point, lo, hi, dist in zip(report.origins, report.points, report.lower, report.upper, oracle):
+                s = float(np.std(dist._component_moments()[0]))
+                tol = 4.0 * s * math.sqrt(20.0 / S)
+                assert abs(point - dist.point_forecast) <= tol, (seed, o)
+                assert abs(lo - dist.interval[0]) <= 1.0 + tol, (seed, o)
+                assert abs(hi - dist.interval[1]) <= 1.0 + tol, (seed, o)
+                reweighted += o not in report.refit_origins
+        assert reweighted >= 30
+
+    def test_level_shift_forces_a_refit_equal_to_the_oracle(self):
+        series, design, spec, priors = self._cohort("DM2", 95, 70, shift_from=66)
+        cfg = MhConfig(iterations=600, burn_in=100)
+        report = sequential_harness(series, design, spec, priors, cfg, (61, 70), rng=RngStream(3))
+        oracle = refit_every_origin(series, design, spec, priors, cfg, (61, 70), RngStream(3))
+        assert report.refit_origins[0] == 61 and len(report.refit_origins) >= 2
+        assert 66 < report.refit_origins[1] <= 68
+        for i, o in enumerate(report.origins):
+            if o in report.refit_origins:
+                assert report.weight_efficiency[i] == 1.0
+                dist = oracle[i]
+                assert (report.points[i], report.lower[i], report.upper[i]) == (dist.point_forecast, *dist.interval)
+            else:
+                assert REFIT_EFFICIENCY <= report.weight_efficiency[i] < 1.0
 
     def test_ewma_variant_delegates(self):
         series = _series([5, 9, 12, 10, 8])

@@ -111,6 +111,31 @@ class TestIngestCsv:
         assert err["type"] == "ValidationError"
         assert err["message"].startswith(f"row 2: count {cell!r}")
 
+    @pytest.mark.parametrize("column, cell", [
+        ("count", "1_000"), ("z", "1_0.5"), ("count", "\u0663"), ("z", "\uff11"),
+        ("month_index", "\u0662"), ("month_index", "0_2"), ("z", "nan"), ("count", "inf"),
+    ])
+    def test_number_text_beyond_ascii_notation_exits_2_naming_row_and_column(self, tmp_path, capsys,
+                                                                             column, cell):
+        # digit separators, other scripts' digits and nan/inf, which int() and
+        # float() accept but no CSV writer produces for a valid cell
+        row = {"month_index": "2", "count": "5", "z": "0.5"} | {column: cell}
+        path = _write(tmp_path, "c.csv", f"month_index,count,z\n1,5,0.1\n{row['month_index']},{row['count']},{row['z']}\n")
+        capsys.readouterr()
+        code, _ = run_command(["fit", "--model", "DM1", "--seed", "1", "--data", str(path),
+                               "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = json.loads(capsys.readouterr().out)["error"]
+        assert err["type"] == "ValidationError"
+        assert err["message"].startswith("row 2: ") and repr(cell) in err["message"]
+        assert (f"{column!r}" if column == "z" else column) in err["message"]
+
+    def test_ascii_number_notations_accepted(self, tmp_path):
+        path = _write(tmp_path, "c.csv", "month_index,count,z\n1,+4,.5\n2, 5 ,-1.5E+2\n+3,6.,7\n")
+        series, covs = ingest_csv(path)
+        assert series.counts.tolist() == [4, 5, 6]
+        assert covs["z"].tolist() == [0.5, -150.0, 7.0]
+
     @pytest.mark.parametrize("which", ["config", "data"])
     def test_file_that_is_not_utf8_exits_2_naming_it(self, tmp_path, capsys, which):
         files = {"config": tmp_path / "c.json", "data": tmp_path / "d.csv"}
@@ -497,7 +522,11 @@ class TestRunCommandForecastAndCompare:
         assert lines[0] == "origin,actual,point,lo95,hi95"
         assert len(lines) == 4
         summary = json.loads((out / "summary.json").read_text())
-        assert "forecast_metrics" in summary
+        metrics = summary["forecast_metrics"]
+        # one entry per origin; the first origin fits, at full efficiency
+        assert metrics["refit_origins"][0] == 28
+        assert len(metrics["weight_efficiency"]) == 3 and metrics["weight_efficiency"][0] == 1.0
+        assert all(0.5 <= e <= 1.0 for e in metrics["weight_efficiency"])
 
     def test_ewma_forecast(self, tmp_path):
         data = _simulate_cohort_csv(tmp_path, T=30)
@@ -510,6 +539,9 @@ class TestRunCommandForecastAndCompare:
         assert code == 0
         lines = (out / "forecast.csv").read_text().splitlines()
         assert lines[1].endswith("NA,NA")
+        # EWMA fits no draws to weight
+        metrics = json.loads((out / "summary.json").read_text())["forecast_metrics"]
+        assert "weight_efficiency" not in metrics and "refit_origins" not in metrics
 
     def test_compare_schema_and_keys(self, tmp_path):
         data = _simulate_cohort_csv(tmp_path, T=35)
