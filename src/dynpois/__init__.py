@@ -29,7 +29,6 @@ from .kernels import (
     BetaParams,
     DomainError,
     GammaParams,
-    NotPositiveDefiniteError,
     NumericDegeneracyError,
     RngStream,
     sample_beta,

@@ -36,14 +36,6 @@ class NumericDegeneracyError(ArithmeticError):
         self.context = context or {}
 
 
-class NotPositiveDefiniteError(np.linalg.LinAlgError):
-    """Cholesky factorization failed; carries the offending matrix."""
-
-    def __init__(self, message: str, matrix: np.ndarray):
-        super().__init__(message)
-        self.matrix = matrix
-
-
 # Lanczos (1964) approximation with g = 6.024680040776729583740234375 and 13
 # terms (Boost's lanczos13m53): Gamma(z) = e^g P(z) / Q(z) (z + g - 1/2)^(z - 1/2)
 # e^-(z + g - 1/2), with Q(z) = z (z+1) ... (z+11). P's coefficients run from
@@ -218,12 +210,3 @@ def sample_gamma(params: GammaParams, rng: RngStream, size=None):
 
 def sample_beta(params: BetaParams, rng: RngStream, size=None):
     return rng.generator.beta(params.alpha, params.beta, size=size)
-
-
-def cholesky_or_raise(matrix: np.ndarray) -> np.ndarray:
-    try:
-        return np.linalg.cholesky(matrix)
-    except np.linalg.LinAlgError:
-        raise NotPositiveDefiniteError(
-            "covariance matrix is not positive definite", matrix=np.array(matrix)
-        ) from None

@@ -1,7 +1,7 @@
 """Posterior samplers: independence Metropolis from the Laplace fit for the
-static models and the static Poisson-regression benchmark, with random-walk
-Metropolis as its fallback, and the Gibbs composition for time-varying
-coefficients.
+static models and the static Poisson-regression benchmark, with one
+random-walk Metropolis chain as its fallback, and the Gibbs composition for
+time-varying coefficients.
 
 The static fitters work on the count likelihood with the latent rates
 integrated out (the per-step negative binomial product from the filter), so a
@@ -23,7 +23,7 @@ the filter and the backward sampler one-row stacks.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,7 +38,6 @@ from .kernels import (
     BetaParams,
     DomainError,
     RngStream,
-    cholesky_or_raise,
     expit,
     lgamma,
     log_pdf_beta,
@@ -59,14 +58,15 @@ class MhConfig:
     proposal_scale: float = 1.0
 
     def __post_init__(self):
-        if self.iterations <= 0:
+        # each check is written so that NaN fails it
+        if not (self.iterations > 0):
             raise DomainError("iterations must be positive")
         if not (0 <= self.burn_in < self.iterations):
             raise DomainError("burn-in must be nonnegative and smaller than iterations")
-        if self.thinning < 1:
+        if not (self.thinning >= 1):
             raise DomainError("thinning must be at least 1")
-        if self.proposal_scale <= 0:
-            raise DomainError("proposal scale must be positive")
+        if not (0 < self.proposal_scale < math.inf):
+            raise DomainError("proposal scale must be positive and finite")
 
     @property
     def n_retained(self) -> int:
@@ -91,11 +91,11 @@ class PosteriorDraws:
     filter_state: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.gamma is not None:
-            if np.any(self.gamma <= 0) or np.any(self.gamma > 1):
-                raise DomainError("gamma draws must lie in (0, 1]")
-        if self.tau is not None and np.any(self.tau <= 0):
-            raise DomainError("tau draws must be positive")
+        # each check is written so that NaN fails it
+        if self.gamma is not None and not np.all((0 < self.gamma) & (self.gamma <= 1)):
+            raise DomainError("gamma draws must lie in (0, 1]")
+        if self.tau is not None and not np.all((0 < self.tau) & (self.tau < np.inf)):
+            raise DomainError("tau draws must be positive and finite")
         if not (0.0 <= self.acceptance_rate <= 1.0):
             raise DomainError("acceptance rate must lie in [0, 1]")
         if self.filter_state is not None and len(self.filter_state) != self.S:
@@ -131,7 +131,6 @@ class MhResult:
     draws: np.ndarray
     acceptance_rate: float
     filter_state: np.ndarray  # the state row the target returned with each retained draw
-    scale_used: float = 1.0  # the proposal's multiple of the Laplace covariance
     sampler: str = "random_walk"  # or "independence"
 
 
@@ -255,7 +254,7 @@ def find_mode_and_hessian(log_target, start: np.ndarray) -> ModeHessian:
     scale = float(np.mean(np.abs(np.diag(cov)))) or 1.0
     while True:
         try:
-            cholesky_or_raise(cov + jitter * np.eye(len(x)))
+            np.linalg.cholesky(cov + jitter * np.eye(len(x)))
             break
         except np.linalg.LinAlgError:
             jitter = 1e-8 * scale if jitter == 0.0 else 10.0 * jitter
@@ -312,7 +311,7 @@ def rw_metropolis(
     """
     init = np.atleast_1d(np.asarray(init, dtype=float))
     d = len(init)
-    root = cholesky_or_raise(np.atleast_2d(proposal_covariance))
+    root = np.linalg.cholesky(np.atleast_2d(proposal_covariance))
     values, rows = log_target(init[None])
     lp, row = values[0], rows[0]
     if not np.isfinite(lp):
@@ -374,7 +373,7 @@ def _independence_chain(log_target, mh: ModeHessian, config: MhConfig, rng: RngS
     """
     N, d = config.iterations, len(mh.mode)
     scale = _IMH_INFLATION * config.proposal_scale
-    root = cholesky_or_raise(mh.covariance * scale)
+    root = np.linalg.cholesky(mh.covariance * scale)
     gen = rng.generator
     z = gen.standard_normal((N, d))
     w = gen.chisquare(_IMH_DF, N)
@@ -400,56 +399,31 @@ def _independence_chain(log_target, mh: ModeHessian, config: MhConfig, rng: RngS
     kept = held[config.burn_in :: config.thinning] + 1
     draws = np.concatenate([mh.mode[None], points])[kept]
     states = np.concatenate([mode_state, *(rows for _, rows in scored)])[kept]
-    return MhResult(draws, accepted / N, states, scale_used=scale, sampler="independence")
+    return MhResult(draws, accepted / N, states, sampler="independence")
 
 
-# proposal-scale multipliers; rung k runs on substream k
-_RETRY_LADDER = (1.0, 0.5, 2.0)
-_ACCEPTANCE_BAND = (0.1, 0.6)
+# the acceptance below which the independence chain gives way to the random walk
+_ACCEPTANCE_FLOOR = 0.1
 
 
 def _mode_then_chain(log_target, start: np.ndarray, config: MhConfig, rng: RngStream) -> MhResult:
-    """Independence chain on the Laplace fit, with a random-walk fallback.
+    """Independence chain on the Laplace fit, with one random-walk fallback.
 
     ``log_target`` returns log densities and state rows, as the chains take
     it; the mode search sees the log densities alone. The independence chain
-    runs first, on substream 3, and is kept unless it died or accepted less
-    than the acceptance band's floor. Then the Hessian-calibrated random-walk
-    chain runs, with one retry on the proposal scale: a first chain outside
-    the acceptance band is rerun once, on the rung that moves acceptance
-    toward the band: half the scale when it accepted too little or died, twice
-    the scale when it accepted too much. Of two chains outside the band, the
-    one with acceptance nearer 0.3 is kept.
+    runs on substream 3 and is kept unless it died or accepted less than
+    ``_ACCEPTANCE_FLOOR``. Otherwise one random-walk chain runs on substream
+    0, with proposal_scale x the Laplace covariance as its proposal, and is
+    kept whatever its acceptance; if it dies too, its FitError propagates.
     """
     mh = find_mode_and_hessian(lambda x: log_target(x)[0], start)
     try:
         imh = _independence_chain(log_target, mh, config, rng.substream(3))
+        if imh.acceptance_rate >= _ACCEPTANCE_FLOOR:
+            return imh
     except FitError:
-        imh = None
-    if imh is not None and imh.acceptance_rate >= _ACCEPTANCE_BAND[0]:
-        return imh
-
-    def chain(k):
-        scale = config.proposal_scale * _RETRY_LADDER[k]
-        try:
-            res = rw_metropolis(log_target, mh.mode, mh.covariance * scale, config, rng.substream(k))
-        except FitError:
-            return None
-        return replace(res, scale_used=scale)
-
-    def in_band(res):
-        return res is not None and _ACCEPTANCE_BAND[0] <= res.acceptance_rate <= _ACCEPTANCE_BAND[1]
-
-    first = chain(0)
-    if in_band(first):
-        return first
-    second = chain(2 if first is not None and first.acceptance_rate > _ACCEPTANCE_BAND[1] else 1)
-    if in_band(second):
-        return second
-    attempts = [res for res in (first, second) if res is not None]
-    if not attempts:
-        raise FitError("no proposal scale on the retry ladder produced a live chain")
-    return min(attempts, key=lambda r: abs(r.acceptance_rate - 0.3))
+        pass
+    return rw_metropolis(log_target, mh.mode, mh.covariance * config.proposal_scale, config, rng.substream(0))
 
 
 def _smooth_paths(
@@ -512,8 +486,9 @@ def fit_dm_static(
     no Metropolis step. Otherwise a joint chain runs over (beta, logit gamma)
     with the logit Jacobian included (over beta alone under a fixed gamma):
     independence Metropolis from a t proposal on the Laplace fit at the mode,
-    or, if that chain accepts too little, random-walk Metropolis calibrated by
-    the inverse negative Hessian at the mode. Each draw's filtered end state
+    or, if that chain dies or accepts less than 0.1 of its proposals, one
+    random-walk Metropolis chain calibrated by the inverse negative Hessian at
+    the mode, which is kept unless it dies too. Each draw's filtered end state
     comes from the filter pass that scored it: the chain's, the grid's, or one
     one-row pass for a covariate-free fixed gamma. When ``smooth`` is set, one
     smoothing path per retained draw comes from batched backward sampling.

@@ -154,15 +154,16 @@ class PriorConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "gamma_beta_ab", tuple(float(v) for v in self.gamma_beta_ab))
+        # each check is written so that NaN and inf fail it
         for name in ("a0", "b0", "beta_sd", "tau_shape", "tau_rate", "gamma_grid_step"):
-            if not (getattr(self, name) > 0):
-                raise DomainError(f"{name} must be strictly positive")
+            if not (0 < getattr(self, name) < np.inf):
+                raise DomainError(f"{name} must be strictly positive and finite")
         if self.gamma_prior not in ("uniform", "beta", "grid", "fixed"):
             raise DomainError(f"unknown gamma prior {self.gamma_prior!r}")
         if len(self.gamma_beta_ab) != 2:
             raise DomainError(f"gamma_beta_ab must hold exactly two values, got {list(self.gamma_beta_ab)}")
-        if any(v <= 0 for v in self.gamma_beta_ab):
-            raise DomainError("beta-prior parameters for gamma must be positive")
+        if not all(0 < v < np.inf for v in self.gamma_beta_ab):
+            raise DomainError("beta-prior parameters for gamma must be positive and finite")
         n = round(1.0 / self.gamma_grid_step)
         if abs(n * self.gamma_grid_step - 1.0) > 1e-9:
             raise DomainError("gamma_grid_step must divide 1 evenly")

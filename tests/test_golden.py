@@ -7,7 +7,10 @@ Poisson mixture and the random-walk coefficient step that DM1 never reaches.
 The design columns of every variant are pinned too: the gate-11 fit for BPM,
 DM3 and DM4 and for DM2 on standardized covariates, a DM4 simulation that
 infers its covariate count from ``beta``, and a compare over DM1-DM4 and BPM.
-The gate-11 fit for DM5 pins the Gibbs sampler's draws and diagnostics.
+The gate-11 fit for DM5 pins the Gibbs sampler's draws and diagnostics. A DM4
+fit at proposal scale 0.16 pins the random-walk fallback: its independence
+chain accepts 0.044 of its proposals, below the floor, and the random-walk
+chain that replaces it accepts 0.518.
 
 The digests hold under one floating-point dispatch only, so the commands run
 under the pinned dispatch of ``conftest.py``, whose settings the file records
@@ -78,6 +81,9 @@ def golden_commands(tmp_path: Path) -> list:
     roster_cfg = _config_variant(tmp_path, compare, "compare_roster.json",
                                  compare={"models": ["DM1", "DM2", "DM3", "DM4", "BPM"]})
     commands.append(("compare_roster", _swap(compare, "--config", roster_cfg)))
+    fallback_cfg = _config_variant(tmp_path, fit, "fit_fallback.json", mcmc={
+        "iterations": 500, "burn_in": 100, "thinning": 1, "proposal_scale": 0.16})
+    commands.append(("fit_dm4_fallback", _swap(_swap(fit, "--model", "DM4"), "--config", fallback_cfg)))
     return commands
 
 

@@ -13,9 +13,7 @@ from dynpois.kernels import (
     BetaParams,
     DomainError,
     GammaParams,
-    NotPositiveDefiniteError,
     RngStream,
-    cholesky_or_raise,
     sample_beta,
     sample_gamma,
 )
@@ -152,14 +150,6 @@ class TestBetaSampler:
         draws = sample_beta(BetaParams(2.0, 5.0), rng, size=100_000)
         stat = stats.kstest(draws, lambda x: special.betainc(2.0, 5.0, x)).statistic
         assert stat < KS_CRITICAL_5PCT / math.sqrt(len(draws))
-
-
-class TestCholeskyOrRaise:
-    def test_non_pd_raises_with_matrix(self):
-        bad = np.array([[1.0, 2.0], [2.0, 1.0]])
-        with pytest.raises(NotPositiveDefiniteError) as exc:
-            cholesky_or_raise(bad)
-        assert np.array_equal(exc.value.matrix, bad)
 
 
 class TestGammaLogPdf:

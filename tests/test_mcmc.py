@@ -523,38 +523,48 @@ class TestIndependenceChain:
             mcmc._independence_chain(_stateless(spike), ModeHessian(np.zeros(1), np.eye(1)),
                                      MhConfig(iterations=50, burn_in=0), RngStream(4))
 
+    @pytest.mark.parametrize("rw_rate", [0.05, 0.3, 0.7])
     @pytest.mark.parametrize("imh_rate", [0.05, None])
-    def test_low_or_dead_independence_chain_falls_through_to_the_ladder(self, monkeypatch, imh_rate):
+    def test_low_or_dead_independence_chain_runs_one_random_walk_chain(self, monkeypatch, imh_rate, rw_rate):
         def independence(log_target, mh, config, rng):
             if imh_rate is None:
                 raise FitError("the independence chain accepted no proposals")
             return MhResult(np.zeros((config.n_retained, 1)), imh_rate, np.zeros((config.n_retained, 0)),
                             sampler="independence")
 
-        ladder = []
+        runs = []
 
         def chain(log_target, init, proposal_covariance, config, rng):
-            ladder.append(float(proposal_covariance[0, 0]))
-            return MhResult(np.ones((config.n_retained, 1)), 0.3, np.zeros((config.n_retained, 0)))
+            runs.append((float(proposal_covariance[0, 0]), rng.generator.random()))
+            return MhResult(np.ones((config.n_retained, 1)), rw_rate, np.zeros((config.n_retained, 0)))
 
+        monkeypatch.setattr(mcmc, "find_mode_and_hessian", lambda f, x: ModeHessian(x, np.eye(1)))
         monkeypatch.setattr(mcmc, "_independence_chain", independence)
         monkeypatch.setattr(mcmc, "rw_metropolis", chain)
-        res = mcmc._mode_then_chain(_stateless(_standard_normal), np.ones(1), MhConfig(iterations=10, burn_in=0),
-                                    RngStream(5))
-        assert ladder == [1.0]
-        assert res.sampler == "random_walk" and res.acceptance_rate == 0.3
+        rng = RngStream(5)
+        res = mcmc._mode_then_chain(None, np.ones(1), MhConfig(iterations=10, burn_in=0, proposal_scale=0.4), rng)
+        # one chain, at proposal_scale x the Laplace covariance, on substream 0,
+        # kept whatever its acceptance
+        assert runs == [(0.4, rng.substream(0).generator.random())]
+        assert res.sampler == "random_walk" and res.acceptance_rate == rw_rate
 
-    def test_independence_chain_above_the_band_floor_is_kept(self, monkeypatch):
+    def test_dead_independence_and_random_walk_chains_raise(self):
+        # proposals a million posterior sds wide: neither chain accepts one
+        cfg = MhConfig(iterations=50, burn_in=0, proposal_scale=1e12)
+        # the random-walk chain's message, not the independence chain's
+        with pytest.raises(FitError, match="rescale the proposal covariance"):
+            mcmc._mode_then_chain(_stateless(_standard_normal), np.ones(1), cfg, RngStream(7))
+
+    def test_independence_chain_above_the_floor_is_kept(self, monkeypatch):
         monkeypatch.setattr(mcmc, "rw_metropolis", None)  # never reached
         res = mcmc._mode_then_chain(_stateless(_standard_normal), np.ones(2), MhConfig(iterations=300, burn_in=0),
                                     RngStream(6))
         assert res.sampler == "independence"
-        assert res.acceptance_rate >= mcmc._ACCEPTANCE_BAND[0]
-        assert res.scale_used == mcmc._IMH_INFLATION
+        assert res.acceptance_rate >= mcmc._ACCEPTANCE_FLOOR
 
     def test_fallback_on_a_dm2_target_reproduces_the_random_walk_chain(self, monkeypatch):
-        # a fit that falls back runs the first ladder rung on the substream it
-        # always used, so its draws are the random-walk chain's bit for bit
+        # a fit that falls back runs the random-walk chain on the substream it
+        # always used, so its draws are that chain's bit for bit
         series, design, priors = _simulated_static("DM2")
         spec, p = ModelSpec("DM2", ("z1", "z2")), design.p
         cfg = MhConfig(iterations=1500, burn_in=500)
@@ -565,7 +575,6 @@ class TestIndependenceChain:
         target = mcmc._dm_static_target(series, design, priors)
         mh = find_mode_and_hessian(_values(target), np.zeros(p + 1))
         ref = rw_metropolis(target, mh.mode, mh.covariance, cfg, RngStream(21).substream(0).substream(0))
-        assert mcmc._ACCEPTANCE_BAND[0] <= ref.acceptance_rate <= mcmc._ACCEPTANCE_BAND[1]
         assert draws.sampler == "random_walk"
         assert draws.acceptance_rate == ref.acceptance_rate
         assert np.array_equal(draws.beta, ref.draws[:, :p])
@@ -616,62 +625,6 @@ class TestLogTargetBpm:
         finite = np.isfinite(points)
         np.testing.assert_allclose(block[finite], points[finite], rtol=1e-12)
         assert np.array_equal(block[~finite], points[~finite])
-
-
-class TestRetryLadder:
-    """The second rung is the one that moves acceptance toward the band."""
-
-    def _run(self, monkeypatch, rates):
-        # rates maps a scale to the acceptance its chain returns; None kills the chain
-        runs = []
-
-        def chain(log_target, init, proposal_covariance, config, rng):
-            scale = float(proposal_covariance[0, 0])
-            runs.append((scale, rng.generator.random()))
-            if rates[scale] is None:
-                raise FitError("chain accepted no proposals")
-            return MhResult(np.zeros((config.n_retained, 1)), rates[scale], np.zeros((config.n_retained, 0)))
-
-        monkeypatch.setattr(mcmc, "find_mode_and_hessian", lambda f, x: ModeHessian(x, np.eye(1)))
-        monkeypatch.setattr(mcmc, "rw_metropolis", chain)
-        # an independence chain below the band hands over to the ladder
-        monkeypatch.setattr(mcmc, "_independence_chain", lambda f, mh, config, rng: MhResult(
-            np.zeros((config.n_retained, 1)), 0.05, np.zeros((config.n_retained, 0)), sampler="independence"))
-        rng = RngStream(5)
-        res = mcmc._mode_then_chain(None, np.zeros(1), MhConfig(iterations=10, burn_in=0), rng)
-        # rung k keeps substream k, so the chain it runs does not depend on which rungs ran
-        ladder = dict(zip(mcmc._RETRY_LADDER, range(3)))
-        for scale, u in runs:
-            assert u == rng.substream(ladder[scale]).generator.random()
-        return [scale for scale, _ in runs], res
-
-    def test_in_band_first_rung_stops(self, monkeypatch):
-        scales, res = self._run(monkeypatch, {1.0: 0.3})
-        assert scales == [1.0] and res.scale_used == 1.0
-
-    def test_acceptance_too_high_tries_larger_scale(self, monkeypatch):
-        scales, res = self._run(monkeypatch, {1.0: 0.71, 0.5: 0.80, 2.0: 0.62})
-        assert scales == [1.0, 2.0]
-        assert res.scale_used == 2.0 and res.acceptance_rate == 0.62
-
-    def test_acceptance_too_low_tries_smaller_scale(self, monkeypatch):
-        scales, res = self._run(monkeypatch, {1.0: 0.05, 0.5: 0.08, 2.0: 0.02})
-        assert scales == [1.0, 0.5]
-        assert res.scale_used == 0.5
-
-    def test_dead_first_rung_tries_smaller_scale(self, monkeypatch):
-        scales, res = self._run(monkeypatch, {1.0: None, 0.5: 0.3, 2.0: None})
-        assert scales == [1.0, 0.5]
-        assert res.scale_used == 0.5 and res.acceptance_rate == 0.3
-
-    def test_in_band_second_rung_wins_over_nearer_first(self, monkeypatch):
-        # 0.05 is nearer 0.3 than 0.58 is, but only the second chain is in the band
-        scales, res = self._run(monkeypatch, {1.0: 0.05, 0.5: 0.58})
-        assert scales == [1.0, 0.5] and res.scale_used == 0.5
-
-    def test_no_live_chain_raises(self, monkeypatch):
-        with pytest.raises(FitError, match="no proposal scale"):
-            self._run(monkeypatch, {1.0: None, 0.5: None, 2.0: None})
 
 
 class TestFilterState:
@@ -745,6 +698,23 @@ class TestMhConfig:
             MhConfig(thinning=0)
         with pytest.raises(DomainError):
             MhConfig(proposal_scale=0.0)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: MhConfig(proposal_scale=math.nan),
+    lambda: MhConfig(proposal_scale=math.inf),
+    lambda: PriorConfig(a0=math.inf),
+    lambda: PriorConfig(beta_sd=math.inf),
+    lambda: PriorConfig(gamma_beta_ab=(math.nan, 3.0)),
+    lambda: PriorConfig(gamma_beta_ab=(3.0, math.inf)),
+    lambda: PosteriorDraws(beta=np.zeros((2, 0)), gamma=np.array([math.nan, 0.5]), acceptance_rate=0.5),
+    lambda: PosteriorDraws(beta=np.zeros((2, 1)), gamma=None, acceptance_rate=0.5, tau=np.array([[math.nan], [1.0]])),
+    lambda: PosteriorDraws(beta=np.zeros((2, 1)), gamma=None, acceptance_rate=0.5, tau=np.array([[math.inf], [1.0]])),
+], ids=["scale_nan", "scale_inf", "a0_inf", "beta_sd_inf", "beta_ab_nan", "beta_ab_inf", "gamma_nan", "tau_nan",
+        "tau_inf"])
+def test_library_configs_and_draws_reject_non_finite_numbers(build):
+    with pytest.raises(DomainError):
+        build()
 
 
 class TestFitDmStatic:
