@@ -4,12 +4,13 @@ accuracy metrics, and sampling-based model-comparison scores."""
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .filtering import filter_draws
-from .kernels import DomainError, RngStream, lgamma, logsumexp
+from .filtering import FILTER_BLOCK, filter_core, filter_draws
+from .kernels import DomainError, RngStream, logsumexp
 from .mcmc import (
     FitError,
     MhConfig,
@@ -23,6 +24,7 @@ from .model import (
     ModelSpec,
     PriorConfig,
     build_design,
+    linear_predictor,
 )
 
 
@@ -101,16 +103,6 @@ class ForecastDistribution:
         else:
             probs = special.betainc(c[:, 0], k + 1.0, c[:, 1])
         return self._average(probs)
-
-    def log_pmf(self, n: int) -> np.ndarray:
-        """Each component's log pmf at the count ``n``, as an (S,) array."""
-        c = self.components
-        if c.ndim == 1:
-            with np.errstate(divide="ignore"):
-                return (n * np.log(c) if n else 0.0) - c - lgamma(n + 1.0)
-        r, p = c[:, 0], c[:, 1]
-        lg_rn, lg_r = lgamma(np.stack([r + n, r]))
-        return lg_rn - lgamma(n + 1.0) - lg_r + r * np.log(p) + n * np.log1p(-p)
 
     def quantile(self, q: float) -> int:
         """Smallest integer n with mixture CDF(n) >= q.
@@ -246,6 +238,8 @@ def forecast_metrics(
 
 
 def _check_window(window, T: int):
+    if not all(isinstance(x, numbers.Integral) for x in window[:2]):
+        raise DomainError(f"forecast window ends must be integers, got {window}")
     start, end = int(window[0]), int(window[1])
     if start < 2:
         raise DomainError("forecast origins must leave at least one training month")
@@ -254,6 +248,34 @@ def _check_window(window, T: int):
     if end < start:
         raise DomainError("empty forecast window")
     return start, end
+
+
+def _filter_window(spec, series, design, draws, priors, o_fit: int, end: int) -> tuple:
+    """One batched filter pass of draws fitted on months 1..o_fit-1, over months
+    1..end-1 (DM5's paths end at o_fit-1, and so does its pass), FILTER_BLOCK
+    draws per call. Returns only the window's columns: each draw's one-step log
+    predictives of months o_fit..end-1, (S, end-o_fit), and its states (a, b)
+    after months o_fit-1..end-1, (S, end-o_fit+1, 2). The fitted months'
+    multipliers come from their own design, as in the fit: a row of a matrix
+    product can change in the last bit with the number of rows. BPM takes its
+    Poisson log pmfs, and empty (S, end-o_fit+1, 0) states.
+    """
+    if spec.variant == "BPM":
+        log_pred = bpm_log_pmf(draws.beta, series, design)[:, o_fit - 1 : end - 1]
+        return log_pred, np.empty((draws.S, end - o_fit + 1, 0))
+    last = o_fit - 1 if spec.variant == "DM5" else end - 1
+    log_pred = np.empty((draws.S, last - o_fit + 1))
+    states = np.empty((draws.S, last - o_fit + 2, 2))
+    for start in range(0, draws.S, FILTER_BLOCK):
+        block = slice(start, start + FILTER_BLOCK)
+        beta = draws.beta[block]
+        multipliers = linear_predictor(design.head(last), beta)
+        multipliers[:, : o_fit - 1] = linear_predictor(design.head(o_fit - 1), beta)
+        traj = filter_core(series.counts[:last], multipliers, draws.gamma[block], priors.a0, priors.b0)
+        # only the window's columns outlive the block
+        log_pred[block] = traj.log_predictive[:, o_fit - 1 :]
+        states[block] = np.stack([traj.a[:, o_fit - 1 :], traj.b[:, o_fit - 1 :]], axis=-1)
+    return log_pred, states
 
 
 def _forecast_distribution_at(
@@ -266,7 +288,7 @@ def _forecast_distribution_at(
     rng: RngStream,
 ) -> ForecastDistribution:
     """The one-step mixture at ``origin`` from weighted draws of the posterior
-    on months 1..origin-1, each starting from its filtered state at origin-1."""
+    on months 1..origin-1, each from its filtered state (a, b) at origin-1, (S, 2)."""
     z_next = design.rows[origin - 1]
     if spec.variant == "BPM":
         return ForecastDistribution(origin=origin, components=np.exp(draws.beta @ z_next), weights=weights)
@@ -283,16 +305,6 @@ def _forecast_distribution_at(
 # Kish efficiency (sum w)^2 / (S sum w^2) of the reweighted draws below which
 # an origin refits instead
 REFIT_EFFICIENCY = 0.5
-
-
-def _advance_state(draws: PosteriorDraws, state: np.ndarray, n: int, z: np.ndarray) -> np.ndarray:
-    """Each draw's filter state (a, b) updated by one month with count ``n`` and
-    covariate row ``z``, in the filter's operation order; BPM's (S, 0) states
-    pass through."""
-    if not state.size:
-        return state
-    g = draws.gamma
-    return np.column_stack([g * state[:, 0] + n, g * state[:, 1] + np.exp(draws.beta @ z)])
 
 
 def _kish_efficiency(log_w: np.ndarray) -> float:
@@ -316,18 +328,18 @@ def sequential_harness(
 ) -> ForecastReport:
     """Expanding-window one-step forecasting: predict month o from months 1..o-1.
 
-    The first origin fits months 1..o-1 on ``rng.substream(o)``. Each later
-    origin reweights those draws by the one-step predictive of the month just
-    seen, and advances each draw's filter state (a, b) by that month's
-    conjugate update (a <- gamma*a + N, b <- gamma*b + m), which turns the
-    posterior on months 1..o-2 into the one on months 1..o-1 (Chopin 2002,
-    Biometrika 89:539-551). When the weights' Kish efficiency falls below
-    REFIT_EFFICIENCY, that origin refits from scratch on ``rng.substream(o)``
-    instead, as the first origin did, so its forecast is the one a refit at
-    every origin gives. DM5's coefficient path grows by a month at each
-    origin, so DM5 refits at every origin. The origins run in order, each
-    from the one before; each is scored after the fact against the realized
-    count.
+    The first origin fits months 1..o-1 on ``rng.substream(o)``, and one
+    batched filter pass of the fitted draws (``_filter_window``) gives each
+    draw's one-step log predictives and filter states (a, b) over the rest of
+    the window. Each later origin adds the log predictive of the month just
+    seen to each draw's log weight, and reads its state after that month,
+    which turns the posterior on months 1..o-2 into the one on months 1..o-1
+    (Chopin 2002, Biometrika 89:539-551). When the weights' Kish efficiency
+    falls below REFIT_EFFICIENCY, that origin refits from scratch on
+    ``rng.substream(o)`` instead, as the first origin did, and filters the new
+    draws once more. DM5's coefficient path grows by a month at each origin,
+    so DM5 refits at every origin. The origins run in order, each from the one
+    before; each is scored after the fact against the realized count.
     """
     start, end = _check_window(window, series.T)
     if spec.variant == "EWMA":
@@ -340,18 +352,17 @@ def sequential_harness(
         try:
             reweighted = o > start and spec.variant != "DM5"
             if reweighted:
-                n = series.counts[o - 2]
-                log_w = log_w + dist.log_pmf(n)
-                state = _advance_state(draws, state, n, design.rows[o - 2])
+                log_w = log_w + log_pred[:, o - 1 - o_fit]
             if not reweighted or _kish_efficiency(log_w) < REFIT_EFFICIENCY:
                 draws = fit_variant(
                     spec, series.head(o - 1), design.head(o - 1), priors, config, rng.substream(o), smooth=False
                 )
-                state, log_w = draws.filter_state, np.zeros(draws.S)
+                o_fit, log_w = o, np.zeros(draws.S)
+                log_pred, states = _filter_window(spec, series, design, draws, priors, o, end)
                 refits.append(o)
             weights = np.exp(log_w - np.max(log_w))
             dist = _forecast_distribution_at(
-                spec, draws, state, weights, design, o, rng.substream(o).substream(1)
+                spec, draws, states[:, o - o_fit], weights, design, o, rng.substream(o).substream(1)
             )
         except (FitError, DomainError) as exc:
             raise FitError(f"forecast fit failed at origin {o}: {exc}") from exc

@@ -51,21 +51,14 @@ class FilterTrajectory:
         """Summed log-predictive of each draw, shape (S,)."""
         return self.log_predictive.sum(axis=1)
 
-    @property
-    def end_state(self) -> np.ndarray:
-        """Filtered state (a_T, b_T) of each draw after the last month, shape (S, 2)."""
-        return np.concatenate((self.a[:, -1:], self.b[:, -1:]), axis=1)
-
 
 @dataclass(frozen=True)
 class GammaGridPosterior:
-    """Discrete posterior of the discount factor over a grid in (0, 1), with the
-    filtered end state (a_T, b_T) of each grid point, shape (len(grid), 2)."""
+    """Discrete posterior of the discount factor over a grid in (0, 1)."""
 
     grid: np.ndarray
     probs: np.ndarray
     mean: float
-    end_state: np.ndarray
 
 
 def _discount_solve(gamma: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -177,9 +170,8 @@ def gamma_grid_posterior(
     grid = np.arange(1, round(1.0 / step)) * step
 
     betas = np.zeros((len(grid), design.p))
-    log_post, end_state = np.empty(len(grid)), np.empty((len(grid), 2))
-    for block, traj in filter_draws(series.counts, design, betas, grid, priors.a0, priors.b0):
-        log_post[block], end_state[block] = traj.total_log_predictive, traj.end_state
+    passes = filter_draws(series.counts, design, betas, grid, priors.a0, priors.b0)
+    log_post = np.concatenate([traj.total_log_predictive for _, traj in passes])
     norm = logsumexp(log_post)
     if not np.isfinite(norm):
         raise NumericDegeneracyError(
@@ -187,7 +179,7 @@ def gamma_grid_posterior(
             context={"grid_size": len(grid)},
         )
     probs = np.exp(log_post - norm)
-    return GammaGridPosterior(grid=grid, probs=probs, mean=float(probs @ grid), end_state=end_state)
+    return GammaGridPosterior(grid=grid, probs=probs, mean=float(probs @ grid))
 
 
 def ffbs_sample(trajectory: FilterTrajectory, rng: RngStream) -> np.ndarray:

@@ -5,24 +5,23 @@ time-varying coefficients.
 
 The static fitters work on the count likelihood with the latent rates
 integrated out (the per-step negative binomial product from the filter), so a
-single filter pass prices one proposal. Every log target maps a block of
-points (K, d) to (K,) and scores it in one batched filter pass; one point is
-a one-row block. A target that a chain samples also returns each row's
-filtered end state (a_T, b_T) from that same pass, (K, 2), or (K, 0) for the
-filter-free BPM, and the chains keep the rows of the draws they retain, so a
-forecast needs no second filter pass. The mode search scores its stencils in
-blocks, and the independence proposals, which do not depend on the chain
-state, are all scored in blocks before the accept/reject pass runs; the
-random-walk fallback scores one one-row block per step. The discount factor
-is sampled on the logit scale with its Jacobian; regression coefficients are
-unconstrained. The gamma prior and the logit Jacobian also map a stack (K,)
-to (K,), and the DM5 sweep, the only caller with a single draw, passes them,
-the filter and the backward sampler one-row stacks.
+single filter pass prices one proposal. Every log target, and so every target
+the mode search and the chains take, maps a block of points (K, d) to its
+(K,) log densities alone, scored in one batched filter pass; one point is a
+one-row block. The mode search scores its stencils in blocks, and the
+independence proposals, which do not depend on the chain state, are all
+scored in blocks before the accept/reject pass runs; the random-walk fallback
+scores one one-row block per step. The discount factor is sampled on the
+logit scale with its Jacobian; regression coefficients are unconstrained.
+The gamma prior and the logit Jacobian also map a stack (K,) to (K,), and the
+DM5 sweep, the only caller with a single draw, passes them, the filter and
+the backward sampler one-row stacks.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,6 +57,8 @@ class MhConfig:
     proposal_scale: float = 1.0
 
     def __post_init__(self):
+        if not all(isinstance(n, numbers.Integral) for n in (self.iterations, self.burn_in, self.thinning)):
+            raise DomainError("iterations, burn-in and thinning must be integers")
         # each check is written so that NaN fails it
         if not (self.iterations > 0):
             raise DomainError("iterations must be positive")
@@ -76,9 +77,7 @@ class MhConfig:
 @dataclass
 class PosteriorDraws:
     """Retained MCMC draws. beta is (S, p) for static coefficients or (S, T, p)
-    for time-varying ones; theta holds smoothing paths when requested.
-    filter_state holds each draw's filtered end state (a_T, b_T) on the fitted
-    months, (S, 2), or (S, 0) for BPM, which has no filter."""
+    for time-varying ones; theta holds smoothing paths when requested."""
 
     beta: np.ndarray
     gamma: np.ndarray | None
@@ -88,7 +87,6 @@ class PosteriorDraws:
     theta: np.ndarray | None = None
     variant: str = ""
     sampler: str = ""  # the Metropolis chain that drew beta and gamma, if one did
-    filter_state: np.ndarray | None = None
 
     def __post_init__(self):
         # each check is written so that NaN fails it
@@ -98,8 +96,6 @@ class PosteriorDraws:
             raise DomainError("tau draws must be positive and finite")
         if not (0.0 <= self.acceptance_rate <= 1.0):
             raise DomainError("acceptance rate must lie in [0, 1]")
-        if self.filter_state is not None and len(self.filter_state) != self.S:
-            raise DomainError("need one filter state row per draw")
 
     @property
     def S(self) -> int:
@@ -130,7 +126,6 @@ class ModeHessian:
 class MhResult:
     draws: np.ndarray
     acceptance_rate: float
-    filter_state: np.ndarray  # the state row the target returned with each retained draw
     sampler: str = "random_walk"  # or "independence"
 
 
@@ -171,13 +166,11 @@ def log_target_static(
     """Unnormalized log posterior of (beta, gamma) with latent rates integrated out.
 
     A block of K points, ``beta`` of shape (K, p) and ``gamma`` of shape (K,),
-    gives ``(log_post, end_state)``: (K,) and the (K, 2) filtered state
-    (a_T, b_T) after the last month; one point is a one-row block. Points off
-    the support (gamma outside (0, 1), or any gamma but the fixed prior's
-    value, which may be 1; a non-finite prior, multipliers that underflow or
+    gives (K,) log densities; one point is a one-row block. Points off the
+    support (gamma outside (0, 1), or any gamma but the fixed prior's value,
+    which may be 1; a non-finite prior, multipliers that underflow or
     overflow, a non-finite likelihood) score -inf, and the other rows are
-    scored in one batched filter pass, the only one a block makes. Rows that
-    pass no filter get NaN states.
+    scored in one batched filter pass, the only one a block makes.
     """
     beta = np.asarray(beta, dtype=float)
     gamma = np.asarray(gamma, dtype=float)
@@ -187,7 +180,6 @@ def log_target_static(
     if beta.shape[1]:
         lp += _log_prior_beta(beta, priors.beta_sd)
     out = np.full(len(beta), -np.inf)
-    end_state = np.full((len(beta), 2), np.nan)
     live = np.flatnonzero(np.isfinite(lp))
     multipliers = linear_predictor(design, beta[live])
     # exp(eta) overflows to inf or underflows to 0 for extreme proposals: out of support
@@ -197,8 +189,7 @@ def log_target_static(
     ll = traj.total_log_predictive
     # extreme proposals can overflow the rate recursion; treat as out of support
     out[live] = np.where(np.isfinite(ll), ll + lp[live], -np.inf)
-    end_state[live] = traj.end_state
-    return out, end_state
+    return out
 
 
 # Newton iteration cap, stop tolerance on the Newton decrement g's, and the
@@ -304,21 +295,18 @@ def rw_metropolis(
 
     The proposal is symmetric so the acceptance ratio is the posterior ratio,
     evaluated in log space. ``log_target`` maps a block (K, d) to its log
-    densities (K,) and state rows (K, m), and each step scores its proposal
-    as a one-row block; the chain carries the current point's state row.
+    densities (K,), and each step scores its proposal as a one-row block.
     Burn-in and thinning are applied before draws are retained; the
     acceptance rate covers the full run.
     """
     init = np.atleast_1d(np.asarray(init, dtype=float))
     d = len(init)
     root = np.linalg.cholesky(np.atleast_2d(proposal_covariance))
-    values, rows = log_target(init[None])
-    lp, row = values[0], rows[0]
+    lp = log_target(init[None])[0]
     if not np.isfinite(lp):
         raise DomainError("log target is not finite at the chain start")
     gen = rng.generator
     draws = np.empty((config.n_retained, d))
-    states = np.empty((config.n_retained, len(row)))
     x = init.copy()
     accepted = 0
     kept = 0
@@ -326,14 +314,12 @@ def rw_metropolis(
         step = root @ gen.standard_normal(d)
         u = gen.random()
         prop = x + step
-        values, rows = log_target(prop[None])
-        if math.log(u) < values[0] - lp:
-            x = prop
-            lp, row = values[0], rows[0]
+        lp_prop = log_target(prop[None])[0]
+        if math.log(u) < lp_prop - lp:
+            x, lp = prop, lp_prop
             accepted += 1
         if i >= config.burn_in and (i - config.burn_in) % config.thinning == 0:
             draws[kept] = x
-            states[kept] = row
             kept += 1
     rate = accepted / config.iterations
     if accepted == 0:
@@ -341,7 +327,7 @@ def rw_metropolis(
             "chain accepted no proposals; rescale the proposal covariance "
             "(proposal_scale) or check the target"
         )
-    return MhResult(draws=draws, acceptance_rate=rate, filter_state=states)
+    return MhResult(draws=draws, acceptance_rate=rate)
 
 
 # degrees of freedom of the independence proposal, and the factor that widens
@@ -365,11 +351,10 @@ def _independence_chain(log_target, mh: ModeHessian, config: MhConfig, rng: RngS
     and scale matrix ``_IMH_INFLATION`` x proposal_scale x the covariance.
     All ``iterations`` proposals come from standard_normal((N, d)), then
     chisquare(df, N), then random(N), and are scored FILTER_BLOCK rows per
-    block call of ``log_target``, which returns log densities and state rows
-    as in ``rw_metropolis``. The accept/reject pass then runs over the log
-    weights log pi - log q, starting at the mode, and the retained draws keep
-    their state rows. Burn-in and thinning are applied as in
-    ``rw_metropolis``; a chain that accepts nothing raises FitError.
+    block call of ``log_target``. The accept/reject pass then runs over the
+    log weights log pi - log q, starting at the mode. Burn-in and thinning
+    are applied as in ``rw_metropolis``; a chain that accepts nothing raises
+    FitError.
     """
     N, d = config.iterations, len(mh.mode)
     scale = _IMH_INFLATION * config.proposal_scale
@@ -379,15 +364,13 @@ def _independence_chain(log_target, mh: ModeHessian, config: MhConfig, rng: RngS
     w = gen.chisquare(_IMH_DF, N)
     log_u = np.log(gen.random(N))
     points = mh.mode + (z @ root.T) * np.sqrt(_IMH_DF / w)[:, None]
-    scored = [log_target(points[k : k + FILTER_BLOCK]) for k in range(0, N, FILTER_BLOCK)]
-    log_pi = np.concatenate([values for values, _ in scored])
+    log_pi = np.concatenate([log_target(points[k : k + FILTER_BLOCK]) for k in range(0, N, FILTER_BLOCK)])
     log_w = (log_pi - _t_log_kernel(points, mh.mode, root)).tolist()
 
     # held[i] is the proposal the chain holds after step i; -1 is the mode,
     # whose kernel value is 0
     held = np.empty(N, dtype=np.intp)
-    mode_value, mode_state = log_target(mh.mode[None])
-    current, lw = -1, mode_value[0]
+    current, lw = -1, log_target(mh.mode[None])[0]
     accepted = 0
     for i, lu in enumerate(log_u.tolist()):
         if lu < log_w[i] - lw:
@@ -398,8 +381,7 @@ def _independence_chain(log_target, mh: ModeHessian, config: MhConfig, rng: RngS
         raise FitError("the independence chain accepted no proposals")
     kept = held[config.burn_in :: config.thinning] + 1
     draws = np.concatenate([mh.mode[None], points])[kept]
-    states = np.concatenate([mode_state, *(rows for _, rows in scored)])[kept]
-    return MhResult(draws, accepted / N, states, sampler="independence")
+    return MhResult(draws, accepted / N, sampler="independence")
 
 
 # the acceptance below which the independence chain gives way to the random walk
@@ -409,14 +391,14 @@ _ACCEPTANCE_FLOOR = 0.1
 def _mode_then_chain(log_target, start: np.ndarray, config: MhConfig, rng: RngStream) -> MhResult:
     """Independence chain on the Laplace fit, with one random-walk fallback.
 
-    ``log_target`` returns log densities and state rows, as the chains take
-    it; the mode search sees the log densities alone. The independence chain
-    runs on substream 3 and is kept unless it died or accepted less than
+    ``log_target`` maps a block (K, d) to its log densities (K,), for the
+    mode search and both chains alike. The independence chain runs on
+    substream 3 and is kept unless it died or accepted less than
     ``_ACCEPTANCE_FLOOR``. Otherwise one random-walk chain runs on substream
     0, with proposal_scale x the Laplace covariance as its proposal, and is
     kept whatever its acceptance; if it dies too, its FitError propagates.
     """
-    mh = find_mode_and_hessian(lambda x: log_target(x)[0], start)
+    mh = find_mode_and_hessian(log_target, start)
     try:
         imh = _independence_chain(log_target, mh, config, rng.substream(3))
         if imh.acceptance_rate >= _ACCEPTANCE_FLOOR:
@@ -450,22 +432,16 @@ def _logit_jacobian(g: np.ndarray) -> np.ndarray:
 
 
 def _dm_static_target(series: CountSeries, design: DesignMatrix, priors: PriorConfig):
-    """The log target that ``fit_dm_static`` samples, a block (K, d) to
-    ``log_target_static``'s log densities (K,) and end states (K, 2): over beta
-    alone under a fixed gamma prior, otherwise over (beta, logit gamma) with
-    the logit Jacobian included."""
+    """The log target that ``fit_dm_static`` samples, a block (K, d) to its log
+    densities (K,): over beta alone under a fixed gamma prior, otherwise over
+    (beta, logit gamma) with the logit Jacobian included."""
     p = design.p
     if priors.gamma_prior == "fixed":
+        return lambda b: log_target_static(b, np.full(len(b), priors.gamma_fixed_value), series, design, priors)
 
-        def target(b):
-            return log_target_static(b, np.full(len(b), priors.gamma_fixed_value), series, design, priors)
-
-    else:
-
-        def target(x):
-            g = expit(x[:, p])
-            log_post, end_state = log_target_static(x[:, :p], g, series, design, priors)
-            return log_post + _logit_jacobian(g), end_state
+    def target(x):
+        g = expit(x[:, p])
+        return log_target_static(x[:, :p], g, series, design, priors) + _logit_jacobian(g)
 
     return target
 
@@ -488,9 +464,7 @@ def fit_dm_static(
     independence Metropolis from a t proposal on the Laplace fit at the mode,
     or, if that chain dies or accepts less than 0.1 of its proposals, one
     random-walk Metropolis chain calibrated by the inverse negative Hessian at
-    the mode, which is kept unless it dies too. Each draw's filtered end state
-    comes from the filter pass that scored it: the chain's, the grid's, or one
-    one-row pass for a covariate-free fixed gamma. When ``smooth`` is set, one
+    the mode, which is kept unless it dies too. When ``smooth`` is set, one
     smoothing path per retained draw comes from batched backward sampling.
     """
     if spec.variant not in ("DM1", "DM2", "DM3", "DM4"):
@@ -499,7 +473,8 @@ def fit_dm_static(
         raise DomainError("design matrix and count series disagree on T")
     p = design.p
     S = config.n_retained
-    sampler = ""
+    # the covariate-free routes without a chain: every beta is empty
+    betas, acc, sampler = np.zeros((S, 0)), 1.0, ""
 
     if priors.gamma_prior == "grid":
         if p:
@@ -507,28 +482,19 @@ def fit_dm_static(
         post = gamma_grid_posterior(series, design, priors)
         # grid indices take the same variates from the stream as grid values would
         picks = rng.substream(0).generator.choice(len(post.grid), size=S, p=post.probs)
-        gammas, end_state = post.grid[picks], post.end_state[picks]
-        betas = np.zeros((S, 0))
-        acc = 1.0
+        gammas = post.grid[picks]
     elif priors.gamma_prior == "fixed":
         gammas = np.full(S, priors.gamma_fixed_value)
-        if p == 0:
-            betas = np.zeros((S, 0))
-            # every draw is the same point: filter one and repeat its state
-            multipliers = linear_predictor(design, betas[:1])
-            traj = filter_core(series.counts, multipliers, gammas[:1], priors.a0, priors.b0)
-            end_state = np.repeat(traj.end_state, S, axis=0)
-            acc = 1.0
-        else:
+        if p:
             target = _dm_static_target(series, design, priors)
             res = _mode_then_chain(target, np.zeros(p), config, rng.substream(0))
-            betas, acc, sampler, end_state = res.draws, res.acceptance_rate, res.sampler, res.filter_state
+            betas, acc, sampler = res.draws, res.acceptance_rate, res.sampler
     else:
         target = _dm_static_target(series, design, priors)
         res = _mode_then_chain(target, np.zeros(p + 1), config, rng.substream(0))
         betas = res.draws[:, :p]
         gammas = expit(res.draws[:, p])
-        acc, sampler, end_state = res.acceptance_rate, res.sampler, res.filter_state
+        acc, sampler = res.acceptance_rate, res.sampler
 
     theta = None
     if smooth:
@@ -541,7 +507,6 @@ def fit_dm_static(
         theta=theta,
         variant=spec.variant,
         sampler=sampler,
-        filter_state=end_state,
     )
 
 
@@ -626,8 +591,7 @@ def fit_dm5(
     the coefficient path by a checkerboard of Metropolis steps (every even
     month in one vectorised step, then every odd month in another, each month
     against its Poisson term and random-walk neighbors), and the
-    per-coefficient precisions from their conjugate gamma conditionals. One
-    batched filter pass over the retained paths gives their end states.
+    per-coefficient precisions from their conjugate gamma conditionals.
     """
     p = design.p
     if p < 1:
@@ -703,8 +667,6 @@ def fit_dm5(
 
     if n_accept == 0:
         raise FitError("no Gibbs move was accepted; check scaling of the data or proposal")
-    passes = filter_draws(counts, design, betas_out, gammas_out, priors.a0, priors.b0)
-    end_state = np.concatenate([traj.end_state for _, traj in passes])
     return PosteriorDraws(
         beta=betas_out,
         gamma=gammas_out,
@@ -713,7 +675,6 @@ def fit_dm5(
         tau=taus_out,
         theta=theta_out,
         variant="DM5",
-        filter_state=end_state,
     )
 
 
@@ -745,11 +706,7 @@ def fit_bpm(
     BPM, whose first column is the intercept."""
     if design.column_names[:1] != ("intercept",):
         raise DomainError("the BPM design must start with the intercept column")
-
-    def target(b):
-        # no filter, so the state rows have no columns
-        return log_target_bpm(b, series, design, priors), np.empty((len(b), 0))
-
+    target = lambda b: log_target_bpm(b, series, design, priors)
     res = _mode_then_chain(target, np.zeros(design.p), config, rng.substream(0))
     return PosteriorDraws(
         beta=res.draws,
@@ -758,7 +715,6 @@ def fit_bpm(
         beta_names=design.column_names,
         variant="BPM",
         sampler=res.sampler,
-        filter_state=res.filter_state,
     )
 
 

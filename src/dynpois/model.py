@@ -25,12 +25,13 @@ MODEL_VARIANTS = ("DM1", "DM2", "DM3", "DM4", "DM5", "BPM", "EWMA")
 
 
 def _integers(values, name: str) -> np.ndarray:
-    """Cast to int, rejecting values a plain cast would truncate (2.7 to 2)."""
+    """Cast to int64, rejecting values a plain cast would truncate (2.7 to 2)
+    or wrap (2**70, 1e300): each must be an integer of magnitude below 2**63."""
     arr = np.asarray(values)
     # NaN and inf leave a NaN remainder
     with np.errstate(invalid="ignore"):
-        if arr.dtype.kind not in "iu" and not np.all(np.mod(arr, 1) == 0):
-            raise DomainError(f"{name} must be integers")
+        if arr.size and not (np.all(np.mod(arr, 1) == 0) and -(2**63) < arr.min() and arr.max() < 2**63):
+            raise DomainError(f"{name} must be integers of magnitude below 2**63")
     return arr.astype(int)
 
 

@@ -28,8 +28,10 @@ import numpy as np
 from scipy import special
 
 from dynpois.evaluation import ForecastDistribution, forecast_one_step
+from dynpois.filtering import filter_core
 from dynpois.kernels import DomainError, GammaParams
 from dynpois.mcmc import fit_variant
+from dynpois.model import linear_predictor
 
 
 def shape_sequence(counts, gamma, a0):
@@ -304,7 +306,8 @@ def quantile_by_doubling(dist, q: float) -> int:
 
 def refit_every_origin(series, design, spec, priors, config, window, rng) -> list:
     """The one-step forecast mixture of each origin o in ``window`` from a fresh
-    fit on months 1..o-1 on ``rng.substream(o)``, for the static DMs and BPM."""
+    fit on months 1..o-1 on ``rng.substream(o)``, for the static DMs and BPM,
+    each draw starting from its state after a fresh filter over those months."""
     dists = []
     for o in range(window[0], window[1] + 1):
         draws = fit_variant(spec, series.head(o - 1), design.head(o - 1), priors, config,
@@ -313,6 +316,7 @@ def refit_every_origin(series, design, spec, priors, config, window, rng) -> lis
         if spec.variant == "BPM":
             dists.append(ForecastDistribution(origin=o, components=np.exp(draws.beta @ z_next)))
         else:
-            a, b = draws.filter_state.T
-            dists.append(forecast_one_step(draws, a, b, z_next, o))
+            multipliers = linear_predictor(design.head(o - 1), draws.beta)
+            traj = filter_core(series.counts[: o - 1], multipliers, draws.gamma, priors.a0, priors.b0)
+            dists.append(forecast_one_step(draws, traj.a[:, -1], traj.b[:, -1], z_next, o))
     return dists

@@ -7,10 +7,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dynpois import filtering, mcmc
+from dynpois import evaluation, filtering, mcmc
 from dynpois.evaluation import (
     REFIT_EFFICIENCY,
     ForecastDistribution,
+    _check_window,
     compare_models,
     cpo_log_sum,
     ewma_forecast,
@@ -31,6 +32,7 @@ from dynpois.model import (
     ModelSpec,
     PriorConfig,
     build_design,
+    linear_predictor,
     simulate_cohort,
 )
 from oracles import (
@@ -188,16 +190,6 @@ class TestForecastDistribution:
         with pytest.raises(DomainError):
             ForecastDistribution(origin=1, components=np.array([1.0, 2.0, 3.0]), weights=np.array(weights))
 
-    def test_log_pmf_of_each_component(self):
-        nbs = [NegBinParams(2.5, 0.4), NegBinParams(80.0, 0.97), NegBinParams(0.3, 0.01)]
-        rates = np.array([0.0, 0.5, 120.0])
-        negbin = _mixture(*nbs)
-        poisson = ForecastDistribution(origin=1, components=rates)
-        for n in (0, 1, 7, 130):
-            assert negbin.log_pmf(n) == pytest.approx([log_pmf_negbin(n, nb) for nb in nbs], rel=1e-12)
-            expected = [0.0 if n == 0 else -np.inf] + [log_pmf_poisson(n, r) for r in rates[1:]]
-            assert poisson.log_pmf(n) == pytest.approx(expected, rel=1e-12)
-
     def test_quantile_beyond_the_integer_guard_raises(self):
         # a Poisson rate of 1e19 leaves the cdf near 0 at 2**60 (about 1.15e18)
         with pytest.raises(DomainError, match="integer range"):
@@ -248,6 +240,18 @@ class TestForecastOneStep:
         )
         with pytest.raises(DomainError):
             forecast_one_step(draws, np.ones(2), np.ones(2), np.array([1.0]), origin=6)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: MhConfig(iterations=math.inf),
+    lambda: MhConfig(iterations=10.5, burn_in=0),
+    lambda: MhConfig(burn_in=1.5),
+    lambda: MhConfig(thinning=1.5),
+    lambda: _check_window((2.7, 3.9), 10),
+], ids=["iterations_inf", "iterations_float", "burn_in_float", "thinning_float", "window_float"])
+def test_library_counts_must_be_integers(build):
+    with pytest.raises(DomainError, match="integer"):
+        build()
 
 
 class TestForecastMetrics:
@@ -452,8 +456,9 @@ class TestSequentialHarness:
 
     def test_static_forecast_filters_only_the_chain_rows(self, monkeypatch):
         # every filter row is a proposal, a stencil point or a mode that a
-        # chain's log target scored: the forecast refilters no draw, and the
-        # reweighted origins run no chain
+        # chain's log target scored, or a retained draw in the one pass of
+        # each fit's draws over the window; the reweighted origins run no
+        # chain and no filter
         rng = RngStream(53)
         T = 30
         cov = {"z": rng.substream(1).generator.normal(size=T)}
@@ -481,7 +486,7 @@ class TestSequentialHarness:
             samplers.append(res.sampler)
             return res
 
-        for module in (filtering, mcmc):
+        for module in (filtering, mcmc, evaluation):
             monkeypatch.setattr(module, "filter_core", counted_filter)
         monkeypatch.setattr(mcmc, "find_mode_and_hessian", counted_mode)
         monkeypatch.setattr(mcmc, "_independence_chain", recorded_chain)
@@ -490,7 +495,7 @@ class TestSequentialHarness:
         fits = len(report.refit_origins)
         assert report.refit_origins[0] == 28
         assert samplers == ["independence"] * fits
-        assert sum(filter_rows) == fits * (cfg.iterations + 1) + sum(stencil_rows)
+        assert sum(filter_rows) == fits * (cfg.iterations + 1) + sum(stencil_rows) + fits * cfg.n_retained
 
     @staticmethod
     def _cohort(variant, seed, T, shift_from=None):
@@ -509,12 +514,14 @@ class TestSequentialHarness:
         spec = ModelSpec(variant) if variant == "DM1" else ModelSpec(variant, ("z",))
         return CountSeries(np.arange(1, T + 1), counts), build_design(cov, spec, T), spec, priors
 
-    @pytest.mark.parametrize("variant, gamma_prior",
-                             [("DM2", "uniform"), ("DM2", "fixed"), ("DM1", "grid"), ("BPM", "uniform")])
-    def test_weights_are_the_draws_predictives_since_the_fit(self, variant, gamma_prior):
-        # until the next refit, a draw's weight at origin o is the product of its
-        # one-step predictives of months start..o-1, which the filter over the
-        # whole series gives: the efficiencies follow from them
+    REWEIGHTED_COHORTS = pytest.mark.parametrize(
+        "variant, gamma_prior", [("DM2", "uniform"), ("DM2", "fixed"), ("DM1", "grid"), ("BPM", "uniform")]
+    )
+
+    def _first_fit(self, variant, gamma_prior):
+        """The forecast over origins 51..60 of a 60-month cohort, the draws of its
+        first fit, the (S, T) log predictives of those draws over the whole
+        series, the origin that refits next (61 if none does), and the cohort."""
         series, design, spec, priors = self._cohort(variant, 81, 60)
         priors = PriorConfig(a0=priors.a0, b0=priors.b0, gamma_prior=gamma_prior, gamma_grid_step=0.02,
                              gamma_fixed_value=0.7)
@@ -525,10 +532,38 @@ class TestSequentialHarness:
         L = per_draw_log_predictives(series, design, draws, priors)
         next_refit = (report.refit_origins[1:] or (61,))[0]
         assert next_refit >= 57
+        return report, draws, L, next_refit, (series, design, priors)
+
+    @REWEIGHTED_COHORTS
+    def test_weights_are_the_draws_predictives_since_the_fit(self, variant, gamma_prior):
+        # until the next refit, a draw's weight at origin o is the product of its
+        # one-step predictives of months start..o-1, which the filter over the
+        # whole series gives: the efficiencies follow from them
+        report, _, L, next_refit, _ = self._first_fit(variant, gamma_prior)
         for i, o in enumerate(range(51, next_refit)):
             log_w = L[:, 50 : o - 1].sum(axis=1)
             w = np.exp(log_w - log_w.max())
             assert report.weight_efficiency[i] == pytest.approx(w.sum() ** 2 / (len(w) * (w * w).sum()), rel=1e-9)
+
+    @REWEIGHTED_COHORTS
+    def test_reweighted_origin_is_the_mixture_of_freshly_filtered_draws(self, variant, gamma_prior):
+        # at each reweighted origin o, every draw of the first fit starts from
+        # its state after a fresh filter over months 1..o-1 and carries the
+        # weight of its predictives of months 51..o-1
+        report, draws, L, next_refit, (series, design, priors) = self._first_fit(variant, gamma_prior)
+        assert next_refit > 52
+        for i, o in enumerate(range(52, next_refit), start=1):
+            log_w = L[:, 50 : o - 1].sum(axis=1)
+            w = np.exp(log_w - log_w.max())
+            z_next = design.rows[o - 1]
+            if variant == "BPM":
+                dist = ForecastDistribution(origin=o, components=np.exp(draws.beta @ z_next), weights=w)
+            else:
+                multipliers = linear_predictor(design.head(o - 1), draws.beta)
+                traj = filter_core(series.counts[: o - 1], multipliers, draws.gamma, priors.a0, priors.b0)
+                dist = forecast_one_step(draws, traj.a[:, -1], traj.b[:, -1], z_next, o, weights=w)
+            assert report.points[i] == pytest.approx(dist.point_forecast, rel=1e-12), o
+            assert (report.lower[i], report.upper[i]) == dist.interval, o
 
     def test_reweighted_origins_agree_with_refits(self):
         # Monte Carlo tolerance, fixed before the run: with s the posterior sd of
@@ -567,6 +602,26 @@ class TestSequentialHarness:
                 assert (report.points[i], report.lower[i], report.upper[i]) == (dist.point_forecast, *dist.interval)
             else:
                 assert REFIT_EFFICIENCY <= report.weight_efficiency[i] < 1.0
+
+    def test_window_states_at_the_fit_are_those_of_the_fitted_months_alone(self):
+        # a DM4 design with three covariates: on this cohort, the matrix product
+        # gives month 30's multipliers of some draws other last bits in the
+        # design of months 1..35 than in that of months 1..30, and the b state
+        # after month 30 of one draw in 200 moves with them. The pass over months
+        # 1..35 must still start each draw from the state the fit had.
+        T, cols = 40, ("z1", "z2", "z3")
+        rng = RngStream(98)
+        cov = {c: rng.substream(k).generator.normal(size=T) for k, c in enumerate(cols, 1)}
+        spec = ModelSpec("DM4", cols)
+        design = build_design(cov, spec, T)
+        priors = PriorConfig(a0=200.0, b0=2.0)
+        series = simulate_cohort(priors, 0.7, np.r_[0.3, -0.2, 0.1, np.zeros(11)], design, T, rng.substream(4)).counts
+        draws = fit_variant(spec, series.head(30), design.head(30), priors, MhConfig(iterations=300, burn_in=100),
+                            RngStream(3).substream(31), smooth=False)
+        _, states = evaluation._filter_window(spec, series, design, draws, priors, 31, 36)
+        fitted = filter_core(series.counts[:30], linear_predictor(design.head(30), draws.beta), draws.gamma,
+                             priors.a0, priors.b0)
+        assert np.array_equal(states[:, 0], np.column_stack([fitted.a[:, -1], fitted.b[:, -1]]))
 
     def test_ewma_variant_delegates(self):
         series = _series([5, 9, 12, 10, 8])

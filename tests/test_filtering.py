@@ -242,7 +242,7 @@ class TestFilterPass:
         traj = filter_core([1], np.ones((0, 1)), np.array([]), 1.0, 1.0)
         assert traj.a.shape == traj.b.shape == (0, 2)
         assert traj.log_predictive.shape == (0, 1) and traj.T == 1
-        assert traj.total_log_predictive.shape == (0,) and traj.end_state.shape == (0, 2)
+        assert traj.total_log_predictive.shape == (0,)
 
     def test_subnormal_gamma_is_out_of_support_without_warning(self):
         # gamma*b0 underflows to 0; log(0) must not warn, and that month scores

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dynpois import mcmc
-from dynpois.filtering import FILTER_BLOCK, filter_core, filter_draws, gamma_grid_posterior
+from dynpois.filtering import FILTER_BLOCK, filter_core, gamma_grid_posterior
 from dynpois.kernels import DomainError, GammaParams, RngStream, betaln, expit
 from dynpois.mcmc import (
     FitError,
@@ -68,8 +68,8 @@ class TestLogTargetStatic:
         design = DesignMatrix.empty(3)
         priors = PriorConfig(a0=2.0, b0=1.0)
         for g1, g2 in ((0.2, 0.7), (0.4, 0.9)):
-            t1 = log_target_static(np.zeros((1, 0)), [g1], series, design, priors)[0][0]
-            t2 = log_target_static(np.zeros((1, 0)), [g2], series, design, priors)[0][0]
+            t1 = log_target_static(np.zeros((1, 0)), [g1], series, design, priors)[0]
+            t2 = log_target_static(np.zeros((1, 0)), [g2], series, design, priors)[0]
             l1 = filter_core(series.counts, np.ones((1, 3)), [g1], priors.a0, priors.b0).total_log_predictive[0]
             l2 = filter_core(series.counts, np.ones((1, 3)), [g2], priors.a0, priors.b0).total_log_predictive[0]
             assert (t1 - t2) == pytest.approx(l1 - l2, abs=1e-10)
@@ -94,41 +94,31 @@ class TestLogTargetStatic:
 
         b1, g1 = np.array([0.4]), 0.6
         b2, g2 = np.array([-0.2]), 0.3
-        lhs = log_target_static(b1[None], [g1], series, design, priors)[0][0] - log_target_static(
+        lhs = log_target_static(b1[None], [g1], series, design, priors)[0] - log_target_static(
             b2[None], [g2], series, design, priors
-        )[0][0]
+        )[0]
         prior_term = -0.5 * (b1[0] ** 2 - b2[0] ** 2) / priors.beta_sd**2
         rhs = direct_loglik(b1, g1) - direct_loglik(b2, g2) + prior_term
         assert lhs == pytest.approx(rhs, abs=1e-10)
 
     def test_out_of_support(self):
         series = _series([1])
-        assert log_target_static(np.zeros((1, 0)), [1.5], series, DesignMatrix.empty(1), PriorConfig())[0][0] == -np.inf
+        assert log_target_static(np.zeros((1, 0)), [1.5], series, DesignMatrix.empty(1), PriorConfig())[0] == -np.inf
 
     def test_underflowing_multipliers_out_of_support(self):
         # eta = -800 < -745: exp(eta) underflows to 0.0, which the filter rejects
         series = _series([2, 0, 5])
         design = DesignMatrix(("x",), np.ones((3, 1)))
-        assert log_target_static(np.array([[-800.0]]), [0.5], series, design, PriorConfig())[0][0] == -np.inf
+        assert log_target_static(np.array([[-800.0]]), [0.5], series, design, PriorConfig())[0] == -np.inf
 
-    def test_block_all_off_support_gives_nan_states(self):
+    def test_block_all_off_support(self):
         # no row reaches the filter, which then runs on an empty stack
         series = _series([2, 0, 5])
         design = DesignMatrix(("x",), np.ones((3, 1)))
-        log_post, end_state = log_target_static(
+        log_post = log_target_static(
             np.array([[-800.0], [0.1], [0.2]]), [0.5, 1.5, math.nan], series, design, PriorConfig()
         )
         assert np.array_equal(log_post, np.full(3, -np.inf))
-        assert end_state.shape == (3, 2) and np.all(np.isnan(end_state))
-
-    def test_end_state_is_the_filter_end_columns(self):
-        series = _series([3, 1, 4, 1])
-        design = DesignMatrix(("x",), np.linspace(-1.0, 1.0, 4)[:, None])
-        priors = PriorConfig(a0=2.0, b0=1.0)
-        betas, gammas = np.array([[0.3], [-0.2]]), np.array([0.6, 0.9])
-        _, end_state = log_target_static(betas, gammas, series, design, priors)
-        traj = filter_core(series.counts, np.exp(betas @ design.rows.T), gammas, priors.a0, priors.b0)
-        assert np.array_equal(end_state, np.column_stack([traj.a[:, -1], traj.b[:, -1]]))
 
     @given(
         rows=st.lists(
@@ -163,11 +153,10 @@ class TestLogTargetStatic:
         gammas = np.array([g for _, g in rows])
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            block, block_states = log_target_static(betas, gammas, series, design, priors)
+            block = log_target_static(betas, gammas, series, design, priors)
             points = [log_target_static(b[None], [g], series, design, priors) for b, g in zip(betas, gammas)]
-        assert block.shape == (len(rows),) and block_states.shape == (len(rows), 2)
-        assert np.array_equal(block, np.array([values[0] for values, _ in points]))
-        assert np.array_equal(block_states, np.concatenate([rows for _, rows in points]), equal_nan=True)
+        assert block.shape == (len(rows),)
+        assert np.array_equal(block, np.concatenate(points))
 
 
 class TestStackedGammaTerms:
@@ -252,35 +241,18 @@ class TestDmStaticTarget:
             points = np.array([[*beta[:p], x] for beta, x in rows])
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            point = [target(x[None]) for x in points]
-            block, block_states = target(points)
-            expected, expected_states = [], []
+            point_values = np.concatenate([target(x[None]) for x in points])
+            block = target(points)
+            expected = []
             for x in points:
                 if gamma_prior == "fixed":
-                    ref, state = log_target_static(x[None], [fixed_value], series, design, priors)
-                    expected.append(ref[0])
+                    expected.append(log_target_static(x[None], [fixed_value], series, design, priors)[0])
                 else:
                     g = expit(x[p:])
-                    ref, state = log_target_static(x[None, :p], g, series, design, priors)
-                    expected.append(ref[0] + _logit_jacobian(g)[0])
-                expected_states.append(state)
-        point_values = np.array([values[0] for values, _ in point])
-        point_states = np.concatenate([rows for _, rows in point])
+                    expected.append(log_target_static(x[None, :p], g, series, design, priors)[0] + _logit_jacobian(g)[0])
+        assert block.shape == (len(points),)
         assert np.array_equal(point_values, np.array(expected))
         assert np.array_equal(point_values, block)
-        assert np.array_equal(point_states, np.concatenate(expected_states), equal_nan=True)
-        assert np.array_equal(point_states, block_states, equal_nan=True)
-
-
-def _values(target):
-    """The log densities alone of a target that also returns state rows, as
-    find_mode_and_hessian takes it."""
-    return lambda x: target(x)[0]
-
-
-def _stateless(log_density):
-    """A chain target from a block log density: no state columns."""
-    return lambda x: (log_density(x), np.empty((len(x), 0)))
 
 
 class TestFindModeAndHessian:
@@ -363,7 +335,7 @@ class TestFindModeAndHessian:
 
             start = np.zeros(design.p)
         else:
-            target = _values(mcmc._dm_static_target(series, design, priors))
+            target = mcmc._dm_static_target(series, design, priors)
             start = np.zeros(design.p + 1)
         res = find_mode_and_hessian(target, start)
         _, grad, _ = mcmc._fd_derivatives(target, res.mode)
@@ -374,7 +346,7 @@ class TestFindModeAndHessian:
         # the block-scored stencils give the same mode, covariance and jitter
         # as the loop that scores every stencil point by itself
         series, design, priors = _simulated_static(variant)
-        target = _values(mcmc._dm_static_target(series, design, priors))
+        target = mcmc._dm_static_target(series, design, priors)
         block_calls = []
 
         def counted(x):
@@ -398,7 +370,7 @@ class TestFindModeAndHessian:
         # DM4's 14 dimensions give 393 stencil points, more than one block;
         # coordinates beyond 1 in magnitude scale their steps
         series, design, priors = _simulated_static(variant)
-        target = _values(mcmc._dm_static_target(series, design, priors))
+        target = mcmc._dm_static_target(series, design, priors)
         x = np.random.default_rng(0).normal(0.0, 0.2, design.p + 1)
         x[0], x[-1] = -1.7, 2.3
         n_points = 1 + 2 * len(x) + 2 * len(x) * (len(x) - 1)
@@ -415,7 +387,7 @@ class TestFindModeAndHessian:
 class TestRwMetropolis:
     def test_flat_target_accepts_everything(self):
         res = rw_metropolis(
-            _stateless(lambda x: np.zeros(len(x))),
+            lambda x: np.zeros(len(x)),
             np.zeros(1),
             np.eye(1),
             MhConfig(iterations=500, burn_in=0),
@@ -425,7 +397,7 @@ class TestRwMetropolis:
 
     def test_standard_normal_moments(self):
         res = rw_metropolis(
-            _stateless(_standard_normal),
+            _standard_normal,
             np.zeros(1),
             np.eye(1) * 5.76,  # 2.4^2, near-optimal scale in 1d
             MhConfig(iterations=100_000, burn_in=5_000),
@@ -438,8 +410,8 @@ class TestRwMetropolis:
 
     def test_bitwise_reproducible(self):
         cfg = MhConfig(iterations=300, burn_in=100)
-        a = rw_metropolis(_stateless(_standard_normal), np.zeros(2), np.eye(2), cfg, RngStream(3))
-        b = rw_metropolis(_stateless(_standard_normal), np.zeros(2), np.eye(2), cfg, RngStream(3))
+        a = rw_metropolis(_standard_normal, np.zeros(2), np.eye(2), cfg, RngStream(3))
+        b = rw_metropolis(_standard_normal, np.zeros(2), np.eye(2), cfg, RngStream(3))
         assert np.array_equal(a.draws, b.draws)
         assert a.acceptance_rate == b.acceptance_rate
 
@@ -448,22 +420,13 @@ class TestRwMetropolis:
             return np.where(np.all(x == 0.0, axis=-1), 0.0, -np.inf)
 
         with pytest.raises(FitError):
-            rw_metropolis(_stateless(spike), np.zeros(1), np.eye(1), MhConfig(iterations=200, burn_in=0), RngStream(4))
+            rw_metropolis(spike, np.zeros(1), np.eye(1), MhConfig(iterations=200, burn_in=0), RngStream(4))
 
     def test_burn_in_and_thinning_counts(self):
         cfg = MhConfig(iterations=1000, burn_in=200, thinning=4)
-        res = rw_metropolis(_stateless(lambda x: np.zeros(len(x))), np.zeros(1), np.eye(1), cfg, RngStream(5))
+        res = rw_metropolis(lambda x: np.zeros(len(x)), np.zeros(1), np.eye(1), cfg, RngStream(5))
         assert res.draws.shape == (cfg.n_retained, 1)
-        assert res.filter_state.shape == (cfg.n_retained, 0)
         assert cfg.n_retained == 200
-
-    def test_retained_draws_keep_their_state_rows(self):
-        # each point's state row is a copy of the point, so the rows the chain
-        # carries must be its retained draws
-        cfg = MhConfig(iterations=600, burn_in=100, thinning=3)
-        res = rw_metropolis(lambda x: (_standard_normal(x), x.copy()), np.zeros(2), np.eye(2), cfg, RngStream(6))
-        assert 0.0 < res.acceptance_rate < 1.0
-        assert np.array_equal(res.filter_state, res.draws)
 
 
 def _standard_normal(x):
@@ -476,7 +439,7 @@ class TestIndependenceChain:
 
     def test_standard_normal_moments(self):
         cfg = MhConfig(iterations=40_000, burn_in=1_000)
-        res = mcmc._independence_chain(_stateless(_standard_normal), self.LAPLACE, cfg, RngStream(2))
+        res = mcmc._independence_chain(_standard_normal, self.LAPLACE, cfg, RngStream(2))
         assert res.sampler == "independence"
         assert res.draws.shape == (cfg.n_retained, 2)
         assert np.all(np.abs(res.draws.mean(axis=0)) < 0.03)
@@ -484,24 +447,11 @@ class TestIndependenceChain:
 
     def test_bitwise_reproducible(self):
         cfg = MhConfig(iterations=700, burn_in=100, thinning=3)
-        a = mcmc._independence_chain(_stateless(_standard_normal), self.LAPLACE, cfg, RngStream(3))
-        b = mcmc._independence_chain(_stateless(_standard_normal), self.LAPLACE, cfg, RngStream(3))
+        a = mcmc._independence_chain(_standard_normal, self.LAPLACE, cfg, RngStream(3))
+        b = mcmc._independence_chain(_standard_normal, self.LAPLACE, cfg, RngStream(3))
         assert np.array_equal(a.draws, b.draws)
         assert a.acceptance_rate == b.acceptance_rate
         assert a.draws.shape == (cfg.n_retained, 2)
-
-    def test_retained_draws_keep_their_state_rows(self):
-        # each point's state row is a copy of the point; a target far narrower
-        # than the proposal holds the chain at the mode for its first steps
-        mode = self.LAPLACE.mode
-
-        def target(x):
-            return -0.5 * np.sum(((x - mode) / 0.1) ** 2, axis=-1), x.copy()
-
-        cfg = MhConfig(iterations=700, burn_in=0, thinning=3)
-        res = mcmc._independence_chain(target, self.LAPLACE, cfg, RngStream(3))
-        assert np.array_equal(res.draws[0], mode) and res.acceptance_rate > 0.0
-        assert np.array_equal(res.filter_state, res.draws)
 
     def test_log_kernel_is_the_t_density_up_to_a_constant(self):
         from scipy.stats import multivariate_t
@@ -520,7 +470,7 @@ class TestIndependenceChain:
             return np.where(np.all(x == 0.0, axis=-1), 0.0, -np.inf)
 
         with pytest.raises(FitError, match="accepted no proposals"):
-            mcmc._independence_chain(_stateless(spike), ModeHessian(np.zeros(1), np.eye(1)),
+            mcmc._independence_chain(spike, ModeHessian(np.zeros(1), np.eye(1)),
                                      MhConfig(iterations=50, burn_in=0), RngStream(4))
 
     @pytest.mark.parametrize("rw_rate", [0.05, 0.3, 0.7])
@@ -529,14 +479,13 @@ class TestIndependenceChain:
         def independence(log_target, mh, config, rng):
             if imh_rate is None:
                 raise FitError("the independence chain accepted no proposals")
-            return MhResult(np.zeros((config.n_retained, 1)), imh_rate, np.zeros((config.n_retained, 0)),
-                            sampler="independence")
+            return MhResult(np.zeros((config.n_retained, 1)), imh_rate, sampler="independence")
 
         runs = []
 
         def chain(log_target, init, proposal_covariance, config, rng):
             runs.append((float(proposal_covariance[0, 0]), rng.generator.random()))
-            return MhResult(np.ones((config.n_retained, 1)), rw_rate, np.zeros((config.n_retained, 0)))
+            return MhResult(np.ones((config.n_retained, 1)), rw_rate)
 
         monkeypatch.setattr(mcmc, "find_mode_and_hessian", lambda f, x: ModeHessian(x, np.eye(1)))
         monkeypatch.setattr(mcmc, "_independence_chain", independence)
@@ -553,11 +502,11 @@ class TestIndependenceChain:
         cfg = MhConfig(iterations=50, burn_in=0, proposal_scale=1e12)
         # the random-walk chain's message, not the independence chain's
         with pytest.raises(FitError, match="rescale the proposal covariance"):
-            mcmc._mode_then_chain(_stateless(_standard_normal), np.ones(1), cfg, RngStream(7))
+            mcmc._mode_then_chain(_standard_normal, np.ones(1), cfg, RngStream(7))
 
     def test_independence_chain_above_the_floor_is_kept(self, monkeypatch):
         monkeypatch.setattr(mcmc, "rw_metropolis", None)  # never reached
-        res = mcmc._mode_then_chain(_stateless(_standard_normal), np.ones(2), MhConfig(iterations=300, burn_in=0),
+        res = mcmc._mode_then_chain(_standard_normal, np.ones(2), MhConfig(iterations=300, burn_in=0),
                                     RngStream(6))
         assert res.sampler == "independence"
         assert res.acceptance_rate >= mcmc._ACCEPTANCE_FLOOR
@@ -569,11 +518,11 @@ class TestIndependenceChain:
         spec, p = ModelSpec("DM2", ("z1", "z2")), design.p
         cfg = MhConfig(iterations=1500, burn_in=500)
         monkeypatch.setattr(mcmc, "_independence_chain", lambda f, mh, config, rng: MhResult(
-            np.zeros((config.n_retained, p + 1)), 0.05, np.zeros((config.n_retained, 2)), sampler="independence"))
+            np.zeros((config.n_retained, p + 1)), 0.05, sampler="independence"))
         draws = fit_dm_static(series, design, spec, priors, cfg, RngStream(21), smooth=False)
 
         target = mcmc._dm_static_target(series, design, priors)
-        mh = find_mode_and_hessian(_values(target), np.zeros(p + 1))
+        mh = find_mode_and_hessian(target, np.zeros(p + 1))
         ref = rw_metropolis(target, mh.mode, mh.covariance, cfg, RngStream(21).substream(0).substream(0))
         assert draws.sampler == "random_walk"
         assert draws.acceptance_rate == ref.acceptance_rate
@@ -625,69 +574,6 @@ class TestLogTargetBpm:
         finite = np.isfinite(points)
         np.testing.assert_allclose(block[finite], points[finite], rtol=1e-12)
         assert np.array_equal(block[~finite], points[~finite])
-
-
-class TestFilterState:
-    """Each fitter's filter_state against the end columns of a fresh filter pass."""
-
-    @staticmethod
-    def _assert_fresh_pass(series, design, priors, draws):
-        passes = filter_draws(series.counts, design, draws.beta, draws.gamma, priors.a0, priors.b0)
-        fresh = np.concatenate([np.column_stack([traj.a[:, -1], traj.b[:, -1]]) for _, traj in passes])
-        assert draws.filter_state.shape == (draws.S, 2)
-        assert np.array_equal(draws.filter_state, fresh)
-
-    @staticmethod
-    def _simulated_dm1(T=60):
-        design = DesignMatrix.empty(T)
-        priors = PriorConfig(a0=50.0, b0=2.0)
-        return simulate_cohort(priors, 0.7, np.zeros(0), design, T, RngStream(11).substream(3)).counts, design, priors
-
-    @pytest.mark.pinned_dispatch
-    @pytest.mark.parametrize("variant", ["DM1", "DM2", "DM3", "DM4"])
-    def test_independence_chain(self, variant):
-        if variant == "DM1":
-            (series, design, priors), spec = self._simulated_dm1(), ModelSpec("DM1")
-        else:
-            (series, design, priors), spec = _simulated_static(variant), ModelSpec(variant, ("z1", "z2"))
-        # more retained draws than one filter block
-        cfg = MhConfig(iterations=1500, burn_in=500)
-        draws = fit_dm_static(series, design, spec, priors, cfg, RngStream(31), smooth=False)
-        assert draws.sampler == "independence" and draws.S > FILTER_BLOCK
-        self._assert_fresh_pass(series, design, priors, draws)
-
-    @pytest.mark.pinned_dispatch
-    def test_random_walk_fallback(self, monkeypatch):
-        series, design, priors = _simulated_static("DM2")
-        monkeypatch.setattr(mcmc, "_independence_chain", lambda f, mh, config, rng: MhResult(
-            np.zeros((config.n_retained, design.p + 1)), 0.05, np.zeros((config.n_retained, 2)),
-            sampler="independence"))
-        cfg = MhConfig(iterations=1500, burn_in=500)
-        draws = fit_dm_static(series, design, ModelSpec("DM2", ("z1", "z2")), priors, cfg, RngStream(32), smooth=False)
-        assert draws.sampler == "random_walk"
-        self._assert_fresh_pass(series, design, priors, draws)
-
-    @pytest.mark.pinned_dispatch
-    @pytest.mark.parametrize("gamma_prior", ["grid", "fixed"])
-    def test_covariate_free_routes(self, gamma_prior):
-        series, design, priors = self._simulated_dm1()
-        priors = PriorConfig(a0=priors.a0, b0=priors.b0, gamma_prior=gamma_prior, gamma_fixed_value=0.8)
-        cfg = MhConfig(iterations=400, burn_in=100)
-        draws = fit_dm_static(series, design, ModelSpec("DM1"), priors, cfg, RngStream(33), smooth=True)
-        assert draws.sampler == ""
-        self._assert_fresh_pass(series, design, priors, draws)
-
-    @pytest.mark.pinned_dispatch
-    def test_dm5(self):
-        series, design, priors = _simulated_static("DM2", T=25)
-        draws = fit_dm5(series, design, priors, MhConfig(iterations=320, burn_in=20), RngStream(34), smooth=False)
-        assert draws.S > FILTER_BLOCK
-        self._assert_fresh_pass(series, design, priors, draws)
-
-    def test_bpm_state_has_no_columns(self):
-        series, design, priors = _simulated_static("BPM", T=30)
-        draws = fit_bpm(series, design, priors, MhConfig(iterations=300, burn_in=100), RngStream(35))
-        assert draws.filter_state.shape == (draws.S, 0)
 
 
 class TestMhConfig:

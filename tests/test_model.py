@@ -1,6 +1,7 @@
 """Tests for domain types, design construction and the cohort simulator."""
 
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -41,6 +42,15 @@ class TestCountSeries:
         with pytest.raises(DomainError):
             CountSeries([1, 2], [1, np.inf])
         assert CountSeries([1, 2], [1.0, 3.0]).counts.tolist() == [1, 3]
+
+    @pytest.mark.parametrize("count", [2**63, 2**70, -(2**70), 1e300, -1e300, np.uint64(2**64 - 1)])
+    def test_count_beyond_int64_rejected_without_warning(self, count):
+        # a plain cast would overflow, or wrap with a RuntimeWarning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=re.escape("below 2**63")):
+                CountSeries([1, 2], [1, count])
+        assert CountSeries([1, 2], [1, 2**63 - 1]).counts[1] == 2**63 - 1
 
     def test_non_integer_month_rejected(self):
         with pytest.raises(DomainError):
