@@ -33,6 +33,7 @@ from .model import (
     ModelSpec,
     PriorConfig,
     build_design,
+    linear_predictor,
     simulate_cohort,
     simulate_dm5_coefficients,
     standardize_covariates,
@@ -251,6 +252,8 @@ def _cmd_simulate(args, cfg) -> dict:
 
     n_cov = sim["n_covariates"]
     if variant == "DM1":
+        if n_cov:
+            raise io.ValidationError("simulate.n_covariates must be 0 or null for DM1, which takes no covariates")
         n_cov = 0
     elif n_cov is None:
         # whatever beta leaves over after trend/seasonal terms
@@ -269,17 +272,19 @@ def _cmd_simulate(args, cfg) -> dict:
     spec = ModelSpec(variant, cov_names)
     # cohort.csv keeps the raw covariates
     design = _design(cfg, _standardized(cfg, covariates), spec, T)
-    if variant != "DM1" and len(beta) != design.p:
+    if len(beta) != design.p:
         raise io.ValidationError(
             f"simulate.beta has {len(beta)} entries but the design needs {design.p}"
         )
 
     priors = _from_block(PriorConfig, cfg["prior"], "prior")
+    tau = np.asarray(sim["tau"], dtype=float)
     if variant == "DM5":
-        tau = np.asarray(sim["tau"], dtype=float)
         if tau.size != design.p:
             raise io.ValidationError("simulate.tau needs one precision per design column")
         beta = simulate_dm5_coefficients(beta, tau, T, rng.substream(1))
+    elif tau.size:
+        raise io.ValidationError(f"simulate.tau must be empty for {variant}, whose coefficients are static")
     truth = simulate_cohort(priors, gamma, beta, design, T, rng.substream(2))
 
     header = ["month_index", "count", *cov_names]
@@ -295,7 +300,7 @@ def _cmd_simulate(args, cfg) -> dict:
         "theta_path": truth.theta_path.tolist(),
     }
     if variant == "DM5":
-        truth_payload["tau"] = np.asarray(sim["tau"], dtype=float).tolist()
+        truth_payload["tau"] = tau.tolist()
     return {
         "summary.json": {"command": "simulate", "model": variant, "T": T, "truth": truth_payload},
         "cohort.csv": (header, rows),
@@ -334,7 +339,7 @@ def _cmd_fit(args, cfg, command="fit") -> dict:
     if draws.theta is not None:
         outputs["fit.csv"] = io.fit_csv_rows(series.counts, draws.theta)
     elif draws.variant == "BPM":
-        rates = np.exp(draws.beta @ design.rows.T)
+        rates = linear_predictor(design, draws.beta)
         outputs["fit.csv"] = io.fit_csv_rows(series.counts, rates)
     return outputs
 

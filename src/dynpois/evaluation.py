@@ -9,7 +9,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .filtering import FILTER_BLOCK, filter_core, filter_draws
+from .filtering import filter_draws
 from .kernels import DomainError, RngStream, logsumexp
 from .mcmc import (
     FitError,
@@ -24,7 +24,6 @@ from .model import (
     ModelSpec,
     PriorConfig,
     build_design,
-    linear_predictor,
 )
 
 
@@ -251,14 +250,12 @@ def _check_window(window, T: int):
 
 
 def _filter_window(spec, series, design, draws, priors, o_fit: int, end: int) -> tuple:
-    """One batched filter pass of draws fitted on months 1..o_fit-1, over months
-    1..end-1 (DM5's paths end at o_fit-1, and so does its pass), FILTER_BLOCK
-    draws per call. Returns only the window's columns: each draw's one-step log
-    predictives of months o_fit..end-1, (S, end-o_fit), and its states (a, b)
-    after months o_fit-1..end-1, (S, end-o_fit+1, 2). The fitted months'
-    multipliers come from their own design, as in the fit: a row of a matrix
-    product can change in the last bit with the number of rows. BPM takes its
-    Poisson log pmfs, and empty (S, end-o_fit+1, 0) states.
+    """One ``filter_draws`` pass of draws fitted on months 1..o_fit-1, over months
+    1..end-1 (DM5's paths end at o_fit-1, and so does its pass). Returns only
+    the window's columns: each draw's one-step log predictives of months
+    o_fit..end-1, (S, end-o_fit), and its states (a, b) after months
+    o_fit-1..end-1, (S, end-o_fit+1, 2). BPM takes its Poisson log pmfs, and
+    empty (S, end-o_fit+1, 0) states.
     """
     if spec.variant == "BPM":
         log_pred = bpm_log_pmf(draws.beta, series, design)[:, o_fit - 1 : end - 1]
@@ -266,12 +263,8 @@ def _filter_window(spec, series, design, draws, priors, o_fit: int, end: int) ->
     last = o_fit - 1 if spec.variant == "DM5" else end - 1
     log_pred = np.empty((draws.S, last - o_fit + 1))
     states = np.empty((draws.S, last - o_fit + 2, 2))
-    for start in range(0, draws.S, FILTER_BLOCK):
-        block = slice(start, start + FILTER_BLOCK)
-        beta = draws.beta[block]
-        multipliers = linear_predictor(design.head(last), beta)
-        multipliers[:, : o_fit - 1] = linear_predictor(design.head(o_fit - 1), beta)
-        traj = filter_core(series.counts[:last], multipliers, draws.gamma[block], priors.a0, priors.b0)
+    passes = filter_draws(series.counts[:last], design.head(last), draws.beta, draws.gamma, priors.a0, priors.b0)
+    for block, traj in passes:
         # only the window's columns outlive the block
         log_pred[block] = traj.log_predictive[:, o_fit - 1 :]
         states[block] = np.stack([traj.a[:, o_fit - 1 :], traj.b[:, o_fit - 1 :]], axis=-1)

@@ -151,8 +151,8 @@ def filter_draws(
     ``betas`` is a stack of static coefficients (S, p) or of paths (S, T, p).
     Yields ``(block, trajectory)``: a slice into the draws and the batched
     trajectory of those draws, in draw order. One ``linear_predictor`` call
-    builds a block's multipliers, and each row equals that draw's one-row call
-    bit for bit.
+    builds a block's multipliers, so each row is that draw's one-row pass bit
+    for bit.
     """
     for start in range(0, len(gammas), FILTER_BLOCK):
         block = slice(start, start + FILTER_BLOCK)

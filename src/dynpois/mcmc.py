@@ -395,7 +395,9 @@ def _mode_then_chain(log_target, start: np.ndarray, config: MhConfig, rng: RngSt
     mode search and both chains alike. The independence chain runs on
     substream 3 and is kept unless it died or accepted less than
     ``_ACCEPTANCE_FLOOR``. Otherwise one random-walk chain runs on substream
-    0, with proposal_scale x the Laplace covariance as its proposal, and is
+    0, with 2.38^2 / d x proposal_scale x the Laplace covariance as its
+    proposal in d dimensions, the scaling that is optimal for a normal target
+    (Roberts, Gelman and Gilks 1997, Ann. Appl. Probab. 7:110-120), and is
     kept whatever its acceptance; if it dies too, its FitError propagates.
     """
     mh = find_mode_and_hessian(log_target, start)
@@ -405,7 +407,8 @@ def _mode_then_chain(log_target, start: np.ndarray, config: MhConfig, rng: RngSt
             return imh
     except FitError:
         pass
-    return rw_metropolis(log_target, mh.mode, mh.covariance * config.proposal_scale, config, rng.substream(0))
+    scale = 2.38**2 / len(mh.mode) * config.proposal_scale
+    return rw_metropolis(log_target, mh.mode, mh.covariance * scale, config, rng.substream(0))
 
 
 def _smooth_paths(

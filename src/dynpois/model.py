@@ -217,8 +217,11 @@ def build_design(
     (t/T, (t/T)^2, ...) up to trend_order: the span of (t, t^2, ...), on a
     scale where exp(beta' z_t) stays finite. Seasonal columns are indicators
     for the eleven calendar months other than December; month index t maps to
-    calendar month ((start_month - 1 + t - 1) mod 12) + 1.
+    calendar month ((start_month - 1 + t - 1) mod 12) + 1, and a start_month
+    outside 1..12 raises DomainError.
     """
+    if start_month not in range(1, 13):
+        raise DomainError(f"start_month must be a calendar month in 1..12, got {start_month}")
     cols = []
     names = []
     if spec.intercept:
@@ -254,21 +257,23 @@ def linear_predictor(design: DesignMatrix, beta: np.ndarray) -> np.ndarray:
     """Per-month multipliers exp(beta_k' z_t), shape (K, T), for a stack of K
     draws: static coefficients (K, p) or per-month paths (K, T, p).
 
-    Each static row goes through the matrix-vector product of its own, so row
-    k does not depend on the other rows or on K.
+    Entry (k, t) sums beta_kj z_tj term by term in column order, by
+    elementwise products and sums, so it has the same bits whatever K and T are.
     """
     beta = np.asarray(beta, dtype=float)
     T, p = design.rows.shape
     if beta.ndim == 2 and beta.shape[1] == p:
-        eta = (design.rows @ beta[:, :, None])[..., 0]
-    elif beta.ndim == 3 and beta.shape[1:] == (T, p):
-        eta = np.sum(design.rows * beta, axis=-1)
-    else:
+        beta = beta[:, None, :]  # the same coefficients every month
+    elif not (beta.ndim == 3 and beta.shape[1:] == (T, p)):
         raise DomainError(
             f"beta must be a (K, {p}) stack of coefficients or a (K, {T}, {p}) stack of paths, "
             f"got shape {beta.shape}"
         )
-    return np.exp(eta)
+    eta = np.zeros((len(beta), T))
+    term = np.empty_like(eta)
+    for j in range(p):
+        eta += np.multiply(design.rows[:, j], beta[..., j], out=term)
+    return np.exp(eta, out=eta)
 
 
 def simulate_cohort(
@@ -284,37 +289,29 @@ def simulate_cohort(
     The state innovation at month t is Beta(gamma*a_{t-1}, (1-gamma)*a_{t-1}),
     where a_{t-1} comes from running the conjugate filter on the counts
     generated so far; generation and filtering are therefore interleaved
-    month by month.
+    month by month. ``true_beta`` is static (p,) or a (T, p) path, as
+    ``linear_predictor`` takes it, or DomainError is raised.
     """
     if not (0.0 < true_gamma < 1.0):
         raise DomainError("true_gamma must lie in (0, 1)")
     if design.T != T:
         raise DomainError("design matrix length must match T")
-    multipliers_beta = np.asarray(true_beta, dtype=float)
+    true_beta = np.asarray(true_beta, dtype=float)
+    multipliers = linear_predictor(design, true_beta[None])[0]
     gen = rng.generator
 
-    theta0 = sample_gamma(priors.initial_state(), rng)
+    theta = theta0 = sample_gamma(priors.initial_state(), rng)
     a = priors.a0
-    theta_prev = theta0
     thetas = np.empty(T)
     counts = np.empty(T, dtype=int)
-    for t in range(1, T + 1):
+    for t, multiplier in enumerate(multipliers):
         eps = sample_beta(BetaParams(true_gamma * a, (1.0 - true_gamma) * a), rng)
-        theta = theta_prev / true_gamma * eps
-        if design.p == 0:
-            mult = 1.0
-        elif multipliers_beta.ndim == 2:
-            mult = float(np.exp(design.rows[t - 1] @ multipliers_beta[t - 1]))
-        else:
-            mult = float(np.exp(design.rows[t - 1] @ multipliers_beta))
-        n = int(gen.poisson(theta * mult))
-        a = true_gamma * a + n
-        thetas[t - 1] = theta
-        counts[t - 1] = n
-        theta_prev = theta
+        theta = theta / true_gamma * eps
+        thetas[t], counts[t] = theta, gen.poisson(theta * multiplier)
+        a = true_gamma * a + counts[t]
 
     series = CountSeries(np.arange(1, T + 1), counts)
-    return SimTruth(thetas, multipliers_beta, true_gamma, series, theta0=theta0)
+    return SimTruth(thetas, true_beta, true_gamma, series, theta0=theta0)
 
 
 def simulate_dm5_coefficients(

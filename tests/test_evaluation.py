@@ -486,7 +486,7 @@ class TestSequentialHarness:
             samplers.append(res.sampler)
             return res
 
-        for module in (filtering, mcmc, evaluation):
+        for module in (filtering, mcmc):
             monkeypatch.setattr(module, "filter_core", counted_filter)
         monkeypatch.setattr(mcmc, "find_mode_and_hessian", counted_mode)
         monkeypatch.setattr(mcmc, "_independence_chain", recorded_chain)
@@ -604,11 +604,10 @@ class TestSequentialHarness:
                 assert REFIT_EFFICIENCY <= report.weight_efficiency[i] < 1.0
 
     def test_window_states_at_the_fit_are_those_of_the_fitted_months_alone(self):
-        # a DM4 design with three covariates: on this cohort, the matrix product
+        # a DM4 design with three covariates, on which a BLAS matrix product
         # gives month 30's multipliers of some draws other last bits in the
-        # design of months 1..35 than in that of months 1..30, and the b state
-        # after month 30 of one draw in 200 moves with them. The pass over months
-        # 1..35 must still start each draw from the state the fit had.
+        # design of months 1..35 than in that of months 1..30. The pass over
+        # months 1..35 must start each draw from the state the fit had.
         T, cols = 40, ("z1", "z2", "z3")
         rng = RngStream(98)
         cov = {c: rng.substream(k).generator.normal(size=T) for k, c in enumerate(cols, 1)}

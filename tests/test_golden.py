@@ -10,7 +10,7 @@ infers its covariate count from ``beta``, and a compare over DM1-DM4 and BPM.
 The gate-11 fit for DM5 pins the Gibbs sampler's draws and diagnostics. A DM4
 fit at proposal scale 0.16 pins the random-walk fallback: its independence
 chain accepts 0.044 of its proposals, below the floor, and the random-walk
-chain that replaces it accepts 0.518.
+chain that replaces it accepts 0.672.
 
 The digests hold under one floating-point dispatch only, so the commands run
 under the pinned dispatch of ``conftest.py``, whose settings the file records

@@ -350,6 +350,35 @@ def test_simulate_negative_covariate_sd_exits_2(tmp_path, capsys):
     assert "simulate.covariate_sd" in err["message"]
 
 
+
+@pytest.mark.parametrize("model, sim, key", [
+    ("DM1", {"beta": [0.4, 9.0]}, "simulate.beta"),
+    ("DM1", {"n_covariates": 3}, "simulate.n_covariates"),
+    ("DM1", {"tau": [1.0]}, "simulate.tau"),
+    ("DM1", {"beta": [0.4, 9.0], "tau": [1.0], "n_covariates": 3}, "simulate.n_covariates"),
+    ("DM2", {"beta": [0.4], "n_covariates": 1, "tau": [1.0]}, "simulate.tau"),
+])
+def test_simulate_rejects_coefficients_it_would_not_use(tmp_path, capsys, model, sim, key):
+    cfg_path = _write(tmp_path, "sim.json", json.dumps({"simulate": {"T": 10, "gamma": 0.6, **sim}}))
+    capsys.readouterr()
+    code, _ = run_command(["simulate", "--config", str(cfg_path), "--model", model, "--seed", "1",
+                           "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert key in json.loads(capsys.readouterr().out)["error"]["message"]
+    assert not (tmp_path / "o" / "summary.json").exists()
+
+
+@pytest.mark.parametrize("start_month", [13, -11, 0])
+def test_start_month_outside_the_calendar_exits_2(tmp_path, capsys, start_month):
+    data = _simulate_cohort_csv(tmp_path)
+    cfg_path = _write(tmp_path, "fit.json", json.dumps({"start_month": start_month}))
+    capsys.readouterr()
+    code, _ = run_command(["fit", "--config", str(cfg_path), "--model", "DM4", "--seed", "1",
+                           "--data", str(data), "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert "start_month" in json.loads(capsys.readouterr().out)["error"]["message"]
+
+
 class TestRunCommandFit:
     def test_dm1_summary_includes_gamma(self, tmp_path):
         data = _simulate_cohort_csv(tmp_path)

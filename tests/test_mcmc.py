@@ -47,15 +47,16 @@ def _series(counts):
 
 
 def _simulated_static(variant, T=60):
-    """A simulated cohort with two covariates, its design for the variant, and priors."""
+    """A simulated cohort with two covariates, its design for the variant (DM1
+    takes neither), and priors."""
     rng = RngStream(11)
     cov = {"z1": rng.substream(1).generator.normal(size=T),
            "z2": rng.substream(2).generator.normal(size=T)}
-    spec = ModelSpec(variant, ("z1", "z2"))
-    design = build_design(cov, spec, T)
+    columns = () if variant == "DM1" else ("z1", "z2")
+    design = build_design(cov, ModelSpec(variant, columns), T)
     priors = PriorConfig(a0=50.0, b0=2.0)
     true_beta = np.zeros(design.p)
-    true_beta[:2] = 0.4, -0.3
+    true_beta[: len(columns)] = (0.4, -0.3)[: len(columns)]
     truth = simulate_cohort(priors, 0.7, true_beta, design, T, rng.substream(3))
     return truth.counts, design, priors
 
@@ -492,9 +493,9 @@ class TestIndependenceChain:
         monkeypatch.setattr(mcmc, "rw_metropolis", chain)
         rng = RngStream(5)
         res = mcmc._mode_then_chain(None, np.ones(1), MhConfig(iterations=10, burn_in=0, proposal_scale=0.4), rng)
-        # one chain, at proposal_scale x the Laplace covariance, on substream 0,
-        # kept whatever its acceptance
-        assert runs == [(0.4, rng.substream(0).generator.random())]
+        # one chain, at 2.38^2 / d x proposal_scale x the Laplace covariance
+        # (d = 1), on substream 0, kept whatever its acceptance
+        assert runs == [(2.38**2 * 0.4, rng.substream(0).generator.random())]
         assert res.sampler == "random_walk" and res.acceptance_rate == rw_rate
 
     def test_dead_independence_and_random_walk_chains_raise(self):
@@ -523,11 +524,27 @@ class TestIndependenceChain:
 
         target = mcmc._dm_static_target(series, design, priors)
         mh = find_mode_and_hessian(target, np.zeros(p + 1))
-        ref = rw_metropolis(target, mh.mode, mh.covariance, cfg, RngStream(21).substream(0).substream(0))
+        cov = mh.covariance * (2.38**2 / (p + 1))
+        ref = rw_metropolis(target, mh.mode, cov, cfg, RngStream(21).substream(0).substream(0))
         assert draws.sampler == "random_walk"
         assert draws.acceptance_rate == ref.acceptance_rate
         assert np.array_equal(draws.beta, ref.draws[:, :p])
         assert np.array_equal(draws.gamma, expit(ref.draws[:, p]))
+
+    @pytest.mark.parametrize("variant", ["DM1", "DM4"])
+    def test_fallback_acceptance_is_moderate_in_one_and_in_fourteen_dimensions(self, monkeypatch, variant):
+        # the random walk's 2.38^2 / d scaling keeps its acceptance near the
+        # normal-target optimum (0.44 for d = 1, about 0.25 for d = 14); at
+        # proposal_scale x the Laplace covariance alone, DM1 accepted about
+        # 0.7 and DM4 about 0.1
+        series, design, priors = _simulated_static(variant)
+        spec = ModelSpec(variant, design.column_names[:2])
+        monkeypatch.setattr(mcmc, "_independence_chain", lambda f, mh, config, rng: MhResult(
+            np.zeros((config.n_retained, design.p + 1)), 0.05, sampler="independence"))
+        cfg = MhConfig(iterations=2000, burn_in=500)
+        draws = fit_dm_static(series, design, spec, priors, cfg, RngStream(22), smooth=False)
+        assert draws.sampler == "random_walk"
+        assert 0.15 <= draws.acceptance_rate <= 0.6
 
     def test_dm1_posterior_matches_the_exact_grid_posterior(self):
         # Under a uniform gamma prior the DM1 posterior is known up to its

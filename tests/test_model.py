@@ -5,6 +5,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dynpois.kernels import DomainError, RngStream
 from dynpois.model import (
@@ -151,6 +153,11 @@ class TestBuildDesign:
         with pytest.raises(DomainError):
             build_design({"x": np.ones(4)}, ModelSpec("DM2", ("x",)), 5)
 
+    @pytest.mark.parametrize("start_month", [0, 13, -11])
+    def test_start_month_outside_the_calendar_rejected(self, start_month):
+        with pytest.raises(DomainError, match="start_month"):
+            build_design({}, ModelSpec("DM4"), 2, start_month=start_month)
+
     def test_start_month_offset(self):
         design = build_design({}, ModelSpec("DM4"), 2, start_month=12)
         assert np.all(design.rows[0] == 0.0)  # begins in December
@@ -232,6 +239,12 @@ class TestSimulateCohort:
                 PriorConfig(), 1.5, np.zeros(0), DesignMatrix.empty(5), 5, RngStream(0)
             )
 
+    def test_coefficients_must_match_the_design(self):
+        # a covariate-free design has no column for a coefficient to act on
+        for beta in (np.array([0.4, 9.0]), np.zeros((5, 1))):
+            with pytest.raises(DomainError, match="beta must be"):
+                simulate_cohort(PriorConfig(), 0.5, beta, DesignMatrix.empty(5), 5, RngStream(0))
+
 
 class TestSimulateDm5Coefficients:
     def test_huge_precision_freezes_path(self):
@@ -262,24 +275,31 @@ class TestSimulateDm5Coefficients:
 
 
 class TestLinearPredictor:
-    @pytest.mark.pinned_dispatch
-    def test_stack_rows_equal_one_row_stacks(self):
-        # each static row runs through its own matrix-vector product, so row k
-        # of a stack is draw k's one-row stack bit for bit, whatever K is
-        T = 150
-        gen = np.random.default_rng(0)
-        for p in (0, 1, 2, 14):
-            design = DesignMatrix(tuple(f"c{i}" for i in range(p)), gen.normal(size=(T, p)))
-            for K in (1, 2, 7, 300):
-                for shape in ((K, p), (K, T, p)):
-                    beta = gen.normal(size=shape)
-                    stack = linear_predictor(design, beta)
-                    assert stack.shape == (K, T)
-                    for k in range(K):
-                        assert np.array_equal(stack[k], linear_predictor(design, beta[k : k + 1])[0])
-            for bad in (np.zeros(p), np.zeros((3, p + 1)), np.zeros((3, T - 1, p))):
-                with pytest.raises(DomainError, match=re.escape(f"(K, {p})") + ".*" + re.escape(f"(K, {T}, {p})")):
-                    linear_predictor(design, bad)
+    # unpinned: the column sum is elementwise arithmetic, so it holds on any
+    # CPU; a BLAS matrix product fails it (K=256, T=150, p=13, t=149 below)
+    @settings(max_examples=40, deadline=None)
+    @given(K=st.integers(1, 300), T=st.integers(1, 200), p=st.integers(0, 16), paths=st.booleans(),
+           cut=st.integers(0, 199), seed=st.integers(0, 2**32 - 1))
+    @example(K=256, T=150, p=13, paths=False, cut=148, seed=0)
+    def test_entry_depends_only_on_its_draw_and_its_month(self, K, T, p, paths, cut, seed):
+        gen = np.random.default_rng(seed)
+        design = DesignMatrix(tuple(f"c{i}" for i in range(p)), gen.normal(size=(T, p)))
+        beta = 0.5 * gen.normal(size=(K, T, p) if paths else (K, p))
+        full = linear_predictor(design, beta)
+        assert full.shape == (K, T)
+        t = 1 + cut % T
+        head = linear_predictor(design.head(t), beta[:, :t] if paths else beta)
+        assert np.array_equal(head, full[:, :t])
+        for k in range(K):
+            assert np.array_equal(full[k], linear_predictor(design, beta[k : k + 1])[0])
+
+    @pytest.mark.parametrize("p", [0, 1, 14])
+    def test_other_shapes_name_both_stack_kinds(self, p):
+        T = 6
+        design = DesignMatrix(tuple(f"c{i}" for i in range(p)), np.ones((T, p)))
+        for bad in (np.zeros(p), np.zeros((3, p + 1)), np.zeros((3, T - 1, p))):
+            with pytest.raises(DomainError, match=re.escape(f"(K, {p})") + ".*" + re.escape(f"(K, {T}, {p})")):
+                linear_predictor(design, bad)
 
     def test_empty_design_gives_ones(self):
         assert np.all(linear_predictor(DesignMatrix.empty(4), np.zeros((2, 0))) == 1.0)
@@ -290,7 +310,7 @@ class TestLinearPredictor:
         beta = np.array([[0.2, -0.1]])
         static = linear_predictor(design, beta)
         dynamic = linear_predictor(design, np.tile(beta, (3, 1))[None])
-        assert np.allclose(static, dynamic, rtol=1e-15)
+        assert np.array_equal(static, dynamic)
 
     def test_dimension_mismatch(self):
         design = DesignMatrix(("a",), np.ones((3, 1)))
