@@ -251,6 +251,8 @@ def _cmd_simulate(args, cfg) -> dict:
     rng = RngStream(cfg["seed"])
 
     n_cov = sim["n_covariates"]
+    if n_cov is not None and n_cov < 0:
+        raise io.ValidationError("simulate.n_covariates must be nonnegative")
     if variant == "DM1":
         if n_cov:
             raise io.ValidationError("simulate.n_covariates must be 0 or null for DM1, which takes no covariates")

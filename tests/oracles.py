@@ -15,6 +15,7 @@ beta weight, which stays accurate even for singular shape parameters.
 The closed-form references at the end (one filter step at a time, and the
 negative binomial, Poisson and gamma log densities) restate the conjugate
 algebra term by term, so tests can check the package's array code against it.
+``mixture_cdf_mpmath`` is the forecast mixture's CDF in high precision.
 ``refit_every_origin`` is the sequential forecast that fits every origin from
 scratch, against which the harness's reweighted origins are checked.
 """
@@ -302,6 +303,31 @@ def quantile_by_doubling(dist, q: float) -> int:
         else:
             lo = mid
     return hi
+
+
+def mixture_cdf_mpmath(dist, hi: int, dps: int = 40) -> np.ndarray:
+    """The mixture CDF of ``dist`` at the counts 0..hi, summing each row's pmf
+    by its ratio recurrence in ``dps``-digit arithmetic from the exact pmf at
+    0, p**r or exp(-lam); rounded to float only at the end."""
+    import mpmath
+
+    with mpmath.workdps(dps):
+        total = [mpmath.mpf(0)] * (hi + 1)
+        for row, w in zip(dist.components, dist.weights):
+            if dist.components.ndim == 1:
+                lam = mpmath.mpf(float(row))
+                term, ratio = mpmath.exp(-lam), (lambda k, lam=lam: lam / k)
+            else:
+                r, p = mpmath.mpf(float(row[0])), mpmath.mpf(float(row[1]))
+                term, ratio = p**r, (lambda k, r=r, p=p: (k - 1 + r) / k * (1 - p))
+            cum = mpmath.mpf(0)
+            for k in range(hi + 1):
+                if k:
+                    term *= ratio(k)
+                cum += term
+                total[k] += mpmath.mpf(float(w)) * cum
+        weight = mpmath.fsum(mpmath.mpf(float(w)) for w in dist.weights)
+        return np.array([float(t / weight) for t in total])
 
 
 def refit_every_origin(series, design, spec, priors, config, window, rng) -> list:

@@ -10,8 +10,12 @@ from hypothesis import strategies as st
 from dynpois import evaluation, filtering, mcmc
 from dynpois.evaluation import (
     REFIT_EFFICIENCY,
+    TABLE_COUNTS,
+    TABLE_ENTRIES,
+    TABLE_MARGIN,
     ForecastDistribution,
     _check_window,
+    _table_quantile,
     compare_models,
     cpo_log_sum,
     ewma_forecast,
@@ -39,6 +43,7 @@ from oracles import (
     NegBinParams,
     log_pmf_negbin,
     log_pmf_poisson,
+    mixture_cdf_mpmath,
     one_step_predictive,
     predict_step,
     quantile_by_doubling,
@@ -194,6 +199,107 @@ class TestForecastDistribution:
         # a Poisson rate of 1e19 leaves the cdf near 0 at 2**60 (about 1.15e18)
         with pytest.raises(DomainError, match="integer range"):
             ForecastDistribution(origin=1, components=np.array([1e19]))
+
+
+def _table_answer(dist, q):
+    """The pmf table's answer at level q, or None where it defers to the bisection."""
+    cdf = dist._table_cdf(q)
+    return None if cdf is None else _table_quantile(cdf, q)
+
+
+class TestIntervalTable:
+    """The pmf table behind ``quantile``, against the bisection it falls back to."""
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        poisson=st.booleans(),
+        S=st.floats(0.0, math.log10(2000.0)).map(lambda e: int(10.0**e)),
+        # the rows' log10 means spread up to 1 either side of a centre, inside [-2, 3]
+        centre=st.floats(-2.0, 3.0),
+        spread=st.floats(0.0, 1.0),
+        weighted=st.booleans(),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_table_equals_bisection(self, seed, poisson, S, centre, spread, weighted):
+        gen = np.random.default_rng(seed)
+        means = 10.0 ** gen.uniform(max(centre - spread, -2.0), min(centre + spread, 3.0), S)
+        r = 10.0 ** gen.uniform(-1.0, 3.0, S)
+        comps = means if poisson else np.column_stack([r, r / (r + means)])
+        weights = None
+        if weighted:
+            weights = gen.exponential(1.0, S) * (gen.random(S) < 0.8)
+            weights[0] = 1.0
+        dist = ForecastDistribution(origin=1, components=comps, weights=weights)
+        for q in (0.025, 0.975):
+            n, table = dist._bisect_quantile(q), _table_answer(dist, q)
+            if table is not None:
+                assert table == n
+            elif dist._table_cdf(q) is not None:
+                # declined inside the budget: a cdf value within the margin of q
+                assert min(dist.cdf(n) - q, q - dist.cdf(n - 1)) <= 2 * TABLE_MARGIN
+
+    def test_a_cdf_plateau_at_the_level_falls_back(self):
+        # the rows of means 1 and 10 hold half the mass, and the CDF rounds to
+        # exactly 0.5 from 45 until the rows of mean 1000 start; a table
+        # without the margin answered 44
+        dist = ForecastDistribution(origin=1, components=np.array([1.0, 10.0, 1000.0, 1000.0]))
+        assert dist._table_cdf(0.5) is not None and _table_answer(dist, 0.5) is None
+        assert dist.quantile(0.5) == quantile_by_doubling(dist, 0.5) == 45
+
+    def test_a_level_within_the_margin_of_1_falls_back(self):
+        # the table fits (counts 0..1002), but its CDF at 1 is 1 - 5e-13
+        tiny = ForecastDistribution(origin=1, components=np.array([1e-6]))
+        assert tiny._table_cdf(1.0 - 1e-12) is not None and _table_answer(tiny, 1.0 - 1e-12) is None
+        assert tiny.quantile(1.0 - 1e-12) == 1
+        # a geometric row of mean 1000 needs counts far past the table; a
+        # cumulative sum from 0 with no fallback returned 27641
+        geometric = ForecastDistribution(origin=1, components=np.array([[1.0, 1.0 / 1001.0]]))
+        assert geometric._table_cdf(1.0 - 1e-12) is None
+        assert geometric.quantile(1.0 - 1e-12) == quantile_by_doubling(geometric, 1.0 - 1e-12) == 27644
+
+    @pytest.mark.parametrize("comps", [np.full(2000, 1000.0), np.array([1e4])])
+    def test_a_table_over_its_budget_falls_back(self, comps):
+        # 2000 rows by 1201 counts break TABLE_ENTRIES; one row of mean 1e4 TABLE_COUNTS
+        dist = ForecastDistribution(origin=1, components=comps)
+        assert dist._table_cdf(0.975) is None
+        assert dist.interval == (quantile_by_doubling(dist, 0.025), quantile_by_doubling(dist, 0.975))
+
+    @pytest.mark.parametrize("comps", [
+        np.array([0.0]),
+        np.array([0.0, 0.0, 3.0]),
+        np.array([[2.0, 1.0 - 1e-15], [5.0, 0.5]]),
+        np.array([[1e3, 1.0 - 1e-12]]),
+    ])
+    def test_edge_rows_are_answered_by_the_table(self, comps):
+        # a Poisson rate of 0 is a point mass at 0; p near 1 nearly one
+        dist = ForecastDistribution(origin=1, components=comps)
+        for q in (0.025, 0.975):
+            assert _table_answer(dist, q) == quantile_by_doubling(dist, q)
+
+    def test_table_cdf_error_is_far_below_the_margin(self):
+        # the rows span the table's domain: counts up to TABLE_COUNTS - 3 (the
+        # rate 1780), the Poisson rate 1698 that gave its largest measured
+        # error, large
+        # and small negative binomial shapes, p near 1, and a weighted mixture
+        gen = np.random.default_rng(11)
+        mixtures = [
+            (np.array([1698.0]), None),
+            (np.array([1780.0]), None),
+            (np.array([0.01]), None),
+            (np.array([[1e4, 1e4 / (1e4 + 1500.0)]]), None),
+            (np.array([[1e6, 1e6 / (1e6 + 1700.0)]]), None),
+            (np.array([[0.1, 0.1 / (0.1 + 5.0)]]), None),
+            (np.array([[0.5, 0.5 / (0.5 + 50.0)]]), None),
+            (np.array([[3.0, 1.0 - 1e-12]]), None),
+            (gen.uniform(0.0, 500.0, 8), gen.uniform(0.0, 1.0, 8)),
+        ]
+        worst = 0.0
+        for comps, weights in mixtures:
+            dist = ForecastDistribution(origin=1, components=comps, weights=weights)
+            cdf = dist._table_cdf(0.975)
+            assert cdf is not None and len(cdf) <= TABLE_COUNTS and len(comps) * len(cdf) <= TABLE_ENTRIES
+            worst = max(worst, float(np.max(np.abs(cdf - mixture_cdf_mpmath(dist, len(cdf) - 1)))))
+        assert worst < TABLE_MARGIN / 10
 
 
 class TestForecastOneStep:

@@ -14,8 +14,9 @@ from hypothesis import strategies as st
 import dynpois
 from dynpois import io
 from dynpois.cli import emit_reports, resolve_config, run_command
-from dynpois.evaluation import ForecastReport
+from dynpois.evaluation import ForecastDistribution, ForecastReport
 from dynpois.io import ValidationError, format_number, ingest_csv
+from oracles import quantile_by_doubling
 
 
 def _write(tmp_path, name, text):
@@ -267,17 +268,16 @@ class TestResolveConfig:
         assert resolved["simulate"]["beta"] == [1, 0.5]
 
 
-# Run in a child interpreter with an output directory and "block" or "allow":
-# simulate, then (blocked) fit, report and compare, or (allowed) forecast, on
-# the cohort it wrote, with short chains; prints the exit codes as JSON.
+# Run in a child interpreter with an output directory and scipy blocked:
+# simulate, then fit, report, compare and forecast on the cohort it wrote, with
+# short chains; prints the exit codes as JSON.
 _COMMANDS_CHILD = """
 import json, sys
 from pathlib import Path
 from dynpois.cli import run_command
 
-out, block = Path(sys.argv[1]), sys.argv[2] == "block"
-if block:
-    sys.modules["scipy"] = None  # any scipy import now raises ImportError
+out = Path(sys.argv[1])
+sys.modules["scipy"] = None  # any scipy import now raises ImportError
 chain = {"iterations": 300, "burn_in": 100, "thinning": 1, "proposal_scale": 1.0}
 (out / "sim.json").write_text(json.dumps({"simulate": {"T": 30, "gamma": 0.6, "beta": [0.4], "n_covariates": 1},
                                           "prior": {"a0": 80.0, "b0": 2.0}}))
@@ -293,10 +293,8 @@ commands = {
     "fit DM5": ["fit", "--config", str(out / "dm5.json"), "--model", "DM5", *data],
     "report": ["report", "--config", str(out / "fit.json"), "--model", "DM2", *data],
     "compare": ["compare", "--config", str(out / "fit.json"), *data],
+    "forecast": ["forecast", "--config", str(out / "fit.json"), "--model", "DM2", *data],
 }
-if not block:
-    commands = {"simulate": commands["simulate"],
-                "forecast": ["forecast", "--config", str(out / "fit.json"), "--model", "DM2", *data]}
 codes = {}
 for i, (name, argv) in enumerate(commands.items()):
     if name != "simulate":
@@ -312,16 +310,40 @@ def _dynpois_child(*args) -> subprocess.CompletedProcess:
     return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True, timeout=600)
 
 
-def test_only_the_forecast_needs_scipy(tmp_path):
+def test_no_command_needs_scipy(tmp_path):
     loaded = "import sys, dynpois.cli; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
     proc = _dynpois_child("-c", loaded)
     assert proc.returncode == 0 and proc.stdout.strip() == "[]", proc.stderr
-    for mode, names in (("block", ["simulate", "fit DM2", "fit DM5", "report", "compare"]),
-                        ("allow", ["simulate", "forecast"])):
-        (tmp_path / mode).mkdir()
-        proc = _dynpois_child("-c", _COMMANDS_CHILD, str(tmp_path / mode), mode)
-        assert proc.returncode == 0, proc.stderr
-        assert json.loads(proc.stdout.splitlines()[-1]) == dict.fromkeys(names, 0), proc.stdout
+    proc = _dynpois_child("-c", _COMMANDS_CHILD, str(tmp_path))
+    assert proc.returncode == 0, proc.stderr
+    names = ["simulate", "fit DM2", "fit DM5", "report", "compare", "forecast"]
+    assert json.loads(proc.stdout.splitlines()[-1]) == dict.fromkeys(names, 0), proc.stdout
+
+
+# A Poisson mixture's interval, which the pmf table answers, then the
+# 1 - 1e-12 level, which it leaves to the bisection; prints each answer with
+# whether scipy was loaded after it.
+_FALLBACK_CHILD = """
+import json, sys
+import numpy as np
+from dynpois.evaluation import ForecastDistribution
+
+def scipy_loaded():
+    return any(m.split(".")[0] == "scipy" for m in sys.modules)
+
+dist = ForecastDistribution(origin=1, components=np.array([80.0, 100.0, 120.0]))
+steps = [[list(dist.interval), scipy_loaded()]]
+steps.append([dist.quantile(1.0 - 1e-12), scipy_loaded()])
+print(json.dumps(steps))
+"""
+
+
+def test_a_forecast_loads_scipy_only_when_the_table_falls_back():
+    proc = _dynpois_child("-c", _FALLBACK_CHILD)
+    assert proc.returncode == 0, proc.stderr
+    dist = ForecastDistribution(origin=1, components=np.array([80.0, 100.0, 120.0]))
+    expected = [quantile_by_doubling(dist, q) for q in (0.025, 0.975, 1.0 - 1e-12)]
+    assert json.loads(proc.stdout) == [[expected[:2], False], [expected[2], True]]
 
 
 def _simulate_cohort_csv(tmp_path, seed=5, T=40):
@@ -348,6 +370,19 @@ def test_simulate_negative_covariate_sd_exits_2(tmp_path, capsys):
     err = json.loads(capsys.readouterr().out)["error"]
     assert err["type"] == "ValidationError"
     assert "simulate.covariate_sd" in err["message"]
+
+
+@pytest.mark.parametrize("model", ["DM1", "DM2"])
+def test_simulate_negative_n_covariates_exits_2(tmp_path, capsys, model):
+    cfg = {"simulate": {"T": 10, "gamma": 0.6, "beta": [0.4], "n_covariates": -1}}
+    cfg_path = _write(tmp_path, "sim.json", json.dumps(cfg))
+    capsys.readouterr()
+    code, _ = run_command(["simulate", "--config", str(cfg_path), "--model", model, "--seed", "1",
+                           "--out", str(tmp_path / "o")])
+    assert code == 2
+    err = json.loads(capsys.readouterr().out)["error"]
+    assert err["type"] == "ValidationError"
+    assert err["message"] == "simulate.n_covariates must be nonnegative"
 
 
 
