@@ -24,6 +24,7 @@ from .model import (
     ModelSpec,
     PriorConfig,
     build_design,
+    linear_predictor,
 )
 
 
@@ -246,7 +247,7 @@ class ForecastReport:
     skipped_zero_months: tuple = ()
     flags: tuple = ()
     # per origin, the Kish efficiency of the forecast's draw weights, and the
-    # origins that refit; None where every origin refits (DM5) or none fits (EWMA)
+    # origins that refit; None for EWMA, which fits no draws
     weight_efficiency: tuple | None = None
     refit_origins: tuple | None = None
 
@@ -259,33 +260,32 @@ class ComparisonReport:
     log_bayes_factors: dict
 
 
+def _negbin_rows(gamma, a, b, multipliers) -> np.ndarray:
+    """The one-step negative binomial (r, p) = (gamma a, gamma b / (gamma b + m))
+    of filter state (a, b) and multiplier m, stacked on a new last axis."""
+    gb = gamma * b
+    return np.stack([gamma * a, gb / (gb + multipliers)], axis=-1)
+
+
 def forecast_one_step(
     draws: PosteriorDraws,
     a: np.ndarray,
     b: np.ndarray,
-    z_next: np.ndarray,
+    multipliers: np.ndarray,
     origin: int,
-    beta_next: np.ndarray | None = None,
     weights: np.ndarray | None = None,
 ) -> ForecastDistribution:
     """Mix the per-draw negative binomial one-step predictives at one origin.
 
     ``a`` and ``b`` hold each retained draw's filtered gamma state (shape,
-    rate) at origin-1, shape (S,); ``beta_next`` overrides the (S, p)
-    coefficients used for month ``origin`` (needed when coefficients follow a
-    random walk); ``weights`` holds the draws' mixture weights, equal if omitted.
+    rate) at origin-1 and ``multipliers`` its multiplier exp(beta' z) of month
+    ``origin``, each of shape (S,); ``weights`` holds the draws' mixture
+    weights, equal if omitted.
     """
-    if draws.S == 0 or len(a) != draws.S or len(b) != draws.S:
-        raise DomainError("need one filtered state per retained draw")
-    z_next = np.asarray(z_next, dtype=float)
-    betas = draws.beta if beta_next is None else beta_next
-    if betas.ndim != 2:
-        raise DomainError("per-month coefficient paths need beta_next")
-    m = np.exp((betas[:, None, :] @ z_next)[:, 0])
-    g = draws.gamma
-    gb = g * b
+    if draws.S == 0 or not len(a) == len(b) == len(multipliers) == draws.S:
+        raise DomainError("need one filtered state and one multiplier per retained draw")
     return ForecastDistribution(
-        origin=origin, components=np.column_stack([g * a, gb / (gb + m)]), weights=weights
+        origin=origin, components=_negbin_rows(draws.gamma, a, b, multipliers), weights=weights
     )
 
 
@@ -322,7 +322,7 @@ def forecast_metrics(
 
 
 def _check_window(window, T: int):
-    if not all(isinstance(x, numbers.Integral) for x in window[:2]):
+    if not all(isinstance(x, numbers.Integral) and not isinstance(x, bool) for x in window[:2]):
         raise DomainError(f"forecast window ends must be integers, got {window}")
     start, end = int(window[0]), int(window[1])
     if start < 2:
@@ -334,50 +334,32 @@ def _check_window(window, T: int):
     return start, end
 
 
-def _filter_window(spec, series, design, draws, priors, o_fit: int, end: int) -> tuple:
+def _filter_window(spec, series, design, draws, priors, o_fit: int, end: int, rng: RngStream) -> tuple:
     """One ``filter_draws`` pass of draws fitted on months 1..o_fit-1, over months
-    1..end-1 (DM5's paths end at o_fit-1, and so does its pass). Returns only
-    the window's columns: each draw's one-step log predictives of months
-    o_fit..end-1, (S, end-o_fit), and its states (a, b) after months
-    o_fit-1..end-1, (S, end-o_fit+1, 2). BPM takes its Poisson log pmfs, and
-    empty (S, end-o_fit+1, 0) states.
+    1..end. Returns only the window's columns: each draw's one-step log
+    predictives of months o_fit..end-1, (S, end-o_fit), and the components of
+    its one-step predictives of months o_fit..end, (S, end-o_fit+1, 2) negative
+    binomial (r, p) rows, each from the state after the month before. BPM takes
+    its Poisson log pmfs and its (S, end-o_fit+1) Poisson rates. DM5's
+    coefficient paths end at month o_fit-1: one random-walk step on ``rng``
+    extends them to month o_fit, and its pass ends there.
     """
     if spec.variant == "BPM":
         log_pred = bpm_log_pmf(draws.beta, series, design)[:, o_fit - 1 : end - 1]
-        return log_pred, np.empty((draws.S, end - o_fit + 1, 0))
-    last = o_fit - 1 if spec.variant == "DM5" else end - 1
-    log_pred = np.empty((draws.S, last - o_fit + 1))
-    states = np.empty((draws.S, last - o_fit + 2, 2))
-    passes = filter_draws(series.counts[:last], design.head(last), draws.beta, draws.gamma, priors.a0, priors.b0)
+        return log_pred, linear_predictor(design.head(end), draws.beta)[:, o_fit - 1 :]
+    betas = draws.beta
+    if spec.variant == "DM5":
+        steps = rng.generator.standard_normal((draws.S, design.p)) / np.sqrt(draws.tau)
+        betas, end = np.concatenate([betas, (betas[:, -1] + steps)[:, None]], axis=1), o_fit
+    log_pred = np.empty((draws.S, end - o_fit))
+    comps = np.empty((draws.S, end - o_fit + 1, 2))
+    passes = filter_draws(series.counts[:end], design.head(end), betas, draws.gamma, priors.a0, priors.b0)
     for block, traj in passes:
         # only the window's columns outlive the block
-        log_pred[block] = traj.log_predictive[:, o_fit - 1 :]
-        states[block] = np.stack([traj.a[:, o_fit - 1 :], traj.b[:, o_fit - 1 :]], axis=-1)
-    return log_pred, states
-
-
-def _forecast_distribution_at(
-    spec: ModelSpec,
-    draws: PosteriorDraws,
-    state: np.ndarray,
-    weights: np.ndarray,
-    design: DesignMatrix,
-    origin: int,
-    rng: RngStream,
-) -> ForecastDistribution:
-    """The one-step mixture at ``origin`` from weighted draws of the posterior
-    on months 1..origin-1, each from its filtered state (a, b) at origin-1, (S, 2)."""
-    z_next = design.rows[origin - 1]
-    if spec.variant == "BPM":
-        return ForecastDistribution(origin=origin, components=np.exp(draws.beta @ z_next), weights=weights)
-
-    a, b = state.T
-    beta_next = None
-    if spec.variant == "DM5":
-        # coefficients follow a random walk: propagate one step past the train window
-        steps = rng.generator.standard_normal((draws.S, design.p)) / np.sqrt(draws.tau)
-        beta_next = draws.beta[:, -1, :] + steps
-    return forecast_one_step(draws, a, b, z_next, origin, beta_next=beta_next, weights=weights)
+        log_pred[block] = traj.log_predictive[:, o_fit - 1 : end - 1]
+        a, b = traj.a[:, o_fit - 1 : end], traj.b[:, o_fit - 1 : end]
+        comps[block] = _negbin_rows(traj.gamma[:, None], a, b, traj.multipliers[:, o_fit - 1 :])
+    return log_pred, comps
 
 
 # Kish efficiency (sum w)^2 / (S sum w^2) of the reweighted draws below which
@@ -408,16 +390,17 @@ def sequential_harness(
 
     The first origin fits months 1..o-1 on ``rng.substream(o)``, and one
     batched filter pass of the fitted draws (``_filter_window``) gives each
-    draw's one-step log predictives and filter states (a, b) over the rest of
-    the window. Each later origin adds the log predictive of the month just
-    seen to each draw's log weight, and reads its state after that month,
-    which turns the posterior on months 1..o-2 into the one on months 1..o-1
-    (Chopin 2002, Biometrika 89:539-551). When the weights' Kish efficiency
-    falls below REFIT_EFFICIENCY, that origin refits from scratch on
-    ``rng.substream(o)`` instead, as the first origin did, and filters the new
-    draws once more. DM5's coefficient path grows by a month at each origin,
-    so DM5 refits at every origin. The origins run in order, each from the one
-    before; each is scored after the fact against the realized count.
+    draw's one-step log predictives and its one-step mixture components over
+    the rest of the window. Each later origin that pass reaches adds the log
+    predictive of the month just seen to each draw's log weight, and reads its
+    components of the month to forecast, which turns the posterior on months
+    1..o-2 into the one on months 1..o-1 (Chopin 2002, Biometrika
+    89:539-551). When the weights' Kish efficiency falls below
+    REFIT_EFFICIENCY, or the pass ends before o (DM5's does at its fitted
+    origin), that origin refits from scratch on ``rng.substream(o)`` instead,
+    as the first origin did, and filters the new draws once more. The origins
+    run in order, each from the one before; each is scored after the fact
+    against the realized count.
     """
     start, end = _check_window(window, series.T)
     if spec.variant == "EWMA":
@@ -428,20 +411,17 @@ def sequential_harness(
     origins, actuals, points, intervals, efficiency, refits = [], [], [], [], [], []
     for o in range(start, end + 1):
         try:
-            reweighted = o > start and spec.variant != "DM5"
+            reweighted = o > start and o - o_fit < comps.shape[1]
             if reweighted:
                 log_w = log_w + log_pred[:, o - 1 - o_fit]
             if not reweighted or _kish_efficiency(log_w) < REFIT_EFFICIENCY:
-                draws = fit_variant(
-                    spec, series.head(o - 1), design.head(o - 1), priors, config, rng.substream(o), smooth=False
-                )
+                stream = rng.substream(o)
+                draws = fit_variant(spec, series.head(o - 1), design.head(o - 1), priors, config, stream, smooth=False)
                 o_fit, log_w = o, np.zeros(draws.S)
-                log_pred, states = _filter_window(spec, series, design, draws, priors, o, end)
+                log_pred, comps = _filter_window(spec, series, design, draws, priors, o, end, stream.substream(1))
                 refits.append(o)
             weights = np.exp(log_w - np.max(log_w))
-            dist = _forecast_distribution_at(
-                spec, draws, states[:, o - o_fit], weights, design, o, rng.substream(o).substream(1)
-            )
+            dist = ForecastDistribution(origin=o, components=comps[:, o - o_fit], weights=weights)
         except (FitError, DomainError) as exc:
             raise FitError(f"forecast fit failed at origin {o}: {exc}") from exc
         origins.append(o)
@@ -450,8 +430,6 @@ def sequential_harness(
         intervals.append(dist.interval)
         efficiency.append(_kish_efficiency(log_w))
     report = _forecast_report(spec.variant, origins, actuals, points, intervals)
-    if spec.variant == "DM5":
-        return report
     return replace(report, weight_efficiency=tuple(efficiency), refit_origins=tuple(refits))
 
 

@@ -35,12 +35,14 @@ FILTER_BLOCK = 256
 @dataclass(frozen=True)
 class FilterTrajectory:
     """Filtered gamma states (a_t, b_t) for t = 0..T plus per-step log-predictives
-    of a stack of S draws; row j is the run of draw j."""
+    of a stack of S draws; row j is the run of draw j. ``multipliers`` is the
+    filter's input array itself, not a copy."""
 
     a: np.ndarray  # (S, T+1); a[:, 0] = a0
     b: np.ndarray  # (S, T+1)
     gamma: np.ndarray  # (S,)
     log_predictive: np.ndarray  # (S, T): log p(N_t | N^(t-1), ...)
+    multipliers: np.ndarray  # (S, T): m_t = exp(beta' z_t)
 
     @property
     def T(self) -> int:
@@ -135,7 +137,7 @@ def filter_core(
         log_gbm = np.log(gb + multipliers)
         log_pred = lg_rn - lg_n1 - lg_r + r * (np.log(gb) - log_gbm)
         log_pred += n * (np.log(multipliers) - log_gbm)
-    return FilterTrajectory(a=a, b=b, gamma=gamma, log_predictive=log_pred)
+    return FilterTrajectory(a=a, b=b, gamma=gamma, log_predictive=log_pred, multipliers=multipliers)
 
 
 def filter_draws(

@@ -35,11 +35,12 @@ class ValidationError(ValueError):
 
 
 def read_text(path, what: str) -> str:
-    """The text of a UTF-8 file, with its line endings as written; a file that
-    is not UTF-8 raises ValidationError naming it as ``what``."""
+    """The text of a UTF-8 file, with its line endings as written and without
+    one leading byte-order mark; a file that is not UTF-8 raises
+    ValidationError naming it as ``what``."""
     with open(path, newline="", encoding="utf-8") as fh:
         try:
-            return fh.read()
+            return fh.read().removeprefix("\ufeff")
         except UnicodeDecodeError as exc:
             raise ValidationError(
                 f"{what} {str(path)!r} is not UTF-8 text ({exc.reason})"

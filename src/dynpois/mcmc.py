@@ -57,7 +57,8 @@ class MhConfig:
     proposal_scale: float = 1.0
 
     def __post_init__(self):
-        if not all(isinstance(n, numbers.Integral) for n in (self.iterations, self.burn_in, self.thinning)):
+        counts = (self.iterations, self.burn_in, self.thinning)
+        if not all(isinstance(n, numbers.Integral) and not isinstance(n, bool) for n in counts):
             raise DomainError("iterations, burn-in and thinning must be integers")
         # each check is written so that NaN fails it
         if not (self.iterations > 0):

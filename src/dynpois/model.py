@@ -84,6 +84,9 @@ class DesignMatrix:
             raise DomainError("design rows must form a 2-d array")
         if rows.shape[1] != len(self.column_names):
             raise DomainError("column names must match the design dimension")
+        for k, name in enumerate(self.column_names):
+            if name in self.column_names[:k]:
+                raise DomainError(f"design column {name!r} appears twice")
         if not np.all(np.isfinite(rows)):
             raise DomainError("design matrix contains non-finite cells")
 

@@ -333,16 +333,16 @@ def mixture_cdf_mpmath(dist, hi: int, dps: int = 40) -> np.ndarray:
 def refit_every_origin(series, design, spec, priors, config, window, rng) -> list:
     """The one-step forecast mixture of each origin o in ``window`` from a fresh
     fit on months 1..o-1 on ``rng.substream(o)``, for the static DMs and BPM,
-    each draw starting from its state after a fresh filter over those months."""
+    each draw starting from its state after a fresh filter over those months.
+    The multipliers of months 1..o come from one ``linear_predictor`` call."""
     dists = []
     for o in range(window[0], window[1] + 1):
         draws = fit_variant(spec, series.head(o - 1), design.head(o - 1), priors, config,
                             rng.substream(o), smooth=False)
-        z_next = design.rows[o - 1]
+        m = linear_predictor(design.head(o), draws.beta)
         if spec.variant == "BPM":
-            dists.append(ForecastDistribution(origin=o, components=np.exp(draws.beta @ z_next)))
+            dists.append(ForecastDistribution(origin=o, components=m[:, -1]))
         else:
-            multipliers = linear_predictor(design.head(o - 1), draws.beta)
-            traj = filter_core(series.counts[: o - 1], multipliers, draws.gamma, priors.a0, priors.b0)
-            dists.append(forecast_one_step(draws, traj.a[:, -1], traj.b[:, -1], z_next, o))
+            traj = filter_core(series.counts[: o - 1], m[:, :-1], draws.gamma, priors.a0, priors.b0)
+            dists.append(forecast_one_step(draws, traj.a[:, -1], traj.b[:, -1], m[:, -1], o))
     return dists

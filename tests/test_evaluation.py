@@ -312,14 +312,14 @@ class TestForecastOneStep:
             beta_names=("z",),
             variant="DM2",
         )
-        z_next = np.array([1.0])
+        m = np.exp(draws.beta[:, 0])
         a = np.array([s.shape for s in states])
         b = np.array([s.rate for s in states])
-        dist = forecast_one_step(draws, a, b, z_next, origin=9)
+        dist = forecast_one_step(draws, a, b, m, origin=9)
         comps = []
         for j in range(2):
             pred = predict_step(states[j], float(draws.gamma[j]))
-            comps.append(one_step_predictive(pred, float(np.exp(z_next @ draws.beta[j]))))
+            comps.append(one_step_predictive(pred, float(m[j])))
         # the array arithmetic repeats the per-draw kernels bit for bit
         assert dist.components.tolist() == [[c.r, c.p] for c in comps]
         for n in range(15):
@@ -334,18 +334,8 @@ class TestForecastOneStep:
             acceptance_rate=1.0,
             variant="DM1",
         )
-        dist = forecast_one_step(draws, np.array([2.0, 3.0]), np.ones(2), np.zeros(0), origin=2)
+        dist = forecast_one_step(draws, np.array([2.0, 3.0]), np.ones(2), np.ones(2), origin=2)
         assert dist.point_forecast == pytest.approx(0.5 * (2.0 + 3.0), rel=1e-14)
-
-    def test_coefficient_paths_need_beta_next(self):
-        draws = PosteriorDraws(
-            beta=np.zeros((2, 5, 1)),
-            gamma=np.array([0.5, 0.6]),
-            acceptance_rate=1.0,
-            variant="DM5",
-        )
-        with pytest.raises(DomainError):
-            forecast_one_step(draws, np.ones(2), np.ones(2), np.array([1.0]), origin=6)
 
 
 @pytest.mark.parametrize("build", [
@@ -354,7 +344,10 @@ class TestForecastOneStep:
     lambda: MhConfig(burn_in=1.5),
     lambda: MhConfig(thinning=1.5),
     lambda: _check_window((2.7, 3.9), 10),
-], ids=["iterations_inf", "iterations_float", "burn_in_float", "thinning_float", "window_float"])
+    lambda: MhConfig(iterations=True, burn_in=False),
+    lambda: _check_window((True, 3), 5),
+], ids=["iterations_inf", "iterations_float", "burn_in_float", "thinning_float", "window_float",
+        "iterations_bool", "window_bool"])
 def test_library_counts_must_be_integers(build):
     with pytest.raises(DomainError, match="integer"):
         build()
@@ -661,13 +654,12 @@ class TestSequentialHarness:
         for i, o in enumerate(range(52, next_refit), start=1):
             log_w = L[:, 50 : o - 1].sum(axis=1)
             w = np.exp(log_w - log_w.max())
-            z_next = design.rows[o - 1]
+            m = linear_predictor(design.head(o), draws.beta)
             if variant == "BPM":
-                dist = ForecastDistribution(origin=o, components=np.exp(draws.beta @ z_next), weights=w)
+                dist = ForecastDistribution(origin=o, components=m[:, -1], weights=w)
             else:
-                multipliers = linear_predictor(design.head(o - 1), draws.beta)
-                traj = filter_core(series.counts[: o - 1], multipliers, draws.gamma, priors.a0, priors.b0)
-                dist = forecast_one_step(draws, traj.a[:, -1], traj.b[:, -1], z_next, o, weights=w)
+                traj = filter_core(series.counts[: o - 1], m[:, :-1], draws.gamma, priors.a0, priors.b0)
+                dist = forecast_one_step(draws, traj.a[:, -1], traj.b[:, -1], m[:, -1], o, weights=w)
             assert report.points[i] == pytest.approx(dist.point_forecast, rel=1e-12), o
             assert (report.lower[i], report.upper[i]) == dist.interval, o
 
@@ -712,8 +704,8 @@ class TestSequentialHarness:
     def test_window_states_at_the_fit_are_those_of_the_fitted_months_alone(self):
         # a DM4 design with three covariates, on which a BLAS matrix product
         # gives month 30's multipliers of some draws other last bits in the
-        # design of months 1..35 than in that of months 1..30. The pass over
-        # months 1..35 must start each draw from the state the fit had.
+        # design of months 1..36 than in that of months 1..30. The pass over
+        # months 1..36 must forecast month 31 from the state the fit had.
         T, cols = 40, ("z1", "z2", "z3")
         rng = RngStream(98)
         cov = {c: rng.substream(k).generator.normal(size=T) for k, c in enumerate(cols, 1)}
@@ -723,10 +715,33 @@ class TestSequentialHarness:
         series = simulate_cohort(priors, 0.7, np.r_[0.3, -0.2, 0.1, np.zeros(11)], design, T, rng.substream(4)).counts
         draws = fit_variant(spec, series.head(30), design.head(30), priors, MhConfig(iterations=300, burn_in=100),
                             RngStream(3).substream(31), smooth=False)
-        _, states = evaluation._filter_window(spec, series, design, draws, priors, 31, 36)
-        fitted = filter_core(series.counts[:30], linear_predictor(design.head(30), draws.beta), draws.gamma,
-                             priors.a0, priors.b0)
-        assert np.array_equal(states[:, 0], np.column_stack([fitted.a[:, -1], fitted.b[:, -1]]))
+        _, comps = evaluation._filter_window(spec, series, design, draws, priors, 31, 36, RngStream(0))
+        m = linear_predictor(design.head(31), draws.beta)
+        fitted = filter_core(series.counts[:30], m[:, :-1], draws.gamma, priors.a0, priors.b0)
+        dist = forecast_one_step(draws, fitted.a[:, -1], fitted.b[:, -1], m[:, -1], 31)
+        assert np.array_equal(comps[:, 0], dist.components)
+
+    @pytest.mark.parametrize("variant", ["DM2", "BPM", "DM5"])
+    def test_the_last_count_changes_only_its_actual(self, variant):
+        # the pass filters months 1..end, but no forecast reads month end's count
+        series, design, spec, priors = self._cohort(variant, 83, 30)
+        counts = series.counts.copy()
+        counts[-1] = 3 * counts[-1] + 7
+        cfg = MhConfig(iterations=300, burn_in=100)
+        reports = [sequential_harness(s, design, spec, priors, cfg, (27, 30), rng=RngStream(4))
+                   for s in (series, CountSeries(series.months, counts))]
+        before, after = ((r.points, r.lower, r.upper, r.weight_efficiency) for r in reports)
+        assert before == after
+        assert reports[0].actuals[:-1] == reports[1].actuals[:-1]
+        assert reports[0].actuals[-1] != reports[1].actuals[-1]
+
+    def test_dm5_refits_every_origin_at_full_efficiency(self):
+        # DM5's pass ends at the month its one random-walk step reaches
+        series, design, spec, priors = self._cohort("DM5", 84, 30)
+        report = sequential_harness(series, design, spec, priors, MhConfig(iterations=200, burn_in=50), (28, 30),
+                                    rng=RngStream(5))
+        assert report.refit_origins == (28, 29, 30)
+        assert report.weight_efficiency == (1.0, 1.0, 1.0)
 
     def test_ewma_variant_delegates(self):
         series = _series([5, 9, 12, 10, 8])

@@ -226,6 +226,11 @@ class TestFilterPass:
         assert np.all(np.isfinite(traj.a)) and np.all(traj.a > 0)
         assert np.all(np.isfinite(traj.b)) and np.all(traj.b > 0)
 
+    def test_trajectory_holds_its_input_multipliers(self):
+        # the forecast reads each month's multiplier from the pass that used it
+        m = np.array([[1.5, 0.5, 2.0]])
+        assert filter_core([1, 2, 3], m, [0.8], 2.0, 1.0).multipliers is m
+
     def test_dimension_mismatch(self):
         with pytest.raises(DomainError):
             filter_core([1, 2], np.ones((1, 3)), [0.5], 1.0, 1.0)

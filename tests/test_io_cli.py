@@ -151,6 +151,19 @@ class TestIngestCsv:
         assert err["type"] == "ValidationError"
         assert str(files[which]) in err["message"] and "not UTF-8" in err["message"]
 
+    @pytest.mark.parametrize("which", ["config", "data"])
+    def test_leading_byte_order_mark_is_read_as_no_text(self, tmp_path, which):
+        # Excel's "CSV UTF-8" starts the file with U+FEFF
+        files = {"config": tmp_path / "c.json", "data": tmp_path / "d.csv"}
+        files["config"].write_text(json.dumps({"mcmc": {"iterations": 50, "burn_in": 0}}), encoding="utf-8")
+        files["data"].write_text("month_index,count\n1,5\n2,7\n3,6\n", encoding="utf-8")
+        files[which].write_text("\ufeff" + files[which].read_text(encoding="utf-8"), encoding="utf-8")
+        out = tmp_path / "o"
+        code, _ = run_command(["fit", "--model", "DM1", "--seed", "1", "--config", str(files["config"]),
+                               "--data", str(files["data"]), "--out", str(out)])
+        assert code == 0
+        assert json.loads((out / "resolved_config.json").read_text())["mcmc"]["iterations"] == 50
+
     @given(
         counts=st.lists(st.integers(min_value=0, max_value=500), min_size=1, max_size=40),
         cov=st.lists(
@@ -412,6 +425,26 @@ def test_start_month_outside_the_calendar_exits_2(tmp_path, capsys, start_month)
                            "--data", str(data), "--out", str(tmp_path / "o")])
     assert code == 2
     assert "start_month" in json.loads(capsys.readouterr().out)["error"]["message"]
+
+
+@pytest.mark.parametrize("model, covariates, name", [
+    ("DM3", ["trend"], "trend"),
+    ("BPM", ["intercept"], "intercept"),
+    ("DM4", ["month3"], "month3"),
+    ("DM2", ["z1", "z1"], "z1"),
+])
+def test_design_column_collision_exits_2(tmp_path, capsys, model, covariates, name):
+    # a covariate named like a generated column, or selected twice, would
+    # share its name with another coefficient in the reports
+    rows = "".join(f"{t},{5 + t % 3},{0.1 * t}\n" for t in range(1, 25))
+    data = _write(tmp_path, "d.csv", f"month_index,count,{covariates[0]}\n{rows}")
+    cfg = _write(tmp_path, "c.json", json.dumps({"covariate_columns": covariates}))
+    capsys.readouterr()
+    code, _ = run_command(["fit", "--config", str(cfg), "--model", model, "--seed", "1",
+                           "--data", str(data), "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert f"design column '{name}' appears twice" in json.loads(capsys.readouterr().out)["error"]["message"]
+    assert not (tmp_path / "o" / "summary.json").exists()
 
 
 class TestRunCommandFit:

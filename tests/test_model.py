@@ -149,6 +149,18 @@ class TestBuildDesign:
         with pytest.raises(DomainError):
             build_design({}, ModelSpec("DM2", ("missing",)), 5)
 
+    @pytest.mark.parametrize("variant, covariates, name", [
+        ("DM3", ("trend",), "trend"),
+        ("BPM", ("intercept",), "intercept"),
+        ("DM4", ("month3",), "month3"),
+        ("DM2", ("z", "z"), "z"),
+    ])
+    def test_column_name_collision_rejected(self, variant, covariates, name):
+        # a covariate named like a generated column, or selected twice
+        cov = {c: np.arange(5.0) for c in covariates}
+        with pytest.raises(DomainError, match=f"design column '{name}' appears twice"):
+            build_design(cov, ModelSpec(variant, covariates), 5)
+
     def test_length_mismatch(self):
         with pytest.raises(DomainError):
             build_design({"x": np.ones(4)}, ModelSpec("DM2", ("x",)), 5)
