@@ -33,7 +33,6 @@ from .model import (
     ModelSpec,
     PriorConfig,
     build_design,
-    linear_predictor,
     simulate_cohort,
     simulate_dm5_coefficients,
     standardize_covariates,
@@ -340,9 +339,6 @@ def _cmd_fit(args, cfg, command="fit") -> dict:
         outputs["diagnostics.csv"] = io.diagnostics_csv_rows(diagnostics(draws))
     if draws.theta is not None:
         outputs["fit.csv"] = io.fit_csv_rows(series.counts, draws.theta)
-    elif draws.variant == "BPM":
-        rates = linear_predictor(design, draws.beta)
-        outputs["fit.csv"] = io.fit_csv_rows(series.counts, rates)
     return outputs
 
 

@@ -345,7 +345,7 @@ def _filter_window(spec, series, design, draws, priors, o_fit: int, end: int, rn
     extends them to month o_fit, and its pass ends there.
     """
     if spec.variant == "BPM":
-        log_pred = bpm_log_pmf(draws.beta, series, design)[:, o_fit - 1 : end - 1]
+        log_pred = bpm_log_pmf(draws.beta, series.head(end - 1), design.head(end - 1))[:, o_fit - 1 :]
         return log_pred, linear_predictor(design.head(end), draws.beta)[:, o_fit - 1 :]
     betas = draws.beta
     if spec.variant == "DM5":

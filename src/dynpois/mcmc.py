@@ -42,7 +42,7 @@ from .kernels import (
     log_pdf_beta,
     logit,
 )
-from .model import CountSeries, DesignMatrix, ModelSpec, PriorConfig, linear_predictor
+from .model import CountSeries, DesignMatrix, ModelSpec, PriorConfig, linear_predictor, log_linear_predictor
 
 
 class FitError(RuntimeError):
@@ -78,7 +78,7 @@ class MhConfig:
 @dataclass
 class PosteriorDraws:
     """Retained MCMC draws. beta is (S, p) for static coefficients or (S, T, p)
-    for time-varying ones; theta holds smoothing paths when requested."""
+    for time-varying ones; theta holds smoothing paths, or BPM's rates, when requested."""
 
     beta: np.ndarray
     gamma: np.ndarray | None
@@ -528,7 +528,8 @@ def tau_full_conditional(beta: np.ndarray, priors: PriorConfig) -> tuple:
 
 def _coefficient_half_sweeps(
     beta: np.ndarray,
-    Z: np.ndarray,
+    eta: np.ndarray,
+    halves: tuple,
     counts: np.ndarray,
     theta: np.ndarray,
     tau: np.ndarray,
@@ -543,9 +544,10 @@ def _coefficient_half_sweeps(
     even months move in one vectorised step and then all odd months in a
     second, each month by its own accept test: a valid kernel for the same
     target as a single-site sweep. Month 0's missing predecessor is the
-    N(0, prior_var) prior, and month T-1 has no successor. Each half draws
-    standard_normal((n, p)) and then random(n); a proposal whose rate
-    overflows scores -inf and is rejected.
+    N(0, prior_var) prior, and month T-1 has no successor. ``eta`` is the (T,)
+    log multipliers of the path, still valid for the other parity after a half,
+    and ``halves`` the two parities' designs. Each half draws standard_normal((n, p))
+    and then random(n); a proposal whose rate overflows scores -inf and is rejected.
     """
     T, p = beta.shape
     prev_prec = np.tile(tau, (T, 1))
@@ -554,7 +556,7 @@ def _coefficient_half_sweeps(
     next_prec[-1] = 0.0
     zero = np.zeros((1, p))
     n_accept = 0
-    for start in (0, 1):
+    for start, half_design in enumerate(halves):
         half = slice(start, None, 2)
         # the path padded with a zero month on each side, so that month t's
         # neighbours are path[t] and path[t + 2]
@@ -563,8 +565,8 @@ def _coefficient_half_sweeps(
         b_cur = beta[half]
         b_prop = b_cur + prop_sd[half] * gen.standard_normal(b_cur.shape)
         u = gen.random(len(b_cur))
-        eta_cur = np.sum(Z[half] * b_cur, axis=1)
-        eta_prop = np.sum(Z[half] * b_prop, axis=1)
+        eta_cur = eta[half]
+        eta_prop = log_linear_predictor(half_design, b_prop[None])[0]
         with np.errstate(over="ignore"):
             delta = counts[half] * (eta_prop - eta_cur) - theta[half] * (
                 np.exp(eta_prop) - np.exp(eta_cur)
@@ -605,6 +607,7 @@ def fit_dm5(
     T = series.T
     counts = series.counts
     Z = design.rows
+    halves = tuple(DesignMatrix(design.column_names, Z[start::2]) for start in (0, 1))
     gen = rng.substream(0).generator
     ffbs_rng = rng.substream(1)
 
@@ -630,7 +633,8 @@ def fit_dm5(
     n_moves = 0
     kept = 0
     for it in range(config.iterations):
-        multipliers = linear_predictor(design, beta[None])
+        eta = log_linear_predictor(design, beta[None])
+        multipliers = np.exp(eta)
         traj = filter_core(counts, multipliers, gamma, priors.a0, priors.b0)
 
         # discount factor, collapsed over the latent rates
@@ -654,7 +658,7 @@ def fit_dm5(
         prop_sd = config.proposal_scale / np.sqrt(
             (counts[:, None] + 1.0) * Z**2 + 2.0 * tau[None, :]
         )
-        n_accept += _coefficient_half_sweeps(beta, Z, counts, theta, tau, prop_sd, prior_var, gen)
+        n_accept += _coefficient_half_sweeps(beta, eta[0], halves, counts, theta, tau, prop_sd, prior_var, gen)
         n_moves += T
 
         # random-walk precisions
@@ -684,9 +688,9 @@ def fit_dm5(
 
 def bpm_log_pmf(beta: np.ndarray, series: CountSeries, design: DesignMatrix) -> np.ndarray:
     """Poisson log pmf of each month's count under the static Poisson regression
-    (rate exp(beta' z_t)) at each row of a block (K, p), as (K, T). The linear
-    predictors of the block come from one matrix product, beta @ rows.T."""
-    eta = beta @ design.rows.T
+    (rate exp(beta' z_t)) at each row of a block (K, p), as (K, T); each row
+    has the bits of its own one-row call."""
+    eta = log_linear_predictor(design, beta)
     return series.counts * eta - np.exp(eta) - lgamma(series.counts + 1.0)
 
 
@@ -705,9 +709,11 @@ def fit_bpm(
     priors: PriorConfig,
     config: MhConfig,
     rng: RngStream,
+    smooth: bool = True,
 ) -> PosteriorDraws:
     """Metropolis fit of the Poisson-regression benchmark on a design built for
-    BPM, whose first column is the intercept."""
+    BPM, whose first column is the intercept; with ``smooth``, theta holds the
+    (S, T) rates exp(beta' z_t) of the retained draws."""
     if design.column_names[:1] != ("intercept",):
         raise DomainError("the BPM design must start with the intercept column")
     target = lambda b: log_target_bpm(b, series, design, priors)
@@ -717,6 +723,7 @@ def fit_bpm(
         gamma=None,
         acceptance_rate=res.acceptance_rate,
         beta_names=design.column_names,
+        theta=linear_predictor(design, res.draws) if smooth else None,
         variant="BPM",
         sampler=res.sampler,
     )
@@ -735,7 +742,7 @@ def fit_variant(
     if spec.variant == "DM5":
         return fit_dm5(series, design, priors, config, rng, smooth=smooth)
     if spec.variant == "BPM":
-        return fit_bpm(series, design, priors, config, rng)
+        return fit_bpm(series, design, priors, config, rng, smooth=smooth)
     return fit_dm_static(series, design, spec, priors, config, rng, smooth=smooth)
 
 

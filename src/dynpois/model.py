@@ -256,8 +256,8 @@ def build_design(
     return DesignMatrix(tuple(names), rows)
 
 
-def linear_predictor(design: DesignMatrix, beta: np.ndarray) -> np.ndarray:
-    """Per-month multipliers exp(beta_k' z_t), shape (K, T), for a stack of K
+def log_linear_predictor(design: DesignMatrix, beta: np.ndarray) -> np.ndarray:
+    """Per-month log multipliers beta_k' z_t, shape (K, T), for a stack of K
     draws: static coefficients (K, p) or per-month paths (K, T, p).
 
     Entry (k, t) sums beta_kj z_tj term by term in column order, by
@@ -276,6 +276,12 @@ def linear_predictor(design: DesignMatrix, beta: np.ndarray) -> np.ndarray:
     term = np.empty_like(eta)
     for j in range(p):
         eta += np.multiply(design.rows[:, j], beta[..., j], out=term)
+    return eta
+
+
+def linear_predictor(design: DesignMatrix, beta: np.ndarray) -> np.ndarray:
+    """Per-month multipliers exp(beta_k' z_t), (K, T): ``log_linear_predictor``'s exp, bit for bit."""
+    eta = log_linear_predictor(design, beta)
     return np.exp(eta, out=eta)
 
 

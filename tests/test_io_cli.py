@@ -571,6 +571,20 @@ class TestRunCommandFit:
         assert len(lines) == 31
         assert any(line.startswith("beta_intercept,") for line in (out / "summary.csv").read_text().splitlines())
 
+    def test_bpm_fit_honours_smooth_false(self, tmp_path):
+        data = _simulate_cohort_csv(tmp_path, T=30)
+        cfg = _write(tmp_path, "nosmooth.json", json.dumps(
+            {"smooth": False, "mcmc": {"iterations": 600, "burn_in": 200, "thinning": 1, "proposal_scale": 1.0}}))
+        files = {}
+        for model in ("BPM", "DM2"):
+            out = tmp_path / model
+            code, _ = run_command(["fit", "--config", str(cfg), "--model", model, "--seed", "6",
+                                   "--data", str(data), "--out", str(out)])
+            assert code == 0
+            files[model] = sorted(p.name for p in out.iterdir())
+        assert files["BPM"] == files["DM2"]
+        assert "fit.csv" not in files["BPM"]
+
     def test_dm5_resolved_config_reflects_long_chain_default(self, tmp_path):
         data = _simulate_cohort_csv(tmp_path, T=20)
         out = tmp_path / "dm5cfg"

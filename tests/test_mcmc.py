@@ -37,6 +37,8 @@ from dynpois.model import (
     ModelSpec,
     PriorConfig,
     build_design,
+    linear_predictor,
+    log_linear_predictor,
     simulate_cohort,
 )
 from oracles import NegBinParams, fd_derivatives_loop, log_pdf_gamma, log_pmf_negbin
@@ -579,6 +581,9 @@ class TestLogTargetBpm:
         )
     )
     @settings(max_examples=60, deadline=None)
+    # unpinned, as the column sum holds on any CPU; a BLAS product of the block
+    # with the design gave these two rows other bits than their one-row calls
+    @example(rows=[[0.07, 2.7, -2.14], [2.69, -1.13, -0.46]])
     def test_block_rows_equal_point_calls(self, rows):
         series, design, priors = _simulated_static("BPM", T=30)
         betas = np.array(rows)
@@ -587,10 +592,7 @@ class TestLogTargetBpm:
             block = log_target_bpm(betas, series, design, priors)
             points = np.array([log_target_bpm(b[None], series, design, priors)[0] for b in betas])
         assert block.shape == (len(rows),)
-        assert np.array_equal(np.isfinite(block), np.isfinite(points))
-        finite = np.isfinite(points)
-        np.testing.assert_allclose(block[finite], points[finite], rtol=1e-12)
-        assert np.array_equal(block[~finite], points[~finite])
+        assert np.array_equal(block, points)
 
 
 class TestMhConfig:
@@ -781,6 +783,14 @@ class TestFitBpm:
         b = fit_bpm(series, design, PriorConfig(), cfg, RngStream(12))
         assert np.array_equal(a.beta, b.beta)
 
+    def test_theta_holds_the_rates_when_smoothing(self):
+        series = _series([3, 5, 2, 6])
+        design = build_design({"x": np.array([0.5, -1.0, 2.0, 0.0])}, ModelSpec("BPM", ("x",)), 4)
+        cfg = MhConfig(iterations=500, burn_in=100)
+        draws = fit_bpm(series, design, PriorConfig(), cfg, RngStream(12), smooth=True)
+        assert np.array_equal(draws.theta, linear_predictor(design, draws.beta))
+        assert fit_bpm(series, design, PriorConfig(), cfg, RngStream(12), smooth=False).theta is None
+
     def test_design_without_intercept_rejected(self):
         design = build_design({"x": np.ones(3)}, ModelSpec("DM2", ("x",)), 3)
         with pytest.raises(DomainError):
@@ -875,6 +885,14 @@ class _RecordingGenerator:
         return self._gen.random(size)
 
 
+def _sweep_inputs(beta, Z):
+    """The current path's log multipliers and the two parities' designs, as
+    ``fit_dm5`` passes them to ``_coefficient_half_sweeps``."""
+    design = DesignMatrix(tuple(f"z{j}" for j in range(Z.shape[1])), Z)
+    halves = tuple(DesignMatrix(design.column_names, Z[start::2]) for start in (0, 1))
+    return log_linear_predictor(design, beta[None])[0], halves
+
+
 def _single_site_reference(beta, Z, counts, theta, tau, prop_sd, prior_var, gen):
     """The per-month Metropolis arithmetic of a single-site sweep, visiting the
     even months and then the odd ones, with the helper's order of draws."""
@@ -920,7 +938,7 @@ class TestCoefficientHalfSweeps:
         beta, Z, counts, theta, tau, prop_sd = self._problem()
         start = beta.copy()
         gen = _RecordingGenerator(5, beta)
-        _coefficient_half_sweeps(beta, Z, counts, theta, tau, prop_sd, 1.0, gen)
+        _coefficient_half_sweeps(beta, *_sweep_inputs(beta, Z), counts, theta, tau, prop_sd, 1.0, gen)
         assert gen.calls == [("standard_normal", (4, 2)), ("random", 4),
                              ("standard_normal", (3, 2)), ("random", 3)]
         between = gen.paths[1]  # after the even half, before the odd half
@@ -935,7 +953,7 @@ class TestCoefficientHalfSweeps:
         beta, Z, counts, theta, tau, prop_sd = self._problem(T=T)
         ref = beta.copy()
         for sweep in range(20):
-            n = _coefficient_half_sweeps(beta, Z, counts, theta, tau, prop_sd, 2.0,
+            n = _coefficient_half_sweeps(beta, *_sweep_inputs(beta, Z), counts, theta, tau, prop_sd, 2.0,
                                          np.random.default_rng(sweep))
             n_ref = _single_site_reference(ref, Z, counts, theta, tau, prop_sd, 2.0,
                                            np.random.default_rng(sweep))
@@ -950,8 +968,8 @@ class TestCoefficientHalfSweeps:
         beta = np.zeros((1, 1))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            n = _coefficient_half_sweeps(beta, np.array([[1000.0]]), np.array([2]), np.array([1.0]),
-                                         np.array([1.0]), np.array([[1.0]]), 1.0,
+            n = _coefficient_half_sweeps(beta, *_sweep_inputs(beta, np.array([[1000.0]])), np.array([2]),
+                                         np.array([1.0]), np.array([1.0]), np.array([[1.0]]), 1.0,
                                          np.random.default_rng(seed))
         assert n == 0
         assert np.array_equal(beta, np.zeros((1, 1)))
@@ -985,7 +1003,7 @@ class TestCoefficientHalfSweeps:
         beta = np.zeros((3, 1))
         chain = np.empty((n_iter, 3))
         for i in range(n_iter):
-            _coefficient_half_sweeps(beta, Z, counts, theta, tau, prop_sd, prior_var, gen)
+            _coefficient_half_sweeps(beta, *_sweep_inputs(beta, Z), counts, theta, tau, prop_sd, prior_var, gen)
             chain[i] = beta[:, 0]
 
         for t in range(3):

@@ -17,6 +17,7 @@ from dynpois.model import (
     PriorConfig,
     build_design,
     linear_predictor,
+    log_linear_predictor,
     simulate_cohort,
     simulate_dm5_coefficients,
     standardize_covariates,
@@ -291,19 +292,22 @@ class TestLinearPredictor:
     # CPU; a BLAS matrix product fails it (K=256, T=150, p=13, t=149 below)
     @settings(max_examples=40, deadline=None)
     @given(K=st.integers(1, 300), T=st.integers(1, 200), p=st.integers(0, 16), paths=st.booleans(),
-           cut=st.integers(0, 199), seed=st.integers(0, 2**32 - 1))
-    @example(K=256, T=150, p=13, paths=False, cut=148, seed=0)
-    def test_entry_depends_only_on_its_draw_and_its_month(self, K, T, p, paths, cut, seed):
+           cut=st.integers(0, 199), seed=st.integers(0, 2**32 - 1),
+           fn=st.sampled_from([linear_predictor, log_linear_predictor]))
+    @example(K=256, T=150, p=13, paths=False, cut=148, seed=0, fn=linear_predictor)
+    @example(K=256, T=150, p=13, paths=False, cut=148, seed=0, fn=log_linear_predictor)
+    def test_entry_depends_only_on_its_draw_and_its_month(self, K, T, p, paths, cut, seed, fn):
         gen = np.random.default_rng(seed)
         design = DesignMatrix(tuple(f"c{i}" for i in range(p)), gen.normal(size=(T, p)))
         beta = 0.5 * gen.normal(size=(K, T, p) if paths else (K, p))
-        full = linear_predictor(design, beta)
+        full = fn(design, beta)
         assert full.shape == (K, T)
+        assert np.array_equal(linear_predictor(design, beta), np.exp(log_linear_predictor(design, beta)))
         t = 1 + cut % T
-        head = linear_predictor(design.head(t), beta[:, :t] if paths else beta)
+        head = fn(design.head(t), beta[:, :t] if paths else beta)
         assert np.array_equal(head, full[:, :t])
         for k in range(K):
-            assert np.array_equal(full[k], linear_predictor(design, beta[k : k + 1])[0])
+            assert np.array_equal(full[k], fn(design, beta[k : k + 1])[0])
 
     @pytest.mark.parametrize("p", [0, 1, 14])
     def test_other_shapes_name_both_stack_kinds(self, p):
