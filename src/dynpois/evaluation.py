@@ -9,23 +9,10 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .filtering import filter_draws
+from .filtering import negbin_rows
 from .kernels import DomainError, RngStream, logsumexp
-from .mcmc import (
-    FitError,
-    MhConfig,
-    PosteriorDraws,
-    bpm_log_pmf,
-    fit_variant,
-)
-from .model import (
-    CountSeries,
-    DesignMatrix,
-    ModelSpec,
-    PriorConfig,
-    build_design,
-    linear_predictor,
-)
+from .mcmc import FitError, MhConfig, PosteriorDraws, fit_variant, predictive_blocks
+from .model import CountSeries, DesignMatrix, ModelSpec, PriorConfig, build_design
 
 
 # The pmf table behind ForecastDistribution.quantile covers the counts 0..hi
@@ -260,13 +247,6 @@ class ComparisonReport:
     log_bayes_factors: dict
 
 
-def _negbin_rows(gamma, a, b, multipliers) -> np.ndarray:
-    """The one-step negative binomial (r, p) = (gamma a, gamma b / (gamma b + m))
-    of filter state (a, b) and multiplier m, stacked on a new last axis."""
-    gb = gamma * b
-    return np.stack([gamma * a, gb / (gb + multipliers)], axis=-1)
-
-
 def forecast_one_step(
     draws: PosteriorDraws,
     a: np.ndarray,
@@ -285,7 +265,7 @@ def forecast_one_step(
     if draws.S == 0 or not len(a) == len(b) == len(multipliers) == draws.S:
         raise DomainError("need one filtered state and one multiplier per retained draw")
     return ForecastDistribution(
-        origin=origin, components=_negbin_rows(draws.gamma, a, b, multipliers), weights=weights
+        origin=origin, components=negbin_rows(draws.gamma, a, b, multipliers), weights=weights
     )
 
 
@@ -334,32 +314,24 @@ def _check_window(window, T: int):
     return start, end
 
 
-def _filter_window(spec, series, design, draws, priors, o_fit: int, end: int, rng: RngStream) -> tuple:
-    """One ``filter_draws`` pass of draws fitted on months 1..o_fit-1, over months
-    1..end. Returns only the window's columns: each draw's one-step log
+def _filter_window(series, design, draws, priors, o_fit: int, end: int, rng: RngStream) -> tuple:
+    """One ``predictive_blocks`` pass of draws fitted on months 1..o_fit-1, over
+    months 1..end. Returns only the window's columns: each draw's one-step log
     predictives of months o_fit..end-1, (S, end-o_fit), and the components of
-    its one-step predictives of months o_fit..end, (S, end-o_fit+1, 2) negative
-    binomial (r, p) rows, each from the state after the month before. BPM takes
-    its Poisson log pmfs and its (S, end-o_fit+1) Poisson rates. DM5's
-    coefficient paths end at month o_fit-1: one random-walk step on ``rng``
-    extends them to month o_fit, and its pass ends there.
+    its one-step predictives of months o_fit..end, one row per draw. Coefficient
+    paths (DM5's) end at month o_fit-1: one random-walk step on ``rng`` extends
+    them to month o_fit, and their pass ends there.
     """
-    if spec.variant == "BPM":
-        log_pred = bpm_log_pmf(draws.beta, series.head(end - 1), design.head(end - 1))[:, o_fit - 1 :]
-        return log_pred, linear_predictor(design.head(end), draws.beta)[:, o_fit - 1 :]
-    betas = draws.beta
-    if spec.variant == "DM5":
+    if draws.beta.ndim == 3:
         steps = rng.generator.standard_normal((draws.S, design.p)) / np.sqrt(draws.tau)
-        betas, end = np.concatenate([betas, (betas[:, -1] + steps)[:, None]], axis=1), o_fit
-    log_pred = np.empty((draws.S, end - o_fit))
-    comps = np.empty((draws.S, end - o_fit + 1, 2))
-    passes = filter_draws(series.counts[:end], design.head(end), betas, draws.gamma, priors.a0, priors.b0)
-    for block, traj in passes:
+        draws = replace(draws, beta=np.concatenate([draws.beta, (draws.beta[:, -1] + steps)[:, None]], axis=1))
+        end = o_fit
+    log_pred, comps = [], []
+    for _, lp, c in predictive_blocks(series.head(end), design.head(end), draws, priors, o_fit):
         # only the window's columns outlive the block
-        log_pred[block] = traj.log_predictive[:, o_fit - 1 : end - 1]
-        a, b = traj.a[:, o_fit - 1 : end], traj.b[:, o_fit - 1 : end]
-        comps[block] = _negbin_rows(traj.gamma[:, None], a, b, traj.multipliers[:, o_fit - 1 :])
-    return log_pred, comps
+        log_pred.append(lp[:, o_fit - 1 : end - 1].copy())
+        comps.append(c)
+    return np.concatenate(log_pred), np.concatenate(comps)
 
 
 # Kish efficiency (sum w)^2 / (S sum w^2) of the reweighted draws below which
@@ -418,7 +390,7 @@ def sequential_harness(
                 stream = rng.substream(o)
                 draws = fit_variant(spec, series.head(o - 1), design.head(o - 1), priors, config, stream, smooth=False)
                 o_fit, log_w = o, np.zeros(draws.S)
-                log_pred, comps = _filter_window(spec, series, design, draws, priors, o, end, stream.substream(1))
+                log_pred, comps = _filter_window(series, design, draws, priors, o, end, stream.substream(1))
                 refits.append(o)
             weights = np.exp(log_w - np.max(log_w))
             dist = ForecastDistribution(origin=o, components=comps[:, o - o_fit], weights=weights)
@@ -533,19 +505,13 @@ def per_draw_log_predictives(
     draws: PosteriorDraws,
     priors: PriorConfig,
 ) -> np.ndarray:
-    """(S, T) matrix of per-observation log likelihoods under each retained draw.
+    """(S, T) matrix of per-observation log likelihoods under each retained draw:
+    the one-step log predictives of ``predictive_blocks``.
 
     Dynamic models use the rate-integrated one-step predictives; the Poisson
     regression benchmark scores each month's Poisson pmf directly.
     """
-    if draws.variant == "BPM":
-        return bpm_log_pmf(draws.beta, series, design)
-    return np.concatenate(
-        [
-            traj.log_predictive
-            for _, traj in filter_draws(series.counts, design, draws.beta, draws.gamma, priors.a0, priors.b0)
-        ]
-    )
+    return np.concatenate([lp for _, lp, _ in predictive_blocks(series, design, draws, priors, series.T + 1)])
 
 
 def compare_models(

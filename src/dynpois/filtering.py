@@ -140,6 +140,13 @@ def filter_core(
     return FilterTrajectory(a=a, b=b, gamma=gamma, log_predictive=log_pred, multipliers=multipliers)
 
 
+def negbin_rows(gamma, a, b, multipliers) -> np.ndarray:
+    """The one-step negative binomial (r, p) = (gamma a, gamma b / (gamma b + m))
+    of filter state (a, b) and multiplier m, stacked on a new last axis."""
+    gb = gamma * b
+    return np.stack([gamma * a, gb / (gb + multipliers)], axis=-1)
+
+
 def filter_draws(
     counts: np.ndarray,
     design: DesignMatrix,

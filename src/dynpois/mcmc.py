@@ -32,6 +32,7 @@ from .filtering import (
     filter_core,
     filter_draws,
     gamma_grid_posterior,
+    negbin_rows,
 )
 from .kernels import (
     BetaParams,
@@ -602,6 +603,10 @@ def fit_dm5(
     p = design.p
     if p < 1:
         raise DomainError("the time-varying model needs at least one covariate")
+    # at T = 1 tau's full conditional is its prior, and the default Gamma(0.001,
+    # 0.001) draws a float 0 about half the time
+    if series.T < 2:
+        raise DomainError("the time-varying model needs at least two months")
     if design.T != series.T:
         raise DomainError("design matrix and count series disagree on T")
     T = series.T
@@ -686,21 +691,21 @@ def fit_dm5(
     )
 
 
-def bpm_log_pmf(beta: np.ndarray, series: CountSeries, design: DesignMatrix) -> np.ndarray:
-    """Poisson log pmf of each month's count under the static Poisson regression
-    (rate exp(beta' z_t)) at each row of a block (K, p), as (K, T); each row
-    has the bits of its own one-row call."""
-    eta = log_linear_predictor(design, beta)
-    return series.counts * eta - np.exp(eta) - lgamma(series.counts + 1.0)
+def bpm_log_pmf(eta: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Poisson log pmf of each month's count (T,) under the log rates eta (K, T)
+    of the static Poisson regression, as (K, T)."""
+    return counts * eta - np.exp(eta) - lgamma(counts + 1.0)
 
 
 def log_target_bpm(
     beta: np.ndarray, series: CountSeries, design: DesignMatrix, priors: PriorConfig
 ) -> np.ndarray:
     """Log posterior of the static Poisson regression at each row of a block
-    (K, p), as (K,); one point is a one-row block."""
+    (K, p), as (K,); one point is a one-row block, and each row has the bits of
+    its own one-row call."""
     beta = np.asarray(beta, dtype=float)
-    return np.sum(bpm_log_pmf(beta, series, design), axis=1) + _log_prior_beta(beta, priors.beta_sd)
+    log_pmf = bpm_log_pmf(log_linear_predictor(design, beta), series.counts)
+    return np.sum(log_pmf, axis=1) + _log_prior_beta(beta, priors.beta_sd)
 
 
 def fit_bpm(
@@ -744,6 +749,25 @@ def fit_variant(
     if spec.variant == "BPM":
         return fit_bpm(series, design, priors, config, rng, smooth=smooth)
     return fit_dm_static(series, design, spec, priors, config, rng, smooth=smooth)
+
+
+def predictive_blocks(series: CountSeries, design: DesignMatrix, draws: PosteriorDraws, priors: PriorConfig, first: int):
+    """Score fitted draws by their model, block by block: yields ``(block,
+    log_pred, comps)``, a slice into the draws, the block's one-step log
+    predictives of months 1..T, (B, T), and the components of its one-step
+    predictives of months first..T, empty when first = T + 1. A dynamic model's
+    blocks are those of ``filter_draws``, with negative binomial (r, p) rows,
+    (B, T - first + 1, 2), from each draw's state after the month before. BPM is
+    one block, scored from one ``log_linear_predictor`` call, with Poisson rates
+    exp(beta' z_t), (S, T - first + 1), that have the bits of ``linear_predictor``.
+    """
+    if draws.variant == "BPM":
+        eta = log_linear_predictor(design, draws.beta)
+        yield slice(0, draws.S), bpm_log_pmf(eta, series.counts), np.exp(eta[:, first - 1 :])
+        return
+    for block, traj in filter_draws(series.counts, design, draws.beta, draws.gamma, priors.a0, priors.b0):
+        a, b = traj.a[:, first - 1 : -1], traj.b[:, first - 1 : -1]
+        yield block, traj.log_predictive, negbin_rows(traj.gamma[:, None], a, b, traj.multipliers[:, first - 1 :])
 
 
 def posterior_summary(draws: PosteriorDraws) -> list[dict]:

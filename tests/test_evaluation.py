@@ -715,11 +715,27 @@ class TestSequentialHarness:
         series = simulate_cohort(priors, 0.7, np.r_[0.3, -0.2, 0.1, np.zeros(11)], design, T, rng.substream(4)).counts
         draws = fit_variant(spec, series.head(30), design.head(30), priors, MhConfig(iterations=300, burn_in=100),
                             RngStream(3).substream(31), smooth=False)
-        _, comps = evaluation._filter_window(spec, series, design, draws, priors, 31, 36, RngStream(0))
+        _, comps = evaluation._filter_window(series, design, draws, priors, 31, 36, RngStream(0))
         m = linear_predictor(design.head(31), draws.beta)
         fitted = filter_core(series.counts[:30], m[:, :-1], draws.gamma, priors.a0, priors.b0)
         dist = forecast_one_step(draws, fitted.a[:, -1], fitted.b[:, -1], m[:, -1], 31)
         assert np.array_equal(comps[:, 0], dist.components)
+
+    @pytest.mark.parametrize("variant, gamma_prior", [("DM2", "uniform"), ("DM1", "grid"), ("BPM", "uniform")])
+    def test_window_scores_are_those_of_the_comparison(self, variant, gamma_prior):
+        # the forecast's window and the comparison score draws by one
+        # predictive_blocks, so they agree bit for bit; 300 draws span two blocks
+        series, design, spec, priors = self._cohort(variant, 85, 40)
+        priors = PriorConfig(a0=priors.a0, b0=priors.b0, gamma_prior=gamma_prior, gamma_grid_step=0.02)
+        draws = fit_variant(spec, series.head(30), design.head(30), priors, MhConfig(iterations=400, burn_in=100),
+                            RngStream(5), smooth=False)
+        log_pred, comps = evaluation._filter_window(series, design, draws, priors, 31, 36, RngStream(0))
+        L = per_draw_log_predictives(series.head(36), design.head(36), draws, priors)
+        assert np.array_equal(log_pred, L[:, 30:35])
+        if variant == "BPM":
+            assert np.array_equal(comps, linear_predictor(design.head(36), draws.beta)[:, 30:])
+        else:
+            assert comps.shape == (draws.S, 6, 2)
 
     @pytest.mark.parametrize("variant", ["DM2", "BPM", "DM5"])
     def test_the_last_count_changes_only_its_actual(self, variant):

@@ -450,9 +450,9 @@ class TestBatchedFilter:
         S = FILTER_BLOCK + 3
         counts, design, betas, gammas = _draw_set(S, seed=5)
         priors = PriorConfig(a0=50.0, b0=2.0)
-        rng = RngStream(7, 1)
+        rng = RngStream(7).substream(1)
         paths = _smooth_paths(counts, design, betas, gammas, priors, rng)
-        ref_rng = RngStream(7, 1)
+        ref_rng = RngStream(7).substream(1)
         ref = np.empty((S, len(counts)))
         for j in range(S):
             a, b, _ = _loop_filter(counts, linear_predictor(design, betas[j : j + 1])[0], gammas[j], 50.0, 2.0)

@@ -585,6 +585,16 @@ class TestRunCommandFit:
         assert files["BPM"] == files["DM2"]
         assert "fit.csv" not in files["BPM"]
 
+    def test_dm5_on_one_month_exits_2(self, tmp_path, capsys):
+        data = _write(tmp_path, "one.csv", "month_index,count,z1\n1,149,0.5\n")
+        cfg = _write(tmp_path, "dm5.json", json.dumps({"mcmc": {"iterations": 50, "burn_in": 10}}))
+        capsys.readouterr()
+        code, _ = run_command(["fit", "--config", str(cfg), "--model", "DM5", "--seed", "1",
+                               "--data", str(data), "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = json.loads(capsys.readouterr().out)["error"]
+        assert err["message"] == "the time-varying model needs at least two months"
+
     def test_dm5_resolved_config_reflects_long_chain_default(self, tmp_path):
         data = _simulate_cohort_csv(tmp_path, T=20)
         out = tmp_path / "dm5cfg"

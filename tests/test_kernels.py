@@ -212,14 +212,21 @@ class TestNegBinQuantile:
 
 class TestDeterminism:
     def test_same_stream_identical(self):
-        a = sample_gamma(GammaParams(2.0, 3.0), RngStream(123, 7), size=50)
-        b = sample_gamma(GammaParams(2.0, 3.0), RngStream(123, 7), size=50)
+        a = sample_gamma(GammaParams(2.0, 3.0), RngStream(123).substream(7), size=50)
+        b = sample_gamma(GammaParams(2.0, 3.0), RngStream(123).substream(7), size=50)
         assert np.array_equal(a, b)
 
     def test_distinct_streams_differ(self):
-        a = sample_gamma(GammaParams(2.0, 3.0), RngStream(123, 0), size=50)
-        b = sample_gamma(GammaParams(2.0, 3.0), RngStream(123, 1), size=50)
+        a = sample_gamma(GammaParams(2.0, 3.0), RngStream(123).substream(0), size=50)
+        b = sample_gamma(GammaParams(2.0, 3.0), RngStream(123).substream(1), size=50)
         assert not np.array_equal(a, b)
+
+    def test_spawn_key_starts_with_zero(self):
+        # the key every pinned digest was drawn with
+        rng = RngStream(5).substream(3)
+        seq = np.random.SeedSequence(5, spawn_key=(0, 3))
+        assert np.array_equal(rng.generator.random(4), np.random.default_rng(seq).random(4))
+        assert repr(rng) == "RngStream(seed=5).substream(3)"
 
     def test_substream_deterministic(self):
         a = RngStream(5).substream(3).generator.random(10)

@@ -846,6 +846,13 @@ class TestFitDm5:
             fit_dm5(_series([1, 2]), DesignMatrix.empty(2), PriorConfig(),
                     MhConfig(iterations=10, burn_in=0), RngStream(0))
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_needs_two_months(self, seed):
+        # at T = 1 tau's full conditional is its prior, whose float draws can be 0
+        design = DesignMatrix(("z",), np.array([[0.5]]))
+        with pytest.raises(DomainError, match="the time-varying model needs at least two months"):
+            fit_dm5(_series([7]), design, PriorConfig(), MhConfig(iterations=50, burn_in=10), RngStream(seed))
+
     def test_seeded_reproducibility(self):
         rng = RngStream(22)
         T = 25
