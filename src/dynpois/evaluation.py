@@ -15,11 +15,12 @@ from .mcmc import FitError, MhConfig, PosteriorDraws, fit_variant, predictive_bl
 from .model import CountSeries, DesignMatrix, ModelSpec, PriorConfig, build_design
 
 
-# The pmf table behind ForecastDistribution.quantile covers the counts 0..hi
-# with hi < TABLE_COUNTS, and TABLE_ENTRIES bounds its time; it is filled
-# TABLE_CHUNK entries at a time, which bounds its memory. Over that domain its
-# CDF stayed within 2.3e-12 of a 40-digit mpmath sum of the same recurrence
-# (worst at a Poisson rate of 1698), which TABLE_MARGIN exceeds 40 times over.
+# The pmf table that narrows ForecastDistribution.quantile's search covers the
+# counts 0..hi with hi < TABLE_COUNTS, and TABLE_ENTRIES bounds its time; it is
+# filled TABLE_CHUNK entries at a time, which bounds its memory. Over that
+# domain its CDF stayed within 2.3e-12 of a 40-digit mpmath sum of the same
+# recurrence (worst at a Poisson rate of 1698), which TABLE_MARGIN exceeds 40
+# times over.
 TABLE_ENTRIES = 2**21
 TABLE_COUNTS = 2**11
 TABLE_CHUNK = 2**16
@@ -35,10 +36,11 @@ class ForecastDistribution:
     holds one nonnegative weight per row, with at least one positive; they
     are stored divided by their maximum, so equal weights become ones and
     give the equal-weight mixture bit for bit. Omitted weights are equal.
-    Both interval ends come from one numpy pmf table of the mixture
-    (``quantile``). Only ``cdf`` and the quantile search behind the table
-    import ``scipy.special``, when first called, so a forecast loads scipy
-    only for a level the table cannot settle.
+    An interval end is a ``quantile``: one search bisects the exact ``cdf``
+    inside a bracket that one numpy pmf table of the mixture narrows, the
+    same table for both ends. Only ``cdf`` imports ``scipy.special``, when
+    first called, so a forecast loads scipy only for a level whose bracket
+    the table leaves wider than one count.
     """
 
     origin: int
@@ -86,11 +88,17 @@ class ForecastDistribution:
         means = r * (1.0 - p) / p
         return means, means / p
 
-    def _mean_sd(self) -> tuple:
-        """The mixture's mean and standard deviation, in closed form from the components."""
+    def _cantelli_bound(self, q: float) -> int:
+        """ceil(mean + sqrt(q / (1 - q)) sd) + 1, capped at 2**60: a count whose
+        mixture CDF reaches q, by Cantelli's inequality P(X >= mean + t) <= sd^2
+        / (sd^2 + t^2), with the mixture's mean and sd in closed form from the
+        components."""
         means, variances = self._component_moments()
         mean = self._average(means)
-        return mean, math.sqrt(max(self._average(variances + means**2) - mean**2, 0.0))
+        sd = math.sqrt(max(self._average(variances + means**2) - mean**2, 0.0))
+        top = mean + math.sqrt(q / (1.0 - q)) * sd
+        # NaN fails the comparison
+        return math.ceil(top) + 1 if top < 2**60 else 2**60
 
     def mean(self) -> float:
         return self._average(self._component_moments()[0])
@@ -109,15 +117,7 @@ class ForecastDistribution:
         return self._average(probs)
 
     def quantile(self, q: float) -> int:
-        """Smallest integer n with mixture CDF(n) >= q.
-
-        The pmf table of ``_table_cdf`` answers when it covers n and its CDF
-        lies more than TABLE_MARGIN, its measured error bound with room to
-        spare, from q at both n - 1 and n; no rounding of either CDF can then
-        change n. Any other level (a CDF value within the margin of q, a level
-        within it of 0 or 1, a table over its budget) goes to
-        ``_bisect_quantile``, which works from ``cdf``.
-        """
+        """Smallest integer n with mixture CDF(n) >= q, by ``_search``."""
         return self._quantiles((q,))[0]
 
     def _quantiles(self, levels) -> tuple:
@@ -125,26 +125,52 @@ class ForecastDistribution:
         for q in levels:
             if not (0.0 < q < 1.0):
                 raise DomainError(f"quantile level must lie in (0, 1), got {q}")
-        cdf = self._table_cdf(max(levels))
-        answers = tuple(None if cdf is None else _table_quantile(cdf, q) for q in levels)
-        return tuple(self._bisect_quantile(q) if n is None else n for q, n in zip(levels, answers))
+        bounds = [self._cantelli_bound(q) for q in levels]
+        table = self._table_cdf(max(bounds))
+        return tuple(self._search(q, table, bound) for q, bound in zip(levels, bounds))
 
-    def _table_cdf(self, q: float) -> np.ndarray | None:
+    def _search(self, q: float, table: np.ndarray | None, bound: int) -> int:
+        """Smallest integer n with CDF(n) >= q: bisect ``cdf`` inside a bracket
+        lo < n <= hi, with cdf(lo) < q <= cdf(hi) and cdf(-1) = 0.
+
+        The ``table`` CDF lies within TABLE_MARGIN of the exact one, its
+        measured error bound with room to spare, so the last count it puts more
+        than the margin below q is a lo, and the first it puts more than the
+        margin above q a hi. A bracket one count wide is the answer, with no
+        ``cdf`` call. With no table, lo is -1; with no table count above
+        q + margin, hi is the Cantelli ``bound``, doubled while its exact CDF
+        falls short of q (the bound's mean and sd are rounded). A quantile
+        beyond 2**60 raises DomainError.
+        """
+        lo, hi = -1, None
+        if table is not None:
+            lo = int(np.searchsorted(table, q - TABLE_MARGIN)) - 1
+            above = int(np.searchsorted(table, q + TABLE_MARGIN, side="right"))
+            hi = above if above < len(table) else None
+        if hi is None:
+            hi = bound
+            while self.cdf(hi) < q:
+                if hi == 2**60:
+                    raise DomainError("quantile bracket exceeded integer range")
+                lo, hi = hi, min(2 * hi, 2**60)
+        while lo + 1 < hi:
+            mid = (lo + hi) // 2
+            if self.cdf(mid) >= q:
+                hi = mid
+            else:
+                lo = mid
+        return hi
+
+    def _table_cdf(self, hi: int) -> np.ndarray | None:
         """The mixture CDF at the counts 0..hi from one pmf table, or None when
         the table would break TABLE_COUNTS or TABLE_ENTRIES.
 
-        hi = ceil(mean + sqrt(q / (1 - q)) sd) + 1 holds the q-quantile, by
-        Cantelli's inequality P(X >= mean + t) <= sd^2 / (sd^2 + t^2). Each
-        row's log pmf runs from log pmf(0) by the ratio recurrence, one log
-        per entry: log((k - 1 + r) / k) + log(1 - p) for a negative binomial
-        row, log(lam) - log(k) for a Poisson row. The weighted column sums of
-        the pmfs, cumulatively summed, give the CDF.
+        Each row's log pmf runs from log pmf(0) by the ratio recurrence, one
+        log per entry: log((k - 1 + r) / k) + log(1 - p) for a negative
+        binomial row, log(lam) - log(k) for a Poisson row. The weighted column
+        sums of the pmfs, cumulatively summed, give the CDF.
         """
-        mean, sd = self._mean_sd()
-        top = mean + math.sqrt(q / (1.0 - q)) * sd
         c, S = self.components, len(self.components)
-        # NaN fails the comparison
-        hi = math.ceil(top) + 1 if top < TABLE_COUNTS else TABLE_COUNTS
         if hi >= TABLE_COUNTS or S * (hi + 1) > TABLE_ENTRIES:
             return None
         k = np.arange(1.0, hi + 1.0)
@@ -170,51 +196,6 @@ class ForecastDistribution:
             np.cumsum(log_pmf, axis=1, out=log_pmf)
             column += self.weights[start : start + rows] @ np.exp(log_pmf, out=log_pmf)
         return np.cumsum(column) / np.sum(self.weights)
-
-    def _bisect_quantile(self, q: float) -> int:
-        """Smallest integer n with mixture CDF(n) >= q, from ``cdf`` alone.
-
-        The search starts at the mixture's normal approximation
-        floor(mean + ndtri(q) sd). It steps outward by strides 1, 2, 4, ...
-        until cdf(lo) < q <= cdf(hi), then bisects. A quantile beyond 2**60
-        raises DomainError.
-        """
-        from scipy.special import ndtri
-
-        mean, sd = self._mean_sd()
-        guess = mean + ndtri(q) * sd
-        # a NaN or overflowing guess starts at the guard
-        start = math.floor(max(guess, 0.0)) if guess < 2**60 else 2**60
-        # invariant once bracketed: cdf(lo) < q <= cdf(hi), with cdf(-1) = 0
-        step = 1
-        if self.cdf(start) >= q:
-            lo, hi = start - 1, start
-            while lo >= 0 and self.cdf(lo) >= q:
-                hi, lo = lo, max(lo - 2 * step, -1)
-                step *= 2
-        else:
-            lo = hi = start
-            while lo == hi or self.cdf(hi) < q:
-                if hi == 2**60:
-                    raise DomainError("quantile bracket exceeded integer range")
-                lo, hi = hi, min(hi + step, 2**60)
-                step *= 2
-        while lo + 1 < hi:
-            mid = (lo + hi) // 2
-            if self.cdf(mid) >= q:
-                hi = mid
-            else:
-                lo = mid
-        return hi
-
-
-def _table_quantile(cdf: np.ndarray, q: float) -> int | None:
-    """The smallest n with cdf[n] >= q, when cdf[n] - q and q - cdf[n - 1]
-    (with cdf[-1] = 0) both exceed TABLE_MARGIN; otherwise None."""
-    n = int(np.searchsorted(cdf, q))
-    if n < len(cdf) and cdf[n] - q > TABLE_MARGIN and q - (cdf[n - 1] if n else 0.0) > TABLE_MARGIN:
-        return n
-    return None
 
 
 @dataclass(frozen=True)

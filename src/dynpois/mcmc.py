@@ -488,18 +488,16 @@ def fit_dm_static(
         # grid indices take the same variates from the stream as grid values would
         picks = rng.substream(0).generator.choice(len(post.grid), size=S, p=post.probs)
         gammas = post.grid[picks]
-    elif priors.gamma_prior == "fixed":
-        gammas = np.full(S, priors.gamma_fixed_value)
-        if p:
-            target = _dm_static_target(series, design, priors)
-            res = _mode_then_chain(target, np.zeros(p), config, rng.substream(0))
-            betas, acc, sampler = res.draws, res.acceptance_rate, res.sampler
     else:
-        target = _dm_static_target(series, design, priors)
-        res = _mode_then_chain(target, np.zeros(p + 1), config, rng.substream(0))
-        betas = res.draws[:, :p]
-        gammas = expit(res.draws[:, p])
-        acc, sampler = res.acceptance_rate, res.sampler
+        # the chain runs over beta, and over logit gamma unless the prior fixes it
+        fixed = priors.gamma_prior == "fixed"
+        gammas = np.full(S, priors.gamma_fixed_value)
+        if p or not fixed:
+            target = _dm_static_target(series, design, priors)
+            res = _mode_then_chain(target, np.zeros(p + (not fixed)), config, rng.substream(0))
+            betas, acc, sampler = res.draws[:, :p], res.acceptance_rate, res.sampler
+            if not fixed:
+                gammas = expit(res.draws[:, p])
 
     theta = None
     if smooth:
@@ -618,10 +616,11 @@ def fit_dm5(
 
     beta = np.zeros((T, p))
     tau = np.ones(p)
-    # the fixed prior puts all its mass on one value, so the chain must start
-    # there; a fixed gamma = 1 has logit inf, so every proposal maps to 1 and
-    # is skipped
-    gamma = np.array([priors.gamma_fixed_value if priors.gamma_prior == "fixed" else 0.5])
+    # the fixed prior puts all its mass on one value, so the chain starts there
+    # and stays: each sweep still draws a proposal and a uniform, which keeps
+    # the stream, but filters no proposal (one off the support scores -inf)
+    fixed = priors.gamma_prior == "fixed"
+    gamma = np.array([priors.gamma_fixed_value if fixed else 0.5])
     x_gamma = logit(gamma)
     # the current gamma's log prior and logit Jacobian, replaced on acceptance
     terms = _log_prior_gamma(gamma, priors)[0], _logit_jacobian(gamma)[0]
@@ -646,7 +645,7 @@ def fit_dm5(
         x_prop = x_gamma + gamma_step * gen.standard_normal()
         g_prop = expit(x_prop)
         u = gen.random()
-        if 0.0 < g_prop[0] < 1.0:
+        if not fixed and 0.0 < g_prop[0] < 1.0:
             traj_prop = filter_core(counts, multipliers, g_prop, priors.a0, priors.b0)
             terms_prop = _log_prior_gamma(g_prop, priors)[0], _logit_jacobian(g_prop)[0]
             num = traj_prop.total_log_predictive[0] + terms_prop[0] + terms_prop[1]

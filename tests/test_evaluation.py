@@ -15,7 +15,6 @@ from dynpois.evaluation import (
     TABLE_MARGIN,
     ForecastDistribution,
     _check_window,
-    _table_quantile,
     compare_models,
     cpo_log_sum,
     ewma_forecast,
@@ -63,6 +62,27 @@ def _mixture(*components):
 def _pmf(dist, n):
     """The mixture pmf at n, as the step of its cdf there."""
     return dist.cdf(n) - dist.cdf(n - 1)
+
+
+def _probes(dist, q):
+    """The quantile at level q and the counts at which its search called ``cdf``."""
+    probes = []
+    exact = dist.cdf
+
+    def cdf(n):
+        probes.append(n)
+        return exact(n)
+
+    object.__setattr__(dist, "cdf", cdf)
+    try:
+        return dist.quantile(q), probes
+    finally:
+        object.__delattr__(dist, "cdf")
+
+
+def _unbracketed(dist, q):
+    """The quantile search with no table: from -1 and the Cantelli bound."""
+    return dist._search(q, None, dist._cantelli_bound(q))
 
 
 # cdf steps carry the absolute rounding of cdf values near 1
@@ -142,7 +162,8 @@ class TestForecastDistribution:
         else:
             comps = np.array([[r, r / (r + mean)] for mean, r in rows])
         dist = ForecastDistribution(origin=1, components=comps)
-        assert dist.quantile(q) == quantile_by_doubling(dist, q)
+        # the table only narrows the search's bracket
+        assert dist.quantile(q) == quantile_by_doubling(dist, q) == _unbracketed(dist, q)
 
     @pytest.mark.parametrize("weight", [1.0, 0.3, 7e-200])
     def test_equal_weights_reproduce_the_unweighted_mixture(self, weight):
@@ -201,14 +222,9 @@ class TestForecastDistribution:
             ForecastDistribution(origin=1, components=np.array([1e19]))
 
 
-def _table_answer(dist, q):
-    """The pmf table's answer at level q, or None where it defers to the bisection."""
-    cdf = dist._table_cdf(q)
-    return None if cdf is None else _table_quantile(cdf, q)
-
-
 class TestIntervalTable:
-    """The pmf table behind ``quantile``, against the bisection it falls back to."""
+    """The pmf table that narrows ``quantile``'s bracket, against the search
+    without it."""
 
     @given(
         seed=st.integers(0, 2**32 - 1),
@@ -231,37 +247,41 @@ class TestIntervalTable:
             weights[0] = 1.0
         dist = ForecastDistribution(origin=1, components=comps, weights=weights)
         for q in (0.025, 0.975):
-            n, table = dist._bisect_quantile(q), _table_answer(dist, q)
-            if table is not None:
-                assert table == n
-            elif dist._table_cdf(q) is not None:
-                # declined inside the budget: a cdf value within the margin of q
+            (n, probes), unbracketed = _probes(dist, q), _unbracketed(dist, q)
+            assert n == unbracketed
+            if probes and dist._table_cdf(dist._cantelli_bound(q)) is not None:
+                # not settled inside the budget: a cdf value within the margin of q
                 assert min(dist.cdf(n) - q, q - dist.cdf(n - 1)) <= 2 * TABLE_MARGIN
 
     def test_a_cdf_plateau_at_the_level_falls_back(self):
         # the rows of means 1 and 10 hold half the mass, and the CDF rounds to
         # exactly 0.5 from 45 until the rows of mean 1000 start; a table
-        # without the margin answered 44
+        # without the margin answered 44. The table puts 34 more than the
+        # margin below 0.5 and 809 more than the margin above it, so the
+        # search probes only between them
         dist = ForecastDistribution(origin=1, components=np.array([1.0, 10.0, 1000.0, 1000.0]))
-        assert dist._table_cdf(0.5) is not None and _table_answer(dist, 0.5) is None
-        assert dist.quantile(0.5) == quantile_by_doubling(dist, 0.5) == 45
+        n, probes = _probes(dist, 0.5)
+        assert dist._table_cdf(dist._cantelli_bound(0.5)) is not None
+        assert probes and all(34 < m <= 809 for m in probes)
+        assert n == quantile_by_doubling(dist, 0.5) == 45
 
     def test_a_level_within_the_margin_of_1_falls_back(self):
         # the table fits (counts 0..1002), but its CDF at 1 is 1 - 5e-13
         tiny = ForecastDistribution(origin=1, components=np.array([1e-6]))
-        assert tiny._table_cdf(1.0 - 1e-12) is not None and _table_answer(tiny, 1.0 - 1e-12) is None
-        assert tiny.quantile(1.0 - 1e-12) == 1
+        n, probes = _probes(tiny, 1.0 - 1e-12)
+        assert tiny._table_cdf(tiny._cantelli_bound(1.0 - 1e-12)) is not None and probes
+        assert n == 1
         # a geometric row of mean 1000 needs counts far past the table; a
-        # cumulative sum from 0 with no fallback returned 27641
+        # cumulative sum from 0 with no search returned 27641
         geometric = ForecastDistribution(origin=1, components=np.array([[1.0, 1.0 / 1001.0]]))
-        assert geometric._table_cdf(1.0 - 1e-12) is None
+        assert geometric._table_cdf(geometric._cantelli_bound(1.0 - 1e-12)) is None
         assert geometric.quantile(1.0 - 1e-12) == quantile_by_doubling(geometric, 1.0 - 1e-12) == 27644
 
     @pytest.mark.parametrize("comps", [np.full(2000, 1000.0), np.array([1e4])])
     def test_a_table_over_its_budget_falls_back(self, comps):
         # 2000 rows by 1201 counts break TABLE_ENTRIES; one row of mean 1e4 TABLE_COUNTS
         dist = ForecastDistribution(origin=1, components=comps)
-        assert dist._table_cdf(0.975) is None
+        assert dist._table_cdf(dist._cantelli_bound(0.975)) is None
         assert dist.interval == (quantile_by_doubling(dist, 0.025), quantile_by_doubling(dist, 0.975))
 
     @pytest.mark.parametrize("comps", [
@@ -274,7 +294,7 @@ class TestIntervalTable:
         # a Poisson rate of 0 is a point mass at 0; p near 1 nearly one
         dist = ForecastDistribution(origin=1, components=comps)
         for q in (0.025, 0.975):
-            assert _table_answer(dist, q) == quantile_by_doubling(dist, q)
+            assert _probes(dist, q) == (quantile_by_doubling(dist, q), [])
 
     def test_table_cdf_error_is_far_below_the_margin(self):
         # the rows span the table's domain: counts up to TABLE_COUNTS - 3 (the
@@ -296,7 +316,7 @@ class TestIntervalTable:
         worst = 0.0
         for comps, weights in mixtures:
             dist = ForecastDistribution(origin=1, components=comps, weights=weights)
-            cdf = dist._table_cdf(0.975)
+            cdf = dist._table_cdf(dist._cantelli_bound(0.975))
             assert cdf is not None and len(cdf) <= TABLE_COUNTS and len(comps) * len(cdf) <= TABLE_ENTRIES
             worst = max(worst, float(np.max(np.abs(cdf - mixture_cdf_mpmath(dist, len(cdf) - 1)))))
         assert worst < TABLE_MARGIN / 10

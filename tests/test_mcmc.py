@@ -830,16 +830,26 @@ class TestFitDm5:
         assert coverage > 0.9
 
     @pytest.mark.parametrize("fixed", [0.9, 1.0])
-    def test_fixed_gamma_prior_holds_every_draw(self, fixed):
+    def test_fixed_gamma_prior_holds_every_draw(self, fixed, monkeypatch):
         # the chain must start where the fixed prior puts its mass; started
-        # anywhere else, every gamma move scores -inf and none is accepted
+        # anywhere else, every gamma move scores -inf and none is accepted.
+        # Every proposal is off the support, so a sweep filters only the
+        # current gamma
         rng = RngStream(24)
         T = 20
         design = build_design({"z": rng.substream(1).generator.normal(size=T)}, ModelSpec("DM2", ("z",)), T)
         priors = PriorConfig(a0=40.0, b0=1.0, gamma_prior="fixed", gamma_fixed_value=fixed)
         truth = simulate_cohort(PriorConfig(a0=40.0, b0=1.0), 0.6, np.array([0.3]), design, T, rng.substream(2))
+        filtered = []
+
+        def counted(counts, multipliers, gamma, a0, b0):
+            filtered.append(gamma[0])
+            return filter_core(counts, multipliers, gamma, a0, b0)
+
+        monkeypatch.setattr(mcmc, "filter_core", counted)
         draws = fit_dm5(truth.counts, design, priors, MhConfig(iterations=60, burn_in=20), RngStream(25))
         assert draws.gamma.tolist() == [fixed] * 40
+        assert filtered == [fixed] * 60
 
     def test_needs_covariates(self):
         with pytest.raises(DomainError):
