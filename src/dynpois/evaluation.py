@@ -88,17 +88,17 @@ class ForecastDistribution:
         means = r * (1.0 - p) / p
         return means, means / p
 
-    def _cantelli_bound(self, q: float) -> int:
-        """ceil(mean + sqrt(q / (1 - q)) sd) + 1, capped at 2**60: a count whose
-        mixture CDF reaches q, by Cantelli's inequality P(X >= mean + t) <= sd^2
-        / (sd^2 + t^2), with the mixture's mean and sd in closed form from the
-        components."""
+    def _cantelli_ends(self, q: float) -> tuple:
+        """(floor(mean - sqrt((1 - q) / q) sd) - 1, ceil(mean + sqrt(q / (1 - q)) sd) + 1),
+        at least -1 and at most 2**60: counts whose mixture CDF is at most and at
+        least q by Cantelli's inequality P(X - mean >= t) <= sd^2 / (sd^2 + t^2)
+        and its mirror, with the mixture's mean and sd in closed form."""
         means, variances = self._component_moments()
         mean = self._average(means)
         sd = math.sqrt(max(self._average(variances + means**2) - mean**2, 0.0))
-        top = mean + math.sqrt(q / (1.0 - q)) * sd
-        # NaN fails the comparison
-        return math.ceil(top) + 1 if top < 2**60 else 2**60
+        low, top = mean - math.sqrt((1.0 - q) / q) * sd, mean + math.sqrt(q / (1.0 - q)) * sd
+        # NaN fails both comparisons
+        return (math.floor(low) - 1 if low >= 1.0 else -1), (math.ceil(top) + 1 if top < 2**60 else 2**60)
 
     def mean(self) -> float:
         return self._average(self._component_moments()[0])
@@ -125,11 +125,11 @@ class ForecastDistribution:
         for q in levels:
             if not (0.0 < q < 1.0):
                 raise DomainError(f"quantile level must lie in (0, 1), got {q}")
-        bounds = [self._cantelli_bound(q) for q in levels]
-        table = self._table_cdf(max(bounds))
-        return tuple(self._search(q, table, bound) for q, bound in zip(levels, bounds))
+        ends = [self._cantelli_ends(q) for q in levels]
+        table = self._table_cdf(max(top for _, top in ends))
+        return tuple(self._search(q, table, pair) for q, pair in zip(levels, ends))
 
-    def _search(self, q: float, table: np.ndarray | None, bound: int) -> int:
+    def _search(self, q: float, table: np.ndarray | None, ends: tuple) -> int:
         """Smallest integer n with CDF(n) >= q: bisect ``cdf`` inside a bracket
         lo < n <= hi, with cdf(lo) < q <= cdf(hi) and cdf(-1) = 0.
 
@@ -137,10 +137,11 @@ class ForecastDistribution:
         measured error bound with room to spare, so the last count it puts more
         than the margin below q is a lo, and the first it puts more than the
         margin above q a hi. A bracket one count wide is the answer, with no
-        ``cdf`` call. With no table, lo is -1; with no table count above
-        q + margin, hi is the Cantelli ``bound``, doubled while its exact CDF
-        falls short of q (the bound's mean and sd are rounded). A quantile
-        beyond 2**60 raises DomainError.
+        ``cdf`` call. With no table count above q + margin, hi is the upper of
+        the Cantelli ``ends``, doubled while its exact CDF falls short of q. With
+        no lo yet, lo is the lower end if it lies past the bracket's midpoint and
+        its exact CDF below q (the ends' mean and sd are rounded), else -1. A
+        quantile beyond 2**60 raises DomainError.
         """
         lo, hi = -1, None
         if table is not None:
@@ -148,11 +149,13 @@ class ForecastDistribution:
             above = int(np.searchsorted(table, q + TABLE_MARGIN, side="right"))
             hi = above if above < len(table) else None
         if hi is None:
-            hi = bound
+            hi = ends[1]
             while self.cdf(hi) < q:
                 if hi == 2**60:
                     raise DomainError("quantile bracket exceeded integer range")
                 lo, hi = hi, min(2 * hi, 2**60)
+        if lo < 0 and (lo + hi) // 2 < ends[0] < hi and self.cdf(ends[0]) < q:
+            lo = ends[0]
         while lo + 1 < hi:
             mid = (lo + hi) // 2
             if self.cdf(mid) >= q:

@@ -13,9 +13,9 @@ MCMC engine targets. Backward sampling uses the exact decomposition
 theta_{n-1} = gamma*theta_n + Gamma((1-gamma)*a_{n-1}, b_{n-1}), whose
 support enforces theta_{n-1} > gamma*theta_n on every sampled path. Each
 recursion x_t = gamma*x_{t-1} + c_t (a_t, b_t, the backward path) runs in month
-order, rounding the product and then the sum, over all the draws of a call at
-once. Every function here takes a stack of S draws, and a single draw is a
-one-row stack.
+order, rounding the product and then the sum, in one numpy step per month over
+a call's draws at once, or a float loop per row for at most SCALAR_ROWS rows.
+Every function here takes a stack of S draws; a single draw is a one-row stack.
 """
 
 from __future__ import annotations
@@ -30,6 +30,10 @@ from .model import CountSeries, DesignMatrix, PriorConfig, linear_predictor
 # Draws per batched filter pass: large enough to amortise the per-call overhead,
 # small enough that the (S, T) work arrays add little to peak memory.
 FILTER_BLOCK = 256
+# Row count K*S up to which the recursions run as Python float loops: a numpy
+# month loop costs about 2 us a month whatever the row count, a float loop
+# about 0.15 us a month per row, and the two cross near 13 rows.
+SCALAR_ROWS = 12
 
 
 @dataclass(frozen=True)
@@ -53,6 +57,10 @@ class FilterTrajectory:
         """Summed log-predictive of each draw, shape (S,)."""
         return self.log_predictive.sum(axis=1)
 
+    def row(self, j: int) -> FilterTrajectory:
+        """Draw j as a one-row stack of views into this one."""
+        return FilterTrajectory(**{name: x[j : j + 1] for name, x in vars(self).items()})
+
 
 @dataclass(frozen=True)
 class GammaGridPosterior:
@@ -68,18 +76,18 @@ def _discount_solve(gamma: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
     ``gamma`` has shape (S,) and ``rhs`` shape (K, S, L). Each step rounds
     gamma*x[t-1] and then the sum, in month order: one numpy step per month
-    over the whole stack, or a Python float loop for a one-row stack, whose
-    numpy steps would cost more than its arithmetic. Both round alike and no
-    row reads another, so row j equals its own one-row solve bit for bit, and
-    a row that overflows to inf leaves the others as they are.
+    over the whole stack, or a Python float loop per row for at most
+    SCALAR_ROWS rows K*S. Both round alike and no row reads another, so row j
+    equals its own one-row solve bit for bit, and a row that overflows to inf
+    leaves the others as they are.
     """
-    if rhs.shape[1] == 1:
-        g, x = float(gamma[0]), np.empty(rhs.shape)
-        for k, row in enumerate(rhs[:, 0].tolist()):
-            prev = 0.0  # g*0 + rhs[0] is rhs[0] exactly
-            x[k, 0] = [prev := g * prev + c for c in row]
-        return x
     K, S, L = rhs.shape
+    if K * S <= SCALAR_ROWS:
+        x, gammas = np.empty(rhs.shape), gamma.tolist()
+        for (k, j), row in zip(np.ndindex(K, S), rhs.reshape(K * S, L).tolist()):
+            g, prev = gammas[j], 0.0  # g*0 + rhs[0] is rhs[0] exactly
+            x[k, j] = [prev := g * prev + c for c in row]
+        return x
     months = rhs.reshape(K * S, L).T.copy()  # (L, K*S): one contiguous row per month
     g, step = np.tile(gamma, K), np.empty(K * S)
     with np.errstate(over="ignore"):
@@ -128,7 +136,7 @@ def filter_core(
     # treat as out-of-support
     r = gamma[:, None] * a[:, :-1]
     gb = gamma[:, None] * b[:, :-1]
-    # one lgamma call over the three arguments: the one-row calls of the DM5
+    # one lgamma call over the three arguments: the small stacks of the DM5
     # sweep pay its fixed numpy overhead once
     lg = lgamma(np.concatenate([(r + n).ravel(), r.ravel(), n + 1.0]))
     lg_rn, lg_r = lg[: 2 * r.size].reshape(2, *r.shape)

@@ -14,8 +14,9 @@ scored in blocks before the accept/reject pass runs; the random-walk fallback
 scores one one-row block per step. The discount factor is sampled on the
 logit scale with its Jacobian; regression coefficients are unconstrained.
 The gamma prior and the logit Jacobian also map a stack (K,) to (K,), and the
-DM5 sweep, the only caller with a single draw, passes them, the filter and
-the backward sampler one-row stacks.
+DM5 sweep, the only caller with a single draw, passes them and the backward
+sampler one-row stacks, and the filter its current and proposed gamma as one
+two-row stack.
 """
 
 from __future__ import annotations
@@ -528,6 +529,7 @@ def tau_full_conditional(beta: np.ndarray, priors: PriorConfig) -> tuple:
 def _coefficient_half_sweeps(
     beta: np.ndarray,
     eta: np.ndarray,
+    multipliers: np.ndarray,
     halves: tuple,
     counts: np.ndarray,
     theta: np.ndarray,
@@ -544,8 +546,10 @@ def _coefficient_half_sweeps(
     second, each month by its own accept test: a valid kernel for the same
     target as a single-site sweep. Month 0's missing predecessor is the
     N(0, prior_var) prior, and month T-1 has no successor. ``eta`` is the (T,)
-    log multipliers of the path, still valid for the other parity after a half,
-    and ``halves`` the two parities' designs. Each half draws standard_normal((n, p))
+    log multipliers of the path and ``multipliers`` their exp; each accepted
+    month writes its proposal's values into both, which keeps them equal, bit
+    for bit, to ``log_linear_predictor`` of the path and its exp. ``halves``
+    holds the two parities' designs. Each half draws standard_normal((n, p))
     and then random(n); a proposal whose rate overflows scores -inf and is rejected.
     """
     T, p = beta.shape
@@ -564,19 +568,20 @@ def _coefficient_half_sweeps(
         b_cur = beta[half]
         b_prop = b_cur + prop_sd[half] * gen.standard_normal(b_cur.shape)
         u = gen.random(len(b_cur))
-        eta_cur = eta[half]
         eta_prop = log_linear_predictor(half_design, b_prop[None])[0]
         with np.errstate(over="ignore"):
-            delta = counts[half] * (eta_prop - eta_cur) - theta[half] * (
-                np.exp(eta_prop) - np.exp(eta_cur)
-            )
+            m_prop = np.exp(eta_prop)
+            delta = counts[half] * (eta_prop - eta[half]) - theta[half] * (m_prop - multipliers[half])
         delta -= 0.5 * np.sum(
             prev_prec[half] * ((b_prop - prev) ** 2 - (b_cur - prev) ** 2)
             + next_prec[half] * ((nxt - b_prop) ** 2 - (nxt - b_cur) ** 2),
             axis=1,
         )
         accept = np.log(u) < delta
-        b_cur[accept] = b_prop[accept]  # b_cur is a view, so this writes beta
+        # b_cur and the [half] slices are views: these write beta, eta and the multipliers
+        b_cur[accept] = b_prop[accept]
+        eta[half][accept] = eta_prop[accept]
+        multipliers[half][accept] = m_prop[accept]
         n_accept += int(np.count_nonzero(accept))
     return n_accept
 
@@ -597,6 +602,11 @@ def fit_dm5(
     month in one vectorised step, then every odd month in another, each month
     against its Poisson term and random-walk neighbors), and the
     per-coefficient precisions from their conjugate gamma conditionals.
+
+    A sweep makes one filter pass: the current and a proposed discount factor
+    inside the support share the multipliers, so they are filtered as one
+    two-row stack (the current alone otherwise). The log multipliers and their
+    exp ride from sweep to sweep, updated in place by the coefficient moves.
     """
     p = design.p
     if p < 1:
@@ -611,10 +621,13 @@ def fit_dm5(
     counts = series.counts
     Z = design.rows
     halves = tuple(DesignMatrix(design.column_names, Z[start::2]) for start in (0, 1))
+    count_z2 = (counts[:, None] + 1.0) * Z**2  # the proposal sds' sweep-invariant part
     gen = rng.substream(0).generator
     ffbs_rng = rng.substream(1)
 
     beta = np.zeros((T, p))
+    eta = log_linear_predictor(design, beta[None])[0]
+    multipliers = np.exp(eta)
     tau = np.ones(p)
     # the fixed prior puts all its mass on one value, so the chain starts there
     # and stays: each sweep still draws a proposal and a uniform, which keeps
@@ -637,32 +650,32 @@ def fit_dm5(
     n_moves = 0
     kept = 0
     for it in range(config.iterations):
-        eta = log_linear_predictor(design, beta[None])
-        multipliers = np.exp(eta)
-        traj = filter_core(counts, multipliers, gamma, priors.a0, priors.b0)
-
         # discount factor, collapsed over the latent rates
         x_prop = x_gamma + gamma_step * gen.standard_normal()
         g_prop = expit(x_prop)
         u = gen.random()
         if not fixed and 0.0 < g_prop[0] < 1.0:
-            traj_prop = filter_core(counts, multipliers, g_prop, priors.a0, priors.b0)
+            both = np.stack((multipliers, multipliers))
+            pair = filter_core(counts, both, np.concatenate((gamma, g_prop)), priors.a0, priors.b0)
             terms_prop = _log_prior_gamma(g_prop, priors)[0], _logit_jacobian(g_prop)[0]
-            num = traj_prop.total_log_predictive[0] + terms_prop[0] + terms_prop[1]
-            den = traj.total_log_predictive[0] + terms[0] + terms[1]
-            if math.log(u) < num - den:
-                gamma, x_gamma, traj, terms = g_prop, x_prop, traj_prop, terms_prop
+            ll = pair.total_log_predictive
+            accept = math.log(u) < (ll[1] + terms_prop[0] + terms_prop[1]) - (ll[0] + terms[0] + terms[1])
+            if accept:
+                gamma, x_gamma, terms = g_prop, x_prop, terms_prop
                 n_accept += 1
+            traj = pair.row(int(accept))
+        else:
+            traj = filter_core(counts, multipliers[None], gamma, priors.a0, priors.b0)
         n_moves += 1
 
         # latent rates given (beta, gamma)
         theta = ffbs_sample(traj, ffbs_rng)[0]
 
         # checkerboard sweep over the coefficient path
-        prop_sd = config.proposal_scale / np.sqrt(
-            (counts[:, None] + 1.0) * Z**2 + 2.0 * tau[None, :]
+        prop_sd = config.proposal_scale / np.sqrt(count_z2 + 2.0 * tau[None, :])
+        n_accept += _coefficient_half_sweeps(
+            beta, eta, multipliers, halves, counts, theta, tau, prop_sd, prior_var, gen
         )
-        n_accept += _coefficient_half_sweeps(beta, eta[0], halves, counts, theta, tau, prop_sd, prior_var, gen)
         n_moves += T
 
         # random-walk precisions

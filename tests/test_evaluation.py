@@ -64,8 +64,9 @@ def _pmf(dist, n):
     return dist.cdf(n) - dist.cdf(n - 1)
 
 
-def _probes(dist, q):
-    """The quantile at level q and the counts at which its search called ``cdf``."""
+def _probes(dist, q, search=None):
+    """The answer of ``search`` (default ``dist.quantile``) at level q and the
+    counts at which it called ``cdf``."""
     probes = []
     exact = dist.cdf
 
@@ -75,14 +76,14 @@ def _probes(dist, q):
 
     object.__setattr__(dist, "cdf", cdf)
     try:
-        return dist.quantile(q), probes
+        return (search or dist.quantile)(q), probes
     finally:
         object.__delattr__(dist, "cdf")
 
 
 def _unbracketed(dist, q):
-    """The quantile search with no table: from -1 and the Cantelli bound."""
-    return dist._search(q, None, dist._cantelli_bound(q))
+    """The quantile search with no table: from -1 and the upper Cantelli end."""
+    return dist._search(q, None, (-1, dist._cantelli_ends(q)[1]))
 
 
 # cdf steps carry the absolute rounding of cdf values near 1
@@ -162,8 +163,9 @@ class TestForecastDistribution:
         else:
             comps = np.array([[r, r / (r + mean)] for mean, r in rows])
         dist = ForecastDistribution(origin=1, components=comps)
-        # the table only narrows the search's bracket
+        # the table and the lower Cantelli end only narrow the search's bracket
         assert dist.quantile(q) == quantile_by_doubling(dist, q) == _unbracketed(dist, q)
+        assert dist._search(q, None, dist._cantelli_ends(q)) == _unbracketed(dist, q)
 
     @pytest.mark.parametrize("weight", [1.0, 0.3, 7e-200])
     def test_equal_weights_reproduce_the_unweighted_mixture(self, weight):
@@ -249,7 +251,7 @@ class TestIntervalTable:
         for q in (0.025, 0.975):
             (n, probes), unbracketed = _probes(dist, q), _unbracketed(dist, q)
             assert n == unbracketed
-            if probes and dist._table_cdf(dist._cantelli_bound(q)) is not None:
+            if probes and dist._table_cdf(dist._cantelli_ends(q)[1]) is not None:
                 # not settled inside the budget: a cdf value within the margin of q
                 assert min(dist.cdf(n) - q, q - dist.cdf(n - 1)) <= 2 * TABLE_MARGIN
 
@@ -261,7 +263,7 @@ class TestIntervalTable:
         # search probes only between them
         dist = ForecastDistribution(origin=1, components=np.array([1.0, 10.0, 1000.0, 1000.0]))
         n, probes = _probes(dist, 0.5)
-        assert dist._table_cdf(dist._cantelli_bound(0.5)) is not None
+        assert dist._table_cdf(dist._cantelli_ends(0.5)[1]) is not None
         assert probes and all(34 < m <= 809 for m in probes)
         assert n == quantile_by_doubling(dist, 0.5) == 45
 
@@ -269,20 +271,30 @@ class TestIntervalTable:
         # the table fits (counts 0..1002), but its CDF at 1 is 1 - 5e-13
         tiny = ForecastDistribution(origin=1, components=np.array([1e-6]))
         n, probes = _probes(tiny, 1.0 - 1e-12)
-        assert tiny._table_cdf(tiny._cantelli_bound(1.0 - 1e-12)) is not None and probes
+        assert tiny._table_cdf(tiny._cantelli_ends(1.0 - 1e-12)[1]) is not None and probes
         assert n == 1
         # a geometric row of mean 1000 needs counts far past the table; a
         # cumulative sum from 0 with no search returned 27641
         geometric = ForecastDistribution(origin=1, components=np.array([[1.0, 1.0 / 1001.0]]))
-        assert geometric._table_cdf(geometric._cantelli_bound(1.0 - 1e-12)) is None
+        assert geometric._table_cdf(geometric._cantelli_ends(1.0 - 1e-12)[1]) is None
         assert geometric.quantile(1.0 - 1e-12) == quantile_by_doubling(geometric, 1.0 - 1e-12) == 27644
 
     @pytest.mark.parametrize("comps", [np.full(2000, 1000.0), np.array([1e4])])
     def test_a_table_over_its_budget_falls_back(self, comps):
         # 2000 rows by 1201 counts break TABLE_ENTRIES; one row of mean 1e4 TABLE_COUNTS
         dist = ForecastDistribution(origin=1, components=comps)
-        assert dist._table_cdf(dist._cantelli_bound(0.975)) is None
+        assert dist._table_cdf(dist._cantelli_ends(0.975)[1]) is None
         assert dist.interval == (quantile_by_doubling(dist, 0.025), quantile_by_doubling(dist, 0.975))
+
+    def test_the_lower_cantelli_end_narrows_a_search_without_table(self):
+        # 2000 rows by 1200 counts break TABLE_ENTRIES; from -1 the search
+        # bisects 1200 counts, from the lower end the 206 counts of (993, 1199]
+        dist = ForecastDistribution(origin=1, components=np.full(2000, 1000.0))
+        assert dist._cantelli_ends(0.975) == (993, 1199) and dist._table_cdf(1199) is None
+        n, probes = _probes(dist, 0.975)
+        n_from_zero, from_zero = _probes(dist, 0.975, lambda q: _unbracketed(dist, q))
+        assert probes[:2] == [1199, 993] and len(probes) == 10 and len(from_zero) == 11
+        assert n == n_from_zero == quantile_by_doubling(dist, 0.975) == 1062
 
     @pytest.mark.parametrize("comps", [
         np.array([0.0]),
@@ -316,7 +328,7 @@ class TestIntervalTable:
         worst = 0.0
         for comps, weights in mixtures:
             dist = ForecastDistribution(origin=1, components=comps, weights=weights)
-            cdf = dist._table_cdf(dist._cantelli_bound(0.975))
+            cdf = dist._table_cdf(dist._cantelli_ends(0.975)[1])
             assert cdf is not None and len(cdf) <= TABLE_COUNTS and len(comps) * len(cdf) <= TABLE_ENTRIES
             worst = max(worst, float(np.max(np.abs(cdf - mixture_cdf_mpmath(dist, len(cdf) - 1)))))
         assert worst < TABLE_MARGIN / 10

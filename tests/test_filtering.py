@@ -9,9 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import special
 
+from dynpois import filtering
 from dynpois.evaluation import per_draw_log_predictives
 from dynpois.filtering import (
     FILTER_BLOCK,
+    SCALAR_ROWS,
     exceedance_probability,
     ffbs_sample,
     filter_core,
@@ -481,7 +483,8 @@ class TestMonthOrderRecursion:
         gammas=st.lists(
             st.one_of(st.just(1.0), st.floats(min_value=0.0, max_value=1.0, exclude_min=True)),
             min_size=1,
-            max_size=6,
+            # stacks past SCALAR_ROWS run the numpy month loop, their one-row calls the float loop
+            max_size=SCALAR_ROWS // 2 + 2,
         ),
         T=st.integers(min_value=1, max_value=200),
         seed=st.integers(min_value=0, max_value=2**32 - 1),
@@ -504,6 +507,43 @@ class TestMonthOrderRecursion:
             assert np.array_equal(paths[j], ffbs_sample(one, rng)[0])
         # the batched draw left its stream where the single-row draws left theirs
         assert batched_rng.generator.random() == rng.generator.random()
+
+    @pytest.mark.parametrize("K", [1, 2])
+    def test_float_loop_equals_numpy_month_loop(self, K, monkeypatch):
+        # every stack size up to two rows past SCALAR_ROWS, each solved with
+        # the float loop, with the numpy month loop and with the default rule;
+        # the last row overflows to inf beside finite rows
+        gen = np.random.default_rng(K)
+        for S in range(1, SCALAR_ROWS + 3):
+            gamma = gen.uniform(0.3, 1.0, S)
+            gamma[0] = 1.0
+            rhs = gen.uniform(0.0, 50.0, (K, S, 40))
+            rhs[-1, -1, 1:] = np.finfo(float).max
+            solves = []
+            for rows in (K * S, 0, SCALAR_ROWS):
+                monkeypatch.setattr(filtering, "SCALAR_ROWS", rows)
+                solves.append(filtering._discount_solve(gamma, rhs))
+            for x in solves[1:]:
+                assert np.array_equal(x, solves[0])
+            assert np.isinf(solves[0][-1, -1, -1]) and np.isfinite(solves[0].reshape(K * S, 40)[:-1]).all()
+            for k, j in np.ndindex(K, S):
+                one = filtering._discount_solve(gamma[j : j + 1], rhs[k : k + 1, j : j + 1])
+                assert np.array_equal(one[0, 0], solves[0][k, j])
+
+    def test_two_row_stack_rows_equal_one_row_calls(self):
+        # the DM5 sweep filters its current and proposed gamma on one set of
+        # multipliers as a two-row stack, then backward-samples the kept row
+        counts, design, betas, _ = _draw_set(1, T=150, seed=9)
+        mult = linear_predictor(design, betas)[0]
+        gammas = np.array([0.62, 0.71])
+        pair = filter_core(counts, np.stack((mult, mult)), gammas, 50.0, 2.0)
+        totals = pair.total_log_predictive
+        for j in range(2):
+            one, row = filter_core(counts, mult[None], gammas[j : j + 1], 50.0, 2.0), pair.row(j)
+            for name in ("a", "b", "gamma", "log_predictive", "multipliers"):
+                assert np.array_equal(getattr(row, name), getattr(one, name))
+            assert totals[j] == row.total_log_predictive[0] == one.total_log_predictive[0]
+            assert np.array_equal(ffbs_sample(row, RngStream(3)), ffbs_sample(one, RngStream(3)))
 
     def test_default_dispatch_matches_reference_loop(self):
         # both round gamma*x and then the sum, so the states are equal; the

@@ -829,17 +829,21 @@ class TestFitDm5:
         coverage = np.mean((lo <= static_mean) & (static_mean <= hi))
         assert coverage > 0.9
 
+    def _cohort(self, T=20):
+        """The counts and design of a simulated DM2 cohort."""
+        rng = RngStream(24)
+        design = build_design({"z": rng.substream(1).generator.normal(size=T)}, ModelSpec("DM2", ("z",)), T)
+        truth = simulate_cohort(PriorConfig(a0=40.0, b0=1.0), 0.6, np.array([0.3]), design, T, rng.substream(2))
+        return truth.counts, design
+
     @pytest.mark.parametrize("fixed", [0.9, 1.0])
     def test_fixed_gamma_prior_holds_every_draw(self, fixed, monkeypatch):
         # the chain must start where the fixed prior puts its mass; started
         # anywhere else, every gamma move scores -inf and none is accepted.
         # Every proposal is off the support, so a sweep filters only the
         # current gamma
-        rng = RngStream(24)
-        T = 20
-        design = build_design({"z": rng.substream(1).generator.normal(size=T)}, ModelSpec("DM2", ("z",)), T)
+        counts, design = self._cohort()
         priors = PriorConfig(a0=40.0, b0=1.0, gamma_prior="fixed", gamma_fixed_value=fixed)
-        truth = simulate_cohort(PriorConfig(a0=40.0, b0=1.0), 0.6, np.array([0.3]), design, T, rng.substream(2))
         filtered = []
 
         def counted(counts, multipliers, gamma, a0, b0):
@@ -847,9 +851,41 @@ class TestFitDm5:
             return filter_core(counts, multipliers, gamma, a0, b0)
 
         monkeypatch.setattr(mcmc, "filter_core", counted)
-        draws = fit_dm5(truth.counts, design, priors, MhConfig(iterations=60, burn_in=20), RngStream(25))
+        draws = fit_dm5(counts, design, priors, MhConfig(iterations=60, burn_in=20), RngStream(25))
         assert draws.gamma.tolist() == [fixed] * 40
         assert filtered == [fixed] * 60
+
+    def test_uniform_prior_filters_once_per_sweep(self, monkeypatch):
+        # the current and the proposed gamma share the sweep's multipliers, so
+        # one two-row pass scores both
+        counts, design = self._cohort()
+        stacks = []
+
+        def counted(counts, multipliers, gamma, a0, b0):
+            stacks.append(len(gamma))
+            return filter_core(counts, multipliers, gamma, a0, b0)
+
+        monkeypatch.setattr(mcmc, "filter_core", counted)
+        fit_dm5(counts, design, PriorConfig(a0=40.0, b0=1.0), MhConfig(iterations=60, burn_in=20), RngStream(25))
+        assert stacks == [2] * 60
+
+    def test_sweep_carries_the_log_multipliers_of_its_path(self, monkeypatch):
+        counts, design = self._cohort()
+        half_sweeps, accepted = mcmc._coefficient_half_sweeps, []
+
+        def carried(beta, eta, multipliers):
+            ref = log_linear_predictor(design, beta[None])[0]
+            return np.array_equal(eta, ref) and np.array_equal(multipliers, np.exp(ref))
+
+        def checked(beta, eta, multipliers, *rest):
+            assert carried(beta, eta, multipliers)
+            accepted.append(half_sweeps(beta, eta, multipliers, *rest))
+            assert carried(beta, eta, multipliers)
+            return accepted[-1]
+
+        monkeypatch.setattr(mcmc, "_coefficient_half_sweeps", checked)
+        fit_dm5(counts, design, PriorConfig(a0=40.0, b0=1.0), MhConfig(iterations=30, burn_in=10), RngStream(25))
+        assert len(accepted) == 30 and sum(accepted) > 0
 
     def test_needs_covariates(self):
         with pytest.raises(DomainError):
@@ -903,11 +939,12 @@ class _RecordingGenerator:
 
 
 def _sweep_inputs(beta, Z):
-    """The current path's log multipliers and the two parities' designs, as
-    ``fit_dm5`` passes them to ``_coefficient_half_sweeps``."""
+    """The current path's log multipliers, their exp and the two parities'
+    designs, as ``fit_dm5`` passes them to ``_coefficient_half_sweeps``."""
     design = DesignMatrix(tuple(f"z{j}" for j in range(Z.shape[1])), Z)
     halves = tuple(DesignMatrix(design.column_names, Z[start::2]) for start in (0, 1))
-    return log_linear_predictor(design, beta[None])[0], halves
+    eta = log_linear_predictor(design, beta[None])[0]
+    return eta, np.exp(eta), halves
 
 
 def _single_site_reference(beta, Z, counts, theta, tau, prop_sd, prior_var, gen):
