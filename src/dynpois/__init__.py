@@ -25,15 +25,7 @@ from .filtering import (
     filter_core,
     gamma_grid_posterior,
 )
-from .kernels import (
-    BetaParams,
-    DomainError,
-    GammaParams,
-    NumericDegeneracyError,
-    RngStream,
-    sample_beta,
-    sample_gamma,
-)
+from .kernels import DomainError, NumericDegeneracyError, RngStream
 from .mcmc import (
     ChainDiagnostics,
     FitError,

@@ -1,12 +1,9 @@
-"""Seedable probability primitives shared by the whole package.
+"""Errors, the seeded random stream and numpy special functions shared by the package.
 
-Distribution parameters are plain frozen dataclasses; densities are exposed
-in log space and only exponentiated at reporting boundaries. Every sampler
-takes an :class:`RngStream`, so results are bitwise reproducible for a fixed
-seed.
-
-Gamma distributions are parameterized by shape and *rate* throughout
-(mean = shape/rate).
+Callers draw variates straight from an :class:`RngStream`'s numpy generator,
+so results are bitwise reproducible for a fixed seed. Gamma distributions are
+parameterized by shape and *rate* throughout (mean = shape/rate); numpy's
+gamma sampler takes scale = 1/rate.
 
 The special functions the filter and the samplers need (``lgamma``,
 ``logsumexp``, ``expit``, ``logit``, ``betaln``) are written here in numpy, so
@@ -16,7 +13,6 @@ that importing the package loads no scipy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -150,60 +146,3 @@ class RngStream:
 
     def __repr__(self):
         return f"RngStream(seed={self.seed})" + "".join(f".substream({k})" for k in self._spawn_key)
-
-
-@dataclass(frozen=True)
-class GammaParams:
-    """Gamma(shape, rate); density shape-rate so mean = shape/rate."""
-
-    shape: float
-    rate: float
-
-    def __post_init__(self):
-        if not (self.shape > 0 and np.isfinite(self.shape)):
-            raise DomainError(f"gamma shape must be positive, got {self.shape}")
-        if not (self.rate > 0 and np.isfinite(self.rate)):
-            raise DomainError(f"gamma rate must be positive, got {self.rate}")
-
-    def mean(self) -> float:
-        return self.shape / self.rate
-
-    def variance(self) -> float:
-        return self.shape / self.rate**2
-
-
-@dataclass(frozen=True)
-class BetaParams:
-    alpha: float
-    beta: float
-
-    def __post_init__(self):
-        if not (self.alpha > 0 and np.isfinite(self.alpha)):
-            raise DomainError(f"beta alpha must be positive, got {self.alpha}")
-        if not (self.beta > 0 and np.isfinite(self.beta)):
-            raise DomainError(f"beta beta must be positive, got {self.beta}")
-
-    def mean(self) -> float:
-        return self.alpha / (self.alpha + self.beta)
-
-
-def log_pdf_beta(x, params: BetaParams) -> np.ndarray:
-    """log Beta(alpha, beta) density; -inf outside (0, 1)."""
-    x = np.asarray(x, dtype=float)
-    a, b = params.alpha, params.beta
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = (
-            (a - 1.0) * np.log(x)
-            + (b - 1.0) * np.log1p(-x)
-            - betaln(a, b)
-        )
-    return np.where((x > 0) & (x < 1), out, -np.inf)
-
-
-def sample_gamma(params: GammaParams, rng: RngStream, size=None):
-    """Draw from Gamma(shape, rate)."""
-    return rng.generator.gamma(shape=params.shape, scale=1.0 / params.rate, size=size)
-
-
-def sample_beta(params: BetaParams, rng: RngStream, size=None):
-    return rng.generator.beta(params.alpha, params.beta, size=size)

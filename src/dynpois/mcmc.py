@@ -35,15 +35,7 @@ from .filtering import (
     gamma_grid_posterior,
     negbin_rows,
 )
-from .kernels import (
-    BetaParams,
-    DomainError,
-    RngStream,
-    expit,
-    lgamma,
-    log_pdf_beta,
-    logit,
-)
+from .kernels import DomainError, RngStream, betaln, expit, lgamma, logit
 from .model import CountSeries, DesignMatrix, ModelSpec, PriorConfig, linear_predictor, log_linear_predictor
 
 
@@ -155,7 +147,10 @@ def _log_prior_gamma(gamma: np.ndarray, priors: PriorConfig) -> np.ndarray:
     if priors.gamma_prior == "uniform":
         return np.where((0.0 < gamma) & (gamma < 1.0), 0.0, -np.inf)
     if priors.gamma_prior == "beta":
-        return log_pdf_beta(gamma, BetaParams(*priors.gamma_beta_ab))
+        a, b = priors.gamma_beta_ab
+        with np.errstate(divide="ignore", invalid="ignore"):
+            out = (a - 1.0) * np.log(gamma) + (b - 1.0) * np.log1p(-gamma) - betaln(a, b)
+        return np.where((0.0 < gamma) & (gamma < 1.0), out, -np.inf)
     raise DomainError(f"gamma prior {priors.gamma_prior!r} has no density")
 
 

@@ -12,14 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import (
-    BetaParams,
-    DomainError,
-    GammaParams,
-    RngStream,
-    sample_beta,
-    sample_gamma,
-)
+from .kernels import DomainError, NumericDegeneracyError, RngStream
 
 MODEL_VARIANTS = ("DM1", "DM2", "DM3", "DM4", "DM5", "BPM", "EWMA")
 
@@ -176,9 +169,6 @@ class PriorConfig:
         if self.gamma_prior == "fixed" and not (0.0 < self.gamma_fixed_value <= 1.0):
             raise DomainError("fixed gamma must lie in (0, 1]")
 
-    def initial_state(self) -> GammaParams:
-        return GammaParams(self.a0, self.b0)
-
 
 @dataclass(frozen=True)
 class SimTruth:
@@ -299,7 +289,9 @@ def simulate_cohort(
     where a_{t-1} comes from running the conjugate filter on the counts
     generated so far; generation and filtering are therefore interleaved
     month by month. ``true_beta`` is static (p,) or a (T, p) path, as
-    ``linear_predictor`` takes it, or DomainError is raised.
+    ``linear_predictor`` takes it, or DomainError is raised. A beta shape
+    that rounds to 0 raises DomainError, and a rate too large to draw a count
+    from raises NumericDegeneracyError; both name the month.
     """
     if not (0.0 < true_gamma < 1.0):
         raise DomainError("true_gamma must lie in (0, 1)")
@@ -309,14 +301,23 @@ def simulate_cohort(
     multipliers = linear_predictor(design, true_beta[None])[0]
     gen = rng.generator
 
-    theta = theta0 = sample_gamma(priors.initial_state(), rng)
+    theta = theta0 = gen.gamma(shape=priors.a0, scale=1.0 / priors.b0)
     a = priors.a0
     thetas = np.empty(T)
     counts = np.empty(T, dtype=int)
     for t, multiplier in enumerate(multipliers):
-        eps = sample_beta(BetaParams(true_gamma * a, (1.0 - true_gamma) * a), rng)
-        theta = theta / true_gamma * eps
-        thetas[t], counts[t] = theta, gen.poisson(theta * multiplier)
+        alpha, beta = true_gamma * a, (1.0 - true_gamma) * a
+        # a tiny a0, or a shape that shrinks through months of zero counts, can round to 0
+        if not (alpha > 0.0 and beta > 0.0):
+            raise DomainError(f"month {t + 1}: the beta innovation's shapes must be positive, got {alpha}, {beta}")
+        theta = theta / true_gamma * gen.beta(alpha, beta)
+        rate = theta * multiplier
+        try:
+            thetas[t], counts[t] = theta, gen.poisson(rate)
+        except ValueError as exc:  # an overflowing rate: inf, or beyond numpy's Poisson range
+            raise NumericDegeneracyError(
+                f"month {t + 1}: no count can be drawn at the simulated rate {rate}", context={"month": t + 1}
+            ) from exc
         a = true_gamma * a + counts[t]
 
     series = CountSeries(np.arange(1, T + 1), counts)

@@ -30,7 +30,7 @@ from scipy import special
 
 from dynpois.evaluation import ForecastDistribution, forecast_one_step
 from dynpois.filtering import filter_core
-from dynpois.kernels import DomainError, GammaParams
+from dynpois.kernels import DomainError
 from dynpois.mcmc import fit_variant
 from dynpois.model import linear_predictor
 
@@ -189,6 +189,27 @@ class NegBinParams:
         return log_pmf_negbin(n, self)
 
 
+@dataclass(frozen=True)
+class GammaState:
+    """Gamma(shape, rate) law of the latent rate, the state one filter step
+    carries; mean = shape/rate."""
+
+    shape: float
+    rate: float
+
+    def __post_init__(self):
+        if not (self.shape > 0 and np.isfinite(self.shape)):
+            raise DomainError(f"gamma shape must be positive, got {self.shape}")
+        if not (self.rate > 0 and np.isfinite(self.rate)):
+            raise DomainError(f"gamma rate must be positive, got {self.rate}")
+
+    def mean(self) -> float:
+        return self.shape / self.rate
+
+    def variance(self) -> float:
+        return self.shape / self.rate**2
+
+
 def log_pmf_poisson(n, rate) -> np.ndarray | float:
     """log Poisson pmf: n*log(rate) - rate - lgamma(n+1). rate = 0 is the point mass at 0."""
     n = np.asarray(n)
@@ -220,7 +241,7 @@ def log_pmf_negbin(n, params: NegBinParams) -> np.ndarray | float:
     return out if out.ndim else float(out)
 
 
-def log_pdf_gamma(x, params: GammaParams) -> np.ndarray | float:
+def log_pdf_gamma(x, params: GammaState) -> np.ndarray | float:
     """log Gamma(shape a, rate b) density; -inf for x <= 0 by convention."""
     x = np.asarray(x, dtype=float)
     a, b = params.shape, params.rate
@@ -230,23 +251,23 @@ def log_pdf_gamma(x, params: GammaParams) -> np.ndarray | float:
     return out if out.ndim else float(out)
 
 
-def predict_step(state: GammaParams, gamma: float) -> GammaParams:
+def predict_step(state: GammaState, gamma: float) -> GammaState:
     """Discount the filtered state one month ahead: (a, b) -> (gamma*a, gamma*b)."""
     if not (0.0 < gamma <= 1.0):
         raise DomainError(f"gamma must lie in (0, 1], got {gamma}")
-    return GammaParams(gamma * state.shape, gamma * state.rate)
+    return GammaState(gamma * state.shape, gamma * state.rate)
 
 
-def update_step(predicted: GammaParams, n: int, multiplier: float = 1.0) -> GammaParams:
+def update_step(predicted: GammaState, n: int, multiplier: float = 1.0) -> GammaState:
     """Condition the predicted state on the month's count."""
     if n < 0 or n != int(n):
         raise DomainError(f"count must be a nonnegative integer, got {n}")
     if not (multiplier > 0):
         raise DomainError(f"multiplier must be positive, got {multiplier}")
-    return GammaParams(predicted.shape + n, predicted.rate + multiplier)
+    return GammaState(predicted.shape + n, predicted.rate + multiplier)
 
 
-def one_step_predictive(predicted: GammaParams, multiplier: float = 1.0) -> NegBinParams:
+def one_step_predictive(predicted: GammaState, multiplier: float = 1.0) -> NegBinParams:
     """Negative binomial forecast of the next count given the predicted state."""
     if not (multiplier > 0):
         raise DomainError(f"multiplier must be positive, got {multiplier}")

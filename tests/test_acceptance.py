@@ -22,7 +22,7 @@ from dynpois.evaluation import (
     select_ewma_nu,
 )
 from dynpois.filtering import ffbs_sample, filter_core
-from dynpois.kernels import GammaParams, RngStream
+from dynpois.kernels import RngStream
 from dynpois.mcmc import MhConfig, fit_dm5, fit_dm_static, tau_full_conditional
 from dynpois.model import (
     CountSeries,
@@ -33,6 +33,7 @@ from dynpois.model import (
     simulate_cohort,
 )
 from oracles import (
+    GammaState,
     density_mean_var,
     grid_filter,
     grid_smoother,
@@ -67,7 +68,7 @@ def test_01_conjugacy_oracle():
         b0 = float(gen.uniform(0.5, 2.0))
         traj = filter_core(counts, np.ones((1, T)), [gamma], a0, b0)
         x, filt = grid_filter(counts, np.ones(T), gamma, a0, b0, n_grid=10_000, n_quad=400)
-        exact = np.exp(log_pdf_gamma(x, GammaParams(float(traj.a[0, -1]), float(traj.b[0, -1]))))
+        exact = np.exp(log_pdf_gamma(x, GammaState(float(traj.a[0, -1]), float(traj.b[0, -1]))))
         worst = max(worst, tv_distance(x, filt[-1], exact))
     elapsed = time.time() - t0
     _report(
@@ -98,7 +99,7 @@ def test_03_predictive_correctness():
     rng = RngStream(1003)
     # Monte Carlo mixture check
     a, b, gamma, mult = 6.0, 1.5, 0.6, 1.7
-    predicted = predict_step(GammaParams(a, b), gamma)
+    predicted = predict_step(GammaState(a, b), gamma)
     nb = one_step_predictive(predicted, mult)
     n_draws = 1_000_000
     thetas = rng.generator.gamma(shape=predicted.shape, scale=1.0 / predicted.rate, size=n_draws)
@@ -115,7 +116,7 @@ def test_03_predictive_correctness():
         rb = float(gen.uniform(0.1, 20.0))
         rg = float(gen.uniform(0.05, 0.99))
         rm = float(gen.uniform(0.1, 5.0))
-        nb_r = one_step_predictive(predict_step(GammaParams(ra, rb), rg), rm)
+        nb_r = one_step_predictive(predict_step(GammaState(ra, rb), rg), rm)
         worst_rel = max(worst_rel, abs(nb_r.mean() - ra / rb * rm) / (ra / rb * rm))
     _report(
         3,

@@ -27,7 +27,7 @@ from dynpois.evaluation import (
     sequential_harness,
 )
 from dynpois.filtering import filter_core
-from dynpois.kernels import DomainError, GammaParams, RngStream
+from dynpois.kernels import DomainError, RngStream
 from dynpois.mcmc import MhConfig, PosteriorDraws, fit_bpm, fit_variant
 from dynpois.model import (
     CountSeries,
@@ -39,6 +39,7 @@ from dynpois.model import (
     simulate_cohort,
 )
 from oracles import (
+    GammaState,
     NegBinParams,
     log_pmf_negbin,
     log_pmf_poisson,
@@ -336,7 +337,7 @@ class TestIntervalTable:
 
 class TestForecastOneStep:
     def test_matches_manual_mixture(self):
-        states = [GammaParams(4.0, 2.0), GammaParams(6.0, 1.5)]
+        states = [GammaState(4.0, 2.0), GammaState(6.0, 1.5)]
         draws = PosteriorDraws(
             beta=np.array([[0.2], [-0.1]]),
             gamma=np.array([0.5, 0.8]),

@@ -20,7 +20,7 @@ from dynpois.filtering import (
     filter_draws,
     gamma_grid_posterior,
 )
-from dynpois.kernels import DomainError, GammaParams, RngStream, lgamma, logsumexp
+from dynpois.kernels import DomainError, RngStream, lgamma, logsumexp
 from dynpois.mcmc import PosteriorDraws, _smooth_paths
 from dynpois.model import (
     CountSeries,
@@ -31,6 +31,7 @@ from dynpois.model import (
     linear_predictor,
 )
 from oracles import (
+    GammaState,
     NegBinParams,
     density_mean_var,
     grid_filter,
@@ -107,21 +108,21 @@ def _draw_set(S, T=30, p=2, seed=0):
 
 class TestPredictStep:
     def test_discount_scaling(self):
-        out = predict_step(GammaParams(4.0, 2.0), 0.5)
+        out = predict_step(GammaState(4.0, 2.0), 0.5)
         assert (out.shape, out.rate) == (2.0, 1.0)
         assert out.mean() == 2.0
         assert out.variance() == 2.0  # doubled from 1.0
 
     def test_gamma_one_is_identity(self):
-        state = GammaParams(3.3, 1.2)
+        state = GammaState(3.3, 1.2)
         out = predict_step(state, 1.0)
         assert (out.shape, out.rate) == (state.shape, state.rate)
 
     def test_gamma_out_of_range(self):
         with pytest.raises(DomainError):
-            predict_step(GammaParams(1.0, 1.0), 0.0)
+            predict_step(GammaState(1.0, 1.0), 0.0)
         with pytest.raises(DomainError):
-            predict_step(GammaParams(1.0, 1.0), 1.2)
+            predict_step(GammaState(1.0, 1.0), 1.2)
 
     @given(
         a=st.floats(min_value=0.1, max_value=1e4),
@@ -130,7 +131,7 @@ class TestPredictStep:
     )
     @settings(max_examples=80, deadline=None)
     def test_mean_preserved_variance_inflated(self, a, b, gamma):
-        state = GammaParams(a, b)
+        state = GammaState(a, b)
         out = predict_step(state, gamma)
         assert out.mean() == pytest.approx(state.mean(), rel=1e-14)
         assert out.variance() == pytest.approx(state.variance() / gamma, rel=1e-14)
@@ -138,25 +139,25 @@ class TestPredictStep:
 
 class TestUpdateStep:
     def test_unit_multiplier(self):
-        out = update_step(GammaParams(1.0, 0.5), 3, 1.0)
+        out = update_step(GammaState(1.0, 0.5), 3, 1.0)
         assert (out.shape, out.rate) == (4.0, 1.5)
 
     def test_covariate_multiplier(self):
-        out = update_step(GammaParams(1.0, 0.5), 3, 2.0)
+        out = update_step(GammaState(1.0, 0.5), 3, 2.0)
         assert (out.shape, out.rate) == (4.0, 2.5)
 
     def test_no_event_month(self):
-        out = update_step(GammaParams(2.0, 1.0), 0, 1.0)
+        out = update_step(GammaState(2.0, 1.0), 0, 1.0)
         assert (out.shape, out.rate) == (2.0, 2.0)
 
     def test_bad_multiplier(self):
         with pytest.raises(DomainError):
-            update_step(GammaParams(1.0, 1.0), 1, 0.0)
+            update_step(GammaState(1.0, 1.0), 1, 0.0)
 
 
 class TestOneStepPredictive:
     def test_geometric_case(self):
-        predicted = predict_step(GammaParams(2.0, 1.0), 0.5)
+        predicted = predict_step(GammaState(2.0, 1.0), 0.5)
         nb = one_step_predictive(predicted, 1.0)
         assert (nb.r, nb.p) == (1.0, pytest.approx(1.0 / 3.0, rel=1e-15))
         assert math.exp(log_pmf_negbin(0, nb)) == pytest.approx(1.0 / 3.0, rel=1e-13)
@@ -164,7 +165,7 @@ class TestOneStepPredictive:
         assert nb.mean() == pytest.approx(2.0, rel=1e-14)
 
     def test_multiplier_scales_mean(self):
-        predicted = predict_step(GammaParams(2.0, 1.0), 0.5)
+        predicted = predict_step(GammaState(2.0, 1.0), 0.5)
         nb = one_step_predictive(predicted, 2.0)
         assert nb.mean() == pytest.approx(4.0, rel=1e-14)
 
@@ -175,7 +176,7 @@ class TestOneStepPredictive:
             a, b = rng.uniform(0.2, 50.0), rng.uniform(0.1, 20.0)
             gamma = rng.uniform(0.05, 0.99)
             m = rng.uniform(0.1, 5.0)
-            nb = one_step_predictive(predict_step(GammaParams(a, b), gamma), m)
+            nb = one_step_predictive(predict_step(GammaState(a, b), gamma), m)
             assert nb.mean() == pytest.approx(a / b * m, rel=1e-12)
 
 

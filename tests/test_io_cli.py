@@ -385,6 +385,31 @@ def test_simulate_negative_covariate_sd_exits_2(tmp_path, capsys):
     assert "simulate.covariate_sd" in err["message"]
 
 
+def test_simulate_zero_innovation_shape_exits_2(tmp_path, capsys):
+    # gamma * a0 rounds to 0, so the first beta innovation has no law
+    cfg = {"simulate": {"T": 10, "gamma": 0.5}, "prior": {"a0": 5e-324}}
+    cfg_path = _write(tmp_path, "sim.json", json.dumps(cfg))
+    capsys.readouterr()
+    code, _ = run_command(["simulate", "--config", str(cfg_path), "--model", "DM1", "--seed", "1",
+                           "--out", str(tmp_path / "o")])
+    assert code == 2
+    err = json.loads(capsys.readouterr().out)["error"]
+    assert err["type"] == "DomainError"
+
+
+def test_simulate_overflowing_rate_exits_3_naming_month(tmp_path, capsys):
+    # 1 / b0 overflows, so the initial rate is infinite
+    cfg = {"simulate": {"T": 10, "gamma": 0.5}, "prior": {"b0": 5e-324}}
+    cfg_path = _write(tmp_path, "sim.json", json.dumps(cfg))
+    capsys.readouterr()
+    code, _ = run_command(["simulate", "--config", str(cfg_path), "--model", "DM1", "--seed", "1",
+                           "--out", str(tmp_path / "o")])
+    assert code == 3
+    err = json.loads(capsys.readouterr().out)["error"]
+    assert err["type"] == "NumericDegeneracyError"
+    assert err["message"].startswith("month 1: ")
+
+
 @pytest.mark.parametrize("model", ["DM1", "DM2"])
 def test_simulate_negative_n_covariates_exits_2(tmp_path, capsys, model):
     cfg = {"simulate": {"T": 10, "gamma": 0.6, "beta": [0.4], "n_covariates": -1}}

@@ -6,26 +6,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import integrate, special, stats
+from scipy import integrate, stats
 
 from dynpois.evaluation import ForecastDistribution
-from dynpois.kernels import (
-    BetaParams,
-    DomainError,
-    GammaParams,
-    RngStream,
-    sample_beta,
-    sample_gamma,
-)
+from dynpois.kernels import DomainError, RngStream
 from oracles import (
+    GammaState,
     NegBinParams,
     log_pdf_gamma,
     log_pmf_negbin,
     log_pmf_poisson,
     negbin_pmf_binomial_coefficient,
 )
-
-KS_CRITICAL_5PCT = 1.3581  # asymptotic Kolmogorov critical value, scaled by 1/sqrt(n)
 
 
 class TestPoissonLogPmf:
@@ -104,73 +96,25 @@ class TestNegBinLogPmf:
             assert via_loggamma == pytest.approx(explicit, rel=1e-12)
 
 
-class TestGammaSampler:
-    def test_exponential_mean(self):
-        rng = RngStream(2024)
-        draws = sample_gamma(GammaParams(1.0, 1.0), rng, size=1_000_000)
-        assert 0.997 <= draws.mean() <= 1.003
-
-    def test_mean_shape_over_rate(self):
-        rng = RngStream(7)
-        params = GammaParams(4.0, 2.0)
-        draws = sample_gamma(params, rng, size=200_000)
-        se = draws.std() / math.sqrt(len(draws))
-        assert abs(draws.mean() - 2.0) < 3 * se
-
-    def test_ks_against_exact_cdf(self):
-        rng = RngStream(99)
-        params = GammaParams(3.2, 1.7)
-        draws = sample_gamma(params, rng, size=100_000)
-        stat = stats.kstest(draws, lambda x: special.gammainc(3.2, 1.7 * x)).statistic
-        assert stat < KS_CRITICAL_5PCT / math.sqrt(len(draws))
-
-    def test_invalid_params(self):
-        with pytest.raises(DomainError):
-            GammaParams(0.0, 1.0)
-        with pytest.raises(DomainError):
-            GammaParams(1.0, -2.0)
-
-
-class TestBetaSampler:
-    def test_symmetric_mean(self):
-        rng = RngStream(3)
-        draws = sample_beta(BetaParams(2.5, 2.5), rng, size=200_000)
-        se = draws.std() / math.sqrt(len(draws))
-        assert abs(draws.mean() - 0.5) < 3 * se
-
-    def test_discount_mean(self):
-        gamma, a = 0.3, 5.0
-        rng = RngStream(4)
-        draws = sample_beta(BetaParams(gamma * a, (1 - gamma) * a), rng, size=200_000)
-        se = draws.std() / math.sqrt(len(draws))
-        assert abs(draws.mean() - gamma) < 3 * se
-
-    def test_ks_against_incomplete_beta(self):
-        rng = RngStream(16)
-        draws = sample_beta(BetaParams(2.0, 5.0), rng, size=100_000)
-        stat = stats.kstest(draws, lambda x: special.betainc(2.0, 5.0, x)).statistic
-        assert stat < KS_CRITICAL_5PCT / math.sqrt(len(draws))
-
-
 class TestGammaLogPdf:
     def test_exponential_value(self):
-        assert log_pdf_gamma(0.5, GammaParams(1.0, 1.0)) == pytest.approx(-0.5, rel=1e-14)
+        assert log_pdf_gamma(0.5, GammaState(1.0, 1.0)) == pytest.approx(-0.5, rel=1e-14)
 
     def test_integrates_to_one(self):
-        params = GammaParams(2.7, 1.3)
+        params = GammaState(2.7, 1.3)
         total, _ = integrate.quad(lambda x: np.exp(log_pdf_gamma(x, params)), 0, np.inf)
         assert total == pytest.approx(1.0, rel=1e-8)
 
     def test_mode_location(self):
-        params = GammaParams(5.0, 2.0)
+        params = GammaState(5.0, 2.0)
         mode = (5.0 - 1.0) / 2.0
         x = np.linspace(0.01, 10, 5_000)
         vals = log_pdf_gamma(x, params)
         assert x[np.argmax(vals)] == pytest.approx(mode, abs=0.01)
 
     def test_out_of_support(self):
-        assert log_pdf_gamma(0.0, GammaParams(2.0, 1.0)) == -np.inf
-        assert log_pdf_gamma(-1.0, GammaParams(2.0, 1.0)) == -np.inf
+        assert log_pdf_gamma(0.0, GammaState(2.0, 1.0)) == -np.inf
+        assert log_pdf_gamma(-1.0, GammaState(2.0, 1.0)) == -np.inf
 
 
 def _negbin_quantile(q: float, params: NegBinParams) -> int:
@@ -212,13 +156,13 @@ class TestNegBinQuantile:
 
 class TestDeterminism:
     def test_same_stream_identical(self):
-        a = sample_gamma(GammaParams(2.0, 3.0), RngStream(123).substream(7), size=50)
-        b = sample_gamma(GammaParams(2.0, 3.0), RngStream(123).substream(7), size=50)
+        a = RngStream(123).substream(7).generator.gamma(2.0, 1.0 / 3.0, size=50)
+        b = RngStream(123).substream(7).generator.gamma(2.0, 1.0 / 3.0, size=50)
         assert np.array_equal(a, b)
 
     def test_distinct_streams_differ(self):
-        a = sample_gamma(GammaParams(2.0, 3.0), RngStream(123).substream(0), size=50)
-        b = sample_gamma(GammaParams(2.0, 3.0), RngStream(123).substream(1), size=50)
+        a = RngStream(123).substream(0).generator.gamma(2.0, 1.0 / 3.0, size=50)
+        b = RngStream(123).substream(1).generator.gamma(2.0, 1.0 / 3.0, size=50)
         assert not np.array_equal(a, b)
 
     def test_spawn_key_starts_with_zero(self):

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from dynpois import mcmc
 from dynpois.filtering import FILTER_BLOCK, filter_core, gamma_grid_posterior
-from dynpois.kernels import DomainError, GammaParams, RngStream, betaln, expit
+from dynpois.kernels import DomainError, RngStream, betaln, expit
 from dynpois.mcmc import (
     FitError,
     MhConfig,
@@ -41,7 +41,7 @@ from dynpois.model import (
     log_linear_predictor,
     simulate_cohort,
 )
-from oracles import NegBinParams, fd_derivatives_loop, log_pdf_gamma, log_pmf_negbin
+from oracles import GammaState, NegBinParams, fd_derivatives_loop, log_pdf_gamma, log_pmf_negbin
 
 
 def _series(counts):
@@ -271,7 +271,7 @@ class TestFindModeAndHessian:
 
     def test_gamma_mode(self):
         def target(x):
-            return log_pdf_gamma(x[..., 0], GammaParams(5.0, 2.0))
+            return log_pdf_gamma(x[..., 0], GammaState(5.0, 2.0))
 
         res = find_mode_and_hessian(target, np.array([1.0]))
         assert res.mode[0] == pytest.approx(2.0, abs=1e-4)

@@ -1,5 +1,6 @@
 """Tests for domain types, design construction and the cohort simulator."""
 
+import math
 import re
 import warnings
 
@@ -7,8 +8,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy import special, stats
 
-from dynpois.kernels import DomainError, RngStream
+from dynpois.kernels import DomainError, NumericDegeneracyError, RngStream
 from dynpois.model import (
     CountSeries,
     DesignMatrix,
@@ -22,6 +24,8 @@ from dynpois.model import (
     simulate_dm5_coefficients,
     standardize_covariates,
 )
+
+KS_CRITICAL_5PCT = 1.3581  # asymptotic Kolmogorov critical value, scaled by 1/sqrt(n)
 
 
 class TestCountSeries:
@@ -89,7 +93,7 @@ class TestModelSpec:
 class TestPriorConfig:
     def test_defaults_valid(self):
         p = PriorConfig()
-        assert p.initial_state().mean() == 1.0
+        assert p.a0 / p.b0 == 1.0  # the prior mean of the initial rate
 
     def test_positive_hyperparameters(self):
         with pytest.raises(DomainError):
@@ -245,6 +249,46 @@ class TestSimulateCohort:
         eps = np.array(eps)
         se = eps.std() / np.sqrt(len(eps))
         assert abs(eps.mean() - gamma) < 3 * se
+
+    @pytest.fixture(scope="class")
+    def first_months(self):
+        """theta0 and the first beta innovation of one-month cohorts, one per
+        seed, under a0 = 3.2, b0 = 1.7 and gamma = 0.3."""
+        truths = [
+            simulate_cohort(PriorConfig(a0=3.2, b0=1.7), 0.3, np.zeros(0), DesignMatrix.empty(1), 1, RngStream(seed))
+            for seed in range(4000)
+        ]
+        theta0 = np.array([t.theta0 for t in truths])
+        return theta0, 0.3 * np.array([t.theta_path[0] for t in truths]) / theta0
+
+    def test_theta0_ks_against_gamma_shape_rate(self, first_months):
+        # b0 is a rate: a sampler that took it as the scale would have mean
+        # a0 * b0 = 5.44 in place of a0 / b0 = 1.88
+        theta0, _ = first_months
+        stat = stats.kstest(theta0, lambda x: special.gammainc(3.2, 1.7 * x)).statistic
+        assert stat < KS_CRITICAL_5PCT / math.sqrt(len(theta0))
+
+    def test_first_innovation_ks_against_beta(self, first_months):
+        _, eps = first_months
+        stat = stats.kstest(eps, lambda x: special.betainc(0.3 * 3.2, 0.7 * 3.2, x)).statistic
+        assert stat < KS_CRITICAL_5PCT / math.sqrt(len(eps))
+
+    @pytest.mark.parametrize("a0, b0, gamma, month", [
+        # gamma * a0 rounds to 0 in the first month
+        (5e-324, 1.0, 0.5, 1),
+        # a rate near 0 draws no counts, so a_t = gamma^t a0 shrinks until, in
+        # month 24, gamma * a_23 = 1e-324 rounds to 0
+        (1e-300, 1e300, 0.1, 24),
+    ])
+    def test_zero_innovation_shape_names_its_month(self, a0, b0, gamma, month):
+        with pytest.raises(DomainError, match=f"month {month}: the beta innovation's shapes .* got 0.0, "):
+            simulate_cohort(PriorConfig(a0=a0, b0=b0), gamma, np.zeros(0), DesignMatrix.empty(30), 30, RngStream(0))
+
+    def test_overflowing_rate_raises_numeric_degeneracy(self):
+        # 1 / b0 overflows, so theta0 is infinite
+        with pytest.raises(NumericDegeneracyError, match="month 1: no count") as exc:
+            simulate_cohort(PriorConfig(b0=5e-324), 0.5, np.zeros(0), DesignMatrix.empty(5), 5, RngStream(0))
+        assert exc.value.context == {"month": 1}
 
     def test_invalid_gamma(self):
         with pytest.raises(DomainError):
