@@ -4,7 +4,8 @@ Subcommands: simulate, fit, forecast, compare, report. Every run resolves its
 configuration (JSON file plus flag overrides plus defaults); each command
 returns its output files as {file name: content}, and the run writes them,
 plus the echoed resolved_config.json, into the output directory.
-Exit codes: 0 success, 2 validation error, 3 numeric failure, 4 I/O failure.
+Exit codes: 0 success, 2 validation error, 3 numeric failure or refused
+allocation, 4 I/O failure.
 """
 
 from __future__ import annotations
@@ -215,7 +216,7 @@ def run_command(argv) -> tuple:
     except (io.ValidationError, DomainError) as exc:
         _print_error(exc, 2)
         return 2, None
-    except (NumericDegeneracyError, FitError, FloatingPointError) as exc:
+    except (NumericDegeneracyError, FitError, FloatingPointError, MemoryError) as exc:
         _print_error(exc, 3)
         return 3, None
     except OSError as exc:

@@ -365,21 +365,26 @@ def sequential_harness(
         raise DomainError("design must cover every month of the series")
 
     origins, actuals, points, intervals, efficiency, refits = [], [], [], [], [], []
+    fitting = False
     for o in range(start, end + 1):
         try:
             reweighted = o > start and o - o_fit < comps.shape[1]
             if reweighted:
                 log_w = log_w + log_pred[:, o - 1 - o_fit]
             if not reweighted or _kish_efficiency(log_w) < REFIT_EFFICIENCY:
-                stream = rng.substream(o)
+                stream, fitting = rng.substream(o), True
                 draws = fit_variant(spec, series.head(o - 1), design.head(o - 1), priors, config, stream, smooth=False)
+                fitting = False
                 o_fit, log_w = o, np.zeros(draws.S)
                 log_pred, comps = _filter_window(series, design, draws, priors, o, end, stream.substream(1))
                 refits.append(o)
             weights = np.exp(log_w - np.max(log_w))
             dist = ForecastDistribution(origin=o, components=comps[:, o - o_fit], weights=weights)
         except (FitError, DomainError) as exc:
-            raise FitError(f"forecast fit failed at origin {o}: {exc}") from exc
+            # the fit's DomainError is an input error (say, too few training months
+            # for the model); a failed chain, or the mixture's DomainError, is numeric
+            kind = DomainError if fitting and isinstance(exc, DomainError) else FitError
+            raise kind(f"forecast fit failed at origin {o}: {exc}") from exc
         origins.append(o)
         actuals.append(int(series.counts[o - 1]))
         points.append(dist.point_forecast)

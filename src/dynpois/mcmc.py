@@ -522,45 +522,38 @@ def tau_full_conditional(beta: np.ndarray, priors: PriorConfig) -> tuple:
 
 
 def _coefficient_half_sweeps(
-    beta: np.ndarray,
+    path: np.ndarray,
+    links: np.ndarray,
     eta: np.ndarray,
     multipliers: np.ndarray,
     halves: tuple,
     counts: np.ndarray,
     theta: np.ndarray,
-    tau: np.ndarray,
     prop_sd: np.ndarray,
-    prior_var: float,
     gen: np.random.Generator,
 ) -> int:
-    """Metropolis-update the (T, p) coefficient path in place; return the moves accepted.
+    """Metropolis-update the coefficient path in place; return the moves accepted.
 
+    ``path`` is the (T + 2, p) path between two zero pad months, so month t is
+    path[t + 1], and ``links`` the (T + 1, p) random-walk precisions into each
+    month: 1/prior_var into month 0, tau between months, 0 past month T-1.
     Given the rates and precisions, month t's full conditional involves the
     path only through months t-1 and t+1, which have the other parity. So all
     even months move in one vectorised step and then all odd months in a
     second, each month by its own accept test: a valid kernel for the same
-    target as a single-site sweep. Month 0's missing predecessor is the
-    N(0, prior_var) prior, and month T-1 has no successor. ``eta`` is the (T,)
-    log multipliers of the path and ``multipliers`` their exp; each accepted
-    month writes its proposal's values into both, which keeps them equal, bit
-    for bit, to ``log_linear_predictor`` of the path and its exp. ``halves``
-    holds the two parities' designs. Each half draws standard_normal((n, p))
-    and then random(n); a proposal whose rate overflows scores -inf and is rejected.
+    target as a single-site sweep. ``eta`` is the (T,) log multipliers of the
+    path and ``multipliers`` their exp; each accepted month writes its
+    proposal's values into both, which keeps them equal, bit for bit, to
+    ``log_linear_predictor`` of the path and its exp. ``halves`` holds the two
+    parities' designs. Each half draws standard_normal((n, p)) and then
+    random(n); a proposal whose rate overflows scores -inf and is rejected.
     """
-    T, p = beta.shape
-    prev_prec = np.tile(tau, (T, 1))
-    prev_prec[0] = 1.0 / prior_var
-    next_prec = np.tile(tau, (T, 1))
-    next_prec[-1] = 0.0
-    zero = np.zeros((1, p))
+    T = len(links) - 1
     n_accept = 0
     for start, half_design in enumerate(halves):
         half = slice(start, None, 2)
-        # the path padded with a zero month on each side, so that month t's
-        # neighbours are path[t] and path[t + 2]
-        path = np.concatenate((zero, beta, zero))
-        prev, nxt = path[start:T:2], path[start + 2::2]
-        b_cur = beta[half]
+        prev, b_cur, nxt = path[start:T:2], path[start + 1 : T + 1 : 2], path[start + 2 :: 2]
+        prev_prec, next_prec = links[start:T:2], links[start + 1 :: 2]
         b_prop = b_cur + prop_sd[half] * gen.standard_normal(b_cur.shape)
         u = gen.random(len(b_cur))
         eta_prop = log_linear_predictor(half_design, b_prop[None])[0]
@@ -568,12 +561,12 @@ def _coefficient_half_sweeps(
             m_prop = np.exp(eta_prop)
             delta = counts[half] * (eta_prop - eta[half]) - theta[half] * (m_prop - multipliers[half])
         delta -= 0.5 * np.sum(
-            prev_prec[half] * ((b_prop - prev) ** 2 - (b_cur - prev) ** 2)
-            + next_prec[half] * ((nxt - b_prop) ** 2 - (nxt - b_cur) ** 2),
+            prev_prec * ((b_prop - prev) ** 2 - (b_cur - prev) ** 2)
+            + next_prec * ((nxt - b_prop) ** 2 - (nxt - b_cur) ** 2),
             axis=1,
         )
         accept = np.log(u) < delta
-        # b_cur and the [half] slices are views: these write beta, eta and the multipliers
+        # b_cur and the [half] slices are views: these write the path, eta and the multipliers
         b_cur[accept] = b_prop[accept]
         eta[half][accept] = eta_prop[accept]
         multipliers[half][accept] = m_prop[accept]
@@ -602,6 +595,8 @@ def fit_dm5(
     inside the support share the multipliers, so they are filtered as one
     two-row stack (the current alone otherwise). The log multipliers and their
     exp ride from sweep to sweep, updated in place by the coefficient moves.
+    The random-walk prior is data built once per fit: the zero-padded path and
+    its link precisions (see ``_coefficient_half_sweeps``).
     """
     p = design.p
     if p < 1:
@@ -620,7 +615,10 @@ def fit_dm5(
     gen = rng.substream(0).generator
     ffbs_rng = rng.substream(1)
 
-    beta = np.zeros((T, p))
+    path = np.zeros((T + 2, p))
+    beta = path[1:-1]
+    links = np.zeros((T + 1, p))
+    links[0] = 1.0 / priors.beta_sd**2
     eta = log_linear_predictor(design, beta[None])[0]
     multipliers = np.exp(eta)
     tau = np.ones(p)
@@ -633,7 +631,6 @@ def fit_dm5(
     # the current gamma's log prior and logit Jacobian, replaced on acceptance
     terms = _log_prior_gamma(gamma, priors)[0], _logit_jacobian(gamma)[0]
     gamma_step = 0.25 * math.sqrt(config.proposal_scale)
-    prior_var = priors.beta_sd**2
 
     S = config.n_retained
     betas_out = np.empty((S, T, p))
@@ -642,8 +639,6 @@ def fit_dm5(
     theta_out = np.empty((S, T)) if smooth else None
 
     n_accept = 0
-    n_moves = 0
-    kept = 0
     for it in range(config.iterations):
         # discount factor, collapsed over the latent rates
         x_prop = x_gamma + gamma_step * gen.standard_normal()
@@ -661,36 +656,33 @@ def fit_dm5(
             traj = pair.row(int(accept))
         else:
             traj = filter_core(counts, multipliers[None], gamma, priors.a0, priors.b0)
-        n_moves += 1
 
         # latent rates given (beta, gamma)
         theta = ffbs_sample(traj, ffbs_rng)[0]
 
         # checkerboard sweep over the coefficient path
         prop_sd = config.proposal_scale / np.sqrt(count_z2 + 2.0 * tau[None, :])
-        n_accept += _coefficient_half_sweeps(
-            beta, eta, multipliers, halves, counts, theta, tau, prop_sd, prior_var, gen
-        )
-        n_moves += T
+        links[1:T] = tau
+        n_accept += _coefficient_half_sweeps(path, links, eta, multipliers, halves, counts, theta, prop_sd, gen)
 
         # random-walk precisions
         shape, rates = tau_full_conditional(beta, priors)
         tau = gen.gamma(shape=shape, scale=1.0 / rates)
 
-        if it >= config.burn_in and (it - config.burn_in) % config.thinning == 0:
-            betas_out[kept] = beta
-            gammas_out[kept] = gamma[0]
-            taus_out[kept] = tau
+        slot, skip = divmod(it - config.burn_in, config.thinning)
+        if slot >= 0 and not skip:
+            betas_out[slot] = beta
+            gammas_out[slot] = gamma[0]
+            taus_out[slot] = tau
             if smooth:
-                theta_out[kept] = theta
-            kept += 1
+                theta_out[slot] = theta
 
     if n_accept == 0:
         raise FitError("no Gibbs move was accepted; check scaling of the data or proposal")
     return PosteriorDraws(
         beta=betas_out,
         gamma=gammas_out,
-        acceptance_rate=n_accept / n_moves,
+        acceptance_rate=n_accept / (config.iterations * (T + 1)),
         beta_names=design.column_names,
         tau=taus_out,
         theta=theta_out,

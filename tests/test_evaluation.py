@@ -792,6 +792,25 @@ class TestSequentialHarness:
         assert report.refit_origins == (28, 29, 30)
         assert report.weight_efficiency == (1.0, 1.0, 1.0)
 
+    def test_an_unfittable_first_origin_is_a_domain_error(self):
+        # origin 2 leaves DM5 one training month, which it cannot fit: an input
+        # error, as a fit on one month is, not a failed fit
+        series, design, spec, priors = self._cohort("DM5", 86, 6)
+        with pytest.raises(DomainError, match="^forecast fit failed at origin 2: .* at least two months$"):
+            sequential_harness(series, design, spec, priors, MhConfig(iterations=50, burn_in=10), (2, 4),
+                               rng=RngStream(5))
+
+    def test_a_domain_error_after_the_fit_stays_a_fit_error(self, monkeypatch):
+        # the mixture's DomainError is a numeric corner of fitted draws
+        def refused(*args, **kwargs):
+            raise DomainError("mixture refused")
+
+        monkeypatch.setattr(evaluation, "ForecastDistribution", refused)
+        series, design, spec, priors = self._cohort("DM2", 86, 12)
+        with pytest.raises(mcmc.FitError, match="^forecast fit failed at origin 10: mixture refused$"):
+            sequential_harness(series, design, spec, priors, MhConfig(iterations=200, burn_in=50), (10, 12),
+                               rng=RngStream(5))
+
     def test_ewma_variant_delegates(self):
         series = _series([5, 9, 12, 10, 8])
         report = sequential_harness(

@@ -10,7 +10,10 @@ infers its covariate count from ``beta``, and a compare over DM1-DM4 and BPM.
 The gate-11 fit for DM5 pins the Gibbs sampler's draws and diagnostics. A DM4
 fit at proposal scale 0.16 pins the random-walk fallback: its independence
 chain accepts 0.044 of its proposals, below the floor, and the random-walk
-chain that replaces it accepts 0.672.
+chain that replaces it accepts 0.672. The DM5 fit under the fixed discount
+(the sweep's one-row filter branch) and under the beta prior, the DM1 fit on
+the discrete gamma grid, the EWMA forecast and a DM5 simulation pin the
+remaining routes of the CLI.
 
 The digests hold under one floating-point dispatch only, so the commands run
 under the pinned dispatch of ``conftest.py``, whose settings the file records
@@ -84,6 +87,16 @@ def golden_commands(tmp_path: Path) -> list:
     fallback_cfg = _config_variant(tmp_path, fit, "fit_fallback.json", mcmc={
         "iterations": 500, "burn_in": 100, "thinning": 1, "proposal_scale": 0.16})
     commands.append(("fit_dm4_fallback", _swap(_swap(fit, "--model", "DM4"), "--config", fallback_cfg)))
+    prior = {"a0": 100.0, "b0": 2.0}
+    for name, model, gamma_prior in (("fit_dm5_fixed", "DM5", {"gamma_prior": "fixed", "gamma_fixed_value": 0.8}),
+                                     ("fit_dm5_beta", "DM5", {"gamma_prior": "beta"}),
+                                     ("fit_dm1_grid", "DM1", {"gamma_prior": "grid"})):
+        cfg = _config_variant(tmp_path, fit, f"{name}.json", prior={**prior, **gamma_prior})
+        commands.append((name, _swap(_swap(fit, "--model", model), "--config", cfg)))
+    commands.append(("forecast_ewma", _swap(forecast, "--model", "EWMA")))
+    dm5_sim_cfg = _config_variant(tmp_path, simulate, "sim_dm5.json", simulate={
+        "T": 40, "gamma": 0.6, "beta": [0.4], "tau": [25.0], "n_covariates": 1})
+    commands.append(("simulate_dm5", _swap(_swap(simulate, "--model", "DM5"), "--config", dm5_sim_cfg)))
     return commands
 
 

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dynpois
-from dynpois import io
+from dynpois import cli, io
 from dynpois.cli import emit_reports, resolve_config, run_command
 from dynpois.evaluation import ForecastDistribution, ForecastReport
 from dynpois.io import ValidationError, format_number, ingest_csv
@@ -620,6 +620,20 @@ class TestRunCommandFit:
         err = json.loads(capsys.readouterr().out)["error"]
         assert err["message"] == "the time-varying model needs at least two months"
 
+    def test_refused_allocation_exits_3_with_error_json(self, tmp_path, capsys, monkeypatch):
+        # numpy refuses a huge draw table with a MemoryError subclass
+        def refused(*args, **kwargs):
+            raise MemoryError("Unable to allocate 7.28 PiB for an array")
+
+        monkeypatch.setattr(cli, "fit_variant", refused)
+        data = _simulate_cohort_csv(tmp_path, T=10)
+        capsys.readouterr()
+        code, _ = run_command(["fit", "--model", "DM1", "--seed", "1", "--data", str(data),
+                               "--out", str(tmp_path / "o")])
+        assert code == 3
+        assert json.loads(capsys.readouterr().out) == {"error": {
+            "type": "MemoryError", "message": "Unable to allocate 7.28 PiB for an array", "exit_code": 3}}
+
     def test_dm5_resolved_config_reflects_long_chain_default(self, tmp_path):
         data = _simulate_cohort_csv(tmp_path, T=20)
         out = tmp_path / "dm5cfg"
@@ -673,6 +687,18 @@ class TestRunCommandForecastAndCompare:
         assert metrics["refit_origins"][0] == 28
         assert len(metrics["weight_efficiency"]) == 3 and metrics["weight_efficiency"][0] == 1.0
         assert all(0.5 <= e <= 1.0 for e in metrics["weight_efficiency"])
+
+    def test_dm5_forecast_from_one_training_month_exits_2_naming_the_origin(self, tmp_path, capsys):
+        data = _simulate_cohort_csv(tmp_path, T=6)
+        cfg = _write(tmp_path, "f.json", json.dumps({"forecast": {
+            "start_origin": 2, "end_origin": 4, "mcmc": {"iterations": 50, "burn_in": 10}}}))
+        capsys.readouterr()
+        code, _ = run_command(["forecast", "--config", str(cfg), "--model", "DM5", "--seed", "2",
+                               "--data", str(data), "--out", str(tmp_path / "fc")])
+        assert code == 2
+        err = json.loads(capsys.readouterr().out)["error"]
+        assert err["type"] == "DomainError"
+        assert err["message"] == "forecast fit failed at origin 2: the time-varying model needs at least two months"
 
     def test_ewma_forecast(self, tmp_path):
         data = _simulate_cohort_csv(tmp_path, T=30)

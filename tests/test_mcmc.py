@@ -877,10 +877,10 @@ class TestFitDm5:
             ref = log_linear_predictor(design, beta[None])[0]
             return np.array_equal(eta, ref) and np.array_equal(multipliers, np.exp(ref))
 
-        def checked(beta, eta, multipliers, *rest):
-            assert carried(beta, eta, multipliers)
-            accepted.append(half_sweeps(beta, eta, multipliers, *rest))
-            assert carried(beta, eta, multipliers)
+        def checked(path, links, eta, multipliers, *rest):
+            assert carried(path[1:-1], eta, multipliers)
+            accepted.append(half_sweeps(path, links, eta, multipliers, *rest))
+            assert carried(path[1:-1], eta, multipliers)
             return accepted[-1]
 
         monkeypatch.setattr(mcmc, "_coefficient_half_sweeps", checked)
@@ -947,6 +947,19 @@ def _sweep_inputs(beta, Z):
     return eta, np.exp(eta), halves
 
 
+def _padded(beta, tau, prior_var):
+    """The path between two zero pad months and its link precisions (1/prior_var
+    into month 0, tau between months, 0 past the last), as ``fit_dm5`` passes
+    them to ``_coefficient_half_sweeps``, and the view of the path's months."""
+    T, p = beta.shape
+    path = np.zeros((T + 2, p))
+    path[1:-1] = beta
+    links = np.zeros((T + 1, p))
+    links[0] = 1.0 / prior_var
+    links[1:T] = tau
+    return path, links, path[1:-1]
+
+
 def _single_site_reference(beta, Z, counts, theta, tau, prop_sd, prior_var, gen):
     """The per-month Metropolis arithmetic of a single-site sweep, visiting the
     even months and then the odd ones, with the helper's order of draws."""
@@ -990,9 +1003,10 @@ class TestCoefficientHalfSweeps:
 
     def test_half_sweep_leaves_other_parity_alone(self):
         beta, Z, counts, theta, tau, prop_sd = self._problem()
+        path, links, beta = _padded(beta, tau, 1.0)
         start = beta.copy()
         gen = _RecordingGenerator(5, beta)
-        _coefficient_half_sweeps(beta, *_sweep_inputs(beta, Z), counts, theta, tau, prop_sd, 1.0, gen)
+        _coefficient_half_sweeps(path, links, *_sweep_inputs(beta, Z), counts, theta, prop_sd, gen)
         assert gen.calls == [("standard_normal", (4, 2)), ("random", 4),
                              ("standard_normal", (3, 2)), ("random", 3)]
         between = gen.paths[1]  # after the even half, before the odd half
@@ -1006,25 +1020,27 @@ class TestCoefficientHalfSweeps:
     def test_matches_single_site_arithmetic(self, T):
         beta, Z, counts, theta, tau, prop_sd = self._problem(T=T)
         ref = beta.copy()
+        path, links, beta = _padded(beta, tau, 2.0)
         for sweep in range(20):
-            n = _coefficient_half_sweeps(beta, *_sweep_inputs(beta, Z), counts, theta, tau, prop_sd, 2.0,
+            n = _coefficient_half_sweeps(path, links, *_sweep_inputs(beta, Z), counts, theta, prop_sd,
                                          np.random.default_rng(sweep))
             n_ref = _single_site_reference(ref, Z, counts, theta, tau, prop_sd, 2.0,
                                            np.random.default_rng(sweep))
             assert n == n_ref
             np.testing.assert_allclose(beta, ref, rtol=1e-13, atol=1e-15)
+            # the sweeps write the months only: the pads and the end links stay as built
+            assert not path[[0, -1]].any() and (links[0] == 0.5).all() and not links[-1].any()
 
     def test_overflowing_proposal_rejected_silently(self):
         # eta_prop = 1000 * step exceeds 709 for this seed's first normal, so
         # exp(eta_prop) overflows; the old scalar loop raised OverflowError here
         seed = 3
         assert 1000.0 * np.random.default_rng(seed).standard_normal((1, 1))[0, 0] > 709.0
-        beta = np.zeros((1, 1))
+        path, links, beta = _padded(np.zeros((1, 1)), np.array([1.0]), 1.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            n = _coefficient_half_sweeps(beta, *_sweep_inputs(beta, np.array([[1000.0]])), np.array([2]),
-                                         np.array([1.0]), np.array([1.0]), np.array([[1.0]]), 1.0,
-                                         np.random.default_rng(seed))
+            n = _coefficient_half_sweeps(path, links, *_sweep_inputs(beta, np.array([[1000.0]])), np.array([2]),
+                                         np.array([1.0]), np.array([[1.0]]), np.random.default_rng(seed))
         assert n == 0
         assert np.array_equal(beta, np.zeros((1, 1)))
 
@@ -1054,10 +1070,10 @@ class TestCoefficientHalfSweeps:
 
         n_iter, n_batch = 20_000, 40
         gen = np.random.default_rng(17)
-        beta = np.zeros((3, 1))
+        path, links, beta = _padded(np.zeros((3, 1)), tau, prior_var)
         chain = np.empty((n_iter, 3))
         for i in range(n_iter):
-            _coefficient_half_sweeps(beta, *_sweep_inputs(beta, Z), counts, theta, tau, prop_sd, prior_var, gen)
+            _coefficient_half_sweeps(path, links, *_sweep_inputs(beta, Z), counts, theta, prop_sd, gen)
             chain[i] = beta[:, 0]
 
         for t in range(3):
