@@ -4,13 +4,12 @@ accuracy metrics, and sampling-based model-comparison scores."""
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .filtering import negbin_rows
-from .kernels import DomainError, RngStream, logsumexp
+from .kernels import DomainError, RngStream, is_integer, logsumexp
 from .mcmc import FitError, MhConfig, PosteriorDraws, fit_variant, predictive_blocks
 from .model import CountSeries, DesignMatrix, ModelSpec, PriorConfig, build_design
 
@@ -286,7 +285,7 @@ def forecast_metrics(
 
 
 def _check_window(window, T: int):
-    if not all(isinstance(x, numbers.Integral) and not isinstance(x, bool) for x in window[:2]):
+    if not all(is_integer(x) for x in window[:2]):
         raise DomainError(f"forecast window ends must be integers, got {window}")
     start, end = int(window[0]), int(window[1])
     if start < 2:

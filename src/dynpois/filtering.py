@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import DomainError, NumericDegeneracyError, RngStream, lgamma, logsumexp
+from .kernels import DomainError, NumericDegeneracyError, RngStream, is_integer, lgamma, logsumexp
 from .model import CountSeries, DesignMatrix, PriorConfig, linear_predictor
 
 # Draws per batched filter pass: large enough to amortise the per-call overhead,
@@ -249,6 +249,6 @@ def exceedance_probability(paths: np.ndarray, s: int, u: int) -> float:
     if paths.ndim != 2:
         raise DomainError("exceedance needs an (S, T) array of sampled paths")
     T = paths.shape[1]
-    if not (1 <= s <= T and 1 <= u <= T):
+    if not (is_integer(s) and is_integer(u) and 1 <= s <= T and 1 <= u <= T):
         raise DomainError(f"month indices must lie in 1..{T}")
     return float(np.mean(paths[:, s - 1] >= paths[:, u - 1]))

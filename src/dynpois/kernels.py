@@ -13,12 +13,18 @@ that importing the package loads no scipy.
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 
 
 class DomainError(ValueError):
     """Raised when an argument is outside the mathematical domain of an operation."""
+
+
+def is_integer(x) -> bool:
+    """Whether x is an integer, numpy's included; a bool is not one."""
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
 
 
 class NumericDegeneracyError(ArithmeticError):
@@ -132,8 +138,8 @@ class RngStream:
     """
 
     def __init__(self, seed: int, *, _spawn_key: tuple = ()):
-        if not (0 <= int(seed) < 2**64):
-            raise DomainError(f"seed must be an unsigned 64-bit integer, got {seed}")
+        if not (is_integer(seed) and 0 <= seed < 2**64):
+            raise DomainError(f"seed must be an unsigned 64-bit integer, got {seed!r}")
         self.seed = int(seed)
         self._spawn_key = tuple(_spawn_key)
         # every spawn key starts with 0, the key the pinned golden digests were drawn with
@@ -142,6 +148,8 @@ class RngStream:
 
     def substream(self, k: int) -> "RngStream":
         """Derive the k-th child stream, independent of this one and its siblings."""
+        if not (is_integer(k) and k >= 0):
+            raise DomainError(f"substream key must be a nonnegative integer, got {k!r}")
         return RngStream(self.seed, _spawn_key=(*self._spawn_key, int(k)))
 
     def __repr__(self):

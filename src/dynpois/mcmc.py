@@ -22,7 +22,6 @@ two-row stack.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,7 +34,7 @@ from .filtering import (
     gamma_grid_posterior,
     negbin_rows,
 )
-from .kernels import DomainError, RngStream, betaln, expit, lgamma, logit
+from .kernels import DomainError, RngStream, betaln, expit, is_integer, lgamma, logit
 from .model import CountSeries, DesignMatrix, ModelSpec, PriorConfig, linear_predictor, log_linear_predictor
 
 
@@ -52,7 +51,7 @@ class MhConfig:
 
     def __post_init__(self):
         counts = (self.iterations, self.burn_in, self.thinning)
-        if not all(isinstance(n, numbers.Integral) and not isinstance(n, bool) for n in counts):
+        if not all(is_integer(n) for n in counts):
             raise DomainError("iterations, burn-in and thinning must be integers")
         # each check is written so that NaN fails it
         if not (self.iterations > 0):
@@ -129,7 +128,7 @@ class ChainDiagnostics:
     names: tuple
     means: np.ndarray
     sds: np.ndarray
-    autocorr: np.ndarray  # (k, _MAX_LAG+1), lag 0 first
+    autocorr: np.ndarray  # (k, n): every lag of the n draws, lag 0 first
     ess: np.ndarray
 
 
@@ -349,10 +348,10 @@ def _independence_chain(log_target, mh: ModeHessian, config: MhConfig, rng: RngS
     and scale matrix ``_IMH_INFLATION`` x proposal_scale x the covariance.
     All ``iterations`` proposals come from standard_normal((N, d)), then
     chisquare(df, N), then random(N), and are scored FILTER_BLOCK rows per
-    block call of ``log_target``. The accept/reject pass then runs over the
-    log weights log pi - log q, starting at the mode. Burn-in and thinning
-    are applied as in ``rw_metropolis``; a chain that accepts nothing raises
-    FitError.
+    block call of ``log_target`` after the mode, row 0. The accept/reject
+    pass then runs over the log weights log pi - log q, starting at the mode.
+    Burn-in and thinning are applied as in ``rw_metropolis``; a chain that
+    accepts nothing raises FitError.
     """
     N, d = config.iterations, len(mh.mode)
     scale = _IMH_INFLATION * config.proposal_scale
@@ -361,24 +360,22 @@ def _independence_chain(log_target, mh: ModeHessian, config: MhConfig, rng: RngS
     z = gen.standard_normal((N, d))
     w = gen.chisquare(_IMH_DF, N)
     log_u = np.log(gen.random(N))
-    points = mh.mode + (z @ root.T) * np.sqrt(_IMH_DF / w)[:, None]
-    log_pi = np.concatenate([log_target(points[k : k + FILTER_BLOCK]) for k in range(0, N, FILTER_BLOCK)])
+    # row 0 is the mode, where the chain starts and the kernel term is -0.0
+    points = np.concatenate([mh.mode[None], mh.mode + (z @ root.T) * np.sqrt(_IMH_DF / w)[:, None]])
+    log_pi = np.concatenate([log_target(points[k : k + FILTER_BLOCK]) for k in range(0, N + 1, FILTER_BLOCK)])
     log_w = (log_pi - _t_log_kernel(points, mh.mode, root)).tolist()
 
-    # held[i] is the proposal the chain holds after step i; -1 is the mode,
-    # whose kernel value is 0
+    # held[i - 1] is the row the chain holds after step i, which proposes row i
     held = np.empty(N, dtype=np.intp)
-    current, lw = -1, log_target(mh.mode[None])[0]
-    accepted = 0
-    for i, lu in enumerate(log_u.tolist()):
-        if lu < log_w[i] - lw:
-            current, lw = i, log_w[i]
+    current = accepted = 0
+    for i, lu in enumerate(log_u.tolist(), 1):
+        if lu < log_w[i] - log_w[current]:
+            current = i
             accepted += 1
-        held[i] = current
+        held[i - 1] = current
     if accepted == 0:
         raise FitError("the independence chain accepted no proposals")
-    kept = held[config.burn_in :: config.thinning] + 1
-    draws = np.concatenate([mh.mode[None], points])[kept]
+    draws = points[held[config.burn_in :: config.thinning]]
     return MhResult(draws, accepted / N, sampler="independence")
 
 
@@ -785,44 +782,36 @@ def posterior_summary(draws: PosteriorDraws) -> list[dict]:
     return rows
 
 
-_MAX_LAG = 50  # autocorrelation lags the ESS truncation may sum over
-
-
 def _autocorr(x: np.ndarray) -> np.ndarray:
+    """Autocorrelations of a chain (n,) at every lag 0..n-1, lag 0 first: the
+    inverse FFT of the power spectrum of the centred chain, zero-padded to 2n
+    so that no lag wraps around, over its lag-0 term. A constant chain gives
+    0 past lag 0."""
     x = np.asarray(x, dtype=float)
     n = len(x)
-    x = x - x.mean()
-    denom = float(x @ x)
-    out = np.zeros(_MAX_LAG + 1)
-    out[0] = 1.0
-    if denom == 0.0:
-        return out
-    for k in range(1, min(_MAX_LAG, n - 1) + 1):
-        out[k] = float(x[:-k] @ x[k:]) / denom
-    return out
+    acov = np.fft.irfft(np.abs(np.fft.rfft(x - x.mean(), 2 * n)) ** 2, 2 * n)[:n]
+    if acov[0] == 0.0:
+        acov[0] = 1.0
+    return acov / acov[0]
 
 
 def _ess(x: np.ndarray, acf: np.ndarray) -> float:
-    """Effective sample size by Geyer's initial-positive-sequence truncation."""
+    """Effective sample size by Geyer's initial positive sequence: the pairs of
+    consecutive autocorrelations (lags 1+2, 3+4, ...) are summed up to the
+    first pair that is not positive, over every lag of the chain."""
     n = len(x)
     if np.std(x) == 0.0:
         return 1.0
-    # pair sums of consecutive autocorrelations stay positive for a valid chain;
-    # truncate the sum at the first nonpositive pair
-    total = 0.0
-    k = 1
-    while k + 1 < len(acf):
-        pair = acf[k] + acf[k + 1]
-        if pair <= 0.0:
-            break
-        total += pair
-        k += 2
+    # lag n, past the end of the chain, is 0: it pairs with an even chain's last lag
+    rho = np.append(acf[1:], 0.0)
+    pairs = rho[:-1:2] + rho[1::2]
+    total = pairs[np.logical_and.accumulate(pairs > 0.0)].sum()
     ess = n / (1.0 + 2.0 * total)
     return float(min(max(ess, 1.0), n))
 
 
 def diagnostics(draws: PosteriorDraws) -> ChainDiagnostics:
-    """Trace summaries, autocorrelations (lags 0..50) and ESS per parameter."""
+    """Trace summaries, autocorrelations (every lag) and ESS per parameter."""
     table = draws.parameter_table()
     if draws.S < 2:
         raise DomainError("diagnostics need at least two draws")

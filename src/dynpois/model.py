@@ -92,6 +92,9 @@ class DesignMatrix:
         return self.rows.shape[1]
 
     def head(self, t: int) -> "DesignMatrix":
+        """The rows of months 1..t."""
+        if not (1 <= t <= self.T):
+            raise DomainError(f"month index {t} outside 1..{self.T}")
         return DesignMatrix(self.column_names, self.rows[:t])
 
     @staticmethod
@@ -337,7 +340,8 @@ def simulate_dm5_coefficients(
     """
     initial_beta = np.atleast_1d(np.asarray(initial_beta, dtype=float))
     tau = np.atleast_1d(np.asarray(tau, dtype=float))
-    if np.any(tau <= 0):
+    # written so that NaN fails it
+    if not np.all(tau > 0):
         raise DomainError("precision parameters must be positive")
     if tau.shape != initial_beta.shape:
         raise DomainError("tau must have one entry per coefficient")

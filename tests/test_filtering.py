@@ -371,6 +371,11 @@ class TestExceedance:
         with pytest.raises(DomainError):
             exceedance_probability(np.ones((10, 3)), 0, 1)
 
+    @pytest.mark.parametrize("months", [(1.0, 2), (2, 1.5), (True, 2)])
+    def test_non_integer_month_rejected(self, months):
+        with pytest.raises(DomainError):
+            exceedance_probability(np.ones((10, 3)), *months)
+
     @pytest.mark.parametrize("shape", [(3,), (2, 3, 4)])
     def test_paths_must_be_two_dimensional(self, shape):
         with pytest.raises(DomainError):

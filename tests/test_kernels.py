@@ -185,6 +185,20 @@ class TestDeterminism:
         with pytest.raises(DomainError):
             RngStream(2**64)
 
+    @pytest.mark.parametrize("seed", [1.7, 1.0, "5", True, None])
+    def test_non_integer_seed_rejected(self, seed):
+        with pytest.raises(DomainError, match="seed"):
+            RngStream(seed)
+
+    @pytest.mark.parametrize("key", [2.9, -1, True, "2"])
+    def test_substream_key_must_be_a_nonnegative_integer(self, key):
+        with pytest.raises(DomainError, match="substream key"):
+            RngStream(5).substream(key)
+
+    def test_numpy_integers_accepted(self):
+        a = RngStream(np.uint64(5)).substream(np.int64(3)).generator.random(4)
+        assert np.array_equal(a, RngStream(5).substream(3).generator.random(4))
+
 
 class TestPoissonParams:
     def test_cdf_and_pmf_consistent(self):

@@ -476,6 +476,18 @@ class TestIndependenceChain:
             mcmc._independence_chain(spike, ModeHessian(np.zeros(1), np.eye(1)),
                                      MhConfig(iterations=50, burn_in=0), RngStream(4))
 
+    def test_mode_is_scored_with_the_proposals(self):
+        # the mode and 300 proposals are 301 rows, two FILTER_BLOCK blocks
+        blocks = []
+
+        def counting(x):
+            blocks.append(len(x))
+            return _standard_normal(x)
+
+        res = mcmc._independence_chain(counting, self.LAPLACE, MhConfig(iterations=300, burn_in=0), RngStream(5))
+        assert blocks == [FILTER_BLOCK, 301 - FILTER_BLOCK]
+        assert res.draws.shape == (300, 2)
+
     @pytest.mark.parametrize("rw_rate", [0.05, 0.3, 0.7])
     @pytest.mark.parametrize("imh_rate", [0.05, None])
     def test_low_or_dead_independence_chain_runs_one_random_walk_chain(self, monkeypatch, imh_rate, rw_rate):
@@ -1103,6 +1115,7 @@ class TestDiagnosticsAndSummary:
         x = np.ones((500, 1))
         diag = diagnostics(self._draws(x))
         assert diag.ess[0] == 1.0
+        assert np.array_equal(diag.autocorr[0], np.eye(1, 500)[0])
 
     def test_ar1_ess_ratio(self):
         gen = np.random.default_rng(1)
@@ -1116,10 +1129,39 @@ class TestDiagnosticsAndSummary:
         ratio = diag.ess[0] / n
         assert ratio == pytest.approx((1 - phi) / (1 + phi), rel=0.2)
 
+    def test_autocorr_matches_lagged_dot_products(self):
+        x = np.random.default_rng(4).normal(size=(301,)).cumsum()
+        acf = mcmc._autocorr(x)
+        c = x - x.mean()
+        direct = np.array([c[: len(c) - k] @ c[k:] for k in range(len(c))]) / (c @ c)
+        assert acf.shape == (301,)
+        assert acf[0] == 1.0
+        assert np.max(np.abs(acf - direct)) < 1e-12
+
+    @pytest.mark.parametrize("chain", [[0.3, 1.2], [0.0, 1.0, 3.0], [2.0, 2.5, 1.0]])
+    def test_short_chains_count_every_draw(self, chain):
+        # the autocorrelations of a centred chain sum to -1/2 over lags 1..n-1,
+        # so for n = 2 and 3 the first pair is not positive and the ESS is n
+        x = np.array(chain)[:, None]
+        assert diagnostics(self._draws(x)).ess[0] == len(chain)
+
+    def test_slow_ar1_ess_is_not_capped(self):
+        # phi = 0.98: the pair sums stay positive far past lag 50
+        gen = np.random.default_rng(3)
+        n, phi = 50_000, 0.98
+        noise = gen.normal(size=n)
+        x = np.empty(n)
+        x[0] = noise[0] / math.sqrt(1.0 - phi**2)
+        for t in range(1, n):
+            x[t] = phi * x[t - 1] + noise[t]
+        diag = diagnostics(self._draws(x.reshape(-1, 1)))
+        assert diag.ess[0] == pytest.approx(n * (1 - phi) / (1 + phi), rel=0.15)
+
     def test_ess_bounded_by_draws(self):
         x = np.random.default_rng(2).normal(size=(1000, 2))
         diag = diagnostics(self._draws(x, names=("a", "b")))
         assert np.all(diag.ess <= 1000)
+        assert diag.autocorr.shape == (2, 1000)
 
     def test_summary_schema(self):
         x = np.random.default_rng(3).normal(size=(100, 1))

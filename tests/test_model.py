@@ -67,6 +67,13 @@ class TestCountSeries:
         s = CountSeries([1, 2, 3, 4], [5, 0, 2, 7])
         assert np.array_equal(s.head(2).counts, [5, 0])
 
+    @pytest.mark.parametrize("t", [0, 4])
+    def test_design_head_takes_the_same_month_check(self, t):
+        with pytest.raises(DomainError, match="outside 1..3"):
+            CountSeries([1, 2, 3], [5, 0, 2]).head(t)
+        with pytest.raises(DomainError, match="outside 1..3"):
+            DesignMatrix(("a",), np.ones((3, 1))).head(t)
+
 
 class TestModelSpec:
     def test_dm1_takes_no_covariates(self):
@@ -325,6 +332,10 @@ class TestSimulateDm5Coefficients:
     def test_nonpositive_precision_rejected(self):
         with pytest.raises(DomainError):
             simulate_dm5_coefficients(np.zeros(1), np.array([0.0]), 10, RngStream(0))
+
+    def test_nan_precision_rejected(self):
+        with pytest.raises(DomainError):
+            simulate_dm5_coefficients(np.zeros(2), np.array([1.0, np.nan]), 10, RngStream(0))
 
     def test_first_row_is_initial(self):
         path = simulate_dm5_coefficients(np.array([1.5]), np.array([2.0]), 10, RngStream(4))
