@@ -511,7 +511,13 @@ def compare_models(
     rng: RngStream,
     start_month: int = 1,
 ) -> ComparisonReport:
-    """Fit every model in the roster and score log marginal likelihood and log CPO."""
+    """Fit every model in the roster and score log marginal likelihood and log CPO.
+
+    Both scores read the (S, T) per-month log likelihoods of a model's retained
+    draws: the rows its chain already filtered them with when the fit kept
+    them, else one ``per_draw_log_predictives`` pass. The rows are taken off
+    the draws once scored, so none outlives its model's scoring.
+    """
     names = []
     logml = {}
     logcpo = {}
@@ -521,8 +527,10 @@ def compare_models(
         if spec.variant in names:
             raise DomainError(f"duplicate model {spec.variant} in the roster")
         design = build_design(raw_covariates, spec, series.T, start_month=start_month)
-        draws = fit_variant(spec, series, design, priors, config, rng.substream(k), smooth=False)
-        L = per_draw_log_predictives(series, design, draws, priors)
+        draws = fit_variant(spec, series, design, priors, config, rng.substream(k), smooth=False, log_predictive=True)
+        L, draws.log_predictive = draws.log_predictive, None
+        if L is None:
+            L = per_draw_log_predictives(series, design, draws, priors)
         names.append(spec.variant)
         logml[spec.variant] = harmonic_mean_logml(L.sum(axis=1))
         logcpo[spec.variant] = cpo_log_sum(L)

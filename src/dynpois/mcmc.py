@@ -11,7 +11,10 @@ the mode search and the chains take, maps a block of points (K, d) to its
 one-row block. The mode search scores its stencils in blocks, and the
 independence proposals, which do not depend on the chain state, are all
 scored in blocks before the accept/reject pass runs; the random-walk fallback
-scores one one-row block per step. The discount factor is sampled on the
+scores one one-row block per step. A target also writes each point's
+per-month log likelihoods into a ``rows`` out-array when given one, so the
+independence chain can hand its retained draws' rows to model comparison
+without a second filter pass. The discount factor is sampled on the
 logit scale with its Jacobian; regression coefficients are unconstrained.
 The gamma prior and the logit Jacobian also map a stack (K,) to (K,), and the
 DM5 sweep, the only caller with a single draw, passes them and the backward
@@ -81,6 +84,9 @@ class PosteriorDraws:
     theta: np.ndarray | None = None
     variant: str = ""
     sampler: str = ""  # the Metropolis chain that drew beta and gamma, if one did
+    # (S, T) per-month log likelihoods of the draws, kept by the independence
+    # chain when the fit asked for them
+    log_predictive: np.ndarray | None = None
 
     def __post_init__(self):
         # each check is written so that NaN fails it
@@ -121,6 +127,7 @@ class MhResult:
     draws: np.ndarray
     acceptance_rate: float
     sampler: str = "random_walk"  # or "independence"
+    log_predictive: np.ndarray | None = None  # (S, T) rows of the draws, when kept
 
 
 @dataclass(frozen=True)
@@ -159,6 +166,7 @@ def log_target_static(
     series: CountSeries,
     design: DesignMatrix,
     priors: PriorConfig,
+    rows: np.ndarray | None = None,
 ) -> np.ndarray:
     """Unnormalized log posterior of (beta, gamma) with latent rates integrated out.
 
@@ -167,7 +175,9 @@ def log_target_static(
     support (gamma outside (0, 1), or any gamma but the fixed prior's value,
     which may be 1; a non-finite prior, multipliers that underflow or
     overflow, a non-finite likelihood) score -inf, and the other rows are
-    scored in one batched filter pass, the only one a block makes.
+    scored in one batched filter pass, the only one a block makes. Given a
+    (K, T) ``rows``, each filtered point's one-step log predictives are
+    written into its row, and the rows of points not filtered are -inf.
     """
     beta = np.asarray(beta, dtype=float)
     gamma = np.asarray(gamma, dtype=float)
@@ -183,6 +193,9 @@ def log_target_static(
     ok = (0.0 < multipliers.min(axis=1)) & (multipliers.max(axis=1) < np.inf)
     live, multipliers = live[ok], multipliers[ok]
     traj = filter_core(series.counts, multipliers, gamma[live], priors.a0, priors.b0)
+    if rows is not None:
+        rows[:] = -np.inf
+        rows[live] = traj.log_predictive
     ll = traj.total_log_predictive
     # extreme proposals can overflow the rate recursion; treat as out of support
     out[live] = np.where(np.isfinite(ll), ll + lp[live], -np.inf)
@@ -341,7 +354,7 @@ def _t_log_kernel(x: np.ndarray, mode: np.ndarray, root: np.ndarray) -> np.ndarr
     return -0.5 * (_IMH_DF + len(mode)) * np.log1p((dev**2).sum(axis=0) / _IMH_DF)
 
 
-def _independence_chain(log_target, mh: ModeHessian, config: MhConfig, rng: RngStream) -> MhResult:
+def _independence_chain(log_target, mh: ModeHessian, config: MhConfig, rng: RngStream, months: int = 0) -> MhResult:
     """Independence Metropolis with a multivariate t proposal on the Laplace fit.
 
     The proposal is centred on the mode, with ``_IMH_DF`` degrees of freedom
@@ -351,7 +364,10 @@ def _independence_chain(log_target, mh: ModeHessian, config: MhConfig, rng: RngS
     block call of ``log_target`` after the mode, row 0. The accept/reject
     pass then runs over the log weights log pi - log q, starting at the mode.
     Burn-in and thinning are applied as in ``rw_metropolis``; a chain that
-    accepts nothing raises FitError.
+    accepts nothing raises FitError. With ``months`` = T > 0, each block also
+    writes its points' (K, T) per-month log likelihoods, as
+    ``log_target(x, rows)``, into its slice of one (N + 1, T) buffer, and the
+    result keeps the retained draws' rows.
     """
     N, d = config.iterations, len(mh.mode)
     scale = _IMH_INFLATION * config.proposal_scale
@@ -362,7 +378,12 @@ def _independence_chain(log_target, mh: ModeHessian, config: MhConfig, rng: RngS
     log_u = np.log(gen.random(N))
     # row 0 is the mode, where the chain starts and the kernel term is -0.0
     points = np.concatenate([mh.mode[None], mh.mode + (z @ root.T) * np.sqrt(_IMH_DF / w)[:, None]])
-    log_pi = np.concatenate([log_target(points[k : k + FILTER_BLOCK]) for k in range(0, N + 1, FILTER_BLOCK)])
+    blocks = range(0, N + 1, FILTER_BLOCK)
+    if months:
+        rows = np.empty((N + 1, months))
+        log_pi = np.concatenate([log_target(points[k : k + FILTER_BLOCK], rows[k : k + FILTER_BLOCK]) for k in blocks])
+    else:
+        log_pi = np.concatenate([log_target(points[k : k + FILTER_BLOCK]) for k in blocks])
     log_w = (log_pi - _t_log_kernel(points, mh.mode, root)).tolist()
 
     # held[i - 1] is the row the chain holds after step i, which proposes row i
@@ -375,15 +396,15 @@ def _independence_chain(log_target, mh: ModeHessian, config: MhConfig, rng: RngS
         held[i - 1] = current
     if accepted == 0:
         raise FitError("the independence chain accepted no proposals")
-    draws = points[held[config.burn_in :: config.thinning]]
-    return MhResult(draws, accepted / N, sampler="independence")
+    kept = held[config.burn_in :: config.thinning]
+    return MhResult(points[kept], accepted / N, sampler="independence", log_predictive=rows[kept] if months else None)
 
 
 # the acceptance below which the independence chain gives way to the random walk
 _ACCEPTANCE_FLOOR = 0.1
 
 
-def _mode_then_chain(log_target, start: np.ndarray, config: MhConfig, rng: RngStream) -> MhResult:
+def _mode_then_chain(log_target, start: np.ndarray, config: MhConfig, rng: RngStream, months: int = 0) -> MhResult:
     """Independence chain on the Laplace fit, with one random-walk fallback.
 
     ``log_target`` maps a block (K, d) to its log densities (K,), for the
@@ -394,10 +415,12 @@ def _mode_then_chain(log_target, start: np.ndarray, config: MhConfig, rng: RngSt
     proposal in d dimensions, the scaling that is optimal for a normal target
     (Roberts, Gelman and Gilks 1997, Ann. Appl. Probab. 7:110-120), and is
     kept whatever its acceptance; if it dies too, its FitError propagates.
+    ``months`` asks the independence chain to keep its draws' per-month log
+    likelihoods; the random-walk chain keeps none.
     """
     mh = find_mode_and_hessian(log_target, start)
     try:
-        imh = _independence_chain(log_target, mh, config, rng.substream(3))
+        imh = _independence_chain(log_target, mh, config, rng.substream(3), months)
         if imh.acceptance_rate >= _ACCEPTANCE_FLOOR:
             return imh
     except FitError:
@@ -432,14 +455,17 @@ def _logit_jacobian(g: np.ndarray) -> np.ndarray:
 def _dm_static_target(series: CountSeries, design: DesignMatrix, priors: PriorConfig):
     """The log target that ``fit_dm_static`` samples, a block (K, d) to its log
     densities (K,): over beta alone under a fixed gamma prior, otherwise over
-    (beta, logit gamma) with the logit Jacobian included."""
+    (beta, logit gamma) with the logit Jacobian included. ``rows`` passes
+    through to ``log_target_static``."""
     p = design.p
     if priors.gamma_prior == "fixed":
-        return lambda b: log_target_static(b, np.full(len(b), priors.gamma_fixed_value), series, design, priors)
+        return lambda b, rows=None: log_target_static(
+            b, np.full(len(b), priors.gamma_fixed_value), series, design, priors, rows
+        )
 
-    def target(x):
+    def target(x, rows=None):
         g = expit(x[:, p])
-        return log_target_static(x[:, :p], g, series, design, priors) + _logit_jacobian(g)
+        return log_target_static(x[:, :p], g, series, design, priors, rows) + _logit_jacobian(g)
 
     return target
 
@@ -452,6 +478,7 @@ def fit_dm_static(
     config: MhConfig,
     rng: RngStream,
     smooth: bool = True,
+    log_predictive: bool = False,
 ) -> PosteriorDraws:
     """Sample (beta, gamma) for the static-coefficient dynamic models.
 
@@ -464,6 +491,9 @@ def fit_dm_static(
     random-walk Metropolis chain calibrated by the inverse negative Hessian at
     the mode, which is kept unless it dies too. When ``smooth`` is set, one
     smoothing path per retained draw comes from batched backward sampling.
+    When ``log_predictive`` is set and the independence chain ran, the draws
+    carry the (S, T) one-step log predictives its target filtered them with;
+    otherwise (the grid, no chain, the random-walk fallback) they carry None.
     """
     if spec.variant not in ("DM1", "DM2", "DM3", "DM4"):
         raise DomainError(f"fit_dm_static does not handle variant {spec.variant}")
@@ -472,7 +502,7 @@ def fit_dm_static(
     p = design.p
     S = config.n_retained
     # the covariate-free routes without a chain: every beta is empty
-    betas, acc, sampler = np.zeros((S, 0)), 1.0, ""
+    betas, acc, sampler, log_pred = np.zeros((S, 0)), 1.0, "", None
 
     if priors.gamma_prior == "grid":
         if p:
@@ -487,8 +517,9 @@ def fit_dm_static(
         gammas = np.full(S, priors.gamma_fixed_value)
         if p or not fixed:
             target = _dm_static_target(series, design, priors)
-            res = _mode_then_chain(target, np.zeros(p + (not fixed)), config, rng.substream(0))
-            betas, acc, sampler = res.draws[:, :p], res.acceptance_rate, res.sampler
+            months = series.T if log_predictive else 0
+            res = _mode_then_chain(target, np.zeros(p + (not fixed)), config, rng.substream(0), months)
+            betas, acc, sampler, log_pred = res.draws[:, :p], res.acceptance_rate, res.sampler, res.log_predictive
             if not fixed:
                 gammas = expit(res.draws[:, p])
 
@@ -503,6 +534,7 @@ def fit_dm_static(
         theta=theta,
         variant=spec.variant,
         sampler=sampler,
+        log_predictive=log_pred,
     )
 
 
@@ -694,13 +726,16 @@ def bpm_log_pmf(eta: np.ndarray, counts: np.ndarray) -> np.ndarray:
 
 
 def log_target_bpm(
-    beta: np.ndarray, series: CountSeries, design: DesignMatrix, priors: PriorConfig
+    beta: np.ndarray, series: CountSeries, design: DesignMatrix, priors: PriorConfig, rows: np.ndarray | None = None
 ) -> np.ndarray:
     """Log posterior of the static Poisson regression at each row of a block
     (K, p), as (K,); one point is a one-row block, and each row has the bits of
-    its own one-row call."""
+    its own one-row call. A (K, T) ``rows`` receives each point's per-month
+    Poisson log pmfs."""
     beta = np.asarray(beta, dtype=float)
     log_pmf = bpm_log_pmf(log_linear_predictor(design, beta), series.counts)
+    if rows is not None:
+        rows[:] = log_pmf
     return np.sum(log_pmf, axis=1) + _log_prior_beta(beta, priors.beta_sd)
 
 
@@ -711,14 +746,18 @@ def fit_bpm(
     config: MhConfig,
     rng: RngStream,
     smooth: bool = True,
+    log_predictive: bool = False,
 ) -> PosteriorDraws:
     """Metropolis fit of the Poisson-regression benchmark on a design built for
     BPM, whose first column is the intercept; with ``smooth``, theta holds the
-    (S, T) rates exp(beta' z_t) of the retained draws."""
+    (S, T) rates exp(beta' z_t) of the retained draws. ``log_predictive`` keeps
+    the draws' (S, T) Poisson log pmfs from the independence chain, as in
+    ``fit_dm_static``."""
     if design.column_names[:1] != ("intercept",):
         raise DomainError("the BPM design must start with the intercept column")
-    target = lambda b: log_target_bpm(b, series, design, priors)
-    res = _mode_then_chain(target, np.zeros(design.p), config, rng.substream(0))
+    target = lambda b, rows=None: log_target_bpm(b, series, design, priors, rows)
+    months = series.T if log_predictive else 0
+    res = _mode_then_chain(target, np.zeros(design.p), config, rng.substream(0), months)
     return PosteriorDraws(
         beta=res.draws,
         gamma=None,
@@ -727,6 +766,7 @@ def fit_bpm(
         theta=linear_predictor(design, res.draws) if smooth else None,
         variant="BPM",
         sampler=res.sampler,
+        log_predictive=res.log_predictive,
     )
 
 
@@ -738,13 +778,16 @@ def fit_variant(
     config: MhConfig,
     rng: RngStream,
     smooth: bool = True,
+    log_predictive: bool = False,
 ) -> PosteriorDraws:
-    """Fit any likelihood-based variant: DM5, the BPM benchmark, or a static DM."""
+    """Fit any likelihood-based variant: DM5, the BPM benchmark, or a static DM.
+    ``log_predictive`` asks a chain fit to keep its draws' per-month log
+    likelihoods (see ``fit_dm_static``); DM5 keeps none."""
     if spec.variant == "DM5":
         return fit_dm5(series, design, priors, config, rng, smooth=smooth)
     if spec.variant == "BPM":
-        return fit_bpm(series, design, priors, config, rng, smooth=smooth)
-    return fit_dm_static(series, design, spec, priors, config, rng, smooth=smooth)
+        return fit_bpm(series, design, priors, config, rng, smooth=smooth, log_predictive=log_predictive)
+    return fit_dm_static(series, design, spec, priors, config, rng, smooth=smooth, log_predictive=log_predictive)
 
 
 def predictive_blocks(series: CountSeries, design: DesignMatrix, draws: PosteriorDraws, priors: PriorConfig, first: int):
@@ -785,22 +828,24 @@ def posterior_summary(draws: PosteriorDraws) -> list[dict]:
 def _autocorr(x: np.ndarray) -> np.ndarray:
     """Autocorrelations of a chain (n,) at every lag 0..n-1, lag 0 first: the
     inverse FFT of the power spectrum of the centred chain, zero-padded to 2n
-    so that no lag wraps around, over its lag-0 term. A constant chain gives
-    0 past lag 0."""
+    so that no lag wraps around, over its lag-0 term. A constant chain, all
+    draws equal, gives 0 past lag 0, even when its mean does not round back to
+    its value and the centred chain is not exactly zero."""
     x = np.asarray(x, dtype=float)
     n = len(x)
+    if x.min() == x.max():
+        return np.eye(1, n)[0]
     acov = np.fft.irfft(np.abs(np.fft.rfft(x - x.mean(), 2 * n)) ** 2, 2 * n)[:n]
-    if acov[0] == 0.0:
-        acov[0] = 1.0
     return acov / acov[0]
 
 
 def _ess(x: np.ndarray, acf: np.ndarray) -> float:
     """Effective sample size by Geyer's initial positive sequence: the pairs of
     consecutive autocorrelations (lags 1+2, 3+4, ...) are summed up to the
-    first pair that is not positive, over every lag of the chain."""
+    first pair that is not positive, over every lag of the chain. A constant
+    chain, all draws equal, has an ESS of 1."""
     n = len(x)
-    if np.std(x) == 0.0:
+    if x.min() == x.max():
         return 1.0
     # lag n, past the end of the chain, is 0: it pairs with an even chain's last lag
     rho = np.append(acf[1:], 0.0)

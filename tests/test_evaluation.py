@@ -613,8 +613,8 @@ class TestSequentialHarness:
 
             return real_mode(counted, start)
 
-        def recorded_chain(log_target, mh, config, rng):
-            res = real_chain(log_target, mh, config, rng)
+        def recorded_chain(log_target, mh, config, rng, months=0):
+            res = real_chain(log_target, mh, config, rng, months)
             samplers.append(res.sampler)
             return res
 
@@ -844,3 +844,125 @@ class TestCompareModels:
             compare_models(
                 _series([1, 2]), {}, [ModelSpec("EWMA")], PriorConfig(), MhConfig(), RngStream(0)
             )
+
+
+class TestKeptLogPredictives:
+    """A chain fit asked for ``log_predictive`` keeps the per-month log
+    likelihoods its target scored the retained draws with, and compare scores
+    them in place of a second filter pass."""
+
+    T = 40
+
+    def _cohort(self):
+        rng = RngStream(5)
+        cov = {"z": rng.substream(1).generator.normal(size=self.T)}
+        priors = PriorConfig(a0=100.0, b0=2.0)
+        design = build_design(cov, ModelSpec("DM2", ("z",)), self.T)
+        truth = simulate_cohort(priors, 0.6, np.array([0.4]), design, self.T, rng.substream(2))
+        return truth.counts, cov, priors
+
+    @staticmethod
+    def _reference(series, cov, specs, priors, cfg, rng):
+        """compare_models's report, every model scored by per_draw_log_predictives."""
+        logml, logcpo = {}, {}
+        for k, spec in enumerate(specs):
+            design = build_design(cov, spec, series.T)
+            draws = fit_variant(spec, series, design, priors, cfg, rng.substream(k), smooth=False)
+            L = per_draw_log_predictives(series, design, draws, priors)
+            logml[spec.variant], logcpo[spec.variant] = harmonic_mean_logml(L.sum(axis=1)), cpo_log_sum(L)
+        return logml, logcpo
+
+    @pytest.mark.parametrize(
+        "variant, gamma_prior", [("DM1", "uniform"), ("DM2", "uniform"), ("DM4", "uniform"),
+                                 ("DM2", "fixed"), ("BPM", "uniform")]
+    )
+    def test_kept_rows_equal_a_second_filter_pass(self, variant, gamma_prior):
+        # 600 retained draws span three filter blocks, which the chain's blocks
+        # (the mode, then the proposals) do not line up with
+        series, cov, priors = self._cohort()
+        priors = PriorConfig(a0=priors.a0, b0=priors.b0, gamma_prior=gamma_prior, gamma_fixed_value=0.6)
+        spec = ModelSpec(variant) if variant == "DM1" else ModelSpec(variant, ("z",))
+        design = build_design(cov, spec, self.T)
+        cfg = MhConfig(iterations=700, burn_in=100)
+        draws = fit_variant(spec, series, design, priors, cfg, RngStream(3), smooth=False, log_predictive=True)
+        plain = fit_variant(spec, series, design, priors, cfg, RngStream(3), smooth=False)
+        assert draws.sampler == "independence"
+        assert plain.log_predictive is None
+        assert np.array_equal(draws.beta, plain.beta)
+        assert draws.log_predictive.shape == (cfg.n_retained, self.T)
+        assert np.array_equal(draws.log_predictive, per_draw_log_predictives(series, design, draws, priors))
+
+    @pytest.mark.parametrize(
+        "variant, gamma_prior, proposal_scale",
+        # DM4 at proposal scale 0.16 falls back to the random-walk chain
+        [("DM4", "uniform", 0.16), ("DM5", "uniform", 1.0), ("DM1", "grid", 1.0)],
+    )
+    def test_routes_without_an_independence_chain_keep_no_rows(self, variant, gamma_prior, proposal_scale):
+        series, cov, priors = self._cohort()
+        priors = PriorConfig(a0=priors.a0, b0=priors.b0, gamma_prior=gamma_prior, gamma_grid_step=0.02)
+        spec = ModelSpec(variant) if variant == "DM1" else ModelSpec(variant, ("z",))
+        cfg = MhConfig(iterations=500, burn_in=100, proposal_scale=proposal_scale)
+        design = build_design(cov, spec, self.T)
+        draws = fit_variant(spec, series, design, priors, cfg, RngStream(9).substream(0), smooth=False,
+                            log_predictive=True)
+        assert draws.sampler == ("random_walk" if variant == "DM4" else "")
+        assert draws.log_predictive is None
+        report = compare_models(series, cov, [spec], priors, cfg, RngStream(9))
+        logml, logcpo = self._reference(series, cov, [spec], priors, cfg, RngStream(9))
+        assert report.log_marginal_likelihood == logml
+        assert report.log_cpo == logcpo
+
+    def test_compare_scores_equal_a_second_filter_pass(self):
+        series, cov, priors = self._cohort()
+        specs = [ModelSpec("DM1"), ModelSpec("DM2", ("z",)), ModelSpec("DM4", ("z",)), ModelSpec("BPM", ("z",))]
+        cfg = MhConfig(iterations=500, burn_in=100)
+        report = compare_models(series, cov, specs, priors, cfg, RngStream(9))
+        logml, logcpo = self._reference(series, cov, specs, priors, cfg, RngStream(9))
+        assert report.log_marginal_likelihood == logml
+        assert report.log_cpo == logcpo
+
+    def test_every_dm2_compare_filter_pass_is_a_target_block(self, monkeypatch):
+        # the retained draws are not filtered again: each filter_core call runs
+        # inside a log_target_static call, and there is one per call
+        series, cov, priors = self._cohort()
+        real_filter, real_target = filtering.filter_core, mcmc.log_target_static
+        inside, filter_calls, target_calls = [False], [], 0
+
+        def counted_filter(counts, multipliers, gamma, a0, b0):
+            filter_calls.append(inside[0])
+            return real_filter(counts, multipliers, gamma, a0, b0)
+
+        def counted_target(*args, **kwargs):
+            nonlocal target_calls
+            target_calls += 1
+            inside[0] = True
+            try:
+                return real_target(*args, **kwargs)
+            finally:
+                inside[0] = False
+
+        for module in (filtering, mcmc):
+            monkeypatch.setattr(module, "filter_core", counted_filter)
+        monkeypatch.setattr(mcmc, "log_target_static", counted_target)
+        compare_models(series, cov, [ModelSpec("DM2", ("z",))], priors, MhConfig(iterations=700, burn_in=100),
+                       RngStream(9))
+        assert filter_calls and all(filter_calls)
+        assert len(filter_calls) == target_calls
+
+    def test_no_fitted_draws_keep_their_rows_after_compare(self, monkeypatch):
+        # a caller that keeps every fit's draws, as the benchmark's child
+        # process does, holds none of their rows once compare returns
+        series, cov, priors = self._cohort()
+        real_fit, fits, kept_at_fit = evaluation.fit_variant, [], []
+
+        def keep(*args, **kwargs):
+            draws = real_fit(*args, **kwargs)
+            fits.append(draws)
+            kept_at_fit.append(draws.log_predictive is not None)
+            return draws
+
+        monkeypatch.setattr(evaluation, "fit_variant", keep)
+        specs = [ModelSpec("DM1"), ModelSpec("DM2", ("z",)), ModelSpec("DM5", ("z",)), ModelSpec("BPM", ("z",))]
+        compare_models(series, cov, specs, priors, MhConfig(iterations=500, burn_in=100), RngStream(9))
+        assert kept_at_fit == [True, True, False, True]
+        assert [d.log_predictive for d in fits] == [None] * 4

@@ -494,6 +494,24 @@ class TestRunCommandFit:
         assert (out / "resolved_config.json").exists()
         assert (out / "diagnostics.csv").exists()
 
+    def test_fixed_gamma_whose_mean_does_not_round_back_reads_as_constant(self, tmp_path):
+        # 0.3 repeated sums to a mean that is not 0.3, so the centred chain is
+        # not exactly zero; the gamma row still reads as a constant chain
+        data = _simulate_cohort_csv(tmp_path)
+        cfg = _write(tmp_path, "fixed.json", json.dumps(
+            {"prior": {"a0": 80.0, "b0": 2.0, "gamma_prior": "fixed", "gamma_fixed_value": 0.3},
+             "mcmc": {"iterations": 600, "burn_in": 100, "thinning": 1, "proposal_scale": 1.0}}))
+        out = tmp_path / "fixed"
+        code, _ = run_command(["fit", "--config", str(cfg), "--model", "DM2", "--seed", "3",
+                               "--data", str(data), "--out", str(out)])
+        assert code == 0
+        assert np.full(500, 0.3).mean() != 0.3
+        lines = (out / "diagnostics.csv").read_text().splitlines()
+        assert lines[0] == "parameter,mean,sd,lag1_autocorr,ess"
+        gamma = next(line.split(",") for line in lines if line.startswith("gamma,"))
+        assert float(gamma[3]) == 0.0
+        assert float(gamma[4]) == 1.0
+
     def test_missing_seed_exits_2(self, tmp_path, capsys):
         data = _simulate_cohort_csv(tmp_path)
         code, artifacts = run_command(["fit", "--model", "DM1", "--data", str(data), "--out", str(tmp_path / "o")])

@@ -123,6 +123,25 @@ class TestLogTargetStatic:
         )
         assert np.array_equal(log_post, np.full(3, -np.inf))
 
+    def test_rows_hold_the_filtered_points_and_minus_inf_elsewhere(self):
+        # off the support: gamma 1.5, multipliers that underflow, a NaN gamma;
+        # the out-array starts as NaN so an unwritten row would show
+        series = _series([3, 0, 7, 2])
+        design = DesignMatrix(("x",), np.linspace(-1.0, 1.0, 4)[:, None])
+        priors = PriorConfig(a0=2.0, b0=1.5)
+        beta = np.array([[0.3], [0.1], [-800.0], [0.2], [-0.4]])
+        gamma = np.array([0.6, 1.5, 0.5, math.nan, 0.9])
+        rows = np.full((5, 4), math.nan)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            log_post = log_target_static(beta, gamma, series, design, priors, rows)
+            plain = log_target_static(beta, gamma, series, design, priors)
+        live = [0, 4]
+        traj = filter_core(series.counts, linear_predictor(design, beta[live]), gamma[live], priors.a0, priors.b0)
+        assert np.array_equal(rows[live], traj.log_predictive)
+        assert np.array_equal(rows[[1, 2, 3]], np.full((3, 4), -np.inf))
+        assert np.array_equal(log_post, plain)
+
     @given(
         rows=st.lists(
             st.tuples(
@@ -488,10 +507,25 @@ class TestIndependenceChain:
         assert blocks == [FILTER_BLOCK, 301 - FILTER_BLOCK]
         assert res.draws.shape == (300, 2)
 
+    def test_kept_rows_are_those_of_the_held_points(self):
+        # each block writes its slice of one buffer; the retained draws get the
+        # rows of the points they hold, and the draws do not move
+        def with_rows(x, rows=None):
+            if rows is not None:
+                rows[:] = x[:, :1] * np.arange(1.0, 4.0)
+            return _standard_normal(x)
+
+        cfg = MhConfig(iterations=700, burn_in=100, thinning=3)
+        res = mcmc._independence_chain(with_rows, self.LAPLACE, cfg, RngStream(3), months=3)
+        plain = mcmc._independence_chain(with_rows, self.LAPLACE, cfg, RngStream(3))
+        assert plain.log_predictive is None
+        assert np.array_equal(res.draws, plain.draws)
+        assert np.array_equal(res.log_predictive, res.draws[:, :1] * np.arange(1.0, 4.0))
+
     @pytest.mark.parametrize("rw_rate", [0.05, 0.3, 0.7])
     @pytest.mark.parametrize("imh_rate", [0.05, None])
     def test_low_or_dead_independence_chain_runs_one_random_walk_chain(self, monkeypatch, imh_rate, rw_rate):
-        def independence(log_target, mh, config, rng):
+        def independence(log_target, mh, config, rng, months=0):
             if imh_rate is None:
                 raise FitError("the independence chain accepted no proposals")
             return MhResult(np.zeros((config.n_retained, 1)), imh_rate, sampler="independence")
@@ -532,7 +566,7 @@ class TestIndependenceChain:
         series, design, priors = _simulated_static("DM2")
         spec, p = ModelSpec("DM2", ("z1", "z2")), design.p
         cfg = MhConfig(iterations=1500, burn_in=500)
-        monkeypatch.setattr(mcmc, "_independence_chain", lambda f, mh, config, rng: MhResult(
+        monkeypatch.setattr(mcmc, "_independence_chain", lambda f, mh, config, rng, months=0: MhResult(
             np.zeros((config.n_retained, p + 1)), 0.05, sampler="independence"))
         draws = fit_dm_static(series, design, spec, priors, cfg, RngStream(21), smooth=False)
 
@@ -553,7 +587,7 @@ class TestIndependenceChain:
         # 0.7 and DM4 about 0.1
         series, design, priors = _simulated_static(variant)
         spec = ModelSpec(variant, design.column_names[:2])
-        monkeypatch.setattr(mcmc, "_independence_chain", lambda f, mh, config, rng: MhResult(
+        monkeypatch.setattr(mcmc, "_independence_chain", lambda f, mh, config, rng, months=0: MhResult(
             np.zeros((config.n_retained, design.p + 1)), 0.05, sampler="independence"))
         cfg = MhConfig(iterations=2000, burn_in=500)
         draws = fit_dm_static(series, design, spec, priors, cfg, RngStream(22), smooth=False)
@@ -605,6 +639,15 @@ class TestLogTargetBpm:
             points = np.array([log_target_bpm(b[None], series, design, priors)[0] for b in betas])
         assert block.shape == (len(rows),)
         assert np.array_equal(block, points)
+
+
+    def test_rows_hold_each_points_log_pmfs(self):
+        series, design, priors = _simulated_static("BPM", T=30)
+        beta = np.random.default_rng(5).normal(0.0, 0.3, (4, design.p))
+        rows = np.full((4, 30), math.nan)
+        log_post = log_target_bpm(beta, series, design, priors, rows)
+        assert np.array_equal(rows, mcmc.bpm_log_pmf(log_linear_predictor(design, beta), series.counts))
+        assert np.array_equal(log_post, log_target_bpm(beta, series, design, priors))
 
 
 class TestMhConfig:
@@ -1116,6 +1159,16 @@ class TestDiagnosticsAndSummary:
         diag = diagnostics(self._draws(x))
         assert diag.ess[0] == 1.0
         assert np.array_equal(diag.autocorr[0], np.eye(1, 500)[0])
+
+    @pytest.mark.parametrize("value", [0.3, 1.0 / 3.0])
+    def test_constant_chain_whose_mean_does_not_round_back(self, value):
+        # the mean of 500 copies of 0.3 or 1/3 is not that value, so the
+        # centred chain is a run of equal nonzero residues
+        x = np.full(500, value)
+        assert x.mean() != value
+        acf = mcmc._autocorr(x)
+        assert np.array_equal(acf, np.eye(1, 500)[0])
+        assert mcmc._ess(x, acf) == 1.0
 
     def test_ar1_ess_ratio(self):
         gen = np.random.default_rng(1)
