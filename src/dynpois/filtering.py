@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import DomainError, NumericDegeneracyError, RngStream, is_integer, lgamma, logsumexp
+from .kernels import DomainError, NumericDegeneracyError, RngStream, digamma, is_integer, lgamma, logsumexp, trigamma
 from .model import CountSeries, DesignMatrix, PriorConfig, linear_predictor
 
 # Draws per batched filter pass: large enough to amortise the per-call overhead,
@@ -133,19 +133,133 @@ def filter_core(
     # negbin log pmf of N_t under r_t = gamma*a_{t-1}, p_t = gamma*b_{t-1}/(gamma*b_{t-1}+m_t);
     # extreme multipliers can overflow the rate recursion, and a subnormal gamma
     # can underflow gamma*b to 0, leaving non-finite entries for the caller to
-    # treat as out-of-support
-    r = gamma[:, None] * a[:, :-1]
+    # treat as out-of-support. One lgamma call takes the three arguments r + n,
+    # r and n + 1, built in place in one array: the small stacks of the DM5
+    # sweep pay its fixed numpy overhead once, and r is a view into it
+    size = multipliers.size
+    args = np.empty(2 * size + T)
+    rn, r = args[: 2 * size].reshape(2, *multipliers.shape)
+    np.multiply(gamma[:, None], a[:, :-1], out=r)
+    np.add(r, n, out=rn)
+    np.add(n, 1.0, out=args[2 * size :])
+    lg = lgamma(args)
+    lg_rn, lg_r = lg[: 2 * size].reshape(2, *multipliers.shape)
+    lg_n1 = lg[2 * size :]
     gb = gamma[:, None] * b[:, :-1]
-    # one lgamma call over the three arguments: the small stacks of the DM5
-    # sweep pay its fixed numpy overhead once
-    lg = lgamma(np.concatenate([(r + n).ravel(), r.ravel(), n + 1.0]))
-    lg_rn, lg_r = lg[: 2 * r.size].reshape(2, *r.shape)
-    lg_n1 = lg[2 * r.size :]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        log_gbm = np.log(gb + multipliers)
-        log_pred = lg_rn - lg_n1 - lg_r + r * (np.log(gb) - log_gbm)
-        log_pred += n * (np.log(multipliers) - log_gbm)
+        log_gbm = np.add(gb, multipliers)
+        np.log(log_gbm, out=log_gbm)
+        # lg_rn - lg_n1 - lg_r + r * (log(gb) - log_gbm) + n * (log(m) - log_gbm),
+        # in that order, with gb's buffer holding each bracket in turn
+        log_pred = lg_rn
+        log_pred -= lg_n1
+        log_pred -= lg_r
+        term = np.log(gb, out=gb)
+        term -= log_gbm
+        term *= r
+        log_pred += term
+        np.log(multipliers, out=term)
+        term -= log_gbm
+        term *= n
+        log_pred += term
     return FilterTrajectory(a=a, b=b, gamma=gamma, log_predictive=log_pred, multipliers=multipliers)
+
+
+def log_likelihood_derivatives(
+    counts: np.ndarray,
+    rows: np.ndarray,
+    eta: np.ndarray,
+    gamma: float,
+    a0: float,
+    b0: float,
+    free_gamma: bool,
+) -> tuple:
+    """Value, gradient and Hessian of the summed log-predictive of one point.
+
+    The point has log multipliers ``eta`` = beta' z_t, (T,), from the (T, p)
+    design ``rows``, and discount factor ``gamma``. The derivatives are in
+    theta = (beta, gamma) when ``free_gamma``, and in beta alone otherwise.
+    Every derivative of a_t and b_t is itself a recursion x_t = gamma*x_{t-1} + c_t,
+    solved by ``_discount_solve`` in three levels, each level's c_t coming
+    from the one before:
+
+      1. a, b, db/dbeta_j (c_t = m_t z_tj) and d2b/dbeta_j dbeta_k (m_t z_tj z_tk);
+      2. da/dgamma, db/dgamma (a_{t-1}, b_{t-1}) and d2b/dgamma dbeta_j (db_{t-1}/dbeta_j);
+      3. d2a/dgamma2, d2b/dgamma2 (2 da_{t-1}/dgamma, 2 db_{t-1}/dgamma).
+
+    Month t's log predictive lgamma(r+n) - lgamma(n+1) - lgamma(r) + r log g
+    + n eta - (r+n) log(g+m), with r = gamma a_{t-1} and g = gamma b_{t-1},
+    is then differentiated in (r, g, eta) and chained through them. A point
+    whose multipliers overflow or underflow, or whose value is not finite,
+    has value -inf.
+    """
+    n = np.asarray(counts, dtype=float)
+    T, p = rows.shape
+    with np.errstate(over="ignore", under="ignore"):
+        m = np.exp(eta)
+    d = p + free_gamma
+    if not (0.0 < m.min() and m.max() < np.inf):
+        return -np.inf, np.full(d, np.nan), np.full((d, d), np.nan)
+    g_arr = np.array([gamma])
+    i, j = np.triu_indices(p)
+    mz = m[:, None] * rows
+    first = np.zeros((2 + p + len(i), 1, T + 1))
+    first[0, 0, 0], first[0, 0, 1:] = a0, n
+    first[1, 0, 0], first[1, 0, 1:] = b0, m
+    first[2 : 2 + p, 0, 1:] = mz.T
+    first[2 + p :, 0, 1:] = (mz[:, i] * rows[:, j]).T
+    x1 = _discount_solve(g_arr, first)[:, 0]
+    a, b = x1[0], x1[1]
+
+    # jac[t] holds the first derivatives of month t's (r, g, eta) in theta:
+    # d(gamma x_{t-1})/dgamma is month t of x's own gamma derivative
+    r, g = gamma * a[:-1], gamma * b[:-1]
+    jac = np.zeros((T, 3, d))
+    jac[:, 1, :p] = gamma * x1[2 : 2 + p, :-1].T
+    jac[:, 2, :p] = rows
+    if free_gamma:
+        second = np.zeros((2 + p, 1, T + 1))
+        second[:, 0, 1:] = x1[: 2 + p, :-1]
+        x2 = _discount_solve(g_arr, second)[:, 0]
+        third = np.zeros((2, 1, T + 1))
+        third[:, 0, 1:] = 2.0 * x2[:2, :-1]
+        x3 = _discount_solve(g_arr, third)[:, 0]
+        jac[:, :2, p] = x2[:2, 1:].T
+
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        rn, gm = r + n, g + m
+        log_g, log_gm = np.log(g), np.log(gm)
+        args = np.concatenate([rn, r])
+        lg = lgamma(np.concatenate([args, n + 1.0]))
+        value = float(np.sum(lg[:T] - lg[2 * T :] - lg[T : 2 * T] + r * (log_g - log_gm) + n * (eta - log_gm)))
+        psi, psi1 = digamma(args), trigamma(args)
+        q = m / gm
+        # the gradient and the Hessian of month t's term in (r, g, eta)
+        df = np.stack([psi[:T] - psi[T:] + log_g - log_gm, r / g - rn / gm, n - rn * q], axis=1)
+        f = np.empty((T, 3, 3))
+        f[:, 0, 0] = psi1[:T] - psi1[T:]
+        f[:, 0, 1] = f[:, 1, 0] = q / g
+        f[:, 0, 2] = f[:, 2, 0] = -q
+        f[:, 1, 1] = rn / gm**2 - r / g**2
+        f[:, 1, 2] = f[:, 2, 1] = rn * q / gm
+        f[:, 2, 2] = -rn * q * g / gm
+        flat = jac.reshape(3 * T, d)
+        grad = df.reshape(3 * T) @ flat
+        hess = flat.T @ (f @ jac).reshape(3 * T, d)
+        # the terms of r's and g's own second derivatives: d2g/dbeta_j dbeta_k,
+        # then d2g/dgamma dbeta_j, d2r/dgamma2 and d2g/dgamma2
+        f_r, f_g = df[:, 0], df[:, 1]
+        pairs = gamma * (x1[2 + p :, :-1] @ f_g)
+        hess[i, j] += pairs
+        hess[j, i] += np.where(i == j, 0.0, pairs)
+        if free_gamma:
+            cross = x2[2:, 1:] @ f_g
+            hess[:p, p] += cross
+            hess[p, :p] += cross
+            hess[p, p] += x3[0, 1:] @ f_r + x3[1, 1:] @ f_g
+    if not np.isfinite(value):
+        value = -np.inf
+    return value, grad, 0.5 * (hess + hess.T)
 
 
 def negbin_rows(gamma, a, b, multipliers) -> np.ndarray:

@@ -6,20 +6,22 @@ time-varying coefficients.
 The static fitters work on the count likelihood with the latent rates
 integrated out (the per-step negative binomial product from the filter), so a
 single filter pass prices one proposal. Every log target, and so every target
-the mode search and the chains take, maps a block of points (K, d) to its
-(K,) log densities alone, scored in one batched filter pass; one point is a
-one-row block. The mode search scores its stencils in blocks, and the
-independence proposals, which do not depend on the chain state, are all
-scored in blocks before the accept/reject pass runs; the random-walk fallback
-scores one one-row block per step. A target also writes each point's
-per-month log likelihoods into a ``rows`` out-array when given one, so the
-independence chain can hand its retained draws' rows to model comparison
-without a second filter pass. The discount factor is sampled on the
-logit scale with its Jacobian; regression coefficients are unconstrained.
-The gamma prior and the logit Jacobian also map a stack (K,) to (K,), and the
-DM5 sweep, the only caller with a single draw, passes them and the backward
-sampler one-row stacks, and the filter its current and proposed gamma as one
-two-row stack.
+the chains take, maps a block of points (K, d) to its (K,) log densities
+alone, scored in one batched filter pass; one point is a one-row block. The
+mode search scores no block: it takes the exact value, gradient and Hessian
+of the log target at one point, from one pass of derivative recursions
+(``filtering.log_likelihood_derivatives``) for the dynamic models and in
+closed form for BPM. The independence proposals, which do not depend on the
+chain state, are all scored in blocks before the accept/reject pass runs;
+the random-walk fallback scores one one-row block per step. A target also
+writes each point's per-month log likelihoods into a ``rows`` out-array when
+given one, so the independence chain can hand its retained draws' rows to
+model comparison without a second filter pass. The discount factor is
+sampled on the logit scale with its Jacobian; regression coefficients are
+unconstrained. The gamma prior and the logit Jacobian also map a stack (K,)
+to (K,), and the DM5 sweep, the only caller with a single draw, passes them
+and the backward sampler one-row stacks, and the filter its current and
+proposed gamma as one two-row stack.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ from .filtering import (
     filter_core,
     filter_draws,
     gamma_grid_posterior,
+    log_likelihood_derivatives,
     negbin_rows,
 )
 from .kernels import DomainError, RngStream, betaln, expit, is_integer, lgamma, logit
@@ -202,34 +205,32 @@ def log_target_static(
     return out
 
 
-# Newton iteration cap, stop tolerance on the Newton decrement g's, and the
-# finite-difference step relative to max(1, |x_i|)
+# Newton iteration cap and stop tolerance on the Newton decrement g's
 _MODE_MAX_ITER = 100
 _NEWTON_TOL = 1e-12
-_HESSIAN_REL_STEP = 1e-4
 
 
-def find_mode_and_hessian(log_target, start: np.ndarray) -> ModeHessian:
+def find_mode_and_hessian(derivatives, start: np.ndarray) -> ModeHessian:
     """Maximize a log density and return the inverse negative Hessian at the mode.
 
-    ``log_target`` scores a block (K, d) as (K,), -inf off the support.
-    Damped Newton on one block-scored stencil per iterate (value, gradient g,
-    Hessian H): the step s solves (c I - H) s = g, with c the damping times
-    mean|diag H|, and a step that does not raise the target is retried with
-    ten times the damping, until g's < ``_NEWTON_TOL``. A start off the
-    support, a stencil point off the support and no stop within
-    ``_MODE_MAX_ITER`` iterations raise FitError. A negative inverse Hessian
-    that is not positive definite gets its diagonal inflated, and the added
-    jitter is reported.
+    ``derivatives`` maps one point (d,) to the log density's value, gradient g
+    (d,) and Hessian H (d, d) there; the value is -inf off the support.
+    Damped Newton on one evaluation per iterate: the step s solves
+    (c I - H) s = g, with c the damping times mean|diag H|, and a step that
+    does not raise the target is retried with ten times the damping, until
+    g's < ``_NEWTON_TOL``. A start off the support, a non-finite gradient or
+    Hessian at an accepted iterate and no stop within ``_MODE_MAX_ITER``
+    iterations raise FitError. A negative inverse Hessian that is not positive
+    definite gets its diagonal inflated, and the added jitter is reported.
     """
     x = np.atleast_1d(np.asarray(start, dtype=float))
-    value, grad, hessian = _fd_derivatives(log_target, x)
+    value, grad, hessian = derivatives(x)
     if not np.isfinite(value):
         raise FitError("the log target is not finite at the start point")
     damping = 1e-3  # relative to the mean |diagonal| of the Hessian
     for _ in range(_MODE_MAX_ITER):
-        if not np.all(np.isfinite(hessian)):
-            raise FitError("the Hessian at the mode is not finite: a stencil point is off the support")
+        if not (np.all(np.isfinite(hessian)) and np.all(np.isfinite(grad))):
+            raise FitError("the gradient or Hessian of the log target is not finite")
         damped = damping * np.abs(np.diag(hessian)).mean() * np.eye(len(x)) - hessian
         try:
             root = np.linalg.cholesky(damped)
@@ -240,7 +241,7 @@ def find_mode_and_hessian(log_target, start: np.ndarray) -> ModeHessian:
         if half @ half < _NEWTON_TOL:
             break
         step = np.linalg.solve(root.T, half)
-        t_value, t_grad, t_hessian = _fd_derivatives(log_target, x + step)
+        t_value, t_grad, t_hessian = derivatives(x + step)
         if t_value > value:
             x, value, grad, hessian = x + step, t_value, t_grad, t_hessian
             damping /= 10.0
@@ -262,36 +263,6 @@ def find_mode_and_hessian(log_target, start: np.ndarray) -> ModeHessian:
             if jitter > 1e6 * scale:
                 raise FitError("could not regularize the proposal covariance") from None
     return ModeHessian(mode=x, covariance=cov + jitter * np.eye(len(x)), jitter=jitter)
-
-
-def _fd_derivatives(f, x: np.ndarray) -> tuple:
-    """The value, central-difference gradient and Hessian of the block target f at x.
-
-    The stencil is x, then x + h_i e_i and x - h_i e_i for each i, then
-    x +- h_i e_i +- h_j e_j for each pair i < j: 1 + 2d + 2d(d-1) points,
-    scored FILTER_BLOCK at a time.
-    """
-    d = len(x)
-    h = _HESSIAN_REL_STEP * np.maximum(1.0, np.abs(x))
-    steps = np.diag(h)
-    i, j = np.triu_indices(d, 1)
-    signs = ((1.0, 1.0), (1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0))
-    axial = np.stack([steps, -steps], axis=1).reshape(2 * d, d)
-    pairs = np.stack([si * steps[i] + sj * steps[j] for si, sj in signs], axis=1).reshape(-1, d)
-    points = x + np.concatenate([np.zeros((1, d)), axial, pairs])
-    blocks = range(0, len(points), FILTER_BLOCK)
-    values = np.concatenate([f(points[k : k + FILTER_BLOCK]) for k in blocks])
-    f0, plus, minus = values[0], values[1 : 2 * d + 1 : 2], values[2 : 2 * d + 1 : 2]
-    pp, pm, mp, mm = values[2 * d + 1 :].reshape(-1, 4).T
-    H = np.empty((d, d))
-    # squares by scalar pow, which can differ in the last bit from the array h**2
-    h_sq = np.array([step**2 for step in h])
-    # -inf at points off the support gives NaN, which the caller rejects
-    with np.errstate(invalid="ignore"):
-        grad = (plus - minus) / (2.0 * h)
-        H[np.diag_indices(d)] = (plus - 2.0 * f0 + minus) / h_sq
-        H[i, j] = H[j, i] = (pp - pm - mp + mm) / (4.0 * h[i] * h[j])
-    return float(f0), grad, H
 
 
 def rw_metropolis(
@@ -404,21 +375,25 @@ def _independence_chain(log_target, mh: ModeHessian, config: MhConfig, rng: RngS
 _ACCEPTANCE_FLOOR = 0.1
 
 
-def _mode_then_chain(log_target, start: np.ndarray, config: MhConfig, rng: RngStream, months: int = 0) -> MhResult:
+def _mode_then_chain(
+    derivatives, log_target, start: np.ndarray, config: MhConfig, rng: RngStream, months: int = 0
+) -> MhResult:
     """Independence chain on the Laplace fit, with one random-walk fallback.
 
-    ``log_target`` maps a block (K, d) to its log densities (K,), for the
-    mode search and both chains alike. The independence chain runs on
-    substream 3 and is kept unless it died or accepted less than
-    ``_ACCEPTANCE_FLOOR``. Otherwise one random-walk chain runs on substream
-    0, with 2.38^2 / d x proposal_scale x the Laplace covariance as its
-    proposal in d dimensions, the scaling that is optimal for a normal target
-    (Roberts, Gelman and Gilks 1997, Ann. Appl. Probab. 7:110-120), and is
-    kept whatever its acceptance; if it dies too, its FitError propagates.
+    The mode search takes ``derivatives``, a point (d,) to the value,
+    gradient and Hessian of the log density, and both chains take
+    ``log_target``, a block (K, d) to its log densities (K,). The
+    independence chain runs on substream 3 and is kept unless it died or
+    accepted less than ``_ACCEPTANCE_FLOOR``. Otherwise one random-walk chain
+    runs on substream 0, with 2.38^2 / d x proposal_scale x the Laplace
+    covariance as its proposal in d dimensions, the scaling that is optimal
+    for a normal target (Roberts, Gelman and Gilks 1997, Ann. Appl. Probab.
+    7:110-120), and is kept whatever its acceptance; if it dies too, its
+    FitError propagates.
     ``months`` asks the independence chain to keep its draws' per-month log
     likelihoods; the random-walk chain keeps none.
     """
-    mh = find_mode_and_hessian(log_target, start)
+    mh = find_mode_and_hessian(derivatives, start)
     try:
         imh = _independence_chain(log_target, mh, config, rng.substream(3), months)
         if imh.acceptance_rate >= _ACCEPTANCE_FLOOR:
@@ -470,6 +445,38 @@ def _dm_static_target(series: CountSeries, design: DesignMatrix, priors: PriorCo
     return target
 
 
+def _dm_static_derivatives(series: CountSeries, design: DesignMatrix, priors: PriorConfig):
+    """The value, gradient and Hessian of ``_dm_static_target`` at one point
+    (d,), from one ``log_likelihood_derivatives`` pass: the likelihood's
+    gamma coordinate goes to logit gamma by the chain rule, and the gamma
+    prior, the logit Jacobian and the beta prior add their own terms. Their
+    values are those of the target's own prior and Jacobian functions, so the
+    value is -inf where the target's is."""
+    p, counts, rows = design.p, series.counts, design.rows
+    fixed = priors.gamma_prior == "fixed"
+    # on the logit scale the uniform prior and the Jacobian are those of Beta(1, 1)
+    a, b = priors.gamma_beta_ab if priors.gamma_prior == "beta" else (1.0, 1.0)
+
+    def derivatives(x):
+        beta = x[None, :p]
+        eta = log_linear_predictor(design, beta)[0]
+        g = np.array([priors.gamma_fixed_value]) if fixed else expit(x[p:])
+        value, grad, hess = log_likelihood_derivatives(counts, rows, eta, g[0], priors.a0, priors.b0, not fixed)
+        value += _log_prior_gamma(g, priors)[0] + _log_prior_beta(beta, priors.beta_sd)[0]
+        grad[:p] -= x[:p] / priors.beta_sd**2
+        hess[:p, :p] -= np.eye(p) / priors.beta_sd**2
+        if not fixed:
+            value += _logit_jacobian(g)[0]
+            s = g[0] * (1.0 - g[0])  # d gamma / d logit gamma
+            hess[p, p] = hess[p, p] * s * s + grad[p] * s * (1.0 - 2.0 * g[0]) - (a + b) * s
+            hess[:p, p] *= s
+            hess[p, :p] *= s
+            grad[p] = grad[p] * s + a * (1.0 - g[0]) - b * g[0]
+        return (value if np.isfinite(value) else -np.inf), grad, hess
+
+    return derivatives
+
+
 def fit_dm_static(
     series: CountSeries,
     design: DesignMatrix,
@@ -517,8 +524,9 @@ def fit_dm_static(
         gammas = np.full(S, priors.gamma_fixed_value)
         if p or not fixed:
             target = _dm_static_target(series, design, priors)
+            derivatives = _dm_static_derivatives(series, design, priors)
             months = series.T if log_predictive else 0
-            res = _mode_then_chain(target, np.zeros(p + (not fixed)), config, rng.substream(0), months)
+            res = _mode_then_chain(derivatives, target, np.zeros(p + (not fixed)), config, rng.substream(0), months)
             betas, acc, sampler, log_pred = res.draws[:, :p], res.acceptance_rate, res.sampler, res.log_predictive
             if not fixed:
                 gammas = expit(res.draws[:, p])
@@ -739,6 +747,24 @@ def log_target_bpm(
     return np.sum(log_pmf, axis=1) + _log_prior_beta(beta, priors.beta_sd)
 
 
+def _bpm_derivatives(series: CountSeries, design: DesignMatrix, priors: PriorConfig):
+    """The value, gradient Z'(N - mu) - beta / sd^2 and Hessian -Z' diag(mu) Z
+    - I / sd^2 of BPM's log posterior at one point (p,), mu = exp(Z beta); the
+    value is -inf where a rate overflows."""
+    rows, counts, prec = design.rows, series.counts, 1.0 / priors.beta_sd**2
+
+    def derivatives(beta):
+        eta = log_linear_predictor(design, beta[None])
+        with np.errstate(over="ignore", invalid="ignore"):
+            value = float(bpm_log_pmf(eta, counts).sum() + _log_prior_beta(beta[None], priors.beta_sd)[0])
+            mu = np.exp(eta[0])
+            grad = rows.T @ (counts - mu) - prec * beta
+            hess = -(rows.T * mu) @ rows - prec * np.eye(len(beta))
+        return (value if np.isfinite(value) else -np.inf), grad, 0.5 * (hess + hess.T)
+
+    return derivatives
+
+
 def fit_bpm(
     series: CountSeries,
     design: DesignMatrix,
@@ -757,7 +783,8 @@ def fit_bpm(
         raise DomainError("the BPM design must start with the intercept column")
     target = lambda b, rows=None: log_target_bpm(b, series, design, priors, rows)
     months = series.T if log_predictive else 0
-    res = _mode_then_chain(target, np.zeros(design.p), config, rng.substream(0), months)
+    res = _mode_then_chain(_bpm_derivatives(series, design, priors), target, np.zeros(design.p), config,
+                           rng.substream(0), months)
     return PosteriorDraws(
         beta=res.draws,
         gamma=None,

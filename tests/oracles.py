@@ -15,7 +15,8 @@ beta weight, which stays accurate even for singular shape parameters.
 The closed-form references at the end (one filter step at a time, and the
 negative binomial, Poisson and gamma log densities) restate the conjugate
 algebra term by term, so tests can check the package's array code against it.
-``mixture_cdf_mpmath`` is the forecast mixture's CDF in high precision.
+``fd_derivatives_loop`` differences a log target on the central stencil, point
+by point. ``mixture_cdf_mpmath`` is the forecast mixture's CDF in high precision.
 ``refit_every_origin`` is the sequential forecast that fits every origin from
 scratch, against which the harness's reweighted origins are checked.
 """
@@ -279,7 +280,8 @@ def one_step_predictive(predicted: GammaState, multiplier: float = 1.0) -> NegBi
 def fd_derivatives_loop(log_target, x: np.ndarray, rel_step: float) -> tuple:
     """The value, central-difference gradient and Hessian of a block target at
     x, one call per stencil point, each scored as a one-row block, with steps
-    rel_step * max(1, |x_i|)."""
+    rel_step * max(1, |x_i|): the independent oracle of the exact derivatives
+    the mode search takes."""
 
     def f(point):
         return log_target(point[None])[0]

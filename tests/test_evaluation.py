@@ -587,10 +587,10 @@ class TestSequentialHarness:
         assert r1.lower == r2.lower
 
     def test_static_forecast_filters_only_the_chain_rows(self, monkeypatch):
-        # every filter row is a proposal, a stencil point or a mode that a
-        # chain's log target scored, or a retained draw in the one pass of
-        # each fit's draws over the window; the reweighted origins run no
-        # chain and no filter
+        # every filter row is a proposal or a mode that a chain's log target
+        # scored, or a retained draw in the one pass of each fit's draws over
+        # the window; the mode search's derivative passes filter no row, and
+        # the reweighted origins run no chain and no filter
         rng = RngStream(53)
         T = 30
         cov = {"z": rng.substream(1).generator.normal(size=T)}
@@ -599,17 +599,19 @@ class TestSequentialHarness:
         priors = PriorConfig(a0=60.0, b0=1.0)
         truth = simulate_cohort(priors, 0.6, np.array([0.4]), design, T, rng.substream(2))
         cfg = MhConfig(iterations=300, burn_in=100)
-        filter_rows, stencil_rows, samplers = [], [], []
+        filter_rows, mode_rows, samplers = [], [], []
         real_filter, real_mode, real_chain = filtering.filter_core, mcmc.find_mode_and_hessian, mcmc._independence_chain
 
         def counted_filter(counts, multipliers, gamma, a0, b0):
             filter_rows.append(len(gamma))
             return real_filter(counts, multipliers, gamma, a0, b0)
 
-        def counted_mode(log_target, start):
+        def counted_mode(derivatives, start):
             def counted(x):
-                stencil_rows.append(len(x))
-                return log_target(x)
+                before = sum(filter_rows)
+                out = derivatives(x)
+                mode_rows.append(sum(filter_rows) - before)
+                return out
 
             return real_mode(counted, start)
 
@@ -627,7 +629,8 @@ class TestSequentialHarness:
         fits = len(report.refit_origins)
         assert report.refit_origins[0] == 28
         assert samplers == ["independence"] * fits
-        assert sum(filter_rows) == fits * (cfg.iterations + 1) + sum(stencil_rows) + fits * cfg.n_retained
+        assert mode_rows and not any(mode_rows)
+        assert sum(filter_rows) == fits * (cfg.iterations + 1) + fits * cfg.n_retained
 
     @staticmethod
     def _cohort(variant, seed, T, shift_from=None):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dynpois import mcmc
+from dynpois import filtering, mcmc
 from dynpois.filtering import FILTER_BLOCK, filter_core, gamma_grid_posterior
 from dynpois.kernels import DomainError, RngStream, betaln, expit
 from dynpois.mcmc import (
@@ -278,36 +278,44 @@ class TestDmStaticTarget:
 
 
 class TestFindModeAndHessian:
-    # targets score a block (K, d) as (K,), as find_mode_and_hessian requires
+    # each target maps one point (d,) to its value, gradient and Hessian, as
+    # find_mode_and_hessian requires
 
     def test_gaussian_quadratic(self):
-        def target(x):
-            return -0.5 * (x[..., 0] - 3.0) ** 2 / 4.0
+        def derivatives(x):
+            return -0.5 * (x[0] - 3.0) ** 2 / 4.0, -(x - 3.0) / 4.0, np.array([[-0.25]])
 
-        res = find_mode_and_hessian(target, np.array([0.0]))
-        assert res.mode[0] == pytest.approx(3.0, abs=1e-4)
-        assert res.covariance[0, 0] == pytest.approx(4.0, abs=1e-4)
+        res = find_mode_and_hessian(derivatives, np.array([0.0]))
+        # the stop rule leaves the mode within sqrt(_NEWTON_TOL) posterior sds
+        assert res.mode[0] == pytest.approx(3.0, abs=1e-5)
+        assert res.covariance[0, 0] == pytest.approx(4.0, rel=1e-12)
 
     def test_gamma_mode(self):
-        def target(x):
-            return log_pdf_gamma(x[..., 0], GammaState(5.0, 2.0))
+        # the Gamma(5, 2) density has its mode at (5 - 1) / 2 and is -inf at x <= 0
+        def derivatives(x):
+            value = log_pdf_gamma(x[0], GammaState(5.0, 2.0))
+            return value, 4.0 / x - 2.0, np.array([[-4.0 / x[0] ** 2]])
 
-        res = find_mode_and_hessian(target, np.array([1.0]))
-        assert res.mode[0] == pytest.approx(2.0, abs=1e-4)
+        res = find_mode_and_hessian(derivatives, np.array([1.0]))
+        assert res.mode[0] == pytest.approx(2.0, abs=1e-5)
+        assert res.covariance[0, 0] == pytest.approx(1.0, rel=1e-5)
 
     def test_poisson_regression_toy_matches_grid_search(self):
-        z = np.array([-1.0, -0.5, 0.0, 0.5, 1.0])
+        z = np.column_stack([np.ones(5), [-1.0, -0.5, 0.0, 0.5, 1.0]])
         counts = np.array([1, 2, 3, 6, 9])
 
-        def target(x):
-            x = np.asarray(x)
-            eta = x[..., :1] + x[..., 1:2] * z
+        def value(x):
+            eta = np.asarray(x) @ z.T
             return np.sum(counts * eta - np.exp(eta), axis=-1)
 
-        res = find_mode_and_hessian(target, np.zeros(2))
+        def derivatives(x):
+            mu = np.exp(z @ x)
+            return value(x), z.T @ (counts - mu), -(z.T * mu) @ z
+
+        res = find_mode_and_hessian(derivatives, np.zeros(2))
         b0_grid = np.linspace(0.0, 2.0, 401)
         b1_grid = np.linspace(0.0, 2.0, 401)
-        vals = np.array([[target([b0, b1]) for b1 in b1_grid] for b0 in b0_grid])
+        vals = value(np.stack(np.meshgrid(b0_grid, b1_grid, indexing="ij"), axis=-1))
         i, j = np.unravel_index(np.argmax(vals), vals.shape)
         assert res.mode[0] == pytest.approx(b0_grid[i], abs=0.01)
         assert res.mode[1] == pytest.approx(b1_grid[j], abs=0.01)
@@ -316,94 +324,157 @@ class TestFindModeAndHessian:
         cov = np.array([[2.0, 0.6], [0.6, 1.0]])
         prec = np.linalg.inv(cov)
 
-        def target(x):
-            return -0.5 * np.sum((x @ prec) * x, axis=-1)
+        def derivatives(x):
+            return -0.5 * x @ prec @ x, -prec @ x, -prec
 
-        res = find_mode_and_hessian(target, np.array([1.0, -1.0]))
-        assert np.allclose(res.covariance, cov, atol=1e-3)
+        res = find_mode_and_hessian(derivatives, np.array([1.0, -1.0]))
+        assert np.allclose(res.mode, 0.0, atol=1e-5)
+        assert np.allclose(res.covariance, cov, rtol=1e-12)
 
-    def test_stencil_point_off_support_raises(self):
-        # the mode sits 5e-5 from the support's edge, closer than the Hessian
-        # step: the stencil scores -inf, and the NaN inverse it would give
-        # passes the Cholesky check, leaving a chain that never accepts
-        def target(x):
-            return np.where(x[..., 0] > 5e-5, -np.inf, -np.sum(x**2, axis=-1))
+    def test_non_finite_hessian_raises(self):
+        # a NaN Hessian passes the Cholesky check of the damped system and
+        # would leave a chain that never accepts
+        def derivatives(x):
+            return -np.sum(x**2), -2.0 * x, np.full((2, 2), np.nan)
 
-        with pytest.raises(FitError, match="Hessian at the mode is not finite"):
-            find_mode_and_hessian(target, np.array([-1.0, 0.5]))
+        with pytest.raises(FitError, match="Hessian of the log target is not finite"):
+            find_mode_and_hessian(derivatives, np.array([-1.0, 0.5]))
 
     def test_unbounded_target_raises(self):
         # every step raises the target, so the decrement never falls below the tolerance
-        def target(x):
-            return np.sum(x, axis=-1)
+        def derivatives(x):
+            return np.sum(x), np.ones(2), np.zeros((2, 2))
 
         with pytest.raises(FitError, match="did not converge"):
-            find_mode_and_hessian(target, np.array([0.0, 1.0]))
+            find_mode_and_hessian(derivatives, np.array([0.0, 1.0]))
 
     def test_start_off_support_raises(self):
-        def target(x):
-            return np.where(x[..., 0] > 0.0, -np.inf, -np.sum(x**2, axis=-1))
+        def derivatives(x):
+            return (-np.inf if x[0] > 0.0 else -np.sum(x**2)), -2.0 * x, -2.0 * np.eye(2)
 
         with pytest.raises(FitError, match="not finite at the start point"):
-            find_mode_and_hessian(target, np.array([1.0, 0.0]))
+            find_mode_and_hessian(derivatives, np.array([1.0, 0.0]))
+
+    def test_steps_off_the_support_are_retried(self):
+        # from x = 10 the full Newton step on the Gamma(5, 2) log density lands
+        # at x = -30, off the support: it scores -inf and is retried damped
+        calls = []
+
+        def derivatives(x):
+            calls.append(float(x[0]))
+            value = log_pdf_gamma(x[0], GammaState(5.0, 2.0))
+            return value, 4.0 / x - 2.0, np.array([[-4.0 / x[0] ** 2]])
+
+        with np.errstate(divide="ignore", invalid="ignore"):
+            res = find_mode_and_hessian(derivatives, np.array([10.0]))
+        assert min(calls) < 0.0
+        assert res.mode[0] == pytest.approx(2.0, abs=1e-5)
 
     @pytest.mark.parametrize("variant", ["DM2", "DM4", "BPM"])
     def test_gradient_vanishes_at_the_mode(self, variant):
-        # the central-difference gradient at the mode, in posterior sd units
+        # the exact gradient at the mode, in posterior sd units; the
+        # central-difference gradient of the block target, an independent
+        # check, carries its own h^2 truncation error, about 2e-6 sd on BPM
         series, design, priors = _simulated_static(variant)
         if variant == "BPM":
             def target(b):
                 return log_target_bpm(b, series, design, priors)
 
+            derivatives = mcmc._bpm_derivatives(series, design, priors)
             start = np.zeros(design.p)
         else:
             target = mcmc._dm_static_target(series, design, priors)
+            derivatives = mcmc._dm_static_derivatives(series, design, priors)
             start = np.zeros(design.p + 1)
-        res = find_mode_and_hessian(target, start)
-        _, grad, _ = mcmc._fd_derivatives(target, res.mode)
-        assert np.max(np.abs(grad) * np.sqrt(np.diag(res.covariance))) < 1e-6
+        res = find_mode_and_hessian(derivatives, start)
+        sd = np.sqrt(np.diag(res.covariance))
+        assert np.max(np.abs(derivatives(res.mode)[1]) * sd) < 1e-6
+        _, fd_grad, _ = fd_derivatives_loop(target, res.mode, 1e-4)
+        assert np.max(np.abs(fd_grad) * sd) < 1e-5
 
     @pytest.mark.parametrize("variant", ["DM2", "DM4"])
-    def test_batched_scoring_matches_serial_evaluation(self, variant, monkeypatch):
-        # the block-scored stencils give the same mode, covariance and jitter
-        # as the loop that scores every stencil point by itself
+    def test_mode_search_scores_no_block(self, variant, monkeypatch):
+        # one derivative pass per iterate, each on one point, and no call of
+        # the block target or the filter
         series, design, priors = _simulated_static(variant)
-        target = mcmc._dm_static_target(series, design, priors)
-        block_calls = []
+        derivatives = mcmc._dm_static_derivatives(series, design, priors)
+        points = []
 
         def counted(x):
-            block_calls.append(np.ndim(x) == 2)
-            return target(x)
+            points.append(np.shape(x))
+            return derivatives(x)
 
-        start = np.zeros(design.p + 1)
-        batched = find_mode_and_hessian(counted, start)
-        assert all(block_calls)  # every stencil came as blocks
+        monkeypatch.setattr(mcmc, "log_target_static", None)
+        monkeypatch.setattr(mcmc, "filter_core", None)
+        monkeypatch.setattr(filtering, "filter_core", None)
+        res = find_mode_and_hessian(counted, np.zeros(design.p + 1))
+        assert points and set(points) == {(design.p + 1,)}
+        assert res.mode.shape == (design.p + 1,)
 
-        monkeypatch.setattr(
-            mcmc, "_fd_derivatives", lambda f, x: fd_derivatives_loop(f, x, mcmc._HESSIAN_REL_STEP)
-        )
-        serial = find_mode_and_hessian(target, start)
-        assert np.array_equal(batched.mode, serial.mode)
-        assert np.array_equal(batched.covariance, serial.covariance)
-        assert batched.jitter == serial.jitter
 
-    @pytest.mark.parametrize("variant", ["DM2", "DM4"])
-    def test_block_stencil_matches_point_loop(self, variant):
-        # DM4's 14 dimensions give 393 stencil points, more than one block;
-        # coordinates beyond 1 in magnitude scale their steps
-        series, design, priors = _simulated_static(variant)
+class TestExactDerivatives:
+    # The value, gradient and Hessian of each static target against the
+    # central-difference oracle of its block target: the gradient at steps
+    # h = 1e-4 max(1, |x_i|), the Hessian at h = 1e-3 max(1, |x_i|). With
+    # c_i = sqrt(|H_ii|) + 1 the scale of coordinate i, the stated bounds are
+    # 1e-12 |f| for the value (the same terms summed in another order),
+    # 1e-5 c_i for gradient entry i and 1e-4 c_i c_j for Hessian entry (i, j).
+    # The differences' h^2 truncation and their roundoff, about eps times the
+    # summed size of the lgamma terms over h or h^2, read up to 1.2e-6 c_i and
+    # 4.3e-6 c_i c_j over 30 points of each case below.
+    PRIORS = {
+        "uniform": {},
+        "beta": {"gamma_prior": "beta", "gamma_beta_ab": (3.0, 2.0)},
+        "fixed 0.8": {"gamma_prior": "fixed", "gamma_fixed_value": 0.8},
+        "fixed 1.0": {"gamma_prior": "fixed", "gamma_fixed_value": 1.0},
+    }
+
+    @staticmethod
+    def _check(target, derivatives, x):
+        value, grad, hess = derivatives(x)
+        f0, fd_grad, _ = fd_derivatives_loop(target, x, 1e-4)
+        _, _, fd_hess = fd_derivatives_loop(target, x, 1e-3)
+        c = np.sqrt(np.abs(np.diag(hess))) + 1.0
+        assert abs(value - f0) <= 1e-12 * abs(f0)
+        assert np.all(np.abs(grad - fd_grad) <= 1e-5 * c)
+        assert np.all(np.abs(hess - fd_hess) <= 1e-4 * np.outer(c, c))
+        assert np.array_equal(hess, hess.T)
+
+    @pytest.mark.parametrize("prior", PRIORS)
+    @pytest.mark.parametrize("variant", ["DM1", "DM2", "DM3", "DM4"])
+    @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(max_examples=8, deadline=None)
+    def test_static_target_matches_central_differences(self, variant, prior, seed):
+        series, design, _ = _simulated_static(variant)
+        priors = PriorConfig(a0=50.0, b0=2.0, **self.PRIORS[prior])
+        d = design.p + (priors.gamma_prior != "fixed")
+        gen = np.random.default_rng(seed)
+        x = gen.normal(0.0, 0.3, d)
+        if d > design.p:
+            x[-1] = gen.uniform(-2.0, 3.0)  # gamma from 0.12 to 0.95
         target = mcmc._dm_static_target(series, design, priors)
-        x = np.random.default_rng(0).normal(0.0, 0.2, design.p + 1)
-        x[0], x[-1] = -1.7, 2.3
-        n_points = 1 + 2 * len(x) + 2 * len(x) * (len(x) - 1)
-        assert (n_points > FILTER_BLOCK) == (variant == "DM4")
-        value, grad, hessian = mcmc._fd_derivatives(target, x)
-        expected_value, expected_grad, expected_hessian = fd_derivatives_loop(
-            target, x, mcmc._HESSIAN_REL_STEP
-        )
-        assert value == expected_value
-        assert np.array_equal(grad, expected_grad)
-        assert np.array_equal(hessian, expected_hessian)
+        self._check(target, mcmc._dm_static_derivatives(series, design, priors), x)
+
+    @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(max_examples=20, deadline=None)
+    def test_bpm_target_matches_central_differences(self, seed):
+        series, design, priors = _simulated_static("BPM")
+        x = np.random.default_rng(seed).normal(0.0, 0.3, design.p)
+        x[0] += 3.0  # the intercept near the log of the mean count
+
+        def target(b):
+            return log_target_bpm(b, series, design, priors)
+
+        self._check(target, mcmc._bpm_derivatives(series, design, priors), x)
+
+    def test_points_off_the_support_score_minus_infinity(self):
+        # gamma that rounds to 1 under a free prior, and multipliers that overflow
+        series, design, priors = _simulated_static("DM2")
+        derivatives = mcmc._dm_static_derivatives(series, design, priors)
+        assert derivatives(np.array([0.0, 0.0, 40.0]))[0] == -np.inf
+        assert derivatives(np.array([800.0, 0.0, 0.0]))[0] == -np.inf
+        bpm = mcmc._bpm_derivatives(*_simulated_static("BPM"))
+        assert bpm(np.array([800.0, 0.0, 0.0]))[0] == -np.inf
 
 
 class TestRwMetropolis:
@@ -453,6 +524,10 @@ class TestRwMetropolis:
 
 def _standard_normal(x):
     return -0.5 * np.sum(x**2, axis=-1)
+
+
+def _standard_normal_derivatives(x):
+    return -0.5 * x @ x, -x, -np.eye(len(x))
 
 
 class TestIndependenceChain:
@@ -540,7 +615,7 @@ class TestIndependenceChain:
         monkeypatch.setattr(mcmc, "_independence_chain", independence)
         monkeypatch.setattr(mcmc, "rw_metropolis", chain)
         rng = RngStream(5)
-        res = mcmc._mode_then_chain(None, np.ones(1), MhConfig(iterations=10, burn_in=0, proposal_scale=0.4), rng)
+        res = mcmc._mode_then_chain(None, None, np.ones(1), MhConfig(iterations=10, burn_in=0, proposal_scale=0.4), rng)
         # one chain, at 2.38^2 / d x proposal_scale x the Laplace covariance
         # (d = 1), on substream 0, kept whatever its acceptance
         assert runs == [(2.38**2 * 0.4, rng.substream(0).generator.random())]
@@ -551,12 +626,12 @@ class TestIndependenceChain:
         cfg = MhConfig(iterations=50, burn_in=0, proposal_scale=1e12)
         # the random-walk chain's message, not the independence chain's
         with pytest.raises(FitError, match="rescale the proposal covariance"):
-            mcmc._mode_then_chain(_standard_normal, np.ones(1), cfg, RngStream(7))
+            mcmc._mode_then_chain(_standard_normal_derivatives, _standard_normal, np.ones(1), cfg, RngStream(7))
 
     def test_independence_chain_above_the_floor_is_kept(self, monkeypatch):
         monkeypatch.setattr(mcmc, "rw_metropolis", None)  # never reached
-        res = mcmc._mode_then_chain(_standard_normal, np.ones(2), MhConfig(iterations=300, burn_in=0),
-                                    RngStream(6))
+        res = mcmc._mode_then_chain(_standard_normal_derivatives, _standard_normal, np.ones(2),
+                                    MhConfig(iterations=300, burn_in=0), RngStream(6))
         assert res.sampler == "independence"
         assert res.acceptance_rate >= mcmc._ACCEPTANCE_FLOOR
 
@@ -571,7 +646,7 @@ class TestIndependenceChain:
         draws = fit_dm_static(series, design, spec, priors, cfg, RngStream(21), smooth=False)
 
         target = mcmc._dm_static_target(series, design, priors)
-        mh = find_mode_and_hessian(target, np.zeros(p + 1))
+        mh = find_mode_and_hessian(mcmc._dm_static_derivatives(series, design, priors), np.zeros(p + 1))
         cov = mh.covariance * (2.38**2 / (p + 1))
         ref = rw_metropolis(target, mh.mode, cov, cfg, RngStream(21).substream(0).substream(0))
         assert draws.sampler == "random_walk"

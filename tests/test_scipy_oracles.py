@@ -16,7 +16,7 @@ from scipy import special
 from scipy.linalg.blas import dtbsv
 
 from dynpois.filtering import _discount_solve
-from dynpois.kernels import betaln, expit, lgamma, logit, logsumexp
+from dynpois.kernels import betaln, digamma, expit, lgamma, logit, logsumexp, trigamma
 
 EPS = np.finfo(float).eps
 
@@ -65,6 +65,43 @@ class TestLgamma:
         x = np.random.default_rng(0).uniform(0.0, 400.0, size=(3, 257))
         assert np.array_equal(lgamma(x)[1], lgamma(x[1]))
         assert np.array_equal(lgamma(x)[:, 5], np.array([lgamma(v) for v in x[:, 5]]))
+
+
+class TestDigammaTrigamma:
+    # over (0, 1e7]: digamma within 1e-14 max(|psi(x)|, 1), where the shift
+    # sum and psi(x + 10) cancel near psi's root at 1.46 and are each at most
+    # about 3 there; trigamma within 1e-14 psi'(x), a sum of positive terms.
+    # Below about 1e-154 trigamma is inf, like scipy's polygamma(1, x)
+    BOUND = 1e-14
+
+    def _check(self, x):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            psi, psi1 = digamma(x), trigamma(x)
+        ref, ref1 = special.digamma(x), special.polygamma(1, x)
+        assert np.array_equal(np.isinf(psi), np.isinf(ref)) and np.array_equal(np.isinf(psi1), np.isinf(ref1))
+        finite, finite1 = np.isfinite(ref), np.isfinite(ref1)
+        err = np.abs(psi[finite] - ref[finite])
+        assert np.all(err <= self.BOUND * np.maximum(np.abs(ref[finite]), 1.0)), (x, psi, ref)
+        assert np.all(np.abs(psi1[finite1] - ref1[finite1]) <= self.BOUND * ref1[finite1]), (x, psi1, ref1)
+
+    @given(x=st.lists(st.floats(min_value=0.0, max_value=1e7, exclude_min=True), min_size=1, max_size=50))
+    @example(x=[5e-324, 1e-310, 1e-160, 1e-150, 0.5, 1.0, 1.4616321449683622, 2.0, 9.999999999, 10.0, 1e7])
+    @settings(max_examples=300, deadline=None)
+    def test_match_scipy(self, x):
+        self._check(np.array(x))
+
+    @given(n=st.integers(min_value=1, max_value=10**7))
+    @settings(max_examples=300, deadline=None)
+    def test_integers_match_scipy(self, n):
+        self._check(np.array([float(n)]))
+
+    def test_dense_grids(self):
+        self._check(np.concatenate([np.linspace(1e-3, 20.0, 100_001), np.geomspace(5e-324, 1e7, 100_001)]))
+
+    def test_scalars_and_shapes(self):
+        assert isinstance(digamma(0.5), float) and isinstance(trigamma(0.5), float)
+        assert digamma(np.ones((2, 3))).shape == (2, 3) and trigamma(np.ones((2, 3))).shape == (2, 3)
 
 
 _special_or_finite = st.one_of(
