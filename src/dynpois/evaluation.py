@@ -87,17 +87,16 @@ class ForecastDistribution:
         means = r * (1.0 - p) / p
         return means, means / p
 
-    def _cantelli_ends(self, q: float) -> tuple:
-        """(floor(mean - sqrt((1 - q) / q) sd) - 1, ceil(mean + sqrt(q / (1 - q)) sd) + 1),
-        at least -1 and at most 2**60: counts whose mixture CDF is at most and at
-        least q by Cantelli's inequality P(X - mean >= t) <= sd^2 / (sd^2 + t^2)
-        and its mirror, with the mixture's mean and sd in closed form."""
+    def _cantelli_top(self, q: float) -> int:
+        """ceil(mean + sqrt(q / (1 - q)) sd) + 1, at most 2**60: a count whose
+        mixture CDF is at least q by Cantelli's inequality P(X - mean >= t) <=
+        sd^2 / (sd^2 + t^2), with the mixture's mean and sd in closed form."""
         means, variances = self._component_moments()
         mean = self._average(means)
         sd = math.sqrt(max(self._average(variances + means**2) - mean**2, 0.0))
-        low, top = mean - math.sqrt((1.0 - q) / q) * sd, mean + math.sqrt(q / (1.0 - q)) * sd
-        # NaN fails both comparisons
-        return (math.floor(low) - 1 if low >= 1.0 else -1), (math.ceil(top) + 1 if top < 2**60 else 2**60)
+        top = mean + math.sqrt(q / (1.0 - q)) * sd
+        # NaN fails the comparison
+        return math.ceil(top) + 1 if top < 2**60 else 2**60
 
     def mean(self) -> float:
         return self._average(self._component_moments()[0])
@@ -124,11 +123,11 @@ class ForecastDistribution:
         for q in levels:
             if not (0.0 < q < 1.0):
                 raise DomainError(f"quantile level must lie in (0, 1), got {q}")
-        ends = [self._cantelli_ends(q) for q in levels]
-        table = self._table_cdf(max(top for _, top in ends))
-        return tuple(self._search(q, table, pair) for q, pair in zip(levels, ends))
+        tops = [self._cantelli_top(q) for q in levels]
+        table = self._table_cdf(max(tops))
+        return tuple(self._search(q, table, top) for q, top in zip(levels, tops))
 
-    def _search(self, q: float, table: np.ndarray | None, ends: tuple) -> int:
+    def _search(self, q: float, table: np.ndarray | None, top: int) -> int:
         """Smallest integer n with CDF(n) >= q: bisect ``cdf`` inside a bracket
         lo < n <= hi, with cdf(lo) < q <= cdf(hi) and cdf(-1) = 0.
 
@@ -136,11 +135,9 @@ class ForecastDistribution:
         measured error bound with room to spare, so the last count it puts more
         than the margin below q is a lo, and the first it puts more than the
         margin above q a hi. A bracket one count wide is the answer, with no
-        ``cdf`` call. With no table count above q + margin, hi is the upper of
-        the Cantelli ``ends``, doubled while its exact CDF falls short of q. With
-        no lo yet, lo is the lower end if it lies past the bracket's midpoint and
-        its exact CDF below q (the ends' mean and sd are rounded), else -1. A
-        quantile beyond 2**60 raises DomainError.
+        ``cdf`` call. With no table count above q + margin, hi is the Cantelli
+        ``top``, doubled while its exact CDF falls short of q (the top's mean
+        and sd are rounded). A quantile beyond 2**60 raises DomainError.
         """
         lo, hi = -1, None
         if table is not None:
@@ -148,13 +145,11 @@ class ForecastDistribution:
             above = int(np.searchsorted(table, q + TABLE_MARGIN, side="right"))
             hi = above if above < len(table) else None
         if hi is None:
-            hi = ends[1]
+            hi = top
             while self.cdf(hi) < q:
                 if hi == 2**60:
                     raise DomainError("quantile bracket exceeded integer range")
                 lo, hi = hi, min(2 * hi, 2**60)
-        if lo < 0 and (lo + hi) // 2 < ends[0] < hi and self.cdf(ends[0]) < q:
-            lo = ends[0]
         while lo + 1 < hi:
             mid = (lo + hi) // 2
             if self.cdf(mid) >= q:
@@ -301,16 +296,17 @@ def _filter_window(series, design, draws, priors, o_fit: int, end: int, rng: Rng
     """One ``predictive_blocks`` pass of draws fitted on months 1..o_fit-1, over
     months 1..end. Returns only the window's columns: each draw's one-step log
     predictives of months o_fit..end-1, (S, end-o_fit), and the components of
-    its one-step predictives of months o_fit..end, one row per draw. Coefficient
-    paths (DM5's) end at month o_fit-1: one random-walk step on ``rng`` extends
-    them to month o_fit, and their pass ends there.
+    its one-step predictives of months o_fit..end, one row per draw, in draw
+    order. Coefficient paths (DM5's) end at month o_fit-1: one random-walk step
+    on ``rng``, a stream no fitter draws from, extends them to month o_fit, and
+    their pass ends there.
     """
     if draws.beta.ndim == 3:
         steps = rng.generator.standard_normal((draws.S, design.p)) / np.sqrt(draws.tau)
         draws = replace(draws, beta=np.concatenate([draws.beta, (draws.beta[:, -1] + steps)[:, None]], axis=1))
         end = o_fit
     log_pred, comps = [], []
-    for _, lp, c in predictive_blocks(series.head(end), design.head(end), draws, priors, o_fit):
+    for lp, c in predictive_blocks(series.head(end), design.head(end), draws, priors, o_fit):
         # only the window's columns outlive the block
         log_pred.append(lp[:, o_fit - 1 : end - 1].copy())
         comps.append(c)
@@ -344,7 +340,8 @@ def sequential_harness(
     """Expanding-window one-step forecasting: predict month o from months 1..o-1.
 
     The first origin fits months 1..o-1 on ``rng.substream(o)``, and one
-    batched filter pass of the fitted draws (``_filter_window``) gives each
+    batched filter pass of the fitted draws (``_filter_window``, whose DM5
+    step draws on ``rng.substream(o).substream(2)``) gives each
     draw's one-step log predictives and its one-step mixture components over
     the rest of the window. Each later origin that pass reaches adds the log
     predictive of the month just seen to each draw's log weight, and reads its
@@ -375,7 +372,7 @@ def sequential_harness(
                 draws = fit_variant(spec, series.head(o - 1), design.head(o - 1), priors, config, stream, smooth=False)
                 fitting = False
                 o_fit, log_w = o, np.zeros(draws.S)
-                log_pred, comps = _filter_window(series, design, draws, priors, o, end, stream.substream(1))
+                log_pred, comps = _filter_window(series, design, draws, priors, o, end, stream.substream(2))
                 refits.append(o)
             weights = np.exp(log_w - np.max(log_w))
             dist = ForecastDistribution(origin=o, components=comps[:, o - o_fit], weights=weights)
@@ -499,7 +496,7 @@ def per_draw_log_predictives(
     Dynamic models use the rate-integrated one-step predictives; the Poisson
     regression benchmark scores each month's Poisson pmf directly.
     """
-    return np.concatenate([lp for _, lp, _ in predictive_blocks(series, design, draws, priors, series.T + 1)])
+    return np.concatenate([lp for lp, _ in predictive_blocks(series, design, draws, priors, series.T + 1)])
 
 
 def compare_models(

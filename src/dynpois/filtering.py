@@ -68,7 +68,6 @@ class GammaGridPosterior:
 
     grid: np.ndarray
     probs: np.ndarray
-    mean: float
 
 
 def _discount_solve(gamma: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -280,14 +279,13 @@ def filter_draws(
     """Filter every posterior draw, FILTER_BLOCK draws per batched ``filter_core`` call.
 
     ``betas`` is a stack of static coefficients (S, p) or of paths (S, T, p).
-    Yields ``(block, trajectory)``: a slice into the draws and the batched
-    trajectory of those draws, in draw order. One ``linear_predictor`` call
-    builds a block's multipliers, so each row is that draw's one-row pass bit
-    for bit.
+    Yields each block's batched trajectory, in draw order. One
+    ``linear_predictor`` call builds a block's multipliers, so each row is that
+    draw's one-row pass bit for bit.
     """
     for start in range(0, len(gammas), FILTER_BLOCK):
         block = slice(start, start + FILTER_BLOCK)
-        yield block, filter_core(counts, linear_predictor(design, betas[block]), gammas[block], a0, b0)
+        yield filter_core(counts, linear_predictor(design, betas[block]), gammas[block], a0, b0)
 
 
 def gamma_grid_posterior(
@@ -302,15 +300,14 @@ def gamma_grid_posterior(
 
     betas = np.zeros((len(grid), design.p))
     passes = filter_draws(series.counts, design, betas, grid, priors.a0, priors.b0)
-    log_post = np.concatenate([traj.total_log_predictive for _, traj in passes])
+    log_post = np.concatenate([traj.total_log_predictive for traj in passes])
     norm = logsumexp(log_post)
     if not np.isfinite(norm):
         raise NumericDegeneracyError(
             "gamma grid posterior has zero total mass",
             context={"grid_size": len(grid)},
         )
-    probs = np.exp(log_post - norm)
-    return GammaGridPosterior(grid=grid, probs=probs, mean=float(probs @ grid))
+    return GammaGridPosterior(grid=grid, probs=np.exp(log_post - norm))
 
 
 def ffbs_sample(trajectory: FilterTrajectory, rng: RngStream) -> np.ndarray:

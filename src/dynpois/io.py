@@ -73,34 +73,34 @@ def ingest_csv(path) -> tuple:
         cov_names = [h for h in header if h not in ("month_index", "count")]
         cov_idx = [header.index(h) for h in cov_names]
 
-        months, counts = [], []
+        counts = []
         covariates = {name: [] for name in cov_names}
         for row_no, row in enumerate(reader, start=1):
             if len(row) != len(header):
                 raise ValidationError(
                     f"expected {len(header)} cells, found {len(row)}", row=row_no
                 )
-            months.append(_parse_month(row[month_col], row_no, expected=row_no))
+            _check_month(row[month_col], row_no)
             counts.append(_parse_count(row[count_col], row_no))
             for name, idx in zip(cov_names, cov_idx):
                 covariates[name].append(_parse_covariate(row[idx], name, row_no))
 
-    if not months:
+    if not counts:
         raise ValidationError("file contains a header but no data rows")
-    series = CountSeries(np.array(months), np.array(counts))
+    series = CountSeries(np.array(counts))
     return series, {name: np.array(vals) for name, vals in covariates.items()}
 
 
-def _parse_month(cell: str, row_no: int, expected: int) -> int:
+def _check_month(cell: str, row_no: int) -> None:
+    """Data row ``row_no`` must have month_index ``row_no``."""
     if not _INTEGER_TEXT.fullmatch(cell):
         raise ValidationError(f"month_index {cell!r} is not an integer", row=row_no)
     value = int(cell)
-    if value != expected:
+    if value != row_no:
         raise ValidationError(
-            f"month_index {value} breaks the consecutive sequence (expected {expected})",
+            f"month_index {value} breaks the consecutive sequence (expected {row_no})",
             row=row_no,
         )
-    return value
 
 
 def _parse_count(cell: str, row_no: int) -> int:

@@ -415,7 +415,7 @@ def _smooth_paths(
     return np.concatenate(
         [
             ffbs_sample(traj, rng)
-            for _, traj in filter_draws(counts, design, betas, gammas, priors.a0, priors.b0)
+            for traj in filter_draws(counts, design, betas, gammas, priors.a0, priors.b0)
         ]
     )
 
@@ -818,22 +818,22 @@ def fit_variant(
 
 
 def predictive_blocks(series: CountSeries, design: DesignMatrix, draws: PosteriorDraws, priors: PriorConfig, first: int):
-    """Score fitted draws by their model, block by block: yields ``(block,
-    log_pred, comps)``, a slice into the draws, the block's one-step log
-    predictives of months 1..T, (B, T), and the components of its one-step
-    predictives of months first..T, empty when first = T + 1. A dynamic model's
-    blocks are those of ``filter_draws``, with negative binomial (r, p) rows,
-    (B, T - first + 1, 2), from each draw's state after the month before. BPM is
-    one block, scored from one ``log_linear_predictor`` call, with Poisson rates
-    exp(beta' z_t), (S, T - first + 1), that have the bits of ``linear_predictor``.
+    """Score fitted draws by their model, block by block, in draw order: yields
+    ``(log_pred, comps)``, the block's one-step log predictives of months 1..T,
+    (B, T), and the components of its one-step predictives of months first..T,
+    empty when first = T + 1. A dynamic model's blocks are those of
+    ``filter_draws``, with negative binomial (r, p) rows, (B, T - first + 1, 2),
+    from each draw's state after the month before. BPM is one block, scored
+    from one ``log_linear_predictor`` call, with Poisson rates exp(beta' z_t),
+    (S, T - first + 1), that have the bits of ``linear_predictor``.
     """
     if draws.variant == "BPM":
         eta = log_linear_predictor(design, draws.beta)
-        yield slice(0, draws.S), bpm_log_pmf(eta, series.counts), np.exp(eta[:, first - 1 :])
+        yield bpm_log_pmf(eta, series.counts), np.exp(eta[:, first - 1 :])
         return
-    for block, traj in filter_draws(series.counts, design, draws.beta, draws.gamma, priors.a0, priors.b0):
+    for traj in filter_draws(series.counts, design, draws.beta, draws.gamma, priors.a0, priors.b0):
         a, b = traj.a[:, first - 1 : -1], traj.b[:, first - 1 : -1]
-        yield block, traj.log_predictive, negbin_rows(traj.gamma[:, None], a, b, traj.multipliers[:, first - 1 :])
+        yield traj.log_predictive, negbin_rows(traj.gamma[:, None], a, b, traj.multipliers[:, first - 1 :])
 
 
 def posterior_summary(draws: PosteriorDraws) -> list[dict]:

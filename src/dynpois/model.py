@@ -17,37 +17,27 @@ from .kernels import DomainError, NumericDegeneracyError, RngStream
 MODEL_VARIANTS = ("DM1", "DM2", "DM3", "DM4", "DM5", "BPM", "EWMA")
 
 
-def _integers(values, name: str) -> np.ndarray:
-    """Cast to int64, rejecting values a plain cast would truncate (2.7 to 2)
-    or wrap (2**70, 1e300): each must be an integer of magnitude below 2**63."""
-    arr = np.asarray(values)
-    # NaN and inf leave a NaN remainder
-    with np.errstate(invalid="ignore"):
-        if arr.size and not (np.all(np.mod(arr, 1) == 0) and -(2**63) < arr.min() and arr.max() < 2**63):
-            raise DomainError(f"{name} must be integers of magnitude below 2**63")
-    return arr.astype(int)
-
-
 @dataclass(frozen=True)
 class CountSeries:
-    """Observed monthly default counts, months indexed 1..T."""
+    """Observed monthly default counts of months 1..T, in month order."""
 
-    months: np.ndarray
     counts: np.ndarray
 
     def __post_init__(self):
-        months = _integers(self.months, "months")
-        counts = _integers(self.counts, "counts")
-        object.__setattr__(self, "months", months)
+        # counts a plain int64 cast would truncate (2.7 to 2) or wrap (2**70,
+        # 1e300) are rejected; NaN and inf leave a NaN remainder
+        counts = np.asarray(self.counts)
+        with np.errstate(invalid="ignore"):
+            if counts.size and not (
+                np.all(np.mod(counts, 1) == 0) and -(2**63) < counts.min() and counts.max() < 2**63
+            ):
+                raise DomainError("counts must be integers of magnitude below 2**63")
+        counts = counts.astype(int)
         object.__setattr__(self, "counts", counts)
-        if months.ndim != 1 or counts.ndim != 1:
-            raise DomainError("months and counts must be one-dimensional")
-        if len(months) != len(counts):
-            raise DomainError("months and counts must have equal length")
-        if len(months) < 1:
+        if counts.ndim != 1:
+            raise DomainError("counts must be one-dimensional")
+        if len(counts) < 1:
             raise DomainError("a count series needs at least one month")
-        if not np.array_equal(months, np.arange(1, len(months) + 1)):
-            raise DomainError("months must be the consecutive integers 1..T")
         if np.any(counts < 0):
             raise DomainError("counts must be nonnegative")
 
@@ -59,7 +49,7 @@ class CountSeries:
         """The sub-series of months 1..t."""
         if not (1 <= t <= self.T):
             raise DomainError(f"month index {t} outside 1..{self.T}")
-        return CountSeries(self.months[:t], self.counts[:t])
+        return CountSeries(self.counts[:t])
 
 
 @dataclass(frozen=True)
@@ -323,7 +313,7 @@ def simulate_cohort(
             ) from exc
         a = true_gamma * a + counts[t]
 
-    series = CountSeries(np.arange(1, T + 1), counts)
+    series = CountSeries(counts)
     return SimTruth(thetas, true_beta, true_gamma, series, theta0=theta0)
 
 

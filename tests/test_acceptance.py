@@ -52,7 +52,7 @@ def _report(num: int, name: str, ok: bool, detail: str = ""):
 
 
 def _series(counts):
-    return CountSeries(np.arange(1, len(counts) + 1), list(counts))
+    return CountSeries(list(counts))
 
 
 def test_01_conjugacy_oracle():

@@ -52,7 +52,7 @@ from oracles import (
 
 
 def _series(counts):
-    return CountSeries(np.arange(1, len(counts) + 1), list(counts))
+    return CountSeries(list(counts))
 
 
 def _mixture(*components):
@@ -65,9 +65,9 @@ def _pmf(dist, n):
     return dist.cdf(n) - dist.cdf(n - 1)
 
 
-def _probes(dist, q, search=None):
-    """The answer of ``search`` (default ``dist.quantile``) at level q and the
-    counts at which it called ``cdf``."""
+def _probes(dist, q):
+    """The answer of ``dist.quantile`` at level q and the counts at which it
+    called ``cdf``."""
     probes = []
     exact = dist.cdf
 
@@ -77,14 +77,14 @@ def _probes(dist, q, search=None):
 
     object.__setattr__(dist, "cdf", cdf)
     try:
-        return (search or dist.quantile)(q), probes
+        return dist.quantile(q), probes
     finally:
         object.__delattr__(dist, "cdf")
 
 
 def _unbracketed(dist, q):
-    """The quantile search with no table: from -1 and the upper Cantelli end."""
-    return dist._search(q, None, (-1, dist._cantelli_ends(q)[1]))
+    """The quantile search with no table: from -1 and the Cantelli top."""
+    return dist._search(q, None, dist._cantelli_top(q))
 
 
 # cdf steps carry the absolute rounding of cdf values near 1
@@ -164,9 +164,8 @@ class TestForecastDistribution:
         else:
             comps = np.array([[r, r / (r + mean)] for mean, r in rows])
         dist = ForecastDistribution(origin=1, components=comps)
-        # the table and the lower Cantelli end only narrow the search's bracket
+        # the table only narrows the search's bracket
         assert dist.quantile(q) == quantile_by_doubling(dist, q) == _unbracketed(dist, q)
-        assert dist._search(q, None, dist._cantelli_ends(q)) == _unbracketed(dist, q)
 
     @pytest.mark.parametrize("weight", [1.0, 0.3, 7e-200])
     def test_equal_weights_reproduce_the_unweighted_mixture(self, weight):
@@ -252,7 +251,7 @@ class TestIntervalTable:
         for q in (0.025, 0.975):
             (n, probes), unbracketed = _probes(dist, q), _unbracketed(dist, q)
             assert n == unbracketed
-            if probes and dist._table_cdf(dist._cantelli_ends(q)[1]) is not None:
+            if probes and dist._table_cdf(dist._cantelli_top(q)) is not None:
                 # not settled inside the budget: a cdf value within the margin of q
                 assert min(dist.cdf(n) - q, q - dist.cdf(n - 1)) <= 2 * TABLE_MARGIN
 
@@ -264,7 +263,7 @@ class TestIntervalTable:
         # search probes only between them
         dist = ForecastDistribution(origin=1, components=np.array([1.0, 10.0, 1000.0, 1000.0]))
         n, probes = _probes(dist, 0.5)
-        assert dist._table_cdf(dist._cantelli_ends(0.5)[1]) is not None
+        assert dist._table_cdf(dist._cantelli_top(0.5)) is not None
         assert probes and all(34 < m <= 809 for m in probes)
         assert n == quantile_by_doubling(dist, 0.5) == 45
 
@@ -272,30 +271,20 @@ class TestIntervalTable:
         # the table fits (counts 0..1002), but its CDF at 1 is 1 - 5e-13
         tiny = ForecastDistribution(origin=1, components=np.array([1e-6]))
         n, probes = _probes(tiny, 1.0 - 1e-12)
-        assert tiny._table_cdf(tiny._cantelli_ends(1.0 - 1e-12)[1]) is not None and probes
+        assert tiny._table_cdf(tiny._cantelli_top(1.0 - 1e-12)) is not None and probes
         assert n == 1
         # a geometric row of mean 1000 needs counts far past the table; a
         # cumulative sum from 0 with no search returned 27641
         geometric = ForecastDistribution(origin=1, components=np.array([[1.0, 1.0 / 1001.0]]))
-        assert geometric._table_cdf(geometric._cantelli_ends(1.0 - 1e-12)[1]) is None
+        assert geometric._table_cdf(geometric._cantelli_top(1.0 - 1e-12)) is None
         assert geometric.quantile(1.0 - 1e-12) == quantile_by_doubling(geometric, 1.0 - 1e-12) == 27644
 
     @pytest.mark.parametrize("comps", [np.full(2000, 1000.0), np.array([1e4])])
     def test_a_table_over_its_budget_falls_back(self, comps):
         # 2000 rows by 1201 counts break TABLE_ENTRIES; one row of mean 1e4 TABLE_COUNTS
         dist = ForecastDistribution(origin=1, components=comps)
-        assert dist._table_cdf(dist._cantelli_ends(0.975)[1]) is None
+        assert dist._table_cdf(dist._cantelli_top(0.975)) is None
         assert dist.interval == (quantile_by_doubling(dist, 0.025), quantile_by_doubling(dist, 0.975))
-
-    def test_the_lower_cantelli_end_narrows_a_search_without_table(self):
-        # 2000 rows by 1200 counts break TABLE_ENTRIES; from -1 the search
-        # bisects 1200 counts, from the lower end the 206 counts of (993, 1199]
-        dist = ForecastDistribution(origin=1, components=np.full(2000, 1000.0))
-        assert dist._cantelli_ends(0.975) == (993, 1199) and dist._table_cdf(1199) is None
-        n, probes = _probes(dist, 0.975)
-        n_from_zero, from_zero = _probes(dist, 0.975, lambda q: _unbracketed(dist, q))
-        assert probes[:2] == [1199, 993] and len(probes) == 10 and len(from_zero) == 11
-        assert n == n_from_zero == quantile_by_doubling(dist, 0.975) == 1062
 
     @pytest.mark.parametrize("comps", [
         np.array([0.0]),
@@ -329,7 +318,7 @@ class TestIntervalTable:
         worst = 0.0
         for comps, weights in mixtures:
             dist = ForecastDistribution(origin=1, components=comps, weights=weights)
-            cdf = dist._table_cdf(dist._cantelli_ends(0.975)[1])
+            cdf = dist._table_cdf(dist._cantelli_top(0.975))
             assert cdf is not None and len(cdf) <= TABLE_COUNTS and len(comps) * len(cdf) <= TABLE_ENTRIES
             worst = max(worst, float(np.max(np.abs(cdf - mixture_cdf_mpmath(dist, len(cdf) - 1)))))
         assert worst < TABLE_MARGIN / 10
@@ -647,7 +636,7 @@ class TestSequentialHarness:
         if shift_from is not None:
             counts[shift_from - 1:] *= 3
         spec = ModelSpec(variant) if variant == "DM1" else ModelSpec(variant, ("z",))
-        return CountSeries(np.arange(1, T + 1), counts), build_design(cov, spec, T), spec, priors
+        return CountSeries(counts), build_design(cov, spec, T), spec, priors
 
     REWEIGHTED_COHORTS = pytest.mark.parametrize(
         "variant, gamma_prior", [("DM2", "uniform"), ("DM2", "fixed"), ("DM1", "grid"), ("BPM", "uniform")]
@@ -781,7 +770,7 @@ class TestSequentialHarness:
         counts[-1] = 3 * counts[-1] + 7
         cfg = MhConfig(iterations=300, burn_in=100)
         reports = [sequential_harness(s, design, spec, priors, cfg, (27, 30), rng=RngStream(4))
-                   for s in (series, CountSeries(series.months, counts))]
+                   for s in (series, CountSeries(counts))]
         before, after = ((r.points, r.lower, r.upper, r.weight_efficiency) for r in reports)
         assert before == after
         assert reports[0].actuals[:-1] == reports[1].actuals[:-1]
@@ -794,6 +783,28 @@ class TestSequentialHarness:
                                     rng=RngStream(5))
         assert report.refit_origins == (28, 29, 30)
         assert report.weight_efficiency == (1.0, 1.0, 1.0)
+
+    def test_the_dm5_extension_step_has_its_own_stream(self, monkeypatch):
+        # the random-walk step that extends the fitted paths to the origin must
+        # not draw from the stream the fit's backward sampling drew from
+        series, design, spec, priors = self._cohort("DM5", 84, 30)
+        keys = {"ffbs": set(), "window": set()}
+        real_ffbs, real_window = mcmc.ffbs_sample, evaluation._filter_window
+
+        def recorded_ffbs(trajectory, rng):
+            keys["ffbs"].add(rng._spawn_key)
+            return real_ffbs(trajectory, rng)
+
+        def recorded_window(series, design, draws, priors, o_fit, end, rng):
+            keys["window"].add(rng._spawn_key)
+            return real_window(series, design, draws, priors, o_fit, end, rng)
+
+        monkeypatch.setattr(mcmc, "ffbs_sample", recorded_ffbs)
+        monkeypatch.setattr(evaluation, "_filter_window", recorded_window)
+        sequential_harness(series, design, spec, priors, MhConfig(iterations=50, burn_in=10), (29, 30),
+                           rng=RngStream(5))
+        assert len(keys["ffbs"]) == len(keys["window"]) == 2
+        assert not keys["ffbs"] & keys["window"]
 
     def test_an_unfittable_first_origin_is_a_domain_error(self):
         # origin 2 leaves DM5 one training month, which it cannot fit: an input

@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -45,7 +46,7 @@ from oracles import GammaState, NegBinParams, fd_derivatives_loop, log_pdf_gamma
 
 
 def _series(counts):
-    return CountSeries(np.arange(1, len(counts) + 1), list(counts))
+    return CountSeries(list(counts))
 
 
 def _simulated_static(variant, T=60):
@@ -685,8 +686,9 @@ class TestIndependenceChain:
         assert draws.sampler == "independence"
         grid_priors = PriorConfig(a0=priors.a0, b0=priors.b0, gamma_prior="grid", gamma_grid_step=1e-4)
         post = gamma_grid_posterior(series, design, grid_priors)
-        sd = math.sqrt(post.probs @ (post.grid - post.mean) ** 2)
-        assert abs(draws.gamma.mean() - post.mean) < 0.05 * sd
+        mean = post.probs @ post.grid
+        sd = math.sqrt(post.probs @ (post.grid - mean) ** 2)
+        assert abs(draws.gamma.mean() - mean) < 0.05 * sd
         cdf = np.cumsum(post.probs)
         for q in (0.025, 0.975):
             exact = post.grid[np.searchsorted(cdf, q)]
@@ -1310,3 +1312,38 @@ class TestDiagnosticsAndSummary:
         names = [r["parameter"] for r in posterior_summary(draws)]
         assert names == ["gamma", "tau_z"]
 
+
+
+class TestPredictiveBlocks:
+    @staticmethod
+    def _draws(variant, S, T, p):
+        gen = RngStream(8).generator
+        shape = (S, T, p) if variant == "DM5" else (S, p)
+        return PosteriorDraws(beta=gen.normal(0.0, 0.3, shape), gamma=gen.uniform(0.3, 1.0, S),
+                              acceptance_rate=0.5, variant=variant)
+
+    @pytest.mark.parametrize("variant", ["DM2", "DM5"])
+    def test_blocks_come_in_draw_order(self, variant):
+        # FILTER_BLOCK + 3 draws are two blocks; row j of their concatenation
+        # is draw j's own one-draw pass, bit for bit
+        series, design, priors = _simulated_static(variant, T=30)
+        S = FILTER_BLOCK + 3
+        draws = self._draws(variant, S, series.T, design.p)
+        blocks = list(mcmc.predictive_blocks(series, design, draws, priors, 20))
+        assert [len(lp) for lp, _ in blocks] == [FILTER_BLOCK, 3]
+        log_pred = np.concatenate([lp for lp, _ in blocks])
+        comps = np.concatenate([c for _, c in blocks])
+        assert log_pred.shape == (S, 30) and comps.shape == (S, 11, 2)
+        for j in (0, FILTER_BLOCK - 1, FILTER_BLOCK, S - 1):
+            one = PosteriorDraws(beta=draws.beta[j : j + 1], gamma=draws.gamma[j : j + 1],
+                                 acceptance_rate=0.5, variant=variant)
+            [(lp, c)] = mcmc.predictive_blocks(series, design, one, priors, 20)
+            assert np.array_equal(lp[0], log_pred[j]) and np.array_equal(c[0], comps[j])
+
+    def test_bpm_is_one_block_of_poisson_rates(self):
+        series, design, priors = _simulated_static("BPM", T=30)
+        S = FILTER_BLOCK + 3
+        draws = replace(self._draws("BPM", S, series.T, design.p), gamma=None)
+        [(lp, rates)] = mcmc.predictive_blocks(series, design, draws, priors, 20)
+        assert lp.shape == (S, 30) and rates.shape == (S, 11)
+        assert np.array_equal(rates, np.exp(log_linear_predictor(design, draws.beta)[:, 19:]))
