@@ -150,10 +150,10 @@ def resolve_config(args) -> dict:
         raise io.ValidationError("a seed is required (pass --seed or set it in the config)")
     if not (0 <= cfg["seed"] < 2**64):
         raise io.ValidationError("seed must be an unsigned 64-bit integer")
-    # the time-varying model needs far longer chains; swap in its defaults
-    # unless the user configured the chain explicitly, so the echoed config
-    # reflects what actually runs
-    if cfg["model"] == "DM5" and "mcmc" not in user:
+    # the time-varying model needs far longer chains: for fit and report, which
+    # run --model's chain from mcmc, swap in its defaults unless the user
+    # configured the chain explicitly, so the echoed config reflects what runs
+    if cfg["model"] == "DM5" and "mcmc" not in user and args.command in ("fit", "report"):
         cfg["mcmc"] = dict(DM5_MCMC_DEFAULT)
     return cfg
 
@@ -371,19 +371,18 @@ def _cmd_compare(args, cfg) -> dict:
     roster = list(cfg["compare"]["models"])
     if not roster:
         raise io.ValidationError("compare.models must list at least one model")
-    specs = []
+    models = []
     for variant in roster:
         if variant not in MODEL_VARIANTS:
             raise io.ValidationError(f"unknown model {variant!r} in compare.models")
-        specs.append(_selected_covariates(cfg, covariates, variant))
+        spec = _selected_covariates(cfg, covariates, variant)
+        models.append((spec, _design(cfg, covariates, spec, series.T)))
     report = compare_models(
         series,
-        covariates,
-        specs,
+        models,
         _from_block(PriorConfig, cfg["prior"], "prior"),
         _from_block(MhConfig, cfg["mcmc"], "mcmc"),
         RngStream(cfg["seed"]),
-        start_month=cfg["start_month"],
     )
     return {
         "summary.json": {

@@ -11,7 +11,7 @@ import numpy as np
 from .filtering import negbin_rows
 from .kernels import DomainError, RngStream, is_integer, logsumexp
 from .mcmc import FitError, MhConfig, PosteriorDraws, fit_variant, predictive_blocks
-from .model import CountSeries, DesignMatrix, ModelSpec, PriorConfig, build_design
+from .model import CountSeries, DesignMatrix, ModelSpec, PriorConfig
 
 
 # The pmf table that narrows ForecastDistribution.quantile's search covers the
@@ -501,14 +501,13 @@ def per_draw_log_predictives(
 
 def compare_models(
     series: CountSeries,
-    raw_covariates: dict,
-    specs: list,
+    models: list,
     priors: PriorConfig,
     config: MhConfig,
     rng: RngStream,
-    start_month: int = 1,
 ) -> ComparisonReport:
-    """Fit every model in the roster and score log marginal likelihood and log CPO.
+    """Fit each built ``(spec, design)`` pair of the roster, position k on
+    ``rng.substream(k)``, and score log marginal likelihood and log CPO.
 
     Both scores read the (S, T) per-month log likelihoods of a model's retained
     draws: the rows its chain already filtered them with when the fit kept
@@ -518,12 +517,11 @@ def compare_models(
     names = []
     logml = {}
     logcpo = {}
-    for k, spec in enumerate(specs):
+    for k, (spec, design) in enumerate(models):
         if spec.variant == "EWMA":
             raise DomainError("EWMA has no likelihood; it cannot enter the comparison")
         if spec.variant in names:
             raise DomainError(f"duplicate model {spec.variant} in the roster")
-        design = build_design(raw_covariates, spec, series.T, start_month=start_month)
         draws = fit_variant(spec, series, design, priors, config, rng.substream(k), smooth=False, log_predictive=True)
         L, draws.log_predictive = draws.log_predictive, None
         if L is None:
@@ -540,4 +538,3 @@ def compare_models(
         log_cpo=logcpo,
         log_bayes_factors=log_bf,
     )
-

@@ -730,6 +730,8 @@ def fit_dm5(
 def bpm_log_pmf(eta: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """Poisson log pmf of each month's count (T,) under the log rates eta (K, T)
     of the static Poisson regression, as (K, T)."""
+    if eta.shape[-1] != len(counts):
+        raise DomainError("design matrix and count series disagree on T")
     return counts * eta - np.exp(eta) - lgamma(counts + 1.0)
 
 

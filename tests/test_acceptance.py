@@ -225,7 +225,8 @@ def test_07_model_ranking():
         design = build_design(cov, spec2, T)
         truth = simulate_cohort(priors, 0.6, np.array([0.9]), design, T, rng.substream(2))
         cfg = MhConfig(iterations=1500, burn_in=500)
-        report = compare_models(truth.counts, cov, [ModelSpec("DM1"), spec2], priors, cfg, rng.substream(3))
+        models = [(ModelSpec("DM1"), build_design(cov, ModelSpec("DM1"), T)), (spec2, design)]
+        report = compare_models(truth.counts, models, priors, cfg, rng.substream(3))
         wins_ml += int(report.log_marginal_likelihood["DM2"] > report.log_marginal_likelihood["DM1"])
         wins_cpo += int(report.log_cpo["DM2"] > report.log_cpo["DM1"])
     _report(

@@ -844,20 +844,73 @@ class TestCompareModels:
         priors = PriorConfig(a0=120.0, b0=2.0)
         truth = simulate_cohort(priors, 0.6, np.array([0.9]), design, T, rng.substream(2))
         cfg = MhConfig(iterations=1500, burn_in=500)
-        report = compare_models(
-            truth.counts, cov, [ModelSpec("DM1"), spec2], priors, cfg, rng.substream(3)
-        )
+        models = [(ModelSpec("DM1"), build_design(cov, ModelSpec("DM1"), T)), (spec2, design)]
+        report = compare_models(truth.counts, models, priors, cfg, rng.substream(3))
         assert report.log_marginal_likelihood["DM2"] > report.log_marginal_likelihood["DM1"]
         assert report.log_cpo["DM2"] > report.log_cpo["DM1"]
         assert report.log_bayes_factors["DM2"]["DM1"] == pytest.approx(
             report.log_marginal_likelihood["DM2"] - report.log_marginal_likelihood["DM1"], rel=1e-12
         )
 
+    def test_a_caller_built_design_is_scored_as_its_own_fit(self):
+        # DM4 on a transformed covariate with seasonals from July, at roster
+        # position 1: its scores are those of its own fit on rng.substream(1)
+        T = 48
+        rng = RngStream(21)
+        cov = {"z": np.exp(rng.substream(1).generator.normal(scale=0.5, size=T))}
+        priors = PriorConfig(a0=100.0, b0=2.0)
+        dm2 = ModelSpec("DM2", ("z",))
+        series = simulate_cohort(priors, 0.6, np.array([0.3]), build_design(cov, dm2, T), T, rng.substream(2)).counts
+        dm4 = ModelSpec("DM4", ("z",))
+        design = build_design({"z": np.log(cov["z"])}, dm4, T, start_month=7)
+        cfg = MhConfig(iterations=500, burn_in=100)
+        models = [(ModelSpec("DM1"), build_design(cov, ModelSpec("DM1"), T)), (dm4, design)]
+        report = compare_models(series, models, priors, cfg, RngStream(9))
+        L = fit_variant(dm4, series, design, priors, cfg, RngStream(9).substream(1), smooth=False,
+                        log_predictive=True).log_predictive
+        assert L is not None
+        assert report.log_marginal_likelihood["DM4"] == harmonic_mean_logml(L.sum(axis=1))
+        assert report.log_cpo["DM4"] == cpo_log_sum(L)
+
     def test_ewma_rejected(self):
         with pytest.raises(DomainError):
             compare_models(
-                _series([1, 2]), {}, [ModelSpec("EWMA")], PriorConfig(), MhConfig(), RngStream(0)
+                _series([1, 2]), [(ModelSpec("EWMA"), DesignMatrix.empty(2))], PriorConfig(), MhConfig(),
+                RngStream(0)
             )
+
+
+class TestDesignLength:
+    """A design of another length than the series is an input error for every
+    fitter and scorer, BPM's included, and for the comparison built on them."""
+
+    T = 30
+
+    @pytest.mark.parametrize("months", [1, T + 5])
+    def test_a_design_of_another_length_raises(self, months):
+        rng = RngStream(12)
+        z = rng.substream(1).generator.normal(size=self.T + 5)
+        series = _series(rng.substream(2).generator.poisson(20.0, size=self.T))
+        priors, cfg = PriorConfig(a0=40.0, b0=2.0), MhConfig(iterations=120, burn_in=20)
+        bpm, dm2, dm5 = ModelSpec("BPM", ("z",)), ModelSpec("DM2", ("z",)), ModelSpec("DM5", ("z",))
+        wrong = {spec.variant: build_design({"z": z[:months]}, spec, months) for spec in (bpm, dm2, dm5)}
+        draws = fit_bpm(series, build_design({"z": z[: self.T]}, bpm, self.T), priors, cfg, RngStream(3), smooth=False)
+        calls = [
+            lambda: mcmc.log_target_bpm(draws.beta[:4], series, wrong["BPM"], priors),
+            lambda: per_draw_log_predictives(series, wrong["BPM"], draws, priors),
+            lambda: fit_bpm(series, wrong["BPM"], priors, cfg, RngStream(3)),
+            lambda: mcmc.fit_dm_static(series, wrong["DM2"], dm2, priors, cfg, RngStream(3)),
+            lambda: mcmc.fit_dm5(series, wrong["DM5"], priors, cfg, RngStream(3)),
+            lambda: compare_models(series, [(bpm, wrong["BPM"])], priors, cfg, RngStream(3)),
+        ]
+        for call in calls:
+            with pytest.raises(DomainError, match="disagree on T"):
+                call()
+
+
+def _built(cov, specs, T):
+    """The roster ``compare_models`` takes: each spec with its design over T months."""
+    return [(spec, build_design(cov, spec, T)) for spec in specs]
 
 
 class TestKeptLogPredictives:
@@ -921,7 +974,7 @@ class TestKeptLogPredictives:
                             log_predictive=True)
         assert draws.sampler == ("random_walk" if variant == "DM4" else "")
         assert draws.log_predictive is None
-        report = compare_models(series, cov, [spec], priors, cfg, RngStream(9))
+        report = compare_models(series, _built(cov, [spec], self.T), priors, cfg, RngStream(9))
         logml, logcpo = self._reference(series, cov, [spec], priors, cfg, RngStream(9))
         assert report.log_marginal_likelihood == logml
         assert report.log_cpo == logcpo
@@ -930,7 +983,7 @@ class TestKeptLogPredictives:
         series, cov, priors = self._cohort()
         specs = [ModelSpec("DM1"), ModelSpec("DM2", ("z",)), ModelSpec("DM4", ("z",)), ModelSpec("BPM", ("z",))]
         cfg = MhConfig(iterations=500, burn_in=100)
-        report = compare_models(series, cov, specs, priors, cfg, RngStream(9))
+        report = compare_models(series, _built(cov, specs, self.T), priors, cfg, RngStream(9))
         logml, logcpo = self._reference(series, cov, specs, priors, cfg, RngStream(9))
         assert report.log_marginal_likelihood == logml
         assert report.log_cpo == logcpo
@@ -958,8 +1011,8 @@ class TestKeptLogPredictives:
         for module in (filtering, mcmc):
             monkeypatch.setattr(module, "filter_core", counted_filter)
         monkeypatch.setattr(mcmc, "log_target_static", counted_target)
-        compare_models(series, cov, [ModelSpec("DM2", ("z",))], priors, MhConfig(iterations=700, burn_in=100),
-                       RngStream(9))
+        compare_models(series, _built(cov, [ModelSpec("DM2", ("z",))], self.T), priors,
+                       MhConfig(iterations=700, burn_in=100), RngStream(9))
         assert filter_calls and all(filter_calls)
         assert len(filter_calls) == target_calls
 
@@ -977,6 +1030,7 @@ class TestKeptLogPredictives:
 
         monkeypatch.setattr(evaluation, "fit_variant", keep)
         specs = [ModelSpec("DM1"), ModelSpec("DM2", ("z",)), ModelSpec("DM5", ("z",)), ModelSpec("BPM", ("z",))]
-        compare_models(series, cov, specs, priors, MhConfig(iterations=500, burn_in=100), RngStream(9))
+        compare_models(series, _built(cov, specs, self.T), priors, MhConfig(iterations=500, burn_in=100),
+                       RngStream(9))
         assert kept_at_fit == [True, True, False, True]
         assert [d.log_predictive for d in fits] == [None] * 4

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import dynpois
 from dynpois import cli, io
-from dynpois.cli import emit_reports, resolve_config, run_command
+from dynpois.cli import DEFAULT_CONFIG, DM5_MCMC_DEFAULT, emit_reports, resolve_config, run_command
 from dynpois.evaluation import ForecastDistribution, ForecastReport
 from dynpois.io import ValidationError, format_number, ingest_csv
 from oracles import quantile_by_doubling
@@ -196,6 +196,7 @@ class TestFormatNumber:
 class TestResolveConfig:
     def _args(self, **kw):
         class A:
+            command = kw.get("command", "fit")
             config = kw.get("config")
             model = kw.get("model")
             seed = kw.get("seed")
@@ -222,6 +223,16 @@ class TestResolveConfig:
         resolved = resolve_config(self._args(config=str(cfg)))
         assert resolved["prior"]["beta_sd"] == 10.0
         assert resolved["mcmc"]["iterations"] == 10000
+
+    @pytest.mark.parametrize("command, swapped", [
+        ("fit", True), ("report", True), ("compare", False), ("forecast", False), ("simulate", False),
+    ])
+    def test_dm5_chain_default_only_where_the_model_runs_mcmc(self, command, swapped):
+        # fit and report run --model's chain from mcmc; compare runs mcmc for
+        # every roster model, and forecast and simulate never run it
+        resolved = resolve_config(self._args(command=command, model="DM5", seed=1))
+        expected = DM5_MCMC_DEFAULT if swapped else DEFAULT_CONFIG["mcmc"]
+        assert resolved["mcmc"] == expected
 
     @pytest.mark.parametrize("key, user", [
         ("seed", {"seed": "abc"}),
@@ -668,6 +679,7 @@ class TestRunCommandFit:
         out2 = tmp_path / "dm5cfg2"
 
         class A:
+            command = "fit"
             config = None
             model = "DM5"
             seed = 3
