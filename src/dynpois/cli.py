@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import argparse
 import copy
+import ctypes
+import functools
 import json
 import sys
 from dataclasses import asdict
@@ -191,12 +193,34 @@ def _design(cfg, covariates, spec, T):
     return build_design(covariates, spec, T, start_month=cfg["start_month"])
 
 
+# glibc's mallopt parameters: allocations below the mmap threshold come from
+# the heap, and free memory at the heap's top is returned to the kernel only
+# past the trim threshold
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+
+
+@functools.cache
+def _keep_freed_memory() -> None:
+    """Ask the C allocator, once per process, to keep freed memory for reuse:
+    each filter pass's work arrays (up to a few MB) then reuse pages the last
+    pass freed instead of faulting in fresh ones. Nothing happens where the C
+    library has no ``mallopt``."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError, TypeError):
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+    mallopt(_M_TRIM_THRESHOLD, 256 << 20)
+
+
 def run_command(argv) -> tuple:
     """Parse argv, run the requested command, write its output files.
 
     Returns (exit_code, {file name: content} | None). On failure a
     machine-readable error object is printed to stdout.
     """
+    _keep_freed_memory()
     try:
         parser = _build_parser()
         args = parser.parse_args(argv)

@@ -294,12 +294,12 @@ def _check_window(window, T: int):
 
 def _filter_window(series, design, draws, priors, o_fit: int, end: int, rng: RngStream) -> tuple:
     """One ``predictive_blocks`` pass of draws fitted on months 1..o_fit-1, over
-    months 1..end. Returns only the window's columns: each draw's one-step log
-    predictives of months o_fit..end-1, (S, end-o_fit), and the components of
-    its one-step predictives of months o_fit..end, one row per draw, in draw
-    order. Coefficient paths (DM5's) end at month o_fit-1: one random-walk step
-    on ``rng``, a stream no fitter draws from, extends them to month o_fit, and
-    their pass ends there.
+    months 1..end, that scores only the window's months o_fit..end. Returns each
+    draw's one-step log predictives of months o_fit..end-1, (S, end-o_fit), and
+    the components of its one-step predictives of months o_fit..end, one row per
+    draw, in draw order. Coefficient paths (DM5's) end at month o_fit-1: one
+    random-walk step on ``rng``, a stream no fitter draws from, extends them to
+    month o_fit, and their pass ends there.
     """
     if draws.beta.ndim == 3:
         steps = rng.generator.standard_normal((draws.S, design.p)) / np.sqrt(draws.tau)
@@ -307,8 +307,7 @@ def _filter_window(series, design, draws, priors, o_fit: int, end: int, rng: Rng
         end = o_fit
     log_pred, comps = [], []
     for lp, c in predictive_blocks(series.head(end), design.head(end), draws, priors, o_fit):
-        # only the window's columns outlive the block
-        log_pred.append(lp[:, o_fit - 1 : end - 1].copy())
+        log_pred.append(lp[:, :-1])
         comps.append(c)
     return np.concatenate(log_pred), np.concatenate(comps)
 
@@ -491,12 +490,12 @@ def per_draw_log_predictives(
     priors: PriorConfig,
 ) -> np.ndarray:
     """(S, T) matrix of per-observation log likelihoods under each retained draw:
-    the one-step log predictives of ``predictive_blocks``.
+    the one-step log predictives of ``predictive_blocks``, whose components it drops.
 
     Dynamic models use the rate-integrated one-step predictives; the Poisson
     regression benchmark scores each month's Poisson pmf directly.
     """
-    return np.concatenate([lp for lp, _ in predictive_blocks(series, design, draws, priors, series.T + 1)])
+    return np.concatenate([lp for lp, _ in predictive_blocks(series, design, draws, priors, 1)])
 
 
 def compare_models(

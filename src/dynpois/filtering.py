@@ -38,23 +38,23 @@ SCALAR_ROWS = 12
 
 @dataclass(frozen=True)
 class FilterTrajectory:
-    """Filtered gamma states (a_t, b_t) for t = 0..T plus per-step log-predictives
-    of a stack of S draws; row j is the run of draw j. ``multipliers`` is the
-    filter's input array itself, not a copy."""
+    """Filtered gamma states (a_t, b_t) for t = 0..T plus the per-step
+    log-predictives of months first..T of a stack of S draws; row j is the run
+    of draw j. ``multipliers`` is the filter's input array itself, not a copy."""
 
     a: np.ndarray  # (S, T+1); a[:, 0] = a0
     b: np.ndarray  # (S, T+1)
     gamma: np.ndarray  # (S,)
-    log_predictive: np.ndarray  # (S, T): log p(N_t | N^(t-1), ...)
+    log_predictive: np.ndarray  # (S, T-first+1): log p(N_t | N^(t-1), ...), t = first..T
     multipliers: np.ndarray  # (S, T): m_t = exp(beta' z_t)
 
     @property
     def T(self) -> int:
-        return self.log_predictive.shape[1]
+        return self.a.shape[1] - 1
 
     @property
     def total_log_predictive(self) -> np.ndarray:
-        """Summed log-predictive of each draw, shape (S,)."""
+        """Summed log-predictive of each draw over the scored months, shape (S,)."""
         return self.log_predictive.sum(axis=1)
 
     def row(self, j: int) -> FilterTrajectory:
@@ -102,13 +102,17 @@ def filter_core(
     gamma: np.ndarray,
     a0: float,
     b0: float,
+    first: int = 1,
 ) -> FilterTrajectory:
-    """Run predict/update over all months for a stack of S draws.
+    """Run predict/update over all months for a stack of S draws, and score
+    the one-step log predictives of months first..T: all of them by default,
+    none for first = T + 1.
 
     ``gamma`` is (S,), ``multipliers`` (S, T) and ``counts`` (T,); a single
     draw is a one-row stack, and other shapes raise DomainError. Row j equals
-    the one-row call on (gamma[j:j+1], multipliers[j:j+1]) bit for bit, and an
-    empty stack (S = 0) gives an empty trajectory.
+    the one-row call on (gamma[j:j+1], multipliers[j:j+1]) bit for bit, the
+    states and each scored month have the bits of the call with first = 1, and
+    an empty stack (S = 0) gives an empty trajectory.
     """
     counts = np.asarray(counts)
     multipliers = np.asarray(multipliers, dtype=float)
@@ -116,6 +120,8 @@ def filter_core(
     T = len(counts)
     if gamma.ndim != 1 or multipliers.shape != (len(gamma), T):
         raise DomainError(f"need (S,) gamma and (S, T) multipliers, T = {T}: got {gamma.shape}, {multipliers.shape}")
+    if not (is_integer(first) and 1 <= first <= T + 1):
+        raise DomainError(f"the first scored month must lie in 1..{T + 1}, got {first}")
     # min/max reductions: NaN fails both comparisons, and they cost far less
     # per call than elementwise masks on the sequential chains' hot path
     if gamma.size and not (0.0 < gamma.min() and gamma.max() <= 1.0):
@@ -129,24 +135,26 @@ def filter_core(
     rhs[1, :, 0], rhs[1, :, 1:] = b0, multipliers
     a, b = _discount_solve(gamma, rhs)
 
-    # negbin log pmf of N_t under r_t = gamma*a_{t-1}, p_t = gamma*b_{t-1}/(gamma*b_{t-1}+m_t);
-    # extreme multipliers can overflow the rate recursion, and a subnormal gamma
-    # can underflow gamma*b to 0, leaving non-finite entries for the caller to
-    # treat as out-of-support. One lgamma call takes the three arguments r + n,
-    # r and n + 1, built in place in one array: the small stacks of the DM5
-    # sweep pay its fixed numpy overhead once, and r is a view into it
-    size = multipliers.size
-    args = np.empty(2 * size + T)
-    rn, r = args[: 2 * size].reshape(2, *multipliers.shape)
-    np.multiply(gamma[:, None], a[:, :-1], out=r)
+    # negbin log pmf of N_t under r_t = gamma*a_{t-1}, p_t = gamma*b_{t-1}/(gamma*b_{t-1}+m_t),
+    # for the scored months t = first..T only; extreme multipliers can overflow
+    # the rate recursion, and a subnormal gamma can underflow gamma*b to 0,
+    # leaving non-finite entries for the caller to treat as out-of-support. One
+    # lgamma call takes the three arguments r + n, r and n + 1, built in place
+    # in one array: the small stacks of the DM5 sweep pay its fixed numpy
+    # overhead once, and r is a view into it
+    n, m = n[first - 1 :], multipliers[:, first - 1 :]
+    shape, size = m.shape, m.size
+    args = np.empty(2 * size + len(n))
+    rn, r = args[: 2 * size].reshape(2, *shape)
+    np.multiply(gamma[:, None], a[:, first - 1 : -1], out=r)
     np.add(r, n, out=rn)
     np.add(n, 1.0, out=args[2 * size :])
     lg = lgamma(args)
-    lg_rn, lg_r = lg[: 2 * size].reshape(2, *multipliers.shape)
+    lg_rn, lg_r = lg[: 2 * size].reshape(2, *shape)
     lg_n1 = lg[2 * size :]
-    gb = gamma[:, None] * b[:, :-1]
+    gb = gamma[:, None] * b[:, first - 1 : -1]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        log_gbm = np.add(gb, multipliers)
+        log_gbm = np.add(gb, m)
         np.log(log_gbm, out=log_gbm)
         # lg_rn - lg_n1 - lg_r + r * (log(gb) - log_gbm) + n * (log(m) - log_gbm),
         # in that order, with gb's buffer holding each bracket in turn
@@ -157,7 +165,7 @@ def filter_core(
         term -= log_gbm
         term *= r
         log_pred += term
-        np.log(multipliers, out=term)
+        np.log(m, out=term)
         term -= log_gbm
         term *= n
         log_pred += term
@@ -275,17 +283,18 @@ def filter_draws(
     gammas: np.ndarray,
     a0: float,
     b0: float,
+    first: int = 1,
 ):
     """Filter every posterior draw, FILTER_BLOCK draws per batched ``filter_core`` call.
 
     ``betas`` is a stack of static coefficients (S, p) or of paths (S, T, p).
-    Yields each block's batched trajectory, in draw order. One
-    ``linear_predictor`` call builds a block's multipliers, so each row is that
-    draw's one-row pass bit for bit.
+    Yields each block's batched trajectory, scored over months first..T as in
+    ``filter_core``, in draw order. One ``linear_predictor`` call builds a
+    block's multipliers, so each row is that draw's one-row pass bit for bit.
     """
     for start in range(0, len(gammas), FILTER_BLOCK):
         block = slice(start, start + FILTER_BLOCK)
-        yield filter_core(counts, linear_predictor(design, betas[block]), gammas[block], a0, b0)
+        yield filter_core(counts, linear_predictor(design, betas[block]), gammas[block], a0, b0, first)
 
 
 def gamma_grid_posterior(

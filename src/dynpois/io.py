@@ -169,8 +169,7 @@ def fit_csv_rows(observed: np.ndarray, theta_draws: np.ndarray) -> tuple:
     """Per-month smoothed-rate quantiles against the observed counts."""
     header = ["t", "observed", "theta_mean", "theta_q2.5", "theta_q97.5"]
     mean = theta_draws.mean(axis=0)
-    lo = np.percentile(theta_draws, 2.5, axis=0)
-    hi = np.percentile(theta_draws, 97.5, axis=0)
+    lo, hi = np.percentile(theta_draws, [2.5, 97.5], axis=0)
     rows = [
         [t + 1, int(observed[t]), mean[t], lo[t], hi[t]] for t in range(len(observed))
     ]

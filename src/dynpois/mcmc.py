@@ -415,7 +415,7 @@ def _smooth_paths(
     return np.concatenate(
         [
             ffbs_sample(traj, rng)
-            for traj in filter_draws(counts, design, betas, gammas, priors.a0, priors.b0)
+            for traj in filter_draws(counts, design, betas, gammas, priors.a0, priors.b0, len(counts) + 1)
         ]
     )
 
@@ -762,7 +762,8 @@ def _bpm_derivatives(series: CountSeries, design: DesignMatrix, priors: PriorCon
             mu = np.exp(eta[0])
             grad = rows.T @ (counts - mu) - prec * beta
             hess = -(rows.T * mu) @ rows - prec * np.eye(len(beta))
-        return (value if np.isfinite(value) else -np.inf), grad, 0.5 * (hess + hess.T)
+            hess = 0.5 * (hess + hess.T)
+        return (value if np.isfinite(value) else -np.inf), grad, hess
 
     return derivatives
 
@@ -819,21 +820,27 @@ def fit_variant(
     return fit_dm_static(series, design, spec, priors, config, rng, smooth=smooth, log_predictive=log_predictive)
 
 
-def predictive_blocks(series: CountSeries, design: DesignMatrix, draws: PosteriorDraws, priors: PriorConfig, first: int):
+def predictive_blocks(
+    series: CountSeries, design: DesignMatrix, draws: PosteriorDraws, priors: PriorConfig, first: int = 1
+):
     """Score fitted draws by their model, block by block, in draw order: yields
-    ``(log_pred, comps)``, the block's one-step log predictives of months 1..T,
-    (B, T), and the components of its one-step predictives of months first..T,
-    empty when first = T + 1. A dynamic model's blocks are those of
-    ``filter_draws``, with negative binomial (r, p) rows, (B, T - first + 1, 2),
-    from each draw's state after the month before. BPM is one block, scored
-    from one ``log_linear_predictor`` call, with Poisson rates exp(beta' z_t),
-    (S, T - first + 1), that have the bits of ``linear_predictor``.
+    ``(log_pred, comps)``, the block's one-step log predictives of months
+    first..T, (B, T - first + 1), and the components of those months' one-step
+    predictives; both are empty when first = T + 1. A dynamic model's blocks
+    are those of ``filter_draws``, with negative binomial (r, p) rows,
+    (B, T - first + 1, 2), from each draw's state after the month before. BPM
+    is one block, scored from one ``log_linear_predictor`` call, with Poisson
+    rates exp(beta' z_t), (S, T - first + 1), that have the bits of
+    ``linear_predictor``.
     """
     if draws.variant == "BPM":
         eta = log_linear_predictor(design, draws.beta)
-        yield bpm_log_pmf(eta, series.counts), np.exp(eta[:, first - 1 :])
+        if eta.shape[1] != series.T:
+            raise DomainError("design matrix and count series disagree on T")
+        eta = eta[:, first - 1 :]
+        yield bpm_log_pmf(eta, series.counts[first - 1 :]), np.exp(eta)
         return
-    for traj in filter_draws(series.counts, design, draws.beta, draws.gamma, priors.a0, priors.b0):
+    for traj in filter_draws(series.counts, design, draws.beta, draws.gamma, priors.a0, priors.b0, first):
         a, b = traj.a[:, first - 1 : -1], traj.b[:, first - 1 : -1]
         yield traj.log_predictive, negbin_rows(traj.gamma[:, None], a, b, traj.multipliers[:, first - 1 :])
 

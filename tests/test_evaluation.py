@@ -591,9 +591,9 @@ class TestSequentialHarness:
         filter_rows, mode_rows, samplers = [], [], []
         real_filter, real_mode, real_chain = filtering.filter_core, mcmc.find_mode_and_hessian, mcmc._independence_chain
 
-        def counted_filter(counts, multipliers, gamma, a0, b0):
+        def counted_filter(counts, multipliers, gamma, a0, b0, first=1):
             filter_rows.append(len(gamma))
-            return real_filter(counts, multipliers, gamma, a0, b0)
+            return real_filter(counts, multipliers, gamma, a0, b0, first)
 
         def counted_mode(derivatives, start):
             def counted(x):
@@ -761,6 +761,23 @@ class TestSequentialHarness:
             assert np.array_equal(comps, linear_predictor(design.head(36), draws.beta)[:, 30:])
         else:
             assert comps.shape == (draws.S, 6, 2)
+
+    def test_window_pass_scores_only_the_window(self, monkeypatch):
+        # the pass over months 1..36 from origin 31 scores the L = 6 window
+        # months alone: 2 B L + L lgamma entries per block of B draws
+        series, design, spec, priors = self._cohort("DM2", 85, 40)
+        draws = fit_variant(spec, series.head(30), design.head(30), priors, MhConfig(iterations=400, burn_in=100),
+                            RngStream(5), smooth=False)
+        real_lgamma, entries = filtering.lgamma, []
+
+        def counted_lgamma(x):
+            entries.append(np.size(x))
+            return real_lgamma(x)
+
+        monkeypatch.setattr(filtering, "lgamma", counted_lgamma)
+        evaluation._filter_window(series, design, draws, priors, 31, 36, RngStream(0))
+        assert draws.S == 300
+        assert entries == [2 * B * 6 + 6 for B in (filtering.FILTER_BLOCK, 300 - filtering.FILTER_BLOCK)]
 
     @pytest.mark.parametrize("variant", ["DM2", "BPM", "DM5"])
     def test_the_last_count_changes_only_its_actual(self, variant):
@@ -995,9 +1012,9 @@ class TestKeptLogPredictives:
         real_filter, real_target = filtering.filter_core, mcmc.log_target_static
         inside, filter_calls, target_calls = [False], [], 0
 
-        def counted_filter(counts, multipliers, gamma, a0, b0):
+        def counted_filter(counts, multipliers, gamma, a0, b0, first=1):
             filter_calls.append(inside[0])
-            return real_filter(counts, multipliers, gamma, a0, b0)
+            return real_filter(counts, multipliers, gamma, a0, b0, first)
 
         def counted_target(*args, **kwargs):
             nonlocal target_calls

@@ -397,16 +397,28 @@ class TestBatchedFilter:
             assert traj.total_log_predictive[0] == float(log_pred.sum())
 
     def test_batched_rows_equal_scalar_calls(self):
+        # five rows, so the batch and its rows both run the float loop; a call
+        # scored from month `first` on keeps the full call's states and months
         counts, design, betas, _ = _draw_set(len(self.GAMMAS), seed=1)
         mult = linear_predictor(design, betas)
-        traj = filter_core(counts, mult, self.GAMMAS, 50.0, 2.0)
-        assert traj.a.shape == (5, 31) and traj.log_predictive.shape == (5, 30) and traj.T == 30
-        totals = traj.total_log_predictive
-        for j in range(len(self.GAMMAS)):
-            one = filter_core(counts, mult[j : j + 1], self.GAMMAS[j : j + 1], 50.0, 2.0)
-            assert np.array_equal(traj.a[j], one.a[0]) and np.array_equal(traj.b[j], one.b[0])
-            assert np.array_equal(traj.log_predictive[j], one.log_predictive[0])
-            assert totals[j] == one.total_log_predictive[0]
+        full = filter_core(counts, mult, self.GAMMAS, 50.0, 2.0)
+        for first in (1, 2, 30, 31):
+            traj = filter_core(counts, mult, self.GAMMAS, 50.0, 2.0, first)
+            assert traj.a.shape == (5, 31) and traj.log_predictive.shape == (5, 31 - first) and traj.T == 30
+            assert np.array_equal(traj.a, full.a) and np.array_equal(traj.b, full.b)
+            assert np.array_equal(traj.log_predictive, full.log_predictive[:, first - 1 :])
+            totals = traj.total_log_predictive
+            for j in range(len(self.GAMMAS)):
+                one = filter_core(counts, mult[j : j + 1], self.GAMMAS[j : j + 1], 50.0, 2.0, first)
+                assert np.array_equal(traj.a[j], one.a[0]) and np.array_equal(traj.b[j], one.b[0])
+                assert np.array_equal(traj.log_predictive[j], one.log_predictive[0])
+                assert totals[j] == one.total_log_predictive[0]
+
+    @pytest.mark.parametrize("first", [0, 32, 1.0, True])
+    def test_first_scored_month_out_of_range_rejected(self, first):
+        counts, design, betas, _ = _draw_set(1, seed=1)
+        with pytest.raises(DomainError):
+            filter_core(counts, linear_predictor(design, betas), [0.5], 50.0, 2.0, first)
 
     def test_batched_shape_mismatch_rejected(self):
         with pytest.raises(DomainError):
@@ -451,6 +463,19 @@ class TestBatchedFilter:
                 ffbs_sample(traj, RngStream(11))[0], _loop_ffbs(traj.a[0], traj.b[0], g, RngStream(11))
             )
 
+    @pytest.mark.parametrize("S", [3, SCALAR_ROWS + 5])
+    def test_unscored_trajectory_draws_the_full_calls_paths(self, S):
+        # backward sampling reads only the states, so a pass that scores no
+        # month draws the full pass's paths and leaves the stream where it does
+        counts, design, betas, gammas = _draw_set(S, seed=12)
+        mult = linear_predictor(design, betas)
+        full = filter_core(counts, mult, gammas, 50.0, 2.0)
+        bare = filter_core(counts, mult, gammas, 50.0, 2.0, len(counts) + 1)
+        assert bare.log_predictive.shape == (S, 0) and bare.T == len(counts)
+        rng, ref_rng = RngStream(13), RngStream(13)
+        assert np.array_equal(ffbs_sample(bare, rng), ffbs_sample(full, ref_rng))
+        assert rng.generator.random() == ref_rng.generator.random()
+
     @pytest.mark.pinned_dispatch
     def test_smooth_paths_reproduce_per_draw_loop(self):
         S = FILTER_BLOCK + 3
@@ -492,19 +517,26 @@ class TestMonthOrderRecursion:
         ),
         T=st.integers(min_value=1, max_value=200),
         seed=st.integers(min_value=0, max_value=2**32 - 1),
+        first_at=st.sampled_from(["1", "2", "T", "T + 1"]),
     )
     @settings(max_examples=60, deadline=None)
-    def test_batched_rows_equal_single_row_calls(self, gammas, T, seed):
+    def test_batched_rows_equal_single_row_calls(self, gammas, T, seed, first_at):
+        # scored from month `first` on, a call keeps the full call's states and
+        # months, and its backward paths and stream
+        first = {"1": 1, "2": 2, "T": T, "T + 1": T + 1}[first_at]
         gen = np.random.default_rng(seed)
         counts = gen.poisson(20.0, size=T)
         mult = np.exp(gen.normal(0.0, 0.5, size=(len(gammas), T)))
         g = np.array(gammas)
-        traj = filter_core(counts, mult, g, 50.0, 2.0)
+        full = filter_core(counts, mult, g, 50.0, 2.0)
+        traj = filter_core(counts, mult, g, 50.0, 2.0, first)
+        assert np.array_equal(traj.a, full.a) and np.array_equal(traj.b, full.b)
+        assert np.array_equal(traj.log_predictive, full.log_predictive[:, first - 1 :])
         totals = traj.total_log_predictive
         batched_rng, rng = RngStream(seed), RngStream(seed)
         paths = ffbs_sample(traj, batched_rng)
         for j in range(len(gammas)):
-            one = filter_core(counts, mult[j : j + 1], g[j : j + 1], 50.0, 2.0)
+            one = filter_core(counts, mult[j : j + 1], g[j : j + 1], 50.0, 2.0, first)
             assert np.array_equal(traj.a[j], one.a[0]) and np.array_equal(traj.b[j], one.b[0])
             assert np.array_equal(traj.log_predictive[j], one.log_predictive[0])
             assert totals[j] == one.total_log_predictive[0]

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -871,6 +872,49 @@ class TestDeterminism:
         assert files1 == files2
         for name in files1:
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+    @pytest.mark.parametrize("library", ["missing", "without_mallopt"])
+    def test_a_c_library_without_mallopt_changes_no_output(self, tmp_path, monkeypatch, library):
+        # the allocator policy is best effort: where the C library cannot be
+        # loaded or has no mallopt, the run exits 0 with the same files
+        def cdll(name):
+            if library == "missing":
+                raise OSError("no C library")
+            return object()
+
+        data = _simulate_cohort_csv(tmp_path, T=25)
+        cfg = _write(tmp_path, "d.json", json.dumps(
+            {"prior": {"a0": 80.0, "b0": 2.0},
+             "mcmc": {"iterations": 400, "burn_in": 100, "thinning": 1, "proposal_scale": 1.0}}))
+        argv = ["fit", "--config", str(cfg), "--model", "DM2", "--seed", "17", "--data", str(data), "--out"]
+        assert run_command([*argv, str(tmp_path / "plain")])[0] == 0
+        monkeypatch.setattr(cli.ctypes, "CDLL", cdll)
+        cli._keep_freed_memory.cache_clear()
+        try:
+            assert run_command([*argv, str(tmp_path / "patched")])[0] == 0
+        finally:
+            cli._keep_freed_memory.cache_clear()
+        names = sorted(p.name for p in (tmp_path / "plain").iterdir())
+        assert names == sorted(p.name for p in (tmp_path / "patched").iterdir())
+        for name in names:
+            assert (tmp_path / "plain" / name).read_bytes() == (tmp_path / "patched" / name).read_bytes()
+
+    def test_allocator_policy_is_set_once_per_process(self, tmp_path, monkeypatch):
+        calls = []
+
+        def mallopt(param, value):
+            calls.append((param, value))
+            return 1
+
+        monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: SimpleNamespace(mallopt=mallopt))
+        cli._keep_freed_memory.cache_clear()
+        try:
+            for _ in range(2):
+                assert run_command(["fit", "--model", "DM1", "--out", str(tmp_path / "o")])[0] == 2
+        finally:
+            cli._keep_freed_memory.cache_clear()
+        # M_MMAP_THRESHOLD = -3 and M_TRIM_THRESHOLD = -1 in glibc's malloc.h
+        assert calls == [(-3, 32 << 20), (-1, 256 << 20)]
 
     def test_different_seed_differs(self, tmp_path):
         data = _simulate_cohort_csv(tmp_path, T=25)

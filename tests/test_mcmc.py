@@ -770,6 +770,28 @@ class TestFitDmStatic:
         assert draws.theta.shape == (cfg.n_retained, 4)
         assert np.all(draws.theta[:, :-1] >= draws.gamma[:, None] * draws.theta[:, 1:])
 
+    def test_smoothing_pass_scores_no_month(self, monkeypatch):
+        # backward sampling reads the filtered states alone, so the smoothing
+        # pass evaluates no lgamma entry: a smoothed fit evaluates as many as
+        # an unsmoothed one, and draws the same chain
+        series, design, priors = _simulated_static("DM2", T=40)
+        cfg = MhConfig(iterations=600, burn_in=100)
+        real_lgamma, entries = filtering.lgamma, []
+
+        def counted_lgamma(x):
+            entries[-1] += np.size(x)
+            return real_lgamma(x)
+
+        monkeypatch.setattr(filtering, "lgamma", counted_lgamma)
+        fits = []
+        for smooth in (True, False):
+            entries.append(0)
+            fits.append(fit_dm_static(series, design, ModelSpec("DM2", ("z1", "z2")), priors, cfg,
+                                      RngStream(4), smooth=smooth))
+        assert entries[0] == entries[1] > 0
+        assert fits[0].theta.shape == (cfg.n_retained, 40) and fits[1].theta is None
+        assert np.array_equal(fits[0].beta, fits[1].beta) and np.array_equal(fits[0].gamma, fits[1].gamma)
+
     def test_grid_prior_needs_no_covariates(self):
         cov = {"x": np.ones(3)}
         design = build_design(cov, ModelSpec("DM2", ("x",)), 3)
@@ -927,6 +949,17 @@ class TestFitBpm:
         design = build_design({"x": np.ones(3)}, ModelSpec("DM2", ("x",)), 3)
         with pytest.raises(DomainError):
             fit_bpm(_series([3, 5, 2]), design, PriorConfig(), MhConfig(), RngStream(12))
+
+    def test_derivatives_at_huge_rates_warn_nothing(self):
+        # a Newton trial point whose two rates of about 8e307 sum to a finite
+        # Hessian entry that doubles past the largest float when symmetrised
+        series = _series([3, 5])
+        design = build_design({}, ModelSpec("BPM"), 2)
+        derivatives = mcmc._bpm_derivatives(series, design, PriorConfig())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value, grad, hess = derivatives(np.array([709.0]))
+        assert np.isfinite(value) and np.isfinite(grad).all() and np.isinf(hess).all()
 
 
 class TestFitDm5:
@@ -1333,7 +1366,10 @@ class TestPredictiveBlocks:
         assert [len(lp) for lp, _ in blocks] == [FILTER_BLOCK, 3]
         log_pred = np.concatenate([lp for lp, _ in blocks])
         comps = np.concatenate([c for _, c in blocks])
-        assert log_pred.shape == (S, 30) and comps.shape == (S, 11, 2)
+        assert log_pred.shape == (S, 11) and comps.shape == (S, 11, 2)
+        # months 20..30 have the bits of the pass that scores every month
+        full = np.concatenate([lp for lp, _ in mcmc.predictive_blocks(series, design, draws, priors)])
+        assert full.shape == (S, 30) and np.array_equal(log_pred, full[:, 19:])
         for j in (0, FILTER_BLOCK - 1, FILTER_BLOCK, S - 1):
             one = PosteriorDraws(beta=draws.beta[j : j + 1], gamma=draws.gamma[j : j + 1],
                                  acceptance_rate=0.5, variant=variant)
@@ -1345,5 +1381,7 @@ class TestPredictiveBlocks:
         S = FILTER_BLOCK + 3
         draws = replace(self._draws("BPM", S, series.T, design.p), gamma=None)
         [(lp, rates)] = mcmc.predictive_blocks(series, design, draws, priors, 20)
-        assert lp.shape == (S, 30) and rates.shape == (S, 11)
-        assert np.array_equal(rates, np.exp(log_linear_predictor(design, draws.beta)[:, 19:]))
+        assert lp.shape == (S, 11) and rates.shape == (S, 11)
+        eta = log_linear_predictor(design, draws.beta)
+        assert np.array_equal(rates, np.exp(eta[:, 19:]))
+        assert np.array_equal(lp, mcmc.bpm_log_pmf(eta, series.counts)[:, 19:])
